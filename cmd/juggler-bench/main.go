@@ -83,7 +83,7 @@ func main() {
 		start := time.Now()
 		rep := juggler.RunExperimentCfg(id, juggler.RunConfig{
 			Seed: *seed, Quick: *quick, Workers: sweep.Workers(*workers),
-			Shards: *shards,
+			Shards:  *shards,
 			Backend: *backend, Adapt: *adapt, Inseq: *inseq, Ofo: *ofo,
 			StampSample: *stampSample,
 		})

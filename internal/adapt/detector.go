@@ -165,8 +165,8 @@ type Detector struct {
 	lagSum                                        uint64
 	lagHist                                       [LagBuckets]uint64
 
-	skewEWMA     float64 // ns
-	coalesceEWMA float64 // ns
+	skewEWMA     float64  // ns
+	coalesceEWMA float64  // ns
 	winMax       sim.Time // max lateness since last TakeWindowMax, as ns count
 }
 

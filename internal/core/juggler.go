@@ -196,7 +196,7 @@ type flowEntry struct {
 	// concrete type so the O(1) accessors inline instead of dispatching
 	// through the interface on every packet. Other backends take the
 	// interface path unchanged.
-	sl *reasm.SegList
+	sl             *reasm.SegList
 	flushTimestamp sim.Time
 	// holdStart anchors the timeout clocks: the later of the last flush
 	// and the instant the queue went from empty to non-empty. Using the

@@ -114,36 +114,36 @@ type FlowReport struct {
 // built only from virtual-time state, so same-seed runs produce
 // byte-identical JSON at any sweep width.
 type Diagnosis struct {
-	Tool               string          `json:"tool"`
-	Scenario           string          `json:"scenario"`
-	Stack              string          `json:"stack"`
-	Seed               int64           `json:"seed"`
-	Intensity          float64         `json:"intensity"`
+	Tool      string  `json:"tool"`
+	Scenario  string  `json:"scenario"`
+	Stack     string  `json:"stack"`
+	Seed      int64   `json:"seed"`
+	Intensity float64 `json:"intensity"`
 	// StampSample is the 1-in-N hop-stamp sampling rate of the run: with
 	// N > 1 the latency-attribution and per-packet decision sections are
 	// built from the sampled subset (counts scale by ~1/N) while flow
 	// phase state, anomalies and timeout records remain exact.
-	StampSample        int64           `json:"stamp_sample"`
-	Verdict            string          `json:"verdict"`
-	Delivered          int64           `json:"delivered_segments"`
-	EndToEnd           SpanReport      `json:"end_to_end"`
-	Spans              []SpanReport    `json:"spans"`
-	Slowest            []SlowReport    `json:"slowest,omitempty"`
-	Decisions          []OpReport      `json:"decisions,omitempty"`
+	StampSample int64        `json:"stamp_sample"`
+	Verdict     string       `json:"verdict"`
+	Delivered   int64        `json:"delivered_segments"`
+	EndToEnd    SpanReport   `json:"end_to_end"`
+	Spans       []SpanReport `json:"spans"`
+	Slowest     []SlowReport `json:"slowest,omitempty"`
+	Decisions   []OpReport   `json:"decisions,omitempty"`
 	// Retunes excerpts the host-scoped decision ring: the adapt
 	// controller's knob changes, oldest first (RetuneTotal is exact even
 	// when the ring rotated).
 	RetuneTotal        int64            `json:"retune_total,omitempty"`
 	Retunes            []DecisionReport `json:"retunes,omitempty"`
-	TruncatedFlows     int64           `json:"truncated_decisions"`
-	AnomalyTotal       int64           `json:"anomaly_total"`
-	Anomalies          []AnomalyReport `json:"anomalies,omitempty"`
-	Flows              []FlowReport    `json:"flows,omitempty"`
-	FlowsOmitted       int             `json:"flows_omitted"`
-	RecorderEvents     int64           `json:"recorder_events"`
-	RecorderSummary    string          `json:"recorder_summary,omitempty"`
-	RecordedEventKinds []CauseCount    `json:"recorded_event_kinds,omitempty"`
-	UnknownEventKinds  []CauseCount    `json:"unknown_event_kinds,omitempty"`
+	TruncatedFlows     int64            `json:"truncated_decisions"`
+	AnomalyTotal       int64            `json:"anomaly_total"`
+	Anomalies          []AnomalyReport  `json:"anomalies,omitempty"`
+	Flows              []FlowReport     `json:"flows,omitempty"`
+	FlowsOmitted       int              `json:"flows_omitted"`
+	RecorderEvents     int64            `json:"recorder_events"`
+	RecorderSummary    string           `json:"recorder_summary,omitempty"`
+	RecordedEventKinds []CauseCount     `json:"recorded_event_kinds,omitempty"`
+	UnknownEventKinds  []CauseCount     `json:"unknown_event_kinds,omitempty"`
 }
 
 // diagnosisFlowCap bounds the per-flow sections of a report so 100k-flow

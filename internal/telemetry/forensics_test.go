@@ -339,7 +339,7 @@ func TestForensicsZeroAlloc(t *testing.T) {
 	}
 
 	_, k := forensicsSink(ForensicsOptions{})
-	k.Decide(&d)            // warm: flow ring, counters, cause map
+	k.Decide(&d)           // warm: flow ring, counters, cause map
 	k.ObserveDelivery(seg) // warm: attribution families, leaderboard
 	if n := testing.AllocsPerRun(200, func() { k.Decide(&d) }); n != 0 {
 		t.Errorf("steady-state Decide: %v allocs/op, want 0", n)
