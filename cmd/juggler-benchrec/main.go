@@ -10,8 +10,9 @@
 // the sharded receive datapath's shard_scaling record (the shardedrx
 // workload at 1/2/4/8 execution lanes, with the byte-identity of every
 // level's table re-checked the same way). The fleet telemetry sketch
-// update path (fleet_sketch: quantile sketch + heavy-hitter Observe)
-// joins both the micro section and the zero-alloc gate.
+// update path (fleet_sketch: quantile sketch + heavy-hitter Observe) and
+// the fabric's per-packet event chain (fabric_hop: two ports and a delay
+// switch) join both the micro section and the zero-alloc gate.
 //
 // Usage:
 //

@@ -143,8 +143,9 @@ func (g *GilbertElliott) Stats() ImpairStats { return g.st }
 // switch-retry / misbehaving-LAG duplication that exercises the offload
 // layer's duplicate detection.
 type Duplicator struct {
-	sim *sim.Sim
-	dst fabric.Sink
+	sim       *sim.Sim
+	dst       fabric.Sink
+	deliverFn func(any) // fabric.DeliverFunc(dst), for the lagging copy
 
 	// Prob is the per-packet duplication probability; scenarios may change
 	// it mid-run.
@@ -161,7 +162,8 @@ func NewDuplicator(s *sim.Sim, prob float64, maxLag time.Duration, dst fabric.Si
 	if maxLag < 0 {
 		panic("chaos: negative duplicate lag")
 	}
-	return &Duplicator{sim: s, dst: dst, Prob: prob, MaxLag: maxLag, st: ImpairStats{Name: "duplicate"}}
+	return &Duplicator{sim: s, dst: dst, deliverFn: fabric.DeliverFunc(dst),
+		Prob: prob, MaxLag: maxLag, st: ImpairStats{Name: "duplicate"}}
 }
 
 // Deliver implements fabric.Sink.
@@ -174,7 +176,7 @@ func (d *Duplicator) Deliver(p *packet.Packet) {
 		if d.MaxLag > 0 {
 			lag = time.Duration(d.sim.Rand().Int63n(int64(d.MaxLag)))
 		}
-		d.sim.Schedule(lag, func() { d.dst.Deliver(&dup) })
+		d.sim.ScheduleArg(lag, d.deliverFn, &dup)
 	}
 	d.dst.Deliver(p)
 }
@@ -241,8 +243,9 @@ func (c *Corruptor) Stats() ImpairStats { return c.st }
 // fabric.DelaySwitch (which is Prob = 0.5 with a fixed delay) to a
 // continuous delay distribution.
 type Reorderer struct {
-	sim *sim.Sim
-	dst fabric.Sink
+	sim       *sim.Sim
+	dst       fabric.Sink
+	deliverFn func(any) // fabric.DeliverFunc(dst), for the delayed packets
 
 	// Prob is the fraction of packets receiving extra delay; scenarios may
 	// change it mid-run (e.g. start spraying mid-flow).
@@ -260,7 +263,8 @@ func NewReorderer(s *sim.Sim, prob float64, maxExtra time.Duration, dst fabric.S
 	if maxExtra <= 0 {
 		panic("chaos: reorderer needs a positive MaxExtra")
 	}
-	return &Reorderer{sim: s, dst: dst, Prob: prob, MaxExtra: maxExtra, st: ImpairStats{Name: "reorder"}}
+	return &Reorderer{sim: s, dst: dst, deliverFn: fabric.DeliverFunc(dst),
+		Prob: prob, MaxExtra: maxExtra, st: ImpairStats{Name: "reorder"}}
 }
 
 // Deliver implements fabric.Sink.
@@ -269,7 +273,7 @@ func (r *Reorderer) Deliver(p *packet.Packet) {
 	if r.Prob > 0 && r.sim.Rand().Float64() < r.Prob {
 		r.st.Delayed++
 		extra := time.Duration(r.sim.Rand().Int63n(int64(r.MaxExtra)))
-		r.sim.Schedule(extra, func() { r.dst.Deliver(p) })
+		r.sim.ScheduleArg(extra, r.deliverFn, p)
 		return
 	}
 	r.dst.Deliver(p)

@@ -138,6 +138,29 @@ func (c *Core) Name() string { return c.name }
 // the job completes service. Returns false if the backlog limit would be
 // exceeded, in which case nothing is charged and done will not run.
 func (c *Core) Submit(d time.Duration, done func()) bool {
+	if !c.admit(d) {
+		return false
+	}
+	if done != nil {
+		c.sim.ScheduleAt(c.freeAt, done)
+	}
+	return true
+}
+
+// SubmitArg is Submit for per-packet callers: done is bound once by the
+// caller and the job's datum travels as arg, so no closure is minted per
+// job.
+func (c *Core) SubmitArg(d time.Duration, done func(any), arg any) bool {
+	if !c.admit(d) {
+		return false
+	}
+	c.sim.ScheduleArgAt(c.freeAt, done, arg)
+	return true
+}
+
+// admit charges a job of cost d and advances freeAt to its completion, or
+// returns false when the backlog limit refuses it.
+func (c *Core) admit(d time.Duration) bool {
 	if d < 0 {
 		panic("cpumodel: negative cost")
 	}
@@ -150,9 +173,6 @@ func (c *Core) Submit(d time.Duration, done func()) bool {
 	}
 	c.busy += d
 	c.freeAt = c.freeAt.Add(d)
-	if done != nil {
-		c.sim.ScheduleAt(c.freeAt, done)
-	}
 	return true
 }
 

@@ -14,7 +14,9 @@ import (
 type DelayLine struct {
 	sim   *sim.Sim
 	Delay time.Duration
-	dst   Sink
+	// deliverFn is DeliverFunc(dst), the line's one event callback; the
+	// held packet is the event argument.
+	deliverFn func(any)
 
 	lastOut sim.Time
 }
@@ -24,7 +26,7 @@ func NewDelayLine(s *sim.Sim, delay time.Duration, dst Sink) *DelayLine {
 	if delay < 0 {
 		panic("fabric: negative delay")
 	}
-	return &DelayLine{sim: s, Delay: delay, dst: dst}
+	return &DelayLine{sim: s, Delay: delay, deliverFn: DeliverFunc(dst)}
 }
 
 // Deliver implements Sink.
@@ -34,7 +36,7 @@ func (d *DelayLine) Deliver(p *packet.Packet) {
 		out = d.lastOut // FIFO within the line
 	}
 	d.lastOut = out
-	d.sim.ScheduleAt(out, func() { d.dst.Deliver(p) })
+	d.sim.ScheduleArgAt(out, d.deliverFn, p)
 }
 
 // DelaySwitch reproduces the NetFPGA-10G testbed of Figure 11: each inbound

@@ -435,3 +435,75 @@ func TestOccupancyProbe(t *testing.T) {
 		t.Fatalf("mean = %v", o.W.Mean())
 	}
 }
+
+// TestSwitchRouteCache: the direct-mapped cache in front of the routing
+// table must never serve a stale or wrong group — across destinations that
+// share a cache slot, and across an AddRoute that grows a cached group.
+func TestSwitchRouteCache(t *testing.T) {
+	s := sim.New(1)
+	sw := NewSwitch(s, "sw")
+	const a, b = 0x0a000001, 0x0a000001 + routeCacheSize // same slot
+	var sinks [3]collector
+	ports := [3]*Port{}
+	for i := range ports {
+		ports[i] = NewPort(s, "p", units.Rate10G, 0, nil, &sinks[i])
+	}
+	sw.AddRoute(a, ports[0])
+	sw.AddRoute(b, ports[1])
+	for i := 0; i < 3; i++ { // alternate: each lookup evicts the other
+		sw.Deliver(mkPkt(9, a, 0, 100))
+		sw.Deliver(mkPkt(9, b, 0, 100))
+	}
+	sw.Deliver(mkPkt(9, 0x0a0000ff, 0, 100)) // no route: counted, not cached
+	s.Run()
+	if len(sinks[0].pkts) != 3 || len(sinks[1].pkts) != 3 || sw.Unrouted != 1 {
+		t.Fatalf("a=%d b=%d unrouted=%d, want 3 3 1", len(sinks[0].pkts), len(sinks[1].pkts), sw.Unrouted)
+	}
+	// Grow a's group after it has been cached; the picker must see both.
+	sw.AddRoute(a, ports[2])
+	sw.LB = pickerFunc(func(p *packet.Packet, n int) int { return n - 1 })
+	sw.Deliver(mkPkt(9, a, 0, 100))
+	s.Run()
+	if len(sinks[2].pkts) != 1 {
+		t.Fatalf("packet after AddRoute went to the stale group: new port saw %d", len(sinks[2].pkts))
+	}
+}
+
+// recycler returns every delivered packet to the run's pool, as a host NIC
+// does at the end of the path.
+type recycler struct{ pool *packet.Pool }
+
+func (r recycler) Deliver(p *packet.Packet) { r.pool.Put(p) }
+
+// TestFabricHopZeroAlloc pins the closure-free event path: in steady state
+// a packet crossing Port -> DelaySwitch -> Port (serialization, a held
+// delay line, propagation) into a recycling sink allocates nothing — no
+// closure per tx-complete, per propagation or per delay-line hold.
+func TestFabricHopZeroAlloc(t *testing.T) {
+	s := sim.New(1)
+	pool := packet.PoolFromSim(s)
+	const prop = 200 * time.Nanosecond
+	out := NewPort(s, "out", units.Rate10G, prop, NewDropTail(0), recycler{pool})
+	ds := NewDelaySwitch(s, 50*time.Microsecond, out)
+	in := NewPort(s, "in", units.Rate10G, prop, NewDropTail(0), ds)
+	burst := func() {
+		for i := 0; i < 8; i++ { // a backlog, so kick chains tx-completes
+			p := pool.Get()
+			p.PayloadLen = units.MSS
+			in.Send(p)
+		}
+		s.Run()
+	}
+	for i := 0; i < 16; i++ { // warm the pool, the event free list, the queues
+		burst()
+	}
+	if ds.Routed[0] == 0 || ds.Routed[1] == 0 {
+		t.Fatalf("delay switch did not use both lines: %v", ds.Routed)
+	}
+	if allocs := testing.AllocsPerRun(200, burst); allocs != 0 {
+		t.Errorf("8 packets through two ports and a delay switch allocate %v objects, want 0", allocs)
+	}
+	if out.TxPkts != in.TxPkts || out.TxPkts == 0 {
+		t.Fatalf("in sent %d, out sent %d", in.TxPkts, out.TxPkts)
+	}
+}

@@ -21,6 +21,15 @@ type SinkFunc func(p *packet.Packet)
 // Deliver implements Sink.
 func (f SinkFunc) Deliver(p *packet.Packet) { f(p) }
 
+// DeliverFunc returns dst.Deliver in the shape of a sim event callback: the
+// event's argument is the packet. An element that holds packets for a while
+// (a port's wire, a delay line, a chaos impairment) binds it once at
+// construction and schedules with sim.ScheduleArg, so holding a packet
+// mints no closure.
+func DeliverFunc(dst Sink) func(any) {
+	return func(p any) { dst.Deliver(p.(*packet.Packet)) }
+}
+
 // Port is a serializing egress: a queue drained at link rate, feeding a
 // remote Sink after a propagation delay. It is the single source of
 // queueing delay in the simulated network.
@@ -35,6 +44,11 @@ type Port struct {
 
 	busy bool
 	down bool
+
+	// txDoneFn (serialization complete) and deliverFn (propagation
+	// complete) are the port's two event callbacks, bound once at
+	// construction; the packet is the event argument.
+	txDoneFn, deliverFn func(any)
 
 	// TxPkts / TxBytes count transmitted traffic.
 	TxPkts  int64
@@ -64,6 +78,8 @@ func NewPort(s *sim.Sim, name string, rate units.BitRate, prop time.Duration, q 
 		panic("fabric: port with nil destination")
 	}
 	pt := &Port{Name: name, sim: s, rate: rate, prop: prop, queue: q, dst: dst}
+	pt.txDoneFn = pt.txDone
+	pt.deliverFn = DeliverFunc(dst)
 	if k := telemetry.FromSim(s); k != nil {
 		pt.tel = k
 		pt.track = k.Track(name)
@@ -142,23 +158,28 @@ func (pt *Port) kick() {
 		return
 	}
 	pt.busy = true
-	txTime := units.TxTime(p.WireLen(), pt.rate)
-	pt.sim.Schedule(txTime, func() {
-		pt.TxPkts++
-		pt.TxBytes += int64(p.WireLen())
-		pt.mTxPkts.Inc()
-		// First-egress hop stamp: only the first port on the path records
-		// it, so the fabric sojourn spans every later switch hop too.
-		if !p.SkipStamps && p.Stamps[packet.HopFabricEgress] == 0 {
-			packet.Stamp(&p.Stamps, packet.HopFabricEgress, pt.sim.Now())
-		}
-		if pt.prop > 0 {
-			pt.sim.Schedule(pt.prop, func() { pt.dst.Deliver(p) })
-		} else {
-			pt.dst.Deliver(p)
-		}
-		pt.kick()
-	})
+	pt.sim.ScheduleArg(units.TxTime(p.WireLen(), pt.rate), pt.txDoneFn, p)
+}
+
+// txDone runs when the head-of-line packet has finished serializing: it
+// goes onto the wire (or straight into the destination when the link has
+// no propagation delay) and the next packet starts.
+func (pt *Port) txDone(arg any) {
+	p := arg.(*packet.Packet)
+	pt.TxPkts++
+	pt.TxBytes += int64(p.WireLen())
+	pt.mTxPkts.Inc()
+	// First-egress hop stamp: only the first port on the path records
+	// it, so the fabric sojourn spans every later switch hop too.
+	if !p.SkipStamps && p.Stamps[packet.HopFabricEgress] == 0 {
+		packet.Stamp(&p.Stamps, packet.HopFabricEgress, pt.sim.Now())
+	}
+	if pt.prop > 0 {
+		pt.sim.ScheduleArg(pt.prop, pt.deliverFn, p)
+	} else {
+		pt.dst.Deliver(p)
+	}
+	pt.kick()
 }
 
 // Idle reports whether the port is neither transmitting nor backlogged.

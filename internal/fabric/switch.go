@@ -23,12 +23,28 @@ type Switch struct {
 	// routes maps destination IP to the candidate egress ports.
 	routes map[uint32][]*Port
 
+	// cache is a direct-mapped front for routes, indexed by the low bits
+	// of the destination IP: Deliver runs once per packet per hop and a
+	// switch forwards to a handful of destinations at a time, so the map
+	// lookup is paid per route change and not per packet. A slot with a
+	// nil group is empty; AddRoute clears every slot.
+	cache [routeCacheSize]routeSlot
+
 	// LB picks among multiple candidate ports; nil falls back to ECMP-like
 	// hashing with salt 0.
 	LB Picker
 
 	// Unrouted counts packets with no matching route (dropped).
 	Unrouted int64
+}
+
+// routeCacheSize is a power of two; host addresses differ in their low
+// bits (Clos.AttachHost numbers them consecutively).
+const routeCacheSize = 8
+
+type routeSlot struct {
+	ip    uint32
+	group []*Port
 }
 
 // NewSwitch creates an empty switch.
@@ -40,6 +56,7 @@ func NewSwitch(s *sim.Sim, name string) *Switch {
 // it repeatedly for the same destination accumulates an ECMP group.
 func (sw *Switch) AddRoute(dstIP uint32, ports ...*Port) {
 	sw.routes[dstIP] = append(sw.routes[dstIP], ports...)
+	sw.cache = [routeCacheSize]routeSlot{}
 }
 
 // Ports returns the ECMP group for a destination (nil when unknown).
@@ -47,10 +64,16 @@ func (sw *Switch) Ports(dstIP uint32) []*Port { return sw.routes[dstIP] }
 
 // Deliver implements Sink.
 func (sw *Switch) Deliver(p *packet.Packet) {
-	group := sw.routes[p.Flow.DstIP]
-	if len(group) == 0 {
-		sw.Unrouted++
-		return
+	dst := p.Flow.DstIP
+	slot := &sw.cache[dst&(routeCacheSize-1)]
+	group := slot.group
+	if group == nil || slot.ip != dst {
+		group = sw.routes[dst]
+		if len(group) == 0 {
+			sw.Unrouted++
+			return
+		}
+		slot.ip, slot.group = dst, group
 	}
 	idx := 0
 	if len(group) > 1 {

@@ -37,7 +37,7 @@ func BenchmarkHeapChurn(b *testing.B) {
 }
 
 // BenchmarkHeapChurnCancel is the churn loop with a cancelled event per
-// cycle, exercising lazy carcass draining alongside live execution.
+// cycle: Cancel takes its event out of the populated heap at once.
 func BenchmarkHeapChurnCancel(b *testing.B) {
 	s := New(1)
 	fn := func() {}
@@ -54,9 +54,29 @@ func BenchmarkHeapChurnCancel(b *testing.B) {
 	}
 }
 
+// BenchmarkTimerReset is the churn loop with a pending timer pushed out on
+// every cycle — the RTO re-armed by each ACK. The re-arm re-keys the
+// timer's one event in place among the 1k others.
+func BenchmarkTimerReset(b *testing.B) {
+	s := New(1)
+	fn := func() {}
+	for i := 0; i < 1024; i++ {
+		s.Schedule(time.Duration(i)*time.Microsecond, fn)
+	}
+	tm := NewTimer(s, fn)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tm.Reset(5 * time.Millisecond)
+		s.Schedule(1024*time.Microsecond, fn)
+		s.step()
+	}
+}
+
 // TestScheduleStepZeroAlloc pins the hot-loop contract from the package
 // doc: once the free list and heap capacity are warm, a schedule+execute
-// cycle allocates nothing — including the cancel/drain path.
+// cycle allocates nothing — including Cancel, a timer re-arm, and an
+// event scheduled with an argument.
 func TestScheduleStepZeroAlloc(t *testing.T) {
 	s := New(1)
 	fn := func() {}
@@ -77,10 +97,27 @@ func TestScheduleStepZeroAlloc(t *testing.T) {
 		e := s.Schedule(2*time.Microsecond, fn)
 		s.Schedule(time.Microsecond, fn)
 		e.Cancel()
-		s.step() // the live event
-		s.step() // drains the carcass (queue then empty)
+		s.step() // the live event; the cancelled one is already gone
 	}); allocs != 0 {
-		t.Errorf("cancel+drain path allocates %v objects/op, want 0", allocs)
+		t.Errorf("cancel path allocates %v objects/op, want 0", allocs)
+	}
+
+	tm := NewTimer(s, fn)
+	if allocs := testing.AllocsPerRun(1000, func() {
+		tm.Reset(2 * time.Microsecond) // arm
+		tm.Reset(3 * time.Microsecond) // re-key while pending
+		s.step()
+	}); allocs != 0 {
+		t.Errorf("timer arm+re-arm+fire allocates %v objects/op, want 0", allocs)
+	}
+
+	arg := &struct{ n int }{}
+	bump := func(a any) { a.(*struct{ n int }).n++ }
+	if allocs := testing.AllocsPerRun(1000, func() {
+		s.ScheduleArg(time.Microsecond, bump, arg)
+		s.step()
+	}); allocs != 0 {
+		t.Errorf("ScheduleArg with a pointer argument allocates %v objects/op, want 0", allocs)
 	}
 }
 

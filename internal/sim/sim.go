@@ -3,13 +3,22 @@
 //
 // The engine is single-threaded: events are executed one at a time in
 // (time, insertion-order) order, so every experiment is exactly reproducible
-// given its seed. Components schedule future work with Schedule/After and
-// cancel pending work via the returned *Event handle or a Timer.
+// given its seed. Components schedule future work with Schedule (a plain
+// func(), for cold callers) or ScheduleArg (a function bound once plus a
+// per-event argument, for per-packet paths), and cancel pending work via
+// the returned *Event handle or a Timer.
 //
-// The hot loop is allocation-free in steady state: executed (and lazily
-// drained cancelled) events are recycled through a per-Sim free list, and
-// the ready queue is an inlined 4-ary heap of *Event with no interface
-// boxing — see BenchmarkSchedule / TestScheduleStepZeroAlloc.
+// The ready queue is an inlined 4-ary heap of *Event with no interface
+// boxing, and it holds only events that will run: Cancel removes its event
+// from the heap at once and a pending Timer is re-keyed in place, the way
+// the kernel timerqueue dequeues a cancelled hrtimer, so the heap's depth
+// is the number of live events and not the number of timers re-armed in
+// the last few milliseconds. Executed and cancelled events are recycled
+// through a per-Sim free list. A schedule+execute cycle therefore
+// allocates nothing once warm (TestScheduleStepZeroAlloc) — provided the
+// caller does not mint a closure per event, which is what ScheduleArg is
+// for: a fabric hop and a host segment dispatch are pinned at zero
+// allocations by TestFabricHopZeroAlloc and TestHostDispatchZeroAlloc.
 package sim
 
 import (
@@ -35,47 +44,48 @@ func (t Time) Seconds() float64 { return float64(t) / float64(time.Second) }
 // String formats the time with microsecond resolution for traces.
 func (t Time) String() string { return fmt.Sprintf("%.3fus", float64(t)/1e3) }
 
-// Event state. An event moves queued -> free when it executes or when its
-// cancelled carcass is drained from the heap; Schedule moves free -> queued.
-const (
-	stateQueued uint8 = iota // in the heap, may still fire
-	stateFree                // recycled (or never scheduled); handle is dead
-)
-
 // Event is a scheduled callback. The zero Event is not valid; events are
-// created by Sim.Schedule and may be cancelled with Cancel before they run.
+// created by the Sim's Schedule family and may be cancelled with Cancel
+// before they run.
 //
-// Handle lifetime: a *Event returned by Schedule is valid until the event
-// fires (or its cancelled remains are drained from the queue). After that
-// the Sim recycles the Event through its free list and a later Schedule may
-// hand the same pointer to an unrelated caller — retaining a handle past
-// the firing and calling Cancel on it would cancel that unrelated event.
-// Holders that may outlive the firing must clear their reference from the
-// callback (see Timer.fire).
+// An Event carries its callback as a function of one argument plus that
+// argument. A component binds the function once, at construction, and
+// passes the per-event datum (the packet on the wire, the segment being
+// serviced) as the argument, so scheduling mints no closure; a
+// pointer-shaped argument does not box. Schedule's plain func() rides the
+// same representation as the argument of a static trampoline.
+//
+// Handle lifetime: a *Event is valid until the event fires or Cancel
+// returns, whichever comes first. At that moment the Sim takes it out of
+// the ready queue and recycles it through its free list, and the very next
+// Schedule may hand the same pointer to an unrelated caller — calling
+// Cancel on a handle kept past that point would cancel that unrelated
+// event. A holder must therefore drop its reference when it cancels and
+// from inside the callback, as Timer does in Stop and fireTimer.
 type Event struct {
-	at     Time
-	seq    uint64 // tie-break: FIFO among events at the same instant
-	fn     func()
-	owner  *Sim // for live-count accounting in Cancel
-	state  uint8
-	cancel bool
+	at    Time
+	seq   uint64 // tie-break: FIFO among events at the same instant
+	fn    func(any)
+	arg   any
+	owner *Sim
+	idx   int // position in owner.queue; -1 when not queued (handle is dead)
 }
 
-// Cancel prevents the event from running. Cancelling an event that already
-// ran (or was already cancelled) is a no-op. Returns true if the event was
-// still pending. The carcass stays in the queue and is reclaimed lazily
-// when it reaches the head.
+// Cancel removes the event from the ready queue so it never runs, and
+// recycles it. Cancelling an event that already ran (or was already
+// cancelled) is a no-op. Returns true if the event was still pending.
 func (e *Event) Cancel() bool {
-	if e == nil || e.cancel || e.state != stateQueued {
+	if e == nil || e.idx < 0 {
 		return false
 	}
-	e.cancel = true
-	e.owner.live--
+	s := e.owner
+	s.remove(e)
+	s.recycle(e)
 	return true
 }
 
-// Pending reports whether the event is still queued and not cancelled.
-func (e *Event) Pending() bool { return e != nil && !e.cancel && e.state == stateQueued }
+// Pending reports whether the event is still queued.
+func (e *Event) Pending() bool { return e != nil && e.idx >= 0 }
 
 // Time returns the instant the event is (or was) scheduled for.
 func (e *Event) Time() Time { return e.at }
@@ -93,9 +103,8 @@ func eventBefore(a, b *Event) bool {
 // one Sim per parameter point).
 type Sim struct {
 	now     Time
-	queue   []*Event // 4-ary min-heap on (at, seq)
+	queue   []*Event // 4-ary min-heap on (at, seq); holds only events that will run
 	free    []*Event // recycled events, reused by Schedule
-	live    int      // queued and not cancelled — Pending() in O(1)
 	seq     uint64
 	rng     *rand.Rand
 	stopped bool
@@ -158,19 +167,33 @@ func (s *Sim) Now() Time { return s.now }
 func (s *Sim) Rand() *rand.Rand { return s.rng }
 
 // Schedule runs fn after delay d (>= 0). It returns the Event handle, which
-// may be used to cancel the callback before it fires.
+// may be used to cancel the callback before it fires. A caller on a
+// per-packet path should bind its callback once and use ScheduleArg, so no
+// closure is minted per event.
 func (s *Sim) Schedule(d time.Duration, fn func()) *Event {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	return s.ScheduleAt(s.now.Add(d), fn)
+	return s.ScheduleAt(s.after(d), fn)
 }
 
 // ScheduleAt runs fn at absolute time t (>= Now).
 func (s *Sim) ScheduleAt(t Time, fn func()) *Event {
-	if t < s.now {
-		panic(fmt.Sprintf("sim: schedule in the past: %v < now %v", t, s.now))
+	if fn == nil {
+		panic("sim: nil event function")
 	}
+	return s.ScheduleArgAt(t, callFunc, fn)
+}
+
+// callFunc is the trampoline behind Schedule/ScheduleAt: the func() is the
+// event's argument (a func value is pointer-shaped, so it does not box).
+func callFunc(fn any) { fn.(func())() }
+
+// ScheduleArg runs fn(arg) after delay d (>= 0).
+func (s *Sim) ScheduleArg(d time.Duration, fn func(any), arg any) *Event {
+	return s.ScheduleArgAt(s.after(d), fn, arg)
+}
+
+// ScheduleArgAt runs fn(arg) at absolute time t (>= Now).
+func (s *Sim) ScheduleArgAt(t Time, fn func(any), arg any) *Event {
+	s.checkAt(t)
 	if fn == nil {
 		panic("sim: nil event function")
 	}
@@ -186,103 +209,149 @@ func (s *Sim) ScheduleAt(t Time, fn func()) *Event {
 	e.at = t
 	e.seq = s.seq
 	e.fn = fn
-	e.state = stateQueued
-	e.cancel = false
-	s.live++
-	s.push(e)
+	e.arg = arg
+	s.queue = append(s.queue, e)
+	s.siftUp(len(s.queue)-1, e)
 	return e
 }
 
-// push inserts e into the 4-ary heap.
-func (s *Sim) push(e *Event) {
-	q := append(s.queue, e)
-	i := len(q) - 1
+// after converts a relative delay to an absolute time.
+func (s *Sim) after(d time.Duration) Time {
+	if d < 0 {
+		panic(fmt.Sprintf("sim: negative delay %v", d))
+	}
+	return s.now.Add(d)
+}
+
+// checkAt panics on an attempt to schedule before the current time.
+func (s *Sim) checkAt(t Time) {
+	if t < s.now {
+		panic(fmt.Sprintf("sim: schedule in the past: %v < now %v", t, s.now))
+	}
+}
+
+// rekey moves the queued event e to time t in place. It draws the seq a
+// cancel-then-schedule would have drawn, so the event runs exactly where
+// the replacement would have, with one sift and no free-list traffic.
+func (s *Sim) rekey(e *Event, t Time) {
+	s.checkAt(t)
+	s.seq++
+	e.at = t
+	e.seq = s.seq
+	s.fix(e.idx, e)
+}
+
+// The ready queue is an inlined 4-ary heap of *Event. Every slot write
+// goes through siftUp/siftDown, which keep Event.idx equal to the slot.
+
+// siftUp places e in the hole at i or above it.
+func (s *Sim) siftUp(i int, e *Event) {
+	q := s.queue
 	for i > 0 {
 		p := (i - 1) >> 2
 		if !eventBefore(e, q[p]) {
 			break
 		}
 		q[i] = q[p]
+		q[i].idx = i
 		i = p
 	}
 	q[i] = e
-	s.queue = q
+	e.idx = i
 }
 
-// pop removes and returns the earliest event. Callers must check len first.
-func (s *Sim) pop() *Event {
+// siftDown places e in the hole at i or below it: at each level the
+// smallest of up to 4 children moves up.
+func (s *Sim) siftDown(i int, e *Event) {
 	q := s.queue
-	top := q[0]
-	n := len(q) - 1
-	last := q[n]
-	q[n] = nil
-	q = q[:n]
-	s.queue = q
-	if n > 0 {
-		// Sift last down from the root: pick the smallest of up to 4
-		// children at each level.
-		i := 0
-		for {
-			c := i<<2 + 1
-			if c >= n {
-				break
-			}
-			end := c + 4
-			if end > n {
-				end = n
-			}
-			min := c
-			for k := c + 1; k < end; k++ {
-				if eventBefore(q[k], q[min]) {
-					min = k
-				}
-			}
-			if !eventBefore(q[min], last) {
-				break
-			}
-			q[i] = q[min]
-			i = min
+	n := len(q)
+	for {
+		c := i<<2 + 1
+		if c >= n {
+			break
 		}
-		q[i] = last
+		end := c + 4
+		if end > n {
+			end = n
+		}
+		min := c
+		for k := c + 1; k < end; k++ {
+			if eventBefore(q[k], q[min]) {
+				min = k
+			}
+		}
+		if !eventBefore(q[min], e) {
+			break
+		}
+		q[i] = q[min]
+		q[i].idx = i
+		i = min
 	}
-	return top
+	q[i] = e
+	e.idx = i
 }
 
-// recycle returns a popped event to the free list.
+// fix places e, whose key may have moved either way, in the hole at i.
+func (s *Sim) fix(i int, e *Event) {
+	if i > 0 && eventBefore(e, s.queue[(i-1)>>2]) {
+		s.siftUp(i, e)
+	} else {
+		s.siftDown(i, e)
+	}
+}
+
+// takeLast shrinks the heap by one slot and returns the event that was in
+// it, for the caller to place in the hole it is about to open.
+func (s *Sim) takeLast() *Event {
+	n := len(s.queue) - 1
+	last := s.queue[n]
+	s.queue[n] = nil
+	s.queue = s.queue[:n]
+	return last
+}
+
+// remove takes the queued event e out of the heap: the last element fills
+// its slot and sifts to where it belongs.
+func (s *Sim) remove(e *Event) {
+	if last := s.takeLast(); last != e {
+		s.fix(e.idx, last)
+	}
+	e.idx = -1
+}
+
+// recycle returns an event that left the heap to the free list.
 func (s *Sim) recycle(e *Event) {
-	e.state = stateFree
 	e.fn = nil
+	e.arg = nil
 	s.free = append(s.free, e)
 }
 
 // Stop makes Run/RunUntil return after the current event completes.
 func (s *Sim) Stop() { s.stopped = true }
 
-// step pops and executes the next event. Returns false when the queue is
-// empty.
+// step removes and executes the earliest event. Returns false when the
+// queue is empty.
 func (s *Sim) step() bool {
-	for len(s.queue) > 0 {
-		e := s.pop()
-		if e.cancel {
-			// Drained carcass: Cancel already took it out of the live count.
-			s.recycle(e)
-			continue
-		}
-		if e.at < s.now {
-			panic("sim: time went backwards")
-		}
-		s.now = e.at
-		s.live--
-		fn := e.fn
-		s.recycle(e)
-		s.Executed++
-		if s.MaxEvents != 0 && s.Executed > s.MaxEvents {
-			panic("sim: MaxEvents exceeded (runaway event loop?)")
-		}
-		fn()
-		return true
+	if len(s.queue) == 0 {
+		return false
 	}
-	return false
+	e := s.queue[0]
+	if last := s.takeLast(); last != e {
+		s.siftDown(0, last) // the root's hole: no parent to compare against
+	}
+	e.idx = -1
+	if e.at < s.now {
+		panic("sim: time went backwards")
+	}
+	s.now = e.at
+	fn, arg := e.fn, e.arg
+	s.recycle(e)
+	s.Executed++
+	if s.MaxEvents != 0 && s.Executed > s.MaxEvents {
+		panic("sim: MaxEvents exceeded (runaway event loop?)")
+	}
+	fn(arg)
+	return true
 }
 
 // Step pops and executes the next event, returning false when the queue is
@@ -301,20 +370,7 @@ func (s *Sim) Run() {
 // Events scheduled exactly at t do run.
 func (s *Sim) RunUntil(t Time) {
 	s.stopped = false
-	for !s.stopped {
-		if len(s.queue) == 0 {
-			break
-		}
-		// Peek; drain cancelled carcasses through the same free-list
-		// accounting step uses.
-		next := s.queue[0]
-		if next.cancel {
-			s.recycle(s.pop())
-			continue
-		}
-		if next.at > t {
-			break
-		}
+	for !s.stopped && len(s.queue) > 0 && s.queue[0].at <= t {
 		s.step()
 	}
 	if t > s.now {
@@ -325,6 +381,6 @@ func (s *Sim) RunUntil(t Time) {
 // RunFor advances the simulation by d from the current time.
 func (s *Sim) RunFor(d time.Duration) { s.RunUntil(s.now.Add(d)) }
 
-// Pending returns the number of queued (non-cancelled) events, maintained
-// incrementally — O(1).
-func (s *Sim) Pending() int { return s.live }
+// Pending returns the number of events waiting to run: the ready queue
+// holds nothing else.
+func (s *Sim) Pending() int { return len(s.queue) }

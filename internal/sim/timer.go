@@ -7,16 +7,14 @@ import "time"
 // timeout callback, TCP retransmission timers, and NIC interrupt
 // coalescing.
 //
-// A Timer wraps at most one pending Event at a time; Reset cancels any
-// pending firing and schedules a new one.
+// A Timer wraps at most one pending Event at a time; Reset on a pending
+// timer moves that event to the new deadline in place. Timers are re-armed
+// on hot paths (NIC coalescing, per-flow timeouts, RTO on every ACK), so a
+// re-arm costs one heap sift and allocates nothing.
 type Timer struct {
 	sim *Sim
 	fn  func()
-	ev  *Event
-	// fireFn caches the t.fire method value: timers are re-armed on hot
-	// paths (NIC coalescing, per-flow timeouts), and minting the bound
-	// method at every Reset would allocate a closure per arm.
-	fireFn func()
+	ev  *Event // non-nil exactly while a firing is pending
 }
 
 // NewTimer creates a timer that invokes fn when it fires. The timer starts
@@ -25,22 +23,22 @@ func NewTimer(s *Sim, fn func()) *Timer {
 	if fn == nil {
 		panic("sim: nil timer function")
 	}
-	t := &Timer{sim: s, fn: fn}
-	t.fireFn = t.fire
-	return t
+	return &Timer{sim: s, fn: fn}
 }
 
 // Reset (re)arms the timer to fire after d. Any previously pending firing
 // is cancelled.
-func (t *Timer) Reset(d time.Duration) {
-	t.Stop()
-	t.ev = t.sim.Schedule(d, t.fireFn)
-}
+func (t *Timer) Reset(d time.Duration) { t.ResetAt(t.sim.after(d)) }
 
-// ResetAt (re)arms the timer to fire at absolute time at.
+// ResetAt (re)arms the timer to fire at absolute time at. The firing takes
+// the place in the event order that a Stop followed by a fresh schedule
+// would have given it.
 func (t *Timer) ResetAt(at Time) {
-	t.Stop()
-	t.ev = t.sim.ScheduleAt(at, t.fireFn)
+	if t.ev != nil {
+		t.sim.rekey(t.ev, at)
+		return
+	}
+	t.ev = t.sim.ScheduleArgAt(at, fireTimer, t)
 }
 
 // ArmIfIdle arms the timer for delay d only if it is not already pending.
@@ -64,7 +62,7 @@ func (t *Timer) Stop() bool {
 }
 
 // Pending reports whether the timer is armed.
-func (t *Timer) Pending() bool { return t.ev != nil && t.ev.Pending() }
+func (t *Timer) Pending() bool { return t.ev != nil }
 
 // Deadline returns the time the timer will fire; only meaningful when
 // Pending is true.
@@ -75,7 +73,9 @@ func (t *Timer) Deadline() Time {
 	return t.ev.Time()
 }
 
-func (t *Timer) fire() {
+// fireTimer is every timer's event callback; the timer is the argument.
+func fireTimer(arg any) {
+	t := arg.(*Timer)
 	t.ev = nil
 	t.fn()
 }

@@ -149,6 +149,10 @@ type Host struct {
 	// consumer (drop paths included), is the single return point.
 	segPool *packet.SegPool
 
+	// dispatchFn is the app-core completion callback, bound once; the
+	// serviced segment is the job's argument.
+	dispatchFn func(any)
+
 	// tel is the run's telemetry sink; nil disables recording.
 	tel                  *telemetry.Sink
 	mSegs, mBacklogDrops *telemetry.Counter
@@ -180,6 +184,7 @@ func NewHost(s *sim.Sim, name string, cfg HostConfig) *Host {
 		nextPort:  10000,
 		segPool:   packet.SegPoolFromSim(s),
 	}
+	h.dispatchFn = func(seg any) { h.dispatch(seg.(*packet.Segment)) }
 	h.CPU.App.QueueLimit = cfg.AppBacklogLimit
 	if cfg.Conntrack != nil {
 		h.CT = netfilter.New(*cfg.Conntrack)
@@ -278,7 +283,7 @@ func (h *Host) onSegment(seg *packet.Segment) {
 	} else {
 		cost = h.CPU.AppSegmentCost(seg.Bytes, seg.Pkts, seg.Kind == packet.MergeLinkedList)
 	}
-	if !h.CPU.App.Submit(cost, func() { h.dispatch(seg) }) {
+	if !h.CPU.App.SubmitArg(cost, h.dispatchFn, seg) {
 		h.DroppedSegs++ // socket backlog overflow
 		h.mBacklogDrops.Inc()
 		h.tel.Event(telemetry.Event{Layer: telemetry.LayerHost, Kind: telemetry.KindDrop,

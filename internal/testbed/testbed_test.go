@@ -7,6 +7,7 @@ import (
 	"juggler/internal/core"
 	"juggler/internal/fabric"
 	"juggler/internal/lb"
+	"juggler/internal/packet"
 	"juggler/internal/sim"
 	"juggler/internal/stats"
 	"juggler/internal/tcp"
@@ -241,5 +242,32 @@ func TestJugglerFlowTableStaysTiny(t *testing.T) {
 	}
 	if p99 > 40 {
 		t.Fatalf("active list p99 = %d, paper expects < ~35", p99)
+	}
+}
+
+// TestHostDispatchZeroAlloc pins the host's segment path at zero
+// allocations in steady state: offload upcall -> app-core job -> dispatch
+// -> segment back to the pool, with no closure minted per segment.
+func TestHostDispatchZeroAlloc(t *testing.T) {
+	s := sim.New(1)
+	h := NewHost(s, "h", DefaultHostConfig(OffloadNone))
+	delivered := 0
+	h.DeliverTap = func(*packet.Segment) { delivered++ }
+	upcall := func() {
+		for i := 0; i < 4; i++ { // a short backlog on the app core
+			seg := h.segPool.Get()
+			seg.Bytes, seg.Pkts = units.MSS, 1
+			h.onSegment(seg)
+		}
+		s.Run()
+	}
+	for i := 0; i < 16; i++ {
+		upcall()
+	}
+	if allocs := testing.AllocsPerRun(200, upcall); allocs != 0 {
+		t.Errorf("4 segments through onSegment -> app core -> dispatch allocate %v objects, want 0", allocs)
+	}
+	if delivered == 0 || h.DroppedSegs != 0 || h.SegPoolLive() != 0 {
+		t.Fatalf("delivered=%d dropped=%d live=%d", delivered, h.DroppedSegs, h.SegPoolLive())
 	}
 }
