@@ -41,16 +41,12 @@ func TestCLIFlagParity(t *testing.T) {
 	}
 
 	// The parity table: each shared knob, its flag type, and the CLIs
-	// required to carry it. juggler-benchrec stays fixed-config by
-	// design (the alloc gate must not be tunable into passing), and
-	// juggler-replay is seedless/sweepless (one trace, one sim).
+	// required to carry it. juggler-replay is seedless/sweepless (one
+	// trace, one sim), so it alone lacks -j, -shards and -seed.
 	all := []string{"juggler-bench", "juggler-chaos", "juggler-doctor",
 		"juggler-replay", "juggler-sim", "juggler-trace"}
-	sweeping := []string{"juggler-bench", "juggler-benchrec", "juggler-chaos",
-		"juggler-doctor", "juggler-sim", "juggler-trace"}
-	sharded := []string{"juggler-bench", "juggler-chaos", "juggler-doctor",
+	seeded := []string{"juggler-bench", "juggler-chaos", "juggler-doctor",
 		"juggler-sim", "juggler-trace"}
-	seeded := sharded
 	tuned := []string{"juggler-bench", "juggler-chaos", "juggler-replay",
 		"juggler-sim"}
 	adaptive := []string{"juggler-bench", "juggler-chaos", "juggler-doctor",
@@ -65,8 +61,8 @@ func TestCLIFlagParity(t *testing.T) {
 		{"adapt", "Bool", adaptive},
 		{"inseq", "Duration", tuned},
 		{"ofo", "Duration", tuned},
-		{"j", "Int", sweeping},
-		{"shards", "Int", sharded},
+		{"j", "Int", seeded},
+		{"shards", "Int", seeded},
 		{"seed", "Int64", seeded},
 	} {
 		for _, cli := range want.clis {

@@ -35,7 +35,7 @@ func TestDetectorObserveZeroAlloc(t *testing.T) {
 }
 
 // BenchmarkAdaptDetector measures the sketch's per-packet cost on a mixed
-// in-order/reordered arrival pattern (the benchrec micro entry).
+// in-order/reordered arrival pattern.
 func BenchmarkAdaptDetector(b *testing.B) {
 	d := NewDetector(DetectorConfig{})
 	ft := packet.FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 9, DstPort: 4, Proto: packet.ProtoTCP}

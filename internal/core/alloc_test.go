@@ -6,6 +6,7 @@ import (
 
 	"juggler/internal/packet"
 	"juggler/internal/sim"
+	"juggler/internal/telemetry"
 	"juggler/internal/units"
 )
 
@@ -55,53 +56,108 @@ func TestZeroAllocFlowChurn(t *testing.T) {
 	}
 }
 
-// TestZeroAllocHoleChurn repeatedly opens a hole in one flow and fills it:
-// the fill append-merges the two standalone segments, returning the
-// absorbed one to the pool (the hole-closing recycle point), and the
-// sealed result flushes through the deliver callback, which returns the
-// rest.
+// TestZeroAllocHoleChurn drives the flow-scale hole/fill/flush round over
+// 64 flows: two in-sequence packets, then a displaced pair (the later,
+// PSH-sealed packet first, then the hole fill, which append-merges the
+// standalone segments — returning the absorbed one to the pool — and
+// flushes the sealed result through the deliver callback). Hop stamps are
+// on in every mode, and each mode must stay allocation-free once warm:
+//
+//   - forensics_nil_sink: per-packet Receive with no telemetry sink, so
+//     the decision/delivery hooks are each one disabled branch — the tax
+//     every production packet pays;
+//   - batch_pipeline: the same rounds through ReceiveBatch, whose epilogue
+//     (touched-flow list, deferred deadline re-files) must recycle its
+//     state or every NAPI poll would allocate;
+//   - forensics_sampled: a live telemetry.Sink at 1-in-8 stamp sampling,
+//     the pay-as-you-go recording path (sampled stamping, gated decisions,
+//     batch-pinned event stamps).
 func TestZeroAllocHoleChurn(t *testing.T) {
-	s := sim.New(1)
-	pool := packet.SegPoolFromSim(s)
-	cfg := Config{
-		InseqTimeout: 15 * time.Microsecond,
-		OfoTimeout:   50 * time.Microsecond,
-		MaxFlows:     8,
-	}
-	j := New(s, cfg, func(seg *packet.Segment) { pool.Put(seg) })
+	for _, tc := range []struct {
+		name    string
+		batched bool // rounds through ReceiveBatch instead of Receive
+		sink    bool // attach a live telemetry sink
+		sample  int  // 1-in-N hop-stamp sampling; <= 1 stamps every packet
+	}{
+		{name: "forensics_nil_sink"},
+		{name: "batch_pipeline", batched: true},
+		{name: "forensics_sampled", sink: true, sample: 8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const flows = 64
+			s := sim.New(1)
+			packet.AttachStampSampler(s, tc.sample)
+			sampler := packet.StampSamplerFromSim(s)
+			var tel *telemetry.Sink
+			if tc.sink {
+				tel = telemetry.New(s, telemetry.Options{})
+			}
+			pool := packet.SegPoolFromSim(s)
+			cfg := Config{
+				InseqTimeout: 15 * time.Microsecond,
+				OfoTimeout:   50 * time.Microsecond,
+				MaxFlows:     flows,
+			}
+			j := New(s, cfg, func(seg *packet.Segment) {
+				if !seg.SkipStamps {
+					packet.Stamp(&seg.Stamps, packet.HopDeliver, s.Now())
+					tel.ObserveDelivery(seg)
+				}
+				pool.Put(seg)
+			})
 
-	flow := packet.FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 7, DstPort: 5001, Proto: packet.ProtoTCP}
-	hash := flow.Hash(0)
-	seq := uint32(1)
-	// One reusable packet: the datapath hands Receive pool-owned heap
-	// packets, so a per-call stack packet would only measure the test's
-	// own escape through the reasm.Backend interface, not core's behaviour.
-	var p packet.Packet
-	send := func(at uint32, flags packet.Flags) {
-		p = packet.Packet{Flow: flow, FlowHash: hash, Seq: at,
-			PayloadLen: units.MSS, Flags: packet.FlagACK | flags}
-		j.Receive(&p)
-	}
-	cycle := func() {
-		for i := 0; i < 32; i++ {
-			// seq in order, then a sealed segment two MSS ahead, then the
-			// gap fill: the fill appends to the head and merges it with the
-			// sealed tail, which immediately flushes all three packets.
-			send(seq, 0)
-			send(seq+2*units.MSS, packet.FlagPSH)
-			send(seq+units.MSS, 0)
-			seq += 3 * units.MSS
-		}
-	}
-	cycle() // warm up pool and queue arrays
-	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
-		t.Fatalf("steady-state hole churn allocates %.1f per cycle, want 0", allocs)
-	}
-	if j.Stats.FlushEvent == 0 || j.BufferedBytes() != 0 {
-		t.Fatalf("workload did not exercise the flush path (flushes=%d buffered=%d)",
-			j.Stats.FlushEvent, j.BufferedBytes())
-	}
-	if err := j.CheckInvariants(); err != nil {
-		t.Fatal(err)
+			var tuples [flows]packet.FiveTuple
+			var hashes [flows]uint32
+			var seqs [flows]uint32
+			for f := range tuples {
+				tuples[f] = packet.FiveTuple{SrcIP: 1, DstIP: 9,
+					SrcPort: uint16(f), DstPort: 5001, Proto: packet.ProtoTCP}
+				hashes[f] = tuples[f].Hash(0)
+				seqs[f] = 1
+			}
+			// Reusable packets: the datapath hands Receive pool-owned heap
+			// packets, so per-call stack packets would only measure the
+			// test's own escape through the reasm.Backend interface, not
+			// core's behaviour. Four slots so a batch holds distinct
+			// packets, as on the wire.
+			var pkts [4]packet.Packet
+			batch := make([]*packet.Packet, len(pkts))
+			mint := func(slot, f int, seq uint32, flags packet.Flags) *packet.Packet {
+				p := &pkts[slot]
+				*p = packet.Packet{Flow: tuples[f], FlowHash: hashes[f], Seq: seq,
+					PayloadLen: units.MSS, Flags: packet.FlagACK | flags}
+				sampler.Apply(p)
+				packet.StampPkt(p, packet.HopGROBuffer, s.Now())
+				return p
+			}
+			cycle := func() {
+				for f := 0; f < flows; f++ {
+					s0 := seqs[f]
+					batch[0] = mint(0, f, s0, 0)
+					batch[1] = mint(1, f, s0+units.MSS, 0)
+					batch[2] = mint(2, f, s0+3*units.MSS, packet.FlagPSH) // sealed, 1-MSS hole
+					batch[3] = mint(3, f, s0+2*units.MSS, 0)              // fill: merge + flush
+					if tc.batched {
+						j.ReceiveBatch(batch)
+					} else {
+						for _, p := range batch {
+							j.Receive(p)
+						}
+					}
+					seqs[f] = s0 + 4*units.MSS
+				}
+			}
+			cycle() // warm up pool, table and queue arrays
+			if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
+				t.Fatalf("steady-state hole churn allocates %.1f per cycle, want 0", allocs)
+			}
+			if j.Stats.FlushEvent == 0 || j.BufferedBytes() != 0 {
+				t.Fatalf("workload did not exercise the flush path (flushes=%d buffered=%d)",
+					j.Stats.FlushEvent, j.BufferedBytes())
+			}
+			if err := j.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -20,8 +20,8 @@ import (
 //
 // Every measurement in the table is seed-deterministic, so the ranking is
 // byte-identical across runs and -j widths. The wall-clock side (ns/pkt
-// per backend) is pinned by BenchmarkReasmBackends and recorded in
-// BENCH_08.json; it deliberately stays out of this table.
+// per backend) is measured by BenchmarkReasmBackends in internal/reasm;
+// it deliberately stays out of this table.
 
 // bakeoffScore aggregates one backend's measurements across the grid.
 type bakeoffScore struct {
@@ -148,7 +148,7 @@ func bakeoff(o Options) *Table {
 	t.Note("grid: %d chaos scenarios + 1 flow-scale point (%d flows) per backend; all columns are seed-deterministic", len(scenarios), fsFlows)
 	t.Note("seglist: general-purpose merge list, never rejects; batchsort: sort-on-insert records with delivery-time coalescing; bitmap: fixed %d-slot MSS window, rejects unaligned/out-of-window; ring: single contiguous run under a %dKB budget, rejects non-edge inserts", reasm.BitmapWindow, reasm.DefaultRingBytes/1024)
 	t.Note("a rejected packet is flushed up the stack unbuffered (counted, never dropped), so conservation holds for every backend; rejects cost ordering, which the violations column prices in")
-	t.Note("ooo_work_per_pkt uses the flow-scale denominator only (chaos packet counts are per-queue internal); wall-clock ns/pkt per backend is recorded in BENCH_08.json by juggler-benchrec")
+	t.Note("ooo_work_per_pkt uses the flow-scale denominator only (chaos packet counts are per-queue internal); wall-clock ns/pkt per backend is measured by BenchmarkReasmBackends (internal/reasm)")
 	return t
 }
 

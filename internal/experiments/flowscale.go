@@ -17,9 +17,9 @@ import (
 // state at this scale is exactly what the open-addressing table, the
 // entry/segment free lists and the deadline-queue timeout expiry exist
 // for: per-packet work must stay flat as the flow count grows three
-// orders of magnitude (the wall-clock side of that claim is pinned by
-// BenchmarkFlowScale and recorded in BENCH_04.json; this table reports
-// the deterministic behaviour counters).
+// orders of magnitude (the wall-clock side of that claim is measured by
+// BenchmarkFlowScale and the bench/ rx-flowscale workload; this table
+// reports the deterministic behaviour counters).
 //
 // Workload, per flow: a fixed round schedule, one MSS packet per round.
 // ~25% of packets are deferred by two rounds (a 2-interval hole, filled
@@ -155,7 +155,7 @@ func flowScale(o Options) *Table {
 	}) {
 		t.Add(row...)
 	}
-	t.Note("per-packet cost is flat across three orders of magnitude of concurrency: lookup is one open-addressing probe on the NIC-stamped hash, expiry pops only due flows from the deadline queue, and flow/segment churn recycles through free lists (0 steady-state allocs; see BENCH_04.json for the ns/op scaling)")
+	t.Note("per-packet cost is flat across three orders of magnitude of concurrency: lookup is one open-addressing probe on the NIC-stamped hash, expiry pops only due flows from the deadline queue, and flow/segment churn recycles through free lists (0 steady-state allocs; BenchmarkFlowScale measures the ns/pkt scaling)")
 	return t
 }
 

@@ -25,8 +25,8 @@ import (
 // queue count is fixed at 8 whatever -shards says, so the rows — and the
 // conservation and leak figures in the notes — are byte-identical at any
 // -shards and any -j. That identity is the experiment's whole point; the
-// wall-clock side of sharding lives in BENCH_09.json's shard_scaling
-// section and BenchmarkShardedRX.
+// wall-clock side of sharding is the sim.shard_speedup_2 line of the
+// repository benchmark's traced pass (go run -C bench . -trace 1).
 
 // shardedRXParams sizes the workload.
 type shardedRXParams struct {
@@ -228,7 +228,7 @@ func shardedRX(o Options) *Table {
 		fF(float64(tot.bytes)/(1<<20)))
 	t.Note("mid-run RSS rehash moved %d of %d flows to a new queue — the worst-case handoff (FNV's low bits are linear in the salt, so a salt change remaps every flow, same as the serial RX): stranded holes drained on the old queue via its own timeouts, byte conservation held (%d bytes), 0 segments leaked across all lane pools",
 		res.handoffs, p.flows, res.sent)
-	t.Note("rows are keyed by logical queue (fixed at 8) and merged in queue order, so this table is byte-identical at any -shards and any -j; wall-clock scaling is recorded in BENCH_09.json shard_scaling")
+	t.Note("rows are keyed by logical queue (fixed at 8) and merged in queue order, so this table is byte-identical at any -shards and any -j; wall-clock scaling is sim.shard_speedup_2 in the repository benchmark (bench/, -trace 1)")
 	return t
 }
 

@@ -8,8 +8,8 @@ import (
 
 // BenchmarkReasmBackends times one churn round (two in-sequence inserts, a
 // displaced pair, then pops back to empty) per backend — the head-to-head
-// ns/pkt numbers recorded in BENCH_08.json by juggler-benchrec. One op is
-// a 4-packet round, so ns/pkt is ns/op divided by 4.
+// wall-clock comparison the bakeoff experiment leaves out. One op is a
+// 4-packet round, so ns/pkt is ns/op divided by 4.
 func BenchmarkReasmBackends(b *testing.B) {
 	for _, k := range Kinds() {
 		b.Run(k.String(), func(b *testing.B) {
