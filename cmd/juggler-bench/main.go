@@ -20,8 +20,8 @@ import (
 	"time"
 
 	"juggler"
+	"juggler/internal/cliflags"
 	"juggler/internal/prof"
-	"juggler/internal/reasm"
 	"juggler/internal/sweep"
 )
 
@@ -40,16 +40,9 @@ func writeCSV(dir string, rep *juggler.Report) error {
 
 func main() {
 	quick := flag.Bool("quick", false, "shrink sweeps and durations (~10x faster)")
-	seed := flag.Int64("seed", 1, "simulation seed (identical seeds reproduce bit-identical tables)")
-	workers := flag.Int("j", 1, "sweep worker goroutines per experiment (0 = one per core); output is identical at any width")
-	shards := flag.Int("shards", 1, "intra-sim lanes for the sharded receive datapath (shardedrx); output is identical at any count, and -j is re-budgeted so total goroutines stay at the -j request")
-	backend := flag.String("backend", "seglist", "Juggler reassembly backend: seglist | batchsort | bitmap | ring")
-	adapt := flag.Bool("adapt", false, "attach the self-tuning controller to every receiver")
-	inseq := flag.Duration("inseq", 0, "override starting inseq_timeout (0 = experiment default)")
-	ofo := flag.Duration("ofo", 0, "override starting ofo_timeout (0 = experiment default)")
-	stampSample := flag.Int("stamp-sample", 1, "hop-stamp 1-in-N sampling rate (1 = every packet, exact)")
 	list := flag.Bool("list", false, "list available experiments and exit")
 	csvDir := flag.String("csv", "", "also write each experiment's table as <dir>/<id>.csv")
+	cf := cliflags.Register(flag.CommandLine, cliflags.Tuned)
 	pf := prof.Register(flag.CommandLine)
 	flag.Parse()
 	if err := pf.Start(); err != nil {
@@ -57,10 +50,6 @@ func main() {
 		os.Exit(1)
 	}
 	defer pf.Stop()
-	if _, err := reasm.ParseKind(*backend); err != nil {
-		fmt.Fprintln(os.Stderr, "juggler-bench:", err)
-		os.Exit(1)
-	}
 
 	if *list {
 		for _, id := range juggler.Experiments() {
@@ -77,15 +66,15 @@ func main() {
 	if *quick {
 		mode = "quick"
 	}
-	fmt.Printf("juggler-bench: %d experiment(s), %s mode, seed %d\n\n", len(ids), mode, *seed)
+	fmt.Printf("juggler-bench: %d experiment(s), %s mode, seed %d\n\n", len(ids), mode, cf.Seed)
 
 	for _, id := range ids {
 		start := time.Now()
 		rep := juggler.RunExperimentCfg(id, juggler.RunConfig{
-			Seed: *seed, Quick: *quick, Workers: sweep.Workers(*workers),
-			Shards:  *shards,
-			Backend: *backend, Adapt: *adapt, Inseq: *inseq, Ofo: *ofo,
-			StampSample: *stampSample,
+			Seed: cf.Seed, Quick: *quick, Workers: sweep.Workers(cf.J),
+			Shards:  cf.Shards,
+			Backend: cf.Backend.String(), Adapt: cf.Adapt, Inseq: cf.Inseq, Ofo: cf.Ofo,
+			StampSample: cf.StampSample,
 		})
 		if rep == nil {
 			fmt.Fprintf(os.Stderr, "juggler-bench: unknown experiment %q (try -list)\n", id)

@@ -27,8 +27,8 @@ import (
 	"os"
 	"strings"
 
+	"juggler/internal/cliflags"
 	"juggler/internal/experiments"
-	"juggler/internal/reasm"
 	"juggler/internal/sweep"
 	"juggler/internal/testbed"
 )
@@ -41,19 +41,12 @@ func main() {
 }
 
 func run() error {
-	seed := flag.Int64("seed", 1, "simulation seed (identical seeds reproduce identical reports)")
 	scenario := flag.String("scenario", "all", "comma-separated scenario names, or 'all'")
 	stack := flag.String("stack", "juggler", "receive offload under test: juggler, vanilla, linkedlist, none")
 	intensity := flag.Float64("intensity", 1, "fault-level multiplier over each scenario's default")
-	backend := flag.String("backend", "seglist", "Juggler reassembly backend: seglist | batchsort | bitmap | ring")
-	adapt := flag.Bool("adapt", false, "self-tune receiver timeouts online (-inseq/-ofo become starting points)")
-	inseq := flag.Duration("inseq", 0, "Juggler inseq_timeout starting value (0 = scenario default)")
-	ofo := flag.Duration("ofo", 0, "Juggler ofo_timeout starting value (0 = scenario default)")
 	quick := flag.Bool("quick", false, "shrink transfer sizes (~4x faster)")
-	stampSample := flag.Int("stamp-sample", 1, "hop-stamp 1-in-N sampling rate (1 = every packet, exact)")
-	workers := flag.Int("j", 1, "scenario worker goroutines (0 = one per core); output is identical at any width")
-	shards := flag.Int("shards", 1, "intra-sim lanes for the sharded receive datapath; output is identical at any count (chaos scenarios are closed-loop and stay serial), -j is re-budgeted to keep total goroutines at the -j request")
 	list := flag.Bool("list", false, "list scenarios and exit")
+	cf := cliflags.Register(flag.CommandLine, cliflags.Tuned)
 	flag.Parse()
 
 	if *list {
@@ -63,7 +56,7 @@ func run() error {
 		return nil
 	}
 
-	kind, err := parseStack(*stack)
+	kind, err := testbed.ParseOffloadKind(*stack)
 	if err != nil {
 		return err
 	}
@@ -75,22 +68,17 @@ func run() error {
 		names = strings.Split(*scenario, ",")
 	}
 
-	bk, err := reasm.ParseKind(*backend)
-	if err != nil {
-		return err
-	}
-
 	// Each scenario is an independent simulation, so they fan out across
 	// workers; rendering into per-scenario buffers and printing by index
 	// keeps the output byte-identical to the serial run.
-	opts := experiments.Options{Seed: *seed, Quick: *quick, Backend: bk, Shards: *shards,
-		Adapt: *adapt, Inseq: *inseq, Ofo: *ofo, StampSample: *stampSample}
+	opts := cf.Options()
+	opts.Quick = *quick
 	type result struct {
 		out bytes.Buffer
 		bad bool
 		err error
 	}
-	results := sweep.Map(sweep.EffectiveWorkers(*workers, *shards), len(names), func(i int) *result {
+	results := sweep.Map(opts.Workers, len(names), func(i int) *result {
 		r := &result{}
 		rep, err := experiments.RunChaosScenario(strings.TrimSpace(names[i]), kind, opts, *intensity)
 		if err != nil {
@@ -115,21 +103,6 @@ func run() error {
 		return fmt.Errorf("%d of %d scenarios violated invariants", failed, len(names))
 	}
 	fmt.Printf("all %d scenarios clean (stack=%s seed=%d intensity=%.2f)\n",
-		len(names), kind, *seed, *intensity)
+		len(names), kind, cf.Seed, *intensity)
 	return nil
-}
-
-// parseStack maps the flag value to an offload kind.
-func parseStack(s string) (testbed.OffloadKind, error) {
-	switch s {
-	case "juggler":
-		return testbed.OffloadJuggler, nil
-	case "vanilla":
-		return testbed.OffloadVanilla, nil
-	case "linkedlist":
-		return testbed.OffloadLinkedList, nil
-	case "none":
-		return testbed.OffloadNone, nil
-	}
-	return 0, fmt.Errorf("unknown stack %q (juggler, vanilla, linkedlist, none)", s)
 }

@@ -12,7 +12,7 @@
 //	               [-intensity F] [-quick] [-seed N] [-j N]
 //	               [-stamp-sample N] [-json out.json|-] [-check]
 //	               [-explain "flow=K seq=N"]
-//	juggler-doctor -replay run.txt [-json out.json] [-explain ...]
+//	juggler-doctor -replay run.txt [-adapt] [-json out.json] [-explain ...]
 //	juggler-doctor -fleet [-json out.json|-] [-check] [-quick] [-seed N]
 //
 // -fleet switches to cluster-health mode: it runs the fleet
@@ -30,10 +30,11 @@
 //
 //	$ juggler-doctor -scenario storm -explain "flow=0 seq=1460000"
 //
-// Replay mode accepts the textual trace format of juggler-replay,
-// including recorded runs (juggler-trace -record) whose "ev" lines are
-// decoded forward-compatibly: kinds unknown to this build are surfaced in
-// the diagnosis, not dropped.
+// Replay mode runs the textual trace format of internal/replay through
+// the same driver as juggler-trace -replay (-adapt attaches the
+// controller, whose retunes join the diagnosis), including recorded runs
+// (juggler-trace -record) whose "ev" lines are decoded forward-compatibly:
+// kinds unknown to this build are surfaced in the diagnosis, not dropped.
 //
 // Determinism: everything is computed from virtual-time state, so the same
 // seed produces a byte-identical report at any -j width.
@@ -49,14 +50,11 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
-	"juggler/internal/core"
+	"juggler/internal/cliflags"
 	"juggler/internal/experiments"
 	"juggler/internal/jsonschema"
-	"juggler/internal/packet"
 	"juggler/internal/prof"
-	"juggler/internal/reasm"
 	"juggler/internal/replay"
 	"juggler/internal/sim"
 	"juggler/internal/sweep"
@@ -70,21 +68,16 @@ var schemaJSON []byte
 
 func main() {
 	scenario := flag.String("scenario", "reorder", "chaos scenario to diagnose, or 'all' (see -list)")
-	stack := flag.String("stack", "juggler", "receive-offload stack under test: juggler, vanilla or none")
+	stack := flag.String("stack", "juggler", "receive-offload stack under test: juggler, vanilla, linkedlist or none")
 	intensity := flag.Float64("intensity", 1, "fault intensity multiplier (1.0 = catalog default)")
-	backend := flag.String("backend", "seglist", "Juggler reassembly backend: seglist | batchsort | bitmap | ring")
-	adaptFlag := flag.Bool("adapt", false, "attach the self-tuning controller; its retunes join the diagnosis")
 	quick := flag.Bool("quick", false, "shrink the transfers (~4x faster)")
-	stampSample := flag.Int("stamp-sample", 1, "hop-stamp 1-in-N sampling rate (1 = every packet, exact); the rate is recorded in the JSON diagnosis")
-	seed := flag.Int64("seed", 1, "simulation seed (identical seeds reproduce byte-identical reports)")
-	workers := flag.Int("j", 1, "scenario worker goroutines for -scenario all (0 = one per core); reports are identical at any width")
-	shards := flag.Int("shards", 1, "intra-sim lanes for the sharded receive datapath; diagnoses are identical at any count (chaos scenarios are closed-loop and stay serial), -j is re-budgeted to keep total goroutines at the -j request")
 	jsonOut := flag.String("json", "", "write the JSON diagnosis here ('-' = stdout, suppressing the human report)")
 	check := flag.Bool("check", false, "validate the JSON diagnosis against the embedded schema; exit 1 on mismatch")
 	explainQ := flag.String("explain", "", `audit-ring provenance query, e.g. "flow=0 seq=292000"`)
 	replayPath := flag.String("replay", "", "diagnose a packet trace / recorded run instead of running a scenario")
 	fleetMode := flag.Bool("fleet", false, "run the fleet experiment's impaired cluster and print the ranked host-health report (-json/-check apply to the fleet report)")
 	list := flag.Bool("list", false, "list chaos scenarios and exit")
+	cf := cliflags.Register(flag.CommandLine, cliflags.Base)
 	pf := prof.Register(flag.CommandLine)
 	flag.Parse()
 
@@ -99,13 +92,8 @@ func main() {
 	}
 	defer pf.Stop()
 
-	bk, err := reasm.ParseKind(*backend)
-	if err != nil {
-		fatal(err)
-	}
-
 	if *fleetMode {
-		runFleet(*seed, *quick, bk, *adaptFlag, *stampSample, *jsonOut, *check)
+		runFleet(cf, *quick, *jsonOut, *check)
 		return
 	}
 
@@ -113,19 +101,18 @@ func main() {
 	var sinks []*telemetry.Sink
 
 	if *replayPath != "" {
-		sink, diag := diagnoseReplay(*replayPath, *seed, bk, *stampSample)
+		sink, diag := diagnoseReplay(*replayPath, cf)
 		diags, sinks = []*telemetry.Diagnosis{diag}, []*telemetry.Sink{sink}
 	} else {
 		names := []string{*scenario}
 		if *scenario == "all" {
 			names = experiments.ChaosScenarios()
 		}
-		kind, err := stackKind(*stack)
+		kind, err := testbed.ParseOffloadKind(*stack)
 		if err != nil {
 			fatal(err)
 		}
-		diags, sinks = diagnoseScenarios(names, kind, *seed, *quick, *intensity,
-			sweep.EffectiveWorkers(*workers, *shards), bk, *adaptFlag, *stampSample)
+		diags, sinks = diagnoseScenarios(names, kind, cf, *quick, *intensity)
 	}
 
 	human := os.Stdout
@@ -154,28 +141,44 @@ func main() {
 		}
 	}
 
+	writeReport(*jsonOut, *check, func(w io.Writer) error { return writeJSON(w, diags) },
+		func([]byte) ([]string, error) { return checkSchema(diags), nil },
+		"schema", fmt.Sprintf("%d report(s) conform to diagnosis.schema.json", len(diags)))
+}
+
+// writeReport renders the JSON report when -json or -check asks for it and
+// writes it to jsonOut ('-' = stdout). With -check it prints validate's
+// problems (prefixed what) and exits 1, or prints ok when there are none.
+func writeReport(jsonOut string, check bool, write func(io.Writer) error,
+	validate func([]byte) ([]string, error), what, ok string) {
+	if jsonOut == "" && !check {
+		return
+	}
 	var buf bytes.Buffer
-	if *jsonOut != "" || *check {
-		if err := writeJSON(&buf, diags); err != nil {
+	if err := write(&buf); err != nil {
+		fatal(err)
+	}
+	if jsonOut == "-" {
+		os.Stdout.Write(buf.Bytes())
+	} else if jsonOut != "" {
+		if err := os.WriteFile(jsonOut, buf.Bytes(), 0o644); err != nil {
 			fatal(err)
 		}
 	}
-	if *jsonOut != "" {
-		if *jsonOut == "-" {
-			os.Stdout.Write(buf.Bytes())
-		} else if err := os.WriteFile(*jsonOut, buf.Bytes(), 0o644); err != nil {
-			fatal(err)
-		}
+	if !check {
+		return
 	}
-	if *check {
-		if problems := checkSchema(diags); len(problems) > 0 {
-			for _, p := range problems {
-				fmt.Fprintln(os.Stderr, "juggler-doctor: schema:", p)
-			}
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "juggler-doctor: %d report(s) conform to diagnosis.schema.json\n", len(diags))
+	problems, err := validate(buf.Bytes())
+	if err != nil {
+		fatal(err)
 	}
+	for _, p := range problems {
+		fmt.Fprintf(os.Stderr, "juggler-doctor: %s: %s\n", what, p)
+	}
+	if len(problems) > 0 {
+		os.Exit(1)
+	}
+	fmt.Fprintln(os.Stderr, "juggler-doctor:", ok)
 }
 
 // runFleet is the -fleet mode: it runs the fleet experiment's impaired
@@ -185,70 +188,39 @@ func main() {
 // report JSON ('-' = stdout, suppressing the human table); -check
 // validates it against the embedded fleet.schema.json and exits 1 on
 // mismatch. Byte-identical for the same seed.
-func runFleet(seed int64, quick bool, bk reasm.Kind, adapt bool, stampSample int, jsonOut string, check bool) {
-	o := experiments.Options{Seed: seed, Quick: quick, Workers: 1,
-		Backend: bk, Adapt: adapt, StampSample: stampSample}
+func runFleet(cf *cliflags.Flags, quick bool, jsonOut string, check bool) {
+	o := cf.Options()
+	o.Quick, o.Workers = quick, 1
 	r := experiments.CollectFleetReport(o, true)
 
-	human := os.Stdout
-	if jsonOut == "-" {
-		human = nil // JSON owns stdout
+	if jsonOut != "-" { // otherwise JSON owns stdout
+		r.Fprint(os.Stdout)
 	}
-	if human != nil {
-		r.Fprint(human)
-	}
-
-	var buf bytes.Buffer
-	if jsonOut != "" || check {
-		if err := r.WriteJSON(&buf); err != nil {
-			fatal(err)
-		}
-	}
-	if jsonOut != "" {
-		if jsonOut == "-" {
-			os.Stdout.Write(buf.Bytes())
-		} else if err := os.WriteFile(jsonOut, buf.Bytes(), 0o644); err != nil {
-			fatal(err)
-		}
-	}
-	if check {
-		problems, err := fleet.Validate(buf.Bytes())
-		if err != nil {
-			fatal(err)
-		}
-		if len(problems) > 0 {
-			for _, p := range problems {
-				fmt.Fprintln(os.Stderr, "juggler-doctor: fleet schema:", p)
-			}
-			os.Exit(1)
-		}
-		fmt.Fprintln(os.Stderr, "juggler-doctor: fleet report conforms to fleet.schema.json")
-	}
+	writeReport(jsonOut, check, r.WriteJSON, fleet.Validate,
+		"fleet schema", "fleet report conforms to fleet.schema.json")
 }
 
 // diagnoseScenarios runs each named scenario with a forensics sink
 // attached and returns the diagnoses in name order. The sweep runs on
 // -j workers; results are committed by index, so the output is identical
 // at any width.
-func diagnoseScenarios(names []string, kind testbed.OffloadKind, seed int64, quick bool, intensity float64, workers int, bk reasm.Kind, adapt bool, stampSample int) ([]*telemetry.Diagnosis, []*telemetry.Sink) {
+func diagnoseScenarios(names []string, kind testbed.OffloadKind, cf *cliflags.Flags, quick bool, intensity float64) ([]*telemetry.Diagnosis, []*telemetry.Sink) {
 	sinks := make([]*telemetry.Sink, len(names))
-	reps := make([]*experiments.ChaosReport, len(names))
-	sweep.Map(sweep.Workers(workers), len(names), func(i int) struct{} {
-		o := experiments.Options{Seed: seed, Quick: quick, Workers: 1, Backend: bk, Adapt: adapt,
-			StampSample: stampSample}
+	reps := sweep.Map(cf.Workers(), len(names), func(i int) *experiments.ChaosReport {
+		o := cf.Options()
+		o.Quick, o.Workers = quick, 1
 		o.AttachTelemetry = func(s *sim.Sim) { sinks[i] = telemetry.New(s, telemetry.Options{}) }
 		rep, err := experiments.RunChaosScenario(names[i], kind, o, intensity)
 		if err != nil {
 			fatal(err)
 		}
-		reps[i] = rep
-		return struct{}{}
+		return rep
 	})
 	diags := make([]*telemetry.Diagnosis, len(names))
 	for i, rep := range reps {
 		d := sinks[i].Diagnose(telemetry.DiagnosisMeta{
 			Scenario: rep.Scenario, Stack: rep.Stack, Seed: rep.Seed, Intensity: rep.Intensity,
-			StampSample: stampSample,
+			StampSample: cf.StampSample,
 		})
 		// The chaos checker's end-to-end invariants outrank the watchdog:
 		// a violated run is never merely "anomalous".
@@ -261,92 +233,43 @@ func diagnoseScenarios(names []string, kind testbed.OffloadKind, seed int64, qui
 }
 
 // diagnoseReplay feeds a packet trace (possibly a recorded run with "ev"
-// lines) through a standalone Juggler with forensics attached. Arriving
-// packets are stamped at the gro-buffer hop and deliveries at the deliver
-// hop, so the attribution covers the gro_table hold span — the only layer
-// a standalone replay exercises.
-func diagnoseReplay(path string, seed int64, bk reasm.Kind, stampSample int) (*telemetry.Sink, *telemetry.Diagnosis) {
-	f, err := os.Open(path)
+// lines) through the shared replay driver with forensics attached. An
+// events-only recorded run has nothing to re-simulate: its decision
+// provenance is the whole diagnosis.
+func diagnoseReplay(path string, cf *cliflags.Flags) (*telemetry.Sink, *telemetry.Diagnosis) {
+	tr, err := replay.ParseFile(path)
 	if err != nil {
 		fatal(err)
 	}
-	defer f.Close()
-	tr, err := replay.Parse(f)
-	if err != nil {
-		fatal(err)
-	}
-	if len(tr.Packets) == 0 && len(tr.Events) == 0 {
-		fatal(fmt.Errorf("empty trace %s", path))
-	}
-	s := sim.New(seed)
-	packet.AttachStampSampler(s, stampSample)
-	sink := telemetry.New(s, telemetry.Options{})
-	if len(tr.Packets) > 0 {
-		jcfg := core.DefaultConfig()
-		jcfg.Backend = bk
-		j := core.New(s, jcfg, func(seg *packet.Segment) {
-			if !seg.SkipStamps {
-				packet.Stamp(&seg.Stamps, packet.HopDeliver, s.Now())
-				sink.ObserveDelivery(seg)
-			}
-		})
-		// Sampling verdicts are taken in trace order at schedule time —
-		// replay has no sender NIC, so this stands in for the wire TX.
-		sampler := packet.StampSamplerFromSim(s)
-		for _, tp := range tr.Packets {
-			tp := tp
-			sampler.Apply(&tp.Pkt)
-			s.Schedule(tp.At, func() {
-				packet.StampPkt(&tp.Pkt, packet.HopGROBuffer, s.Now())
-				j.Receive(&tp.Pkt)
-			})
-		}
-		tick := sim.NewTicker(s, 5*time.Microsecond, j.PollComplete)
-		tick.Start()
-		s.RunFor(tr.Last() + 10*time.Millisecond)
-		tick.Stop()
-	}
+	_, _, sink := replay.Run(tr, cf.Replay())
 
-	d := sink.Diagnose(telemetry.DiagnosisMeta{Scenario: "replay:" + path, Stack: "juggler", Seed: seed, Intensity: 0})
+	d := sink.Diagnose(telemetry.DiagnosisMeta{Scenario: "replay:" + path, Stack: "juggler", Seed: cf.Seed, Intensity: 0})
 	// Surface the recorded run's own events: all kinds tallied, plus a
 	// separate section for kinds this build does not know (forward-
-	// compatible decoding in internal/replay). An events-only recorded run
-	// (juggler-trace -record) has nothing to re-simulate — its decision
-	// provenance is the whole diagnosis.
-	d.RecordedEventKinds = tallyKinds(tr.Events)
-	for kind, n := range tr.UnknownKinds {
-		d.UnknownEventKinds = append(d.UnknownEventKinds, telemetry.CauseCount{Cause: kind, Count: n})
+	// compatible decoding in internal/replay).
+	kinds := map[string]int64{}
+	for _, e := range tr.Events {
+		kinds[e.Kind]++
 	}
-	sortCauseCounts(d.UnknownEventKinds)
+	d.RecordedEventKinds = causeCounts(kinds)
+	d.UnknownEventKinds = causeCounts(tr.UnknownKinds)
 	return sink, d
 }
 
-// tallyKinds counts recorded events by kind, ordered by descending count
-// then name so reports are deterministic.
-func tallyKinds(events []replay.Event) []telemetry.CauseCount {
-	if len(events) == 0 {
-		return nil
+// causeCounts lists a tally by descending count, then name, so reports
+// are deterministic; an empty tally gives nil.
+func causeCounts(tally map[string]int64) []telemetry.CauseCount {
+	var cc []telemetry.CauseCount
+	for cause, n := range tally {
+		cc = append(cc, telemetry.CauseCount{Cause: cause, Count: n})
 	}
-	counts := map[string]int64{}
-	for _, e := range events {
-		counts[e.Kind]++
-	}
-	out := make([]telemetry.CauseCount, 0, len(counts))
-	for kind, n := range counts {
-		out = append(out, telemetry.CauseCount{Cause: kind, Count: n})
-	}
-	sortCauseCounts(out)
-	return out
-}
-
-// sortCauseCounts orders by descending count, then name.
-func sortCauseCounts(cc []telemetry.CauseCount) {
 	sort.Slice(cc, func(a, b int) bool {
 		if cc[a].Count != cc[b].Count {
 			return cc[a].Count > cc[b].Count
 		}
 		return cc[a].Cause < cc[b].Cause
 	})
+	return cc
 }
 
 // explain parses a "flow=K seq=N" query and prints the audit-ring
@@ -447,19 +370,6 @@ func checkSchema(diags []*telemetry.Diagnosis) []string {
 		}
 	}
 	return problems
-}
-
-// stackKind parses the -stack flag.
-func stackKind(name string) (testbed.OffloadKind, error) {
-	switch name {
-	case "juggler":
-		return testbed.OffloadJuggler, nil
-	case "vanilla":
-		return testbed.OffloadVanilla, nil
-	case "none":
-		return testbed.OffloadNone, nil
-	}
-	return 0, fmt.Errorf("unknown stack %q (want juggler, vanilla or none)", name)
 }
 
 func fatal(err error) {

@@ -38,8 +38,8 @@ import (
 	"time"
 
 	"juggler"
+	"juggler/internal/cliflags"
 	"juggler/internal/prof"
-	"juggler/internal/reasm"
 	"juggler/internal/sweep"
 )
 
@@ -74,18 +74,11 @@ func run() error {
 	rateG := flag.Int("rate", 10, "link rate in Gb/s")
 	reorder := flag.String("reorder", "500us", "reordering delay tau, or a comma-separated sweep (0 = in order)")
 	drop := flag.Float64("drop", 0, "receiver-side drop probability")
-	inseq := flag.Duration("inseq", 0, "Juggler inseq_timeout (0 = rate default)")
-	ofo := flag.Duration("ofo", 0, "Juggler ofo_timeout (0 = 50us default)")
 	maxFlows := flag.Int("maxflows", 64, "Juggler gro_table size")
-	adapt := flag.Bool("adapt", false, "self-tune the timeouts online (-inseq/-ofo become starting points)")
-	backend := flag.String("backend", "seglist", "Juggler reassembly backend: seglist | batchsort | bitmap | ring")
 	flows := flag.Int("flows", 1, "number of concurrent bulk flows")
 	dur := flag.Duration("dur", 200*time.Millisecond, "measurement duration (after 50ms warm-up)")
-	seed := flag.Int64("seed", 1, "simulation seed")
 	traceN := flag.Int("trace", 0, "dump the last N Juggler events after each point (0 = off)")
-	stampSample := flag.Int("stamp-sample", 1, "hop-stamp 1-in-N sampling rate (1 = every packet, exact)")
-	workers := flag.Int("j", 1, "sweep worker goroutines (0 = one per core); output is identical at any width")
-	shards := flag.Int("shards", 1, "intra-sim lanes for the sharded receive datapath; pair sweeps are closed-loop (TCP feedback) so they stay serial and output is identical at any count, -j is re-budgeted to keep total goroutines at the -j request")
+	cf := cliflags.Register(flag.CommandLine, cliflags.Tuned)
 	pf := prof.Register(flag.CommandLine)
 	flag.Parse()
 	if err := pf.Start(); err != nil {
@@ -114,22 +107,19 @@ func run() error {
 
 	rate := juggler.Rate(*rateG) * juggler.Gbps
 	tun := juggler.DefaultTuning(rate)
-	if *inseq > 0 {
-		tun.InseqTimeout = *inseq
+	if cf.Inseq > 0 {
+		tun.InseqTimeout = cf.Inseq
 	}
-	if *ofo > 0 {
-		tun.OfoTimeout = *ofo
+	if cf.Ofo > 0 {
+		tun.OfoTimeout = cf.Ofo
 	}
 	tun.MaxFlows = *maxFlows
-	tun.Adapt = *adapt
-	if _, err := reasm.ParseKind(*backend); err != nil {
-		return err
-	}
-	tun.Backend = *backend
+	tun.Adapt = cf.Adapt
+	tun.Backend = cf.Backend.String()
 
 	cfg := pointConfig{kind: kind, rate: rate, tun: tun, drop: *drop,
-		flows: *flows, dur: *dur, seed: *seed, traceN: *traceN,
-		maxFlows: *maxFlows, sample: *stampSample}
+		flows: *flows, dur: *dur, seed: cf.Seed, traceN: *traceN,
+		maxFlows: *maxFlows, sample: cf.StampSample}
 
 	// Each tau is an independent simulation; render each report into its
 	// own buffer and print them in list order so -j N output matches -j 1.
@@ -137,7 +127,7 @@ func run() error {
 		out  bytes.Buffer
 		dead bool
 	}
-	results := sweep.Map(sweep.EffectiveWorkers(*workers, *shards), len(taus), func(i int) *result {
+	results := sweep.Map(cf.Workers(), len(taus), func(i int) *result {
 		r := &result{}
 		r.dead = !runPoint(&r.out, cfg, taus[i])
 		return r

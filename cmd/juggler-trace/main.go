@@ -1,19 +1,19 @@
-// Command juggler-trace runs one experiment (or a textual packet trace)
-// with the cross-layer telemetry sink attached and exports the run's
-// observability artifacts:
+// Command juggler-trace runs one experiment (or replays a textual packet
+// trace) with the cross-layer telemetry sink attached and exports the
+// run's observability artifacts:
 //
 //   - a Chrome/Perfetto trace-event JSON timeline (-trace, open in
 //     https://ui.perfetto.dev or chrome://tracing),
 //   - a pcapng packet capture (-pcap, open in Wireshark/tshark),
 //   - a Prometheus text-format metrics snapshot (-metrics),
 //   - a recorded run of replayable "ev" event lines (-record) that
-//     juggler-replay and juggler-doctor can re-ingest.
+//     juggler-trace -replay and juggler-doctor -replay re-ingest.
 //
 // Usage:
 //
 //	juggler-trace [-experiment fig6] [-quick] [-seed N] \
 //	              [-trace out.json] [-pcap out.pcapng] [-metrics out.prom]
-//	juggler-trace -replay trace.txt [-trace out.json] ...
+//	juggler-trace -replay trace.txt [-inseq D] [-ofo D] [-adapt] ...
 //
 // Sweeping experiments attach the sink only to the designated traced
 // point — the last one — so the exported artifacts describe the last
@@ -22,22 +22,34 @@
 // (0 = one per core) and the table and exports stay byte-identical to
 // the serial run. A per-layer event summary is printed so smoke tests
 // can assert coverage.
+//
+// -replay feeds a textual packet trace (internal/replay documents the
+// format) through a standalone Juggler instance — a scalpel for studying
+// the algorithm's decisions on a precise arrival pattern. It prints every
+// arrival and delivery, then Juggler's counters. The Figure-6 build-up
+// scenario ships as testdata/fig6.trace:
+//
+//	$ cat testdata/fig6.trace
+//	# packets 3, 5, 2 of flow a arrive out of order
+//	0us   a  4380 1460
+//	1us   a  7300 1460
+//	2us   a  2920 1460
+//	$ juggler-trace -replay testdata/fig6.trace -inseq 15us -ofo 50us
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"time"
 
-	"juggler/internal/core"
+	"juggler/internal/cliflags"
 	"juggler/internal/experiments"
 	"juggler/internal/packet"
-	"juggler/internal/reasm"
 	"juggler/internal/replay"
 	"juggler/internal/sim"
-	"juggler/internal/sweep"
 	"juggler/internal/telemetry"
 )
 
@@ -45,19 +57,14 @@ func main() {
 	exp := flag.String("experiment", "fig6", "experiment ID to run (see -list)")
 	replayPath := flag.String("replay", "", "replay a textual packet trace instead of an experiment")
 	quick := flag.Bool("quick", false, "shrink sweeps and durations (~10x faster)")
-	seed := flag.Int64("seed", 1, "simulation seed (identical seeds reproduce byte-identical exports)")
-	workers := flag.Int("j", 1, "sweep worker goroutines (0 = one per core); table and exports are identical at any width")
-	shards := flag.Int("shards", 1, "intra-sim lanes for the sharded receive datapath; table and exports are identical at any count, -j is re-budgeted to keep total goroutines at the -j request")
-	backend := flag.String("backend", "seglist", "Juggler reassembly backend: seglist | batchsort | bitmap | ring")
 	traceOut := flag.String("trace", "trace.json", "write Perfetto/Chrome trace-event JSON here ('' disables)")
 	pcapOut := flag.String("pcap", "", "write a pcapng packet capture here")
 	metricsOut := flag.String("metrics", "", "write a Prometheus text-format metrics snapshot here")
 	recordOut := flag.String("record", "", "write the recorded run (replayable 'ev' event lines) here")
 	eventCap := flag.Int("events", 1<<16, "flight-recorder capacity (events)")
 	fabricQueues := flag.Bool("fabric-queues", false, "also record per-enqueue fabric occupancy events")
-	stampSample := flag.Int("stamp-sample", 1, "hop-stamp 1-in-N sampling rate (1 = every packet, exact)")
-	scalarRx := flag.Bool("scalar-rx", false, "force the per-packet NIC->offload handoff (the batch pipeline's byte-identical reference)")
 	list := flag.Bool("list", false, "list available experiments and exit")
+	cf := cliflags.Register(flag.CommandLine, cliflags.Tuned)
 	flag.Parse()
 
 	if *list {
@@ -67,21 +74,14 @@ func main() {
 		return
 	}
 
-	bk, err := reasm.ParseKind(*backend)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "juggler-trace:", err)
-		os.Exit(1)
-	}
-
 	opts := telemetry.Options{EventCap: *eventCap, FabricQueues: *fabricQueues}
 	var sink *telemetry.Sink
 
 	if *replayPath != "" {
-		sink = runReplay(*replayPath, *seed, bk, opts, *stampSample)
+		sink = runReplay(*replayPath, cf, opts)
 	} else {
-		o := experiments.Options{Seed: *seed, Quick: *quick,
-			Workers: sweep.EffectiveWorkers(*workers, *shards), Shards: *shards, Backend: bk,
-			StampSample: *stampSample, ScalarRx: *scalarRx}
+		o := cf.Options()
+		o.Quick = *quick
 		o.AttachTelemetry = func(s *sim.Sim) { sink = telemetry.New(s, opts) }
 		t := experiments.Run(*exp, o)
 		if t == nil {
@@ -117,66 +117,58 @@ func main() {
 		if e.path == "" {
 			continue
 		}
-		if err := export(e.path, e.write); err != nil {
-			fmt.Fprintln(os.Stderr, "juggler-trace:", err)
-			os.Exit(1)
+		var buf bytes.Buffer
+		if err := e.write(&buf); err != nil {
+			fatal(err)
+		}
+		if err := os.WriteFile(e.path, buf.Bytes(), 0o644); err != nil {
+			fatal(err)
 		}
 		fmt.Printf("wrote %s to %s\n", e.what, e.path)
 	}
 }
 
-// runReplay feeds a parsed packet trace through a standalone Juggler with
-// telemetry attached (the juggler-replay apparatus, export-oriented).
-func runReplay(path string, seed int64, bk reasm.Kind, opts telemetry.Options, stampSample int) *telemetry.Sink {
-	f, err := os.Open(path)
+// runReplay feeds a parsed packet trace through the shared replay driver,
+// printing every arrival and delivery and then Juggler's counters.
+func runReplay(path string, cf *cliflags.Flags, opts telemetry.Options) *telemetry.Sink {
+	tr, err := replay.ParseFile(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "juggler-trace:", err)
-		os.Exit(1)
+		fatal(err)
 	}
-	defer f.Close()
-	tr, err := replay.Parse(f)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "juggler-trace:", err)
-		os.Exit(1)
+	cfg := cf.Replay()
+	cfg.Telemetry = opts
+	cfg.OnArrive = func(tp replay.TimedPacket) {
+		fmt.Printf("%12v  arrive  %-8s seq=%-8d len=%-7d %v\n",
+			tp.At, tr.FlowName(tp.Pkt.Flow), tp.Pkt.Seq, tp.Pkt.PayloadLen, tp.Pkt.Flags)
 	}
-	if len(tr.Packets) == 0 {
-		fmt.Fprintln(os.Stderr, "juggler-trace: empty trace")
-		os.Exit(1)
+	cfg.OnDeliver = func(now time.Duration, seg *packet.Segment) {
+		fmt.Printf("%12v  DELIVER %-8s seq=%-8d len=%-7d pkts=%-3d %v\n",
+			now, tr.FlowName(seg.Flow), seg.Seq, seg.Bytes, seg.Pkts, seg.Flags)
 	}
-	s := sim.New(seed)
-	packet.AttachStampSampler(s, stampSample)
-	sink := telemetry.New(s, opts)
-	iface := sink.Iface("replay")
-	jcfg := core.DefaultConfig()
-	jcfg.Backend = bk
-	j := core.New(s, jcfg, func(seg *packet.Segment) {})
-	// The sampling verdict is taken here, in trace order — replay has no
-	// sender NIC, so schedule time is the wire-TX equivalent.
-	sampler := packet.StampSamplerFromSim(s)
-	for _, tp := range tr.Packets {
-		tp := tp
-		sampler.Apply(&tp.Pkt)
-		s.Schedule(tp.At, func() {
-			sink.CapturePacket(iface, true, &tp.Pkt)
-			j.Receive(&tp.Pkt)
-		})
+	j, ctl, sink := replay.Run(tr, cfg)
+	st := j.Stats
+	fmt.Printf(`
+flows tracked     %d (active %d, inactive %d, loss %d)
+flush reasons     event=%d inseq_timeout=%d ofo_timeout=%d evict=%d
+pass-throughs     retransmissions=%d duplicates=%d
+loss inferences   ofo_timeouts=%d (entered=%d exited=%d)
+evictions         inactive=%d active=%d loss=%d
+buffered now      %d bytes
+`, j.TableLen(), j.ActiveLen(), j.InactiveLen(), j.LossLen(),
+		st.FlushEvent, st.FlushInseqTimeout, st.FlushOfoTimeout, st.FlushEvict,
+		st.Retransmissions, st.Duplicates,
+		st.OfoTimeouts, st.LossRecoveryEntered, st.LossRecoveryExited,
+		st.EvictionsInactive, st.EvictionsActive, st.EvictionsLoss, j.BufferedBytes())
+	if ctl != nil {
+		ci, co := ctl.Timeouts()
+		fmt.Printf("adapt             retunes=%d final inseq=%v ofo=%v\n",
+			ctl.Stats.Retunes, ci, co)
 	}
-	tick := sim.NewTicker(s, 5*time.Microsecond, j.PollComplete)
-	tick.Start()
-	s.RunFor(tr.Last() + 10*time.Millisecond)
-	tick.Stop()
+	fmt.Println()
 	return sink
 }
 
-// export writes one telemetry artifact to path.
-func export(path string, write func(w io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "juggler-trace:", err)
+	os.Exit(1)
 }

@@ -1,5 +1,6 @@
-// Package replay parses the textual packet-trace format consumed by the
-// juggler-replay, juggler-trace and juggler-doctor commands.
+// Package replay parses the textual packet-trace format and replays it
+// through a standalone Juggler (Run) for the juggler-trace and
+// juggler-doctor -replay modes.
 //
 // Format: one packet per line,
 //
@@ -10,7 +11,7 @@
 // combination of P (PSH), F (FIN), A (pure ACK, len ignored). Blank lines
 // and lines starting with '#' are skipped.
 //
-// A recorded run (juggler-trace -events) may interleave telemetry event
+// A recorded run (juggler-trace -record) may interleave telemetry event
 // lines:
 //
 //	ev <time> <layer> <kind> <flow> <seq> <n> [note]
@@ -26,6 +27,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -68,6 +70,24 @@ type Trace struct {
 
 	ids   map[string]packet.FiveTuple
 	names map[packet.FiveTuple]string
+}
+
+// ParseFile parses the trace at path; one with neither packets nor
+// events is an error.
+func ParseFile(path string) (*Trace, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	t, err := Parse(f)
+	if err != nil {
+		return nil, err
+	}
+	if len(t.Packets) == 0 && len(t.Events) == 0 {
+		return nil, fmt.Errorf("empty trace %s", path)
+	}
+	return t, nil
 }
 
 // Parse reads the trace format described in the package comment.

@@ -53,6 +53,16 @@ func (k OffloadKind) String() string {
 	return "?"
 }
 
+// ParseOffloadKind resolves a kind from its String name (the CLIs' -stack).
+func ParseOffloadKind(name string) (OffloadKind, error) {
+	for k := OffloadVanilla; k <= OffloadNone; k++ {
+		if k.String() == name {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown stack %q (want juggler, vanilla, linkedlist or none)", name)
+}
+
 // HostConfig configures one end host.
 type HostConfig struct {
 	// LinkRate is the NIC speed (10G / 40G in the paper).
