@@ -229,13 +229,6 @@ type tap struct {
 	j *core.Juggler
 }
 
-// Receive implements gro.Offload.
-func (t *tap) Receive(p *packet.Packet) {
-	t.c.det.Observe(p, t.c.sim.Now())
-	t.c.timer.ArmIfIdle(t.c.cfg.Interval)
-	t.j.Receive(p)
-}
-
 // ReceiveBatch implements gro.Offload: observe every packet at the
 // batch's (shared) instant, arm the control timer once — ArmIfIdle is
 // idempotent while armed, so per-packet arming would be identical — and

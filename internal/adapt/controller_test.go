@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"juggler/internal/core"
+	"juggler/internal/gro"
 	"juggler/internal/packet"
 	"juggler/internal/sim"
 	"juggler/internal/units"
@@ -16,7 +17,7 @@ type loopHarness struct {
 	s *sim.Sim
 	c *Controller
 	j *core.Juggler
-	t interface{ Receive(p *packet.Packet) }
+	t gro.Offload
 }
 
 func newLoop(t *testing.T, jcfg core.Config, ccfg Config) *loopHarness {
@@ -30,7 +31,7 @@ func newLoop(t *testing.T, jcfg core.Config, ccfg Config) *loopHarness {
 }
 
 func (h *loopHarness) recvAt(d time.Duration, p *packet.Packet) {
-	h.s.Schedule(d, func() { h.t.Receive(p) })
+	h.s.Schedule(d, func() { h.t.ReceiveBatch([]*packet.Packet{p}) })
 }
 
 // TestControllerSeedsFromJuggler: the first wrapped instance defines the

@@ -63,19 +63,19 @@ func TestZeroAllocFlowChurn(t *testing.T) {
 // flushes the sealed result through the deliver callback). Hop stamps are
 // on in every mode, and each mode must stay allocation-free once warm:
 //
-//   - forensics_nil_sink: per-packet Receive with no telemetry sink, so
-//     the decision/delivery hooks are each one disabled branch — the tax
-//     every production packet pays;
-//   - batch_pipeline: the same rounds through ReceiveBatch, whose epilogue
-//     (touched-flow list, deferred deadline re-files) must recycle its
-//     state or every NAPI poll would allocate;
+//   - forensics_nil_sink: one-packet batches (Receive) with no telemetry
+//     sink, so the decision/delivery hooks are each one disabled branch —
+//     the tax every production packet pays;
+//   - batch_pipeline: the same rounds as one four-packet ReceiveBatch per
+//     flow, whose epilogue (touched-flow list, deferred deadline re-files)
+//     must recycle its state or every NAPI poll would allocate;
 //   - forensics_sampled: a live telemetry.Sink at 1-in-8 stamp sampling,
 //     the pay-as-you-go recording path (sampled stamping, gated decisions,
 //     batch-pinned event stamps).
 func TestZeroAllocHoleChurn(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
-		batched bool // rounds through ReceiveBatch instead of Receive
+		batched bool // four-packet batches instead of one-packet ones
 		sink    bool // attach a live telemetry sink
 		sample  int  // 1-in-N hop-stamp sampling; <= 1 stamps every packet
 	}{
@@ -115,7 +115,7 @@ func TestZeroAllocHoleChurn(t *testing.T) {
 				hashes[f] = tuples[f].Hash(0)
 				seqs[f] = 1
 			}
-			// Reusable packets: the datapath hands Receive pool-owned heap
+			// Reusable packets: the datapath hands ReceiveBatch pool-owned heap
 			// packets, so per-call stack packets would only measure the
 			// test's own escape through the reasm.Backend interface, not
 			// core's behaviour. Four slots so a batch holds distinct

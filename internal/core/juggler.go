@@ -111,14 +111,6 @@ type Config struct {
 	// and may reject packets they cannot represent, which Juggler then
 	// delivers unbuffered (counted in Stats.ReasmRejected).
 	Backend reasm.Kind
-
-	// TimeoutScan switches timeout expiry back to the reference
-	// implementation that walks every flow on the active and loss lists
-	// (O(flows) per timer fire). The default expiry pops a
-	// deadline-ordered queue in O(expired); the two are equivalence-tested
-	// against each other, and this hook keeps the reference oracle
-	// runnable for that test and for ablations.
-	TimeoutScan bool
 }
 
 // DefaultConfig returns the paper's default tuning: inseq_timeout 15us,
@@ -210,9 +202,8 @@ type flowEntry struct {
 	prev, next *flowEntry
 	list       *flowList
 	// listSeq is a monotone stamp assigned on every list push. Lists only
-	// append, so iteration order within a list is ascending listSeq — it
-	// lets the deadline-queue expiry path reconstruct the reference scan
-	// order over an unordered due set.
+	// append, so iteration order within a list is ascending listSeq — the
+	// FIFO key of the expiry order sortDue imposes on the due set.
 	listSeq uint64
 
 	// batched marks the flow as already on the ReceiveBatch touched list,
@@ -337,15 +328,15 @@ type Juggler struct {
 	due     []*flowEntry
 	pushSeq uint64
 
-	// batching marks an in-progress ReceiveBatch: bufferAndCheck then
-	// defers its per-packet deadline-queue re-file (touched collects the
-	// flows, deduplicated by flowEntry.batched) so the batch epilogue
-	// restores the deadline invariant with one pass. The timer arm is NOT
-	// deferred — maybeArmTimer only schedules when the minimum deadline
-	// improves, and keeping it per packet means the batch path schedules
-	// exactly the event sequence the scalar path does.
-	batching bool
-	touched  []*flowEntry
+	// touched collects the flows a ReceiveBatch buffered into (deduplicated
+	// by flowEntry.batched): bufferAndCheck defers their deadline-queue
+	// re-file so the batch epilogue restores the deadline invariant with
+	// one pass. The timer arm is NOT deferred — armTimerAt only schedules
+	// when the minimum deadline improves, and arming per packet makes the
+	// event sequence independent of how a poll is split into batches.
+	touched []*flowEntry
+	// one is the one-slot batch Receive hands to ReceiveBatch.
+	one [1]*packet.Packet
 
 	// freeFlows chains released entries (through their next pointers) for
 	// reuse; segPool recycles the segments the out-of-order queues mint.
@@ -372,16 +363,9 @@ type Juggler struct {
 	hFlushPkts                                       *telemetry.Histogram
 
 	// Probe, when non-nil, is invoked after every state-mutating entry
-	// point (Receive, PollComplete, the timeout timer). The chaos invariant
-	// checker installs here to audit the gro_table continuously.
+	// point (ReceiveBatch, PollComplete, the timeout timer). The chaos
+	// invariant checker installs here to audit the gro_table continuously.
 	Probe func()
-
-	// OnDecision, when non-nil, receives every forensic Decision the core
-	// records — flushes with the Table-2 condition that fired, phase
-	// transitions, evictions, timeout firings — with the flow's seq/hole
-	// state captured at that instant. It fires independently of the
-	// telemetry sink, so harnesses can audit decisions without one.
-	OnDecision func(telemetry.Decision)
 }
 
 // New creates a Juggler instance delivering flushed segments to d.
@@ -613,33 +597,31 @@ func (j *Juggler) checkInvariants() {
 	}
 }
 
-// Receive implements gro.Offload: one packet within a polling interval.
+// Receive hands ReceiveBatch a one-packet batch: the entry point for
+// harnesses that feed packets one at a time.
 func (j *Juggler) Receive(p *packet.Packet) {
-	j.receive(p)
-	if j.Probe != nil {
-		j.Probe()
-	}
+	j.one[0] = p
+	j.ReceiveBatch(j.one[:])
+	j.one[0] = nil
 }
 
 // ReceiveBatch implements gro.Offload: one NAPI poll's drained batch.
-// Byte-identical to per-packet Receive by construction: every packet runs
-// the same receive path at the same virtual instant, the per-packet timer
-// arm is kept (so the engine schedules exactly the event sequence the
-// scalar path does — identical times AND identical tie-breaking seqs),
-// and the two pieces of epilogue that schedule nothing are amortized:
-// each touched flow is re-filed in the deadline queue once per batch
-// instead of once per packet, and the chaos Probe audit runs once per
-// batch — which is also required for the audit to pass, since mid-batch
-// the deadline queue is deliberately stale.
+// Its output does not depend on how a poll is split into batches: every
+// packet runs the same receive path at the same virtual instant, the
+// timer is armed per packet (so the engine schedules the same event
+// sequence — identical times AND identical tie-breaking seqs — for any
+// split), and the two pieces of epilogue that schedule nothing are
+// amortized: each touched flow is re-filed in the deadline queue once
+// per batch instead of once per packet, and the chaos Probe audit runs
+// once per batch — which is also required for the audit to pass, since
+// mid-batch the deadline queue is deliberately stale.
 func (j *Juggler) ReceiveBatch(batch []*packet.Packet) {
 	if len(batch) == 0 {
 		return
 	}
-	j.batching = true
 	for _, p := range batch {
 		j.receive(p)
 	}
-	j.batching = false
 	for i, e := range j.touched {
 		// A flow evicted mid-batch was zeroed by releaseFlow (clearing
 		// batched) and detached from the deadline queue already; skip it.
@@ -652,16 +634,6 @@ func (j *Juggler) ReceiveBatch(batch []*packet.Packet) {
 	j.touched = j.touched[:0]
 	if j.Probe != nil {
 		j.Probe()
-	}
-}
-
-// deferDeadline is bufferAndCheck's epilogue in batch mode: remember the
-// flow for the end-of-batch deadline-queue re-file. A flow hit by many
-// packets of the batch sifts the heap once, under its final deadline.
-func (j *Juggler) deferDeadline(e *flowEntry) {
-	if !e.batched {
-		e.batched = true
-		j.touched = append(j.touched, e)
 	}
 }
 
@@ -866,27 +838,17 @@ func (j *Juggler) bufferAndCheck(e *flowEntry, p *packet.Packet) {
 			e.holdStart = e.flushTimestamp
 		}
 	}
-	// eventFlush hands back the head it stopped on, and that one probe
-	// serves the empty check, the deadline-queue re-file and the timer
-	// arm — re-probing through flowDeadline would walk to the head twice
-	// per packet. A deadline of Time 0 with a non-empty queue (zero
-	// timeouts at the simulation origin) files in the queue but, as
-	// ever, does not arm the timer.
-	head := j.eventFlush(e)
-	d := j.deadlineForHead(e, head)
-	if j.batching {
-		j.deferDeadline(e)
-		if d != 0 {
-			j.armTimerAt(d)
-		}
-		return
+	// The deadline-queue re-file waits for the batch epilogue (a flow hit
+	// by many packets of the batch sifts the heap once, under its final
+	// deadline); the timer arm does not. eventFlush hands back the head
+	// it stopped on, so the deadline costs no second probe. A deadline of
+	// Time 0 (zero timeouts at the simulation origin) does not arm the
+	// timer.
+	if !e.batched {
+		e.batched = true
+		j.touched = append(j.touched, e)
 	}
-	if head == nil {
-		j.dq.Remove(e)
-		return
-	}
-	j.dq.Update(e, d)
-	if d != 0 {
+	if d := j.deadlineForHead(e, j.eventFlush(e)); d != 0 {
 		j.armTimerAt(d)
 	}
 }
@@ -909,19 +871,19 @@ const (
 	CauseIdleTrim  = "idle-trim"
 )
 
-// auditing reports whether any forensic-decision consumer is present.
-// Hot-path sites test it (plus the packet's stamp-sampling verdict)
-// before constructing a Decision literal, so the uninstrumented path
-// never assembles the ~100-byte argument it would throw away.
-func (j *Juggler) auditing() bool { return j.tel != nil || j.OnDecision != nil }
+// auditing reports whether the telemetry sink records forensic
+// decisions. Hot-path sites test it (plus the packet's stamp-sampling
+// verdict) before constructing a Decision literal, so the uninstrumented
+// path never assembles the ~100-byte argument it would throw away.
+func (j *Juggler) auditing() bool { return j.tel != nil }
 
-// decide records one forensic decision through the telemetry sink and the
-// OnDecision hook, filling in the flow's seq/hole/queue state at this
-// instant. Free (one branch) when neither consumer is present. It takes
-// the ~100-byte Decision by pointer: call sites build the literal once
-// and no further copy happens until the audit-ring write.
+// decide records one forensic decision through the telemetry sink,
+// filling in the flow's seq/hole/queue state at this instant. Free (one
+// branch) when telemetry is off. It takes the ~100-byte Decision by
+// pointer: call sites build the literal once and no further copy happens
+// until the audit-ring write.
 func (j *Juggler) decide(e *flowEntry, d *telemetry.Decision) {
-	if j.tel == nil && j.OnDecision == nil {
+	if j.tel == nil {
 		return
 	}
 	d.Layer = telemetry.LayerCore
@@ -936,10 +898,6 @@ func (j *Juggler) decide(e *flowEntry, d *telemetry.Decision) {
 		d.QBytes = int64(e.ooo.Bytes())
 	}
 	j.tel.Decide(d)
-	if j.OnDecision != nil {
-		d.At = j.sim.Now()
-		j.OnDecision(*d)
-	}
 }
 
 // eventFlush flushes "closed" in-sequence head segments: a head segment is
@@ -1085,18 +1043,12 @@ func (j *Juggler) deadlineForHead(e *flowEntry, head *packet.Segment) sim.Time {
 // out-of-order queues, each at its flowDeadline. A deadline of Time 0 is
 // legal (zero timeouts at the simulation origin: due immediately).
 func (j *Juggler) updateDeadline(e *flowEntry) {
-	if e.oooEmpty() {
+	head := e.oooHead()
+	if head == nil {
 		j.dq.Remove(e)
 		return
 	}
-	j.dq.Update(e, j.flowDeadline(e))
-}
-
-// maybeArmTimer ensures the timer fires no later than the flow's deadline.
-func (j *Juggler) maybeArmTimer(e *flowEntry) {
-	if d := j.flowDeadline(e); d != 0 {
-		j.armTimerAt(d)
-	}
+	j.dq.Update(e, j.deadlineForHead(e, head))
 }
 
 // armTimerAt ensures the timer fires no later than d (non-zero).
@@ -1111,16 +1063,9 @@ func (j *Juggler) armTimerAt(d sim.Time) {
 
 // checkTimeouts applies rows 5 and 6 of Table 2 to every flow whose
 // deadline has arrived, then re-arms the timer for the earliest remaining
-// deadline. The due flows come from the deadline queue in O(expired);
-// they are then replayed in the reference scan's order — active list
-// before loss list, FIFO (push order) within each — so the emitted
-// segments, statistics and telemetry are bit-identical to the O(flows)
-// scan this replaces (Config.TimeoutScan keeps that scan runnable).
+// deadline. The due flows come from the deadline queue in O(expired) and
+// expire in sortDue's order.
 func (j *Juggler) checkTimeouts() {
-	if j.cfg.TimeoutScan {
-		j.checkTimeoutsScan()
-		return
-	}
 	now := j.sim.Now()
 	due := j.due[:0]
 	j.dq.PopDue(now, func(e *flowEntry) { due = append(due, e) })
@@ -1138,9 +1083,11 @@ func (j *Juggler) checkTimeouts() {
 	j.rearm(now, j.dq.MinDeadline())
 }
 
-// sortDue orders the due set exactly as the reference scan would visit it:
-// flows on the active list first, then the loss list, ascending push order
-// within each. The set is tiny in steady state; insertion sort keeps it
+// sortDue imposes the expiry order on the due set: flows on the active
+// list before flows on the loss list, FIFO (ascending push order) within
+// each. The order is policy — it fixes which flow's segments, statistics
+// and telemetry come first when several deadlines fall due at one
+// instant. The set is tiny in steady state; insertion sort keeps it
 // allocation-free.
 func (j *Juggler) sortDue(due []*flowEntry) {
 	rank := func(e *flowEntry) int {
@@ -1159,31 +1106,6 @@ func (j *Juggler) sortDue(due []*flowEntry) {
 		}
 		due[k] = e
 	}
-}
-
-// checkTimeoutsScan is the reference expiry: walk every flow on the active
-// and loss lists (Config.TimeoutScan; also the equivalence oracle for the
-// deadline-queue path).
-func (j *Juggler) checkTimeoutsScan() {
-	now := j.sim.Now()
-	var next sim.Time
-
-	scan := func(l *flowList) {
-		for e := l.head; e != nil; {
-			// The flow may move lists during expiry; capture next first.
-			nxt := e.next
-			j.expireFlow(e, now)
-			j.updateDeadline(e)
-			if d := j.flowDeadline(e); d != 0 && (next == 0 || d < next) {
-				next = d
-			}
-			e = nxt
-		}
-	}
-	scan(&j.active)
-	scan(&j.loss)
-
-	j.rearm(now, next)
 }
 
 // rearm schedules the timer for the earliest remaining deadline (0: none).

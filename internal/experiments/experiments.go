@@ -17,7 +17,6 @@ import (
 	"strings"
 	"time"
 
-	"juggler/internal/nic"
 	"juggler/internal/packet"
 	"juggler/internal/reasm"
 	"juggler/internal/sim"
@@ -80,14 +79,6 @@ type Options struct {
 	// per-packet decision records. 0 or 1 stamps everything — the exact
 	// default, preserving byte-identical output for existing experiments.
 	StampSample int
-
-	// ScalarRx forces the pre-batch per-packet NIC->offload handoff on
-	// every host of every sim the experiment creates
-	// (nic.RXConfig.ScalarRx, attached run-wide via the sim slot). The
-	// batch pipeline is required to produce byte-identical output to this
-	// reference; differential tests and the CI smoke flip it to prove
-	// that. The zero value runs the batched default.
-	ScalarRx bool
 }
 
 // DefaultOptions is the full-fidelity configuration.
@@ -110,16 +101,12 @@ func (o Options) newSim() *sim.Sim {
 }
 
 // installSim applies the per-sim Options to a freshly created simulation:
-// the hop-stamp sampler and the scalar-RX override (on every sim, traced
-// or not, so such runs are identical at any sweep width) and the
-// AttachTelemetry hook (on the designated traced sim only — point() nils
-// it elsewhere). Experiments that build their sims out-of-line take this
-// as their attach callback.
+// the hop-stamp sampler (on every sim, traced or not, so such runs are
+// identical at any sweep width) and the AttachTelemetry hook (on the
+// designated traced sim only — point() nils it elsewhere). Experiments
+// that build their sims out-of-line take this as their attach callback.
 func (o Options) installSim(s *sim.Sim) {
 	packet.AttachStampSampler(s, o.StampSample)
-	if o.ScalarRx {
-		nic.AttachRXOverrides(s, nic.RXOverrides{ScalarRx: true})
-	}
 	if o.AttachTelemetry != nil {
 		o.AttachTelemetry(s)
 	}

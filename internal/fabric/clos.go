@@ -153,11 +153,3 @@ func (c *Clos) DownlinkPort(ip uint32) *Port {
 	}
 	return ports[0]
 }
-
-// HostToR returns the ToR index hosting ip (-1 when unknown).
-func (c *Clos) HostToR(ip uint32) int {
-	if t, ok := c.hosts[ip]; ok {
-		return t
-	}
-	return -1
-}

@@ -64,9 +64,6 @@ func NewDelaySwitch(s *sim.Sim, tau time.Duration, egress Sink) *DelaySwitch {
 	return ds
 }
 
-// SetTau reconfigures the second line's delay (parameter sweeps).
-func (ds *DelaySwitch) SetTau(tau time.Duration) { ds.lines[1].Delay = tau }
-
 // Deliver implements Sink.
 func (ds *DelaySwitch) Deliver(p *packet.Packet) {
 	var i int

@@ -46,17 +46,17 @@ func (c *Counters) Add(o Counters) {
 	c.MergedPkts += o.MergedPkts
 }
 
-// Offload is the receive-offload layer interface: the NIC driver feeds it
-// packets during a NAPI poll and signals poll completion.
+// Offload is the receive-offload layer interface: the NIC driver hands it
+// each NAPI poll's drained batch and signals poll completion.
 type Offload interface {
-	// Receive handles one packet within the current polling interval.
-	Receive(p *packet.Packet)
-	// ReceiveBatch handles one NAPI poll's drained batch. It MUST be
-	// observably identical to calling Receive on each packet in order —
-	// same deliveries, same counters, same telemetry — but is free to
-	// amortize per-packet bookkeeping (deadline re-files, timer arming,
-	// probe audits) across the batch. The callee may read the slice only
-	// for the duration of the call and must not retain it.
+	// ReceiveBatch handles one NAPI poll's drained batch, in order. Its
+	// output — deliveries, counters, telemetry, scheduled events — MUST
+	// NOT depend on how a poll is split into batches: handing the same
+	// packets at the same instants one per call or all at once is
+	// observably identical. Within that contract the callee may amortize
+	// per-packet bookkeeping (deadline re-files, probe audits) across the
+	// batch. It may read the slice only for the duration of the call and
+	// must not retain it.
 	ReceiveBatch(batch []*packet.Packet)
 	// PollComplete is invoked when the driver finishes a polling interval.
 	PollComplete()
@@ -79,15 +79,15 @@ func NewNull(d Deliver) *Null { return &Null{deliver: d} }
 // pool's Live count is an exact leak detector at quiescence.
 func (n *Null) UsePool(pl *packet.SegPool) { n.pool = pl }
 
-// Receive implements Offload.
+// Receive delivers one packet as its own segment.
 func (n *Null) Receive(p *packet.Packet) {
 	n.c.Packets++
 	n.c.Segments++
 	n.deliver(n.pool.FromPacket(p))
 }
 
-// ReceiveBatch implements Offload. Null has no per-packet bookkeeping to
-// amortize: each packet is its own segment either way.
+// ReceiveBatch implements Offload: Null has no per-packet bookkeeping to
+// amortize, so the batch form is the plain loop.
 func (n *Null) ReceiveBatch(batch []*packet.Packet) {
 	for _, p := range batch {
 		n.Receive(p)
@@ -122,10 +122,6 @@ type Vanilla struct {
 	tel                                                    *telemetry.Sink
 	mFlushControl, mFlushSealed, mFlushRestart, mFlushPoll *telemetry.Counter
 	hMergePkts                                             *telemetry.Histogram
-
-	// OnDecision, when non-nil, receives every flush decision with its
-	// cause — vanilla GRO's half of the forensic decision hook points.
-	OnDecision func(telemetry.Decision)
 }
 
 // Instrument binds the instance to a telemetry sink; the testbed calls it
@@ -152,7 +148,7 @@ func NewVanilla(d Deliver) *Vanilla {
 	}
 }
 
-// Receive implements Offload.
+// Receive merges one packet into its flow's in-progress segment.
 func (g *Vanilla) Receive(p *packet.Packet) {
 	g.c.Packets++
 	if p.PassThrough() {
@@ -218,13 +214,9 @@ func (g *Vanilla) flushFlow(ft packet.FiveTuple, note string, m *telemetry.Count
 		g.tel.Event(telemetry.Event{Layer: telemetry.LayerGRO, Kind: telemetry.KindFlush,
 			Flow: ft, Seq: seg.Seq, N: int64(seg.Pkts), Note: note})
 	}
-	if g.tel != nil || g.OnDecision != nil {
-		d := telemetry.Decision{Layer: telemetry.LayerGRO, Op: telemetry.OpFlush,
-			Cause: note, Flow: ft, Seq: seg.Seq, EndSeq: seg.EndSeq(), N: int64(seg.Pkts)}
-		g.tel.Decide(&d)
-		if g.OnDecision != nil {
-			g.OnDecision(d)
-		}
+	if g.tel != nil {
+		g.tel.Decide(&telemetry.Decision{Layer: telemetry.LayerGRO, Op: telemetry.OpFlush,
+			Cause: note, Flow: ft, Seq: seg.Seq, EndSeq: seg.EndSeq(), N: int64(seg.Pkts)})
 	}
 	g.emit(seg)
 }

@@ -33,7 +33,7 @@ func NewLinkedList(d Deliver) *LinkedList {
 	}
 }
 
-// Receive implements Offload.
+// Receive chains one packet onto its flow's in-progress segment.
 func (g *LinkedList) Receive(p *packet.Packet) {
 	g.c.Packets++
 	if p.PassThrough() {

@@ -71,9 +71,6 @@ func NewSender(s *sim.Sim, flow packet.FiveTuple, window int, out func(*packet.P
 // Start begins streaming.
 func (s *Sender) Start() { s.fill() }
 
-// Acked returns the count of acknowledged records.
-func (s *Sender) Acked() int64 { return int64(s.cumAck) }
-
 // fill sends new records up to the window.
 func (s *Sender) fill() {
 	for s.nextTSN-s.cumAck < uint32(s.Window) {

@@ -148,13 +148,6 @@ type RXConfig struct {
 
 	// RSSSalt perturbs the RSS hash.
 	RSSSalt uint32
-
-	// ScalarRx forces the pre-batch per-packet offload handoff: the NAPI
-	// poll calls offload.Receive once per packet instead of handing the
-	// whole drained batch to ReceiveBatch. The batch path is required to
-	// be byte-identical to this one; differential tests and the CI smoke
-	// use the switch as the scalar reference.
-	ScalarRx bool
 }
 
 // DefaultRXConfig mirrors the paper's testbed NIC: 125us coalescing with a
@@ -230,30 +223,11 @@ const maxPollInterval = 2 * time.Millisecond
 // 2 ms episode limit can take effect even when the core is saturated.
 const napiBudget = 64
 
-// RXOverrides are run-wide receive-path overrides, attached to the
-// simulation (AttachRXOverrides) rather than threaded through every
-// topology builder. NewRX folds them into its RXConfig, so one attach
-// call flips every host of a run.
-type RXOverrides struct {
-	// ScalarRx forces RXConfig.ScalarRx on all hosts: the per-packet
-	// offload handoff that the batch pipeline is proven byte-identical
-	// against.
-	ScalarRx bool
-}
-
-// AttachRXOverrides installs run-wide RX overrides on the sim slot. Call
-// before any topology is built; NewRX reads the slot once at
-// construction.
-func AttachRXOverrides(s *sim.Sim, o RXOverrides) { s.RXOverrides = o }
-
 // NewRX creates the receive engine. makeOffload constructs the per-queue
 // offload (GRO, Juggler, ...); it receives the queue index.
 func NewRX(s *sim.Sim, cfg RXConfig, cpu *cpumodel.Model, makeOffload func(queue int) gro.Offload) *RX {
 	if cfg.Queues <= 0 {
 		panic("nic: need at least one RX queue")
-	}
-	if ov, ok := s.RXOverrides.(RXOverrides); ok && ov.ScalarRx {
-		cfg.ScalarRx = true
 	}
 	if cpu == nil {
 		panic("nic: RX requires a CPU model")
@@ -329,9 +303,6 @@ func (rx *RX) ResumeQueue(i int) {
 		q.wake("resume")
 	}
 }
-
-// QueuePaused reports whether queue i's interrupt is masked.
-func (rx *RX) QueuePaused(i int) bool { return rx.queues[i].paused }
 
 // Rehash replaces the RSS salt mid-flow, the way a driver reprogramming the
 // indirection table rebalances queues: subsequent packets of a flow may land
@@ -435,30 +406,19 @@ func (q *rxQueue) poll() {
 		packet.StampPkt(p, packet.HopGROBuffer, now)
 	}
 	before := q.offload.Counters()
-	if q.rx.cfg.ScalarRx {
-		for _, p := range batch {
-			q.offload.Receive(p)
-			q.rx.pool.Put(p)
-		}
-	} else {
-		// Pin the event timestamp for the batch window: everything the
-		// batch triggers fires at this instant, so the sink reads the
-		// clock once instead of once per recorded event.
-		q.rx.tel.BeginBatch()
-		q.offload.ReceiveBatch(batch)
-		q.rx.tel.EndBatch()
-		// The offload layer copies what it keeps into Segments and never
-		// retains the *Packet (nor the batch slice), so the wire objects
-		// can be recycled here — the single Put matching the Get in
-		// SendTSO / the ACK generator, in the same order the scalar path
-		// put them.
-		for _, p := range batch {
-			q.rx.pool.Put(p)
-		}
-	}
-	// Drop the consumed slots' references so the slab does not pin
-	// recycled packets until its next rewind.
-	for i := range batch {
+	// Pin the event timestamp for the batch window: everything the batch
+	// triggers fires at this instant, so the sink reads the clock once
+	// instead of once per recorded event.
+	q.rx.tel.BeginBatch()
+	q.offload.ReceiveBatch(batch)
+	q.rx.tel.EndBatch()
+	// The offload layer copies what it keeps into Segments and never
+	// retains the *Packet (nor the batch slice), so the wire objects can
+	// be recycled here — the single Put matching the Get in SendTSO / the
+	// ACK generator — and the consumed slots' references dropped so the
+	// slab does not pin recycled packets until its next rewind.
+	for i, p := range batch {
+		q.rx.pool.Put(p)
 		batch[i] = nil
 	}
 	after := q.offload.Counters()

@@ -116,19 +116,6 @@ func (pl *SegPool) FromPacket(p *Packet) *Segment {
 	return s
 }
 
-// LiveSum sums Live over a set of pools — the leak figure for a sharded
-// datapath, where each shard lane owns a private pool (via its lane Sim's
-// SegmentPool slot) and segments never cross lanes. The per-lane counts
-// sum to exactly what one shared pool would have counted in the serial
-// run, so chaos.Checker.CheckSegLeaks audits the sharded stack unchanged.
-func LiveSum(pools ...*SegPool) int64 {
-	var live int64
-	for _, pl := range pools {
-		live += pl.Live()
-	}
-	return live
-}
-
 // SegPoolFromSim returns the simulation's shared segment pool, creating
 // and installing one in the Sim.SegmentPool slot on first use (mirroring
 // PoolFromSim). A nil Sim yields a nil SegPool, which is valid (see

@@ -61,7 +61,8 @@ func Run(tr *Trace, cfg Config) (*core.Juggler, *adapt.Controller, *telemetry.Si
 	}
 
 	// Sampling verdicts are taken in trace order at schedule time —
-	// replay has no sender NIC, so this stands in for the wire TX.
+	// replay has no sender NIC, so this stands in for the wire TX. Each
+	// arrival is its own one-packet batch.
 	sampler := packet.StampSamplerFromSim(s)
 	for _, tp := range tr.Packets {
 		sampler.Apply(&tp.Pkt)
@@ -71,7 +72,7 @@ func Run(tr *Trace, cfg Config) (*core.Juggler, *adapt.Controller, *telemetry.Si
 			}
 			sink.CapturePacket(iface, true, &tp.Pkt)
 			packet.StampPkt(&tp.Pkt, packet.HopGROBuffer, s.Now())
-			off.Receive(&tp.Pkt)
+			off.ReceiveBatch([]*packet.Packet{&tp.Pkt})
 		})
 	}
 	// Poll completions pace the timeout checks, as in the NIC.

@@ -141,15 +141,6 @@ type Sim struct {
 	// carries hop timestamps; when set, the NIC TX marks all but one in N
 	// packets SkipStamps so the forensics layers skip them for free.
 	StampSampler any
-
-	// RXOverrides is the per-run NIC receive-path override slot, managed
-	// by nic.AttachRXOverrides and read once in nic.NewRX. Differential
-	// tests attach it to force the scalar per-packet offload handoff on
-	// every host of a run — the reference the batch pipeline must match
-	// byte for byte — without threading a flag through each topology
-	// builder. Left nil, hosts run their configured (batched) receive
-	// path.
-	RXOverrides any
 }
 
 // New creates a simulator whose random source is seeded with seed.

@@ -245,9 +245,6 @@ func (ts *TimeSeries) Add(t time.Duration, amount float64) {
 // Bins returns the accumulated per-bin values.
 func (ts *TimeSeries) Bins() []float64 { return ts.bins }
 
-// BinWidth returns the configured bin width.
-func (ts *TimeSeries) BinWidth() time.Duration { return ts.binWidth }
-
 // Rates converts accumulated bytes per bin into bit rates (bits/second).
 func (ts *TimeSeries) Rates() []float64 {
 	out := make([]float64, len(ts.bins))

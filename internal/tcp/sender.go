@@ -11,7 +11,6 @@
 package tcp
 
 import (
-	"fmt"
 	"time"
 
 	"juggler/internal/packet"
@@ -215,9 +214,6 @@ func (s *Sender) Write(n int, endOfMessage bool) {
 	}
 	s.MaybeSend()
 }
-
-// BytesUnacked returns the current flight size.
-func (s *Sender) BytesUnacked() int { return int(s.sndNxt - s.sndUna) }
 
 // Cwnd returns the congestion window in bytes.
 func (s *Sender) Cwnd() int { return int(s.cwnd) }
@@ -609,9 +605,6 @@ func (s *Sender) sampleRTT(rtt time.Duration) {
 	s.srtt = (7*s.srtt + rtt) / 8
 }
 
-// SRTT returns the smoothed RTT estimate (0 before the first sample).
-func (s *Sender) SRTT() time.Duration { return s.srtt }
-
 // rtoInterval returns the current timeout with exponential backoff. Before
 // the first RTT sample the timeout is deliberately conservative (RFC 6298
 // starts at 1s; scaled here to 10x the floor) so connection start-up over
@@ -627,10 +620,5 @@ func (s *Sender) rtoInterval() time.Duration {
 	return rto << s.rtoBackoff
 }
 
-// Debug accessors (tests only).
-func (s *Sender) DbgUna() uint32 { return s.sndUna }
+// DbgNxt returns snd_nxt, the next sequence number to send.
 func (s *Sender) DbgNxt() uint32 { return s.sndNxt }
-func (s *Sender) DbgRecov() bool { return s.inRecov }
-func (s *Sender) DbgTimers() string {
-	return fmt.Sprintf("rtoPending=%v paceP=%v dupacks=%d backoff=%d", s.rto.Pending(), s.pace.Pending(), s.dupacks, s.rtoBackoff)
-}

@@ -105,22 +105,6 @@ func (l *LaneProbe) ObserveDelivery(seg *packet.Segment) {
 	}
 }
 
-// ObserveSojourn records a pre-computed sojourn (for vantage points
-// without stamped segments). Zero allocations.
-func (l *LaneProbe) ObserveSojourn(ns int64) {
-	if l == nil {
-		return
-	}
-	l.deliveries++
-	l.sojourn.Observe(ns)
-	if ns > int64(l.cfg.SLO) {
-		l.winBad++
-		l.sloViolations++
-	} else {
-		l.winGood++
-	}
-}
-
 // SampleNow takes one sampling tick immediately: snapshot the counters,
 // fold the gauges' peaks, and close the current SLO window. Called by
 // the cadence ticker, or manually by harnesses that sample at epoch
@@ -176,9 +160,6 @@ type HostProbe struct {
 
 // Lane returns lane i's probe (serial hosts use Lane(0)).
 func (h *HostProbe) Lane(i int) *LaneProbe { return h.lanes[i] }
-
-// Lanes returns the lane count.
-func (h *HostProbe) Lanes() int { return len(h.lanes) }
 
 // hostRoll is one host's lane merge (queue order).
 type hostRoll struct {

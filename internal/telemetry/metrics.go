@@ -255,14 +255,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return r.family(name, help, typeGauge, "").get("").gauge
 }
 
-// GaugeL returns the gauge for one label value of a labeled family.
-func (r *Registry) GaugeL(name, help, labelKey, labelVal string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	return r.family(name, help, typeGauge, labelKey).get(labelVal).gauge
-}
-
 // Histogram returns the unlabeled histogram named name.
 func (r *Registry) Histogram(name, help string) *Histogram {
 	if r == nil {

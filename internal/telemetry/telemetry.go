@@ -146,16 +146,6 @@ func KindByName(name string) (Kind, bool) {
 	return 0, false
 }
 
-// LayerByName maps a layer's String() name back to the Layer.
-func LayerByName(name string) (Layer, bool) {
-	for l := Layer(0); l < numLayers; l++ {
-		if l.String() == name {
-			return l, true
-		}
-	}
-	return 0, false
-}
-
 // Event is one recorded occurrence. Note must be a constant (or otherwise
 // pre-existing) string so recording never allocates.
 type Event struct {
@@ -244,9 +234,6 @@ func FromSim(s *sim.Sim) *Sink {
 	k, _ := s.Telemetry.(*Sink)
 	return k
 }
-
-// Enabled reports whether the sink records anything; safe on nil.
-func (k *Sink) Enabled() bool { return k != nil }
 
 // FabricQueueEvents reports whether per-enqueue occupancy events are on.
 func (k *Sink) FabricQueueEvents() bool { return k != nil && k.opts.FabricQueues }

@@ -376,15 +376,6 @@ func (h *Host) JugglerActiveLen() int {
 	return n
 }
 
-// JugglerLossLen sums the loss-recovery list lengths.
-func (h *Host) JugglerLossLen() int {
-	n := 0
-	for _, j := range h.Jugglers {
-		n += j.LossLen()
-	}
-	return n
-}
-
 // JugglerTableLen sums the gro_table occupancy (flow-table entries)
 // across the host's Juggler instances.
 func (h *Host) JugglerTableLen() int {

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"juggler/internal/adapt"
-	"juggler/internal/nic"
 	"juggler/internal/packet"
 	"juggler/internal/sim"
 	"juggler/internal/stats"
@@ -29,8 +28,8 @@ type ReorderPairConfig struct {
 	// DropProb drops packets uniformly at random before the receiver's
 	// offload layer (the §5.2.1 loss injection).
 	DropProb float64
-	// Receiver selects the receiver's offload stack (default
-	// StackJuggler).
+	// Receiver selects the receiver's offload stack. The zero value is
+	// StackVanilla.
 	Receiver Stack
 	// Tuning tunes Juggler when Receiver is StackJuggler (zero fields take
 	// rate-appropriate defaults).
@@ -47,11 +46,6 @@ type ReorderPairConfig struct {
 	// stamping, latency attribution and per-packet decision records.
 	// 0 or 1 stamps every packet (the exact default).
 	StampSample int
-	// ScalarRx forces the pre-batch per-packet NIC->offload handoff on
-	// both hosts. The batched receive pipeline (the default) is required
-	// to produce byte-identical runs to this reference; differential
-	// tests flip it to prove that.
-	ScalarRx bool
 }
 
 // ReorderPair is a running two-host simulation.
@@ -76,9 +70,6 @@ func NewReorderPair(cfg ReorderPairConfig) *ReorderPair {
 	}
 	s := sim.New(cfg.Seed)
 	packet.AttachStampSampler(s, cfg.StampSample)
-	if cfg.ScalarRx {
-		nic.AttachRXOverrides(s, nic.RXOverrides{ScalarRx: true})
-	}
 	if cfg.Telemetry {
 		telemetry.New(s, telemetry.Options{})
 	}
