@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"juggler/internal/experiments"
-	"juggler/internal/reasm"
 	"juggler/internal/sim"
 	"juggler/internal/telemetry"
 )
@@ -102,45 +101,40 @@ func checkRXGolden(t *testing.T, name, run string, exports map[string][]byte) {
 // to be literally identical. FuzzBatchPartition (internal/core) checks
 // the same contract for arbitrary batch splits.
 //
-// Coverage: two seeds x all four reassembly backends on the public
-// two-host apparatus (with drops and reordering so flush, hole and
-// retransmit paths all fire), fingerprinting the Perfetto trace, the
-// pcapng capture and the metrics snapshot.
+// Coverage: two seeds on the public two-host apparatus (with drops and
+// reordering so flush, hole and retransmit paths all fire), fingerprinting
+// the Perfetto trace, the pcapng capture and the metrics snapshot. Case
+// names match the frozen golden keys, which name the reassembly list.
 func TestBatchMatchesScalar(t *testing.T) {
-	backends := []string{"seglist", "batchsort", "bitmap", "ring"}
 	for _, seed := range []int64{5, 9} {
-		for _, backend := range backends {
-			name := fmt.Sprintf("pair/seed=%d/backend=%s", seed, backend)
-			t.Run(fmt.Sprintf("seed=%d/backend=%s", seed, backend), func(t *testing.T) {
-				tn := DefaultTuning(Rate10G)
-				tn.Backend = backend
-				p := NewReorderPair(ReorderPairConfig{
-					Seed:         seed,
-					Receiver:     StackJuggler,
-					ReorderDelay: 250 * time.Microsecond,
-					DropProb:     0.001,
-					Tuning:       tn,
-					Telemetry:    true,
-				})
-				p.AddBulkFlow(0)
-				p.Run(8 * time.Millisecond)
-				var tb, pb, mb bytes.Buffer
-				if err := p.WriteTrace(&tb); err != nil {
-					t.Fatalf("WriteTrace: %v", err)
-				}
-				if err := p.WritePcap(&pb); err != nil {
-					t.Fatalf("WritePcap: %v", err)
-				}
-				if err := p.WriteMetrics(&mb); err != nil {
-					t.Fatalf("WriteMetrics: %v", err)
-				}
-				got := map[string][]byte{"trace": tb.Bytes(), "pcap": pb.Bytes(), "prom": mb.Bytes()}
-				if os.Getenv("UPDATE_GOLDEN") != "" {
-					recordRXGolden(t, name, got)
-				}
-				checkRXGolden(t, name, "batch", got)
+		name := fmt.Sprintf("pair/seed=%d/backend=seglist", seed)
+		t.Run(fmt.Sprintf("seed=%d/backend=seglist", seed), func(t *testing.T) {
+			p := NewReorderPair(ReorderPairConfig{
+				Seed:         seed,
+				Receiver:     StackJuggler,
+				ReorderDelay: 250 * time.Microsecond,
+				DropProb:     0.001,
+				Tuning:       DefaultTuning(Rate10G),
+				Telemetry:    true,
 			})
-		}
+			p.AddBulkFlow(0)
+			p.Run(8 * time.Millisecond)
+			var tb, pb, mb bytes.Buffer
+			if err := p.WriteTrace(&tb); err != nil {
+				t.Fatalf("WriteTrace: %v", err)
+			}
+			if err := p.WritePcap(&pb); err != nil {
+				t.Fatalf("WritePcap: %v", err)
+			}
+			if err := p.WriteMetrics(&mb); err != nil {
+				t.Fatalf("WriteMetrics: %v", err)
+			}
+			got := map[string][]byte{"trace": tb.Bytes(), "pcap": pb.Bytes(), "prom": mb.Bytes()}
+			if os.Getenv("UPDATE_GOLDEN") != "" {
+				recordRXGolden(t, name, got)
+			}
+			checkRXGolden(t, name, "batch", got)
+		})
 	}
 }
 
@@ -156,8 +150,7 @@ func TestBatchMatchesScalarSweep(t *testing.T) {
 		run := func(workers int) map[string][]byte {
 			t.Helper()
 			var sink *telemetry.Sink
-			o := experiments.Options{Seed: seed, Quick: true, Workers: workers,
-				Backend: reasm.KindSegList}
+			o := experiments.Options{Seed: seed, Quick: true, Workers: workers}
 			o.AttachTelemetry = func(s *sim.Sim) {
 				sink = telemetry.New(s, telemetry.Options{EventCap: 1 << 14})
 			}

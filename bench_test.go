@@ -97,7 +97,7 @@ func BenchmarkFlowScale(b *testing.B) {
 			}
 			// One reusable packet: the datapath hands Receive pool-owned
 			// heap packets, so a per-call literal would only measure its
-			// own escape through the reasm.Backend interface.
+			// own escape into the Juggler's batch slot.
 			var p packet.Packet
 			send := func(f int, seq uint32, flags packet.Flags) {
 				p = packet.Packet{Flow: tuples[f], FlowHash: hashes[f],

@@ -72,8 +72,7 @@ func main() {
 		start := time.Now()
 		rep := juggler.RunExperimentCfg(id, juggler.RunConfig{
 			Seed: cf.Seed, Quick: *quick, Workers: sweep.Workers(cf.J),
-			Shards:  cf.Shards,
-			Backend: cf.Backend.String(), Adapt: cf.Adapt, Inseq: cf.Inseq, Ofo: cf.Ofo,
+			Shards: cf.Shards, Adapt: cf.Adapt, Inseq: cf.Inseq, Ofo: cf.Ofo,
 			StampSample: cf.StampSample,
 		})
 		if rep == nil {

@@ -115,7 +115,6 @@ func run() error {
 	}
 	tun.MaxFlows = *maxFlows
 	tun.Adapt = cf.Adapt
-	tun.Backend = cf.Backend.String()
 
 	cfg := pointConfig{kind: kind, rate: rate, tun: tun, drop: *drop,
 		flows: *flows, dur: *dur, seed: cf.Seed, traceN: *traceN,

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"juggler/internal/experiments"
-	"juggler/internal/reasm"
 	"juggler/internal/sweep"
 )
 
@@ -69,10 +68,6 @@ type RunConfig struct {
 	// (sweep.EffectiveWorkers) — `-j 8 -shards 4` runs 2 sweep workers
 	// of 4 lanes each, not 32 goroutines.
 	Shards int
-	// Backend names the reassembly backend Juggler instances use:
-	// "seglist" (default, also ""), "batchsort", "bitmap", or "ring".
-	// Unknown names panic at configuration time.
-	Backend string
 	// Adapt attaches the internal/adapt controller to every receiver:
 	// timeouts become starting points that self-tune against the live
 	// reordering estimate.
@@ -100,10 +95,6 @@ func RunExperimentCfg(id string, cfg RunConfig) *Report {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	bk, err := reasm.ParseKind(cfg.Backend)
-	if err != nil {
-		panic("juggler: " + err.Error())
-	}
 	w := cfg.Workers
 	if cfg.Shards > 1 && w > 1 {
 		// Shared goroutine budget: the Workers request is the total, so
@@ -114,8 +105,7 @@ func RunExperimentCfg(id string, cfg RunConfig) *Report {
 	}
 	t := experiments.Run(id, experiments.Options{
 		Seed: cfg.Seed, Quick: cfg.Quick, Workers: w,
-		Shards: cfg.Shards, Backend: bk,
-		Adapt: cfg.Adapt, Inseq: cfg.Inseq, Ofo: cfg.Ofo,
+		Shards: cfg.Shards, Adapt: cfg.Adapt, Inseq: cfg.Inseq, Ofo: cfg.Ofo,
 		StampSample: cfg.StampSample,
 	})
 	if t == nil {

@@ -34,7 +34,7 @@ const (
 	// InvSegLeak: the simulation's segment pool has live (minted but never
 	// recycled) segments at quiescence. Every offload mints through the
 	// shared pool and testbed.Host is the single recycle point, so a
-	// non-zero live count means a backend retained a segment it handed out
+	// non-zero live count means an offload retained a segment it handed out
 	// (or double-recycled one, which shows up negative).
 	InvSegLeak Invariant = "seg-leak"
 )

@@ -3,25 +3,22 @@ package cliflags
 import (
 	"flag"
 	"fmt"
-	"io"
 	"strings"
 	"testing"
 	"time"
-
-	"juggler/internal/reasm"
 )
 
 // TestGroups pins each group's flag set: name, type and default. A CLI
 // gets the shared knobs only through Register, so this table is the whole
 // parity contract between the CLIs.
 func TestGroups(t *testing.T) {
-	base := "adapt=bool:false backend=*cliflags.backendValue:seglist j=int:1 seed=int64:1 shards=int:1 stamp-sample=int:1"
+	base := "adapt=bool:false j=int:1 seed=int64:1 shards=int:1 stamp-sample=int:1"
 	for _, tc := range []struct {
 		group Group
 		want  string
 	}{
 		{Base, base},
-		{Tuned, "adapt=bool:false backend=*cliflags.backendValue:seglist inseq=time.Duration:0s j=int:1 ofo=time.Duration:0s seed=int64:1 shards=int:1 stamp-sample=int:1"},
+		{Tuned, "adapt=bool:false inseq=time.Duration:0s j=int:1 ofo=time.Duration:0s seed=int64:1 shards=int:1 stamp-sample=int:1"},
 	} {
 		fs := flag.NewFlagSet("t", flag.ContinueOnError)
 		Register(fs, tc.group)
@@ -42,39 +39,24 @@ func TestGroups(t *testing.T) {
 func TestParseFillsFlagsAndOptions(t *testing.T) {
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
 	f := Register(fs, Tuned)
-	err := fs.Parse([]string{"-seed", "7", "-j", "8", "-shards", "4", "-backend", "bitmap",
+	err := fs.Parse([]string{"-seed", "7", "-j", "8", "-shards", "4",
 		"-adapt", "-inseq", "20us", "-ofo", "80us", "-stamp-sample", "16"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Flags{Seed: 7, J: 8, Shards: 4, Backend: reasm.KindBitmap, Adapt: true,
+	want := Flags{Seed: 7, J: 8, Shards: 4, Adapt: true,
 		Inseq: 20 * time.Microsecond, Ofo: 80 * time.Microsecond, StampSample: 16}
 	if *f != want {
 		t.Fatalf("parsed %+v, want %+v", *f, want)
 	}
 	o := f.Options()
-	if o.Seed != 7 || o.Workers != 2 || o.Shards != 4 || o.Backend != reasm.KindBitmap ||
-		!o.Adapt || o.Inseq != want.Inseq || o.Ofo != want.Ofo || o.StampSample != 16 {
+	if o.Seed != 7 || o.Workers != 2 || o.Shards != 4 || !o.Adapt ||
+		o.Inseq != want.Inseq || o.Ofo != want.Ofo || o.StampSample != 16 {
 		t.Fatalf("Options() = %+v", o)
 	}
 	r := f.Replay()
-	if r.Seed != 7 || r.Core.Backend != reasm.KindBitmap || r.Core.InseqTimeout != want.Inseq ||
+	if r.Seed != 7 || r.Core.InseqTimeout != want.Inseq ||
 		r.Core.OfoTimeout != want.Ofo || r.Adapt == nil || r.StampSample != 16 {
 		t.Fatalf("Replay() = %+v", r)
-	}
-}
-
-func TestBadBackendNamesValidKinds(t *testing.T) {
-	fs := flag.NewFlagSet("t", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	Register(fs, Base)
-	err := fs.Parse([]string{"-backend", "nope"})
-	if err == nil {
-		t.Fatal("-backend nope parsed without error")
-	}
-	for _, k := range []reasm.Kind{reasm.KindSegList, reasm.KindBatchSort, reasm.KindBitmap, reasm.KindRing} {
-		if !strings.Contains(err.Error(), k.String()) {
-			t.Errorf("error %q does not name valid kind %s", err, k)
-		}
 	}
 }

@@ -117,8 +117,8 @@ func TestZeroAllocHoleChurn(t *testing.T) {
 			}
 			// Reusable packets: the datapath hands ReceiveBatch pool-owned heap
 			// packets, so per-call stack packets would only measure the
-			// test's own escape through the reasm.Backend interface, not
-			// core's behaviour. Four slots so a batch holds distinct
+			// test's own escape into the batch slice, not core's
+			// behaviour. Four slots so a batch holds distinct
 			// packets, as on the wire.
 			var pkts [4]packet.Packet
 			batch := make([]*packet.Packet, len(pkts))

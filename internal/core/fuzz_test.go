@@ -12,14 +12,19 @@ import (
 )
 
 // FuzzJugglerReceive drives a Juggler instance with an arbitrary packet
-// program: each input byte triple encodes (flow, seq-slot, op). The
-// invariants checked are the ones the design promises no matter the input:
-// bookkeeping consistency, bounded state, and byte conservation.
+// program: each input byte triple encodes (flow, seq-slot, op), and slots
+// count from a fuzzer-chosen base sequence number. The invariants checked
+// are the ones the design promises no matter the input: bookkeeping
+// consistency, bounded state, and byte conservation. The seed corpus runs
+// every program from base 1 and from two bases that straddle the 2^32
+// wrap.
 func FuzzJugglerReceive(f *testing.F) {
-	f.Add([]byte{0, 1, 0, 0, 0, 1, 1, 5, 2})
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
-	f.Add([]byte{0, 0, 0, 0, 0, 0}) // duplicates
-	f.Fuzz(func(t *testing.T, program []byte) {
+	for _, base := range []uint32{1, 1<<32 - 4*units.MSS, 1<<32 - 1} {
+		f.Add(base, []byte{0, 1, 0, 0, 0, 1, 1, 5, 2})
+		f.Add(base, []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
+		f.Add(base, []byte{0, 0, 0, 0, 0, 0}) // duplicates
+	}
+	f.Fuzz(func(t *testing.T, base uint32, program []byte) {
 		s := sim.New(1)
 		cfg := Config{
 			InseqTimeout: 15 * time.Microsecond,
@@ -36,7 +41,7 @@ func FuzzJugglerReceive(f *testing.F) {
 					SrcIP: uint32(fl%5) + 1, DstIP: 2,
 					SrcPort: uint16(fl % 5), DstPort: 80, Proto: packet.ProtoTCP,
 				},
-				Seq:        1 + uint32(slot%32)*units.MSS,
+				Seq:        base + uint32(slot%32)*units.MSS,
 				PayloadLen: units.MSS,
 				Flags:      packet.FlagACK,
 			}

@@ -105,11 +105,7 @@ type Config struct {
 	// Eviction selects the eviction policy (ablation hook).
 	Eviction EvictionPolicy
 
-	// Backend selects the per-flow out-of-order reassembly backend. The
-	// zero value is the paper's sorted, eagerly-merged segment list
-	// (reasm.KindSegList); the rivals exist for the bake-off experiment
-	// and may reject packets they cannot represent, which Juggler then
-	// delivers unbuffered (counted in Stats.ReasmRejected).
+	// Backend is always reasm.KindSegList; bench/ladder.go is its only reason to exist.
 	Backend reasm.Kind
 }
 
@@ -147,10 +143,6 @@ type Stats struct {
 	LossRecoveryEntered, LossRecoveryExited int64
 	// BuildUpBackward counts seq_next backward moves learned in build-up.
 	BuildUpBackward int64
-	// ReasmRejected counts packets the reassembly backend could not
-	// represent (bitmap window misses, ring second holes, ...) and that
-	// were therefore delivered unbuffered. Always zero for seglist.
-	ReasmRejected int64
 }
 
 // Add accumulates o into s — the deterministic merge for per-RX-queue
@@ -170,7 +162,6 @@ func (s *Stats) Add(o Stats) {
 	s.LossRecoveryEntered += o.LossRecoveryEntered
 	s.LossRecoveryExited += o.LossRecoveryExited
 	s.BuildUpBackward += o.BuildUpBackward
-	s.ReasmRejected += o.ReasmRejected
 }
 
 // flowEntry is the per-flow state of §4.1 plus intrusive list linkage, the
@@ -181,13 +172,8 @@ func (s *Stats) Add(o Stats) {
 type flowEntry struct {
 	key  packet.FiveTuple
 	hash uint32 // key.Hash(0), cached for probing
-	ooo  reasm.Backend
-	// sl is ooo devirtualized: non-nil exactly when the backend is the
-	// default *reasm.SegList. The per-packet hot path (insert, head
-	// probe, event flush) goes through the oooX helpers, which call the
-	// concrete type so the O(1) accessors inline instead of dispatching
-	// through the interface on every packet. Other backends take the
-	// interface path unchanged.
+	// sl is the flow's out-of-order queue; it survives release with its
+	// backing arrays, so a recycled entry buffers without allocating.
 	sl             *reasm.SegList
 	flushTimestamp sim.Time
 	// holdStart anchors the timeout clocks: the later of the last flush
@@ -215,50 +201,6 @@ type flowEntry struct {
 	// deadline always equals flowDeadline (maintained by updateDeadline at
 	// every mutation site).
 	dl sim.DeadlineItem
-}
-
-// The oooX helpers below devirtualize the per-packet queue operations for
-// the default SegList backend: when e.sl is non-nil the concrete methods
-// are called directly, so the O(1) accessors inline into the caller
-// instead of dispatching through the Backend interface on every packet.
-// Other backends fall back to the interface call unchanged. Only the
-// operations on the profiled hot path (insert, head probe, event flush,
-// deadline computation) get a helper — cold paths (drain, expiry, audit)
-// keep calling e.ooo directly.
-
-func (e *flowEntry) oooEmpty() bool {
-	if e.sl != nil {
-		return e.sl.Empty()
-	}
-	return e.ooo.Empty()
-}
-
-func (e *flowEntry) oooHead() *packet.Segment {
-	if e.sl != nil {
-		return e.sl.Head()
-	}
-	return e.ooo.Head()
-}
-
-func (e *flowEntry) oooInsert(p *packet.Packet) (reasm.InsertResult, bool) {
-	if e.sl != nil {
-		return e.sl.Insert(p)
-	}
-	return e.ooo.Insert(p)
-}
-
-func (e *flowEntry) oooNextContiguous() bool {
-	if e.sl != nil {
-		return e.sl.NextContiguous()
-	}
-	return e.ooo.NextContiguous()
-}
-
-func (e *flowEntry) oooPopHead() *packet.Segment {
-	if e.sl != nil {
-		return e.sl.PopHead()
-	}
-	return e.ooo.PopHead()
 }
 
 // flowList is an intrusive FIFO doubly-linked list (the active, inactive
@@ -444,7 +386,7 @@ func (j *Juggler) Retune(r Retune) {
 	if changed {
 		refile := func(l *flowList) {
 			for e := l.head; e != nil; e = e.next {
-				if !e.ooo.Empty() {
+				if !e.sl.Empty() {
 					j.dq.Update(e, j.flowDeadline(e))
 				}
 			}
@@ -550,7 +492,7 @@ func (j *Juggler) CheckInvariants() error {
 			if e.list != want {
 				return fmt.Errorf("core: flow %v on the wrong list for phase %v", e.key, e.phase)
 			}
-			if e.phase == PhasePostMerge && !e.ooo.Empty() {
+			if e.phase == PhasePostMerge && !e.sl.Empty() {
 				return fmt.Errorf("core: post-merge flow %v holds packets", e.key)
 			}
 			if e.hash != e.key.Hash(0) {
@@ -564,14 +506,14 @@ func (j *Juggler) CheckInvariants() error {
 			}
 			first, lastSeq = false, e.listSeq
 			d := j.flowDeadline(e)
-			if e.dl.Queued() != !e.ooo.Empty() || e.dl.Deadline() != d {
+			if e.dl.Queued() != !e.sl.Empty() || e.dl.Deadline() != d {
 				return fmt.Errorf("core: flow %v deadline-queue state is stale", e.key)
 			}
-			if !e.ooo.Empty() {
+			if !e.sl.Empty() {
 				deadlines++
 			}
-			bytes += e.ooo.Bytes()
-			pkts += e.ooo.Pkts()
+			bytes += e.sl.Bytes()
+			pkts += e.sl.Pkts()
 		}
 		return nil
 	}
@@ -724,7 +666,7 @@ func (j *Juggler) exitLossRecovery(e *flowEntry, skip bool) {
 		j.tel.Event(telemetry.Event{Layer: telemetry.LayerCore, Kind: telemetry.KindPhase,
 			Flow: e.key, Seq: e.seqNext, Note: "loss-recovery-exit"})
 	}
-	if e.ooo.Empty() {
+	if e.sl.Empty() {
 		e.phase = PhasePostMerge
 		j.enlist(&j.inactive, e)
 		if record {
@@ -754,8 +696,7 @@ func (j *Juggler) newFlow(p *packet.Packet, hash uint32) *flowEntry {
 		j.freeFlows = e.next
 		e.next = nil
 	} else {
-		e = &flowEntry{ooo: reasm.New(j.cfg.Backend, j.segPool)}
-		e.sl, _ = e.ooo.(*reasm.SegList)
+		e = &flowEntry{sl: reasm.New(reasm.KindSegList, j.segPool)}
 	}
 	now := j.sim.Now()
 	e.key = p.Flow
@@ -771,18 +712,15 @@ func (j *Juggler) newFlow(p *packet.Packet, hash uint32) *flowEntry {
 
 // releaseFlow returns a fully detached entry (off every list, out of the
 // table and deadline queue, queue drained) to the free list. The
-// reassembly backend survives the reset with its backing arrays and pool
+// out-of-order queue survives the reset with its backing arrays and pool
 // binding intact, so the entry's next incarnation buffers without
 // allocating.
 func (j *Juggler) releaseFlow(e *flowEntry) {
 	if j.lastEntry == e {
 		j.lastEntry = nil
 	}
-	q := e.ooo
-	q.Reset()
-	*e = flowEntry{}
-	e.ooo = q
-	e.sl, _ = q.(*reasm.SegList)
+	e.sl.Reset()
+	*e = flowEntry{sl: e.sl}
 	e.next = j.freeFlows
 	j.freeFlows = e
 }
@@ -790,14 +728,13 @@ func (j *Juggler) releaseFlow(e *flowEntry) {
 // bufferAndCheck inserts the packet into the flow's out-of-order queue and
 // applies the event-driven flush conditions (Table 2, rows 1-4).
 func (j *Juggler) bufferAndCheck(e *flowEntry, p *packet.Packet) {
-	if e.oooEmpty() {
+	if e.sl.Empty() {
 		e.holdStart = j.sim.Now()
 	}
-	res, fastPath := e.oooInsert(p)
-	// Backend contract: InsMerged/InsNew store exactly the packet
-	// (Bytes/Pkts grow by PayloadLen/1), InsDuplicate/InsRejected store
-	// nothing — so the aggregate counters move without re-reading the
-	// queue totals through the interface on every packet.
+	res, fastPath := e.sl.Insert(p)
+	// InsMerged/InsNew store exactly the packet (Bytes/Pkts grow by
+	// PayloadLen/1) and InsDuplicate stores nothing, so the aggregate
+	// counters move without re-reading the queue totals.
 	if res == reasm.InsMerged || res == reasm.InsNew {
 		j.buffered += p.PayloadLen
 		j.bufferedPkts++
@@ -820,23 +757,6 @@ func (j *Juggler) bufferAndCheck(e *flowEntry, p *packet.Packet) {
 		}
 		j.emit(j.segPool.FromPacket(p)) // hand duplicates to TCP for D-SACK etc.
 		return
-	}
-	if res == reasm.InsRejected {
-		// The backend cannot represent this packet (never happens with
-		// seglist): deliver it unbuffered, like an inferred retransmission.
-		// In-order rejects still advance seq_next — the bytes were
-		// delivered in order, and the queued head may now be flushable.
-		j.Stats.ReasmRejected++
-		if j.auditing() && !p.SkipStamps {
-			j.decide(e, &telemetry.Decision{Op: telemetry.OpPass, Cause: "reasm-reject",
-				Seq: p.Seq, EndSeq: p.EndSeq(), N: int64(p.PayloadLen), Note: "backend refused, flushed unbuffered"})
-		}
-		j.emit(j.segPool.FromPacket(p))
-		if p.Seq == e.seqNext {
-			e.seqNext = p.EndSeq()
-			e.flushTimestamp = j.sim.Now()
-			e.holdStart = e.flushTimestamp
-		}
 	}
 	// The deadline-queue re-file waits for the batch epilogue (a flow hit
 	// by many packets of the batch sifts the heap once, under its final
@@ -890,12 +810,12 @@ func (j *Juggler) decide(e *flowEntry, d *telemetry.Decision) {
 	if e != nil {
 		d.Flow = e.key
 		d.SeqNext = e.seqNext
-		if head := e.ooo.Head(); head != nil && head.Seq != e.seqNext {
+		if head := e.sl.Head(); head != nil && head.Seq != e.seqNext {
 			d.Hole = true
 			d.HoleSeq = e.seqNext
 		}
-		d.QPkts = int64(e.ooo.Pkts())
-		d.QBytes = int64(e.ooo.Bytes())
+		d.QPkts = int64(e.sl.Pkts())
+		d.QBytes = int64(e.sl.Bytes())
 	}
 	j.tel.Decide(d)
 }
@@ -910,7 +830,7 @@ func (j *Juggler) decide(e *flowEntry, d *telemetry.Decision) {
 // the head a second time.
 func (j *Juggler) eventFlush(e *flowEntry) *packet.Segment {
 	for {
-		head := e.oooHead()
+		head := e.sl.Head()
 		if head == nil || head.Seq != e.seqNext {
 			return head
 		}
@@ -920,7 +840,7 @@ func (j *Juggler) eventFlush(e *flowEntry) *packet.Segment {
 			cause = CauseSealed
 		case head.Bytes+units.MSS > units.TSOMaxBytes:
 			cause = CauseFull
-		case e.oooNextContiguous():
+		case e.sl.NextContiguous():
 			cause = CauseBoundary // successor is contiguous yet unmerged
 		default:
 			return head
@@ -934,7 +854,7 @@ func (j *Juggler) eventFlush(e *flowEntry) *packet.Segment {
 // cause names the Table-2 condition for the forensics audit ring.
 // Callers refresh the flow's deadline-queue position afterwards.
 func (j *Juggler) flushHead(e *flowEntry, reason *int64, m *telemetry.Counter, cause string) {
-	seg := e.oooPopHead()
+	seg := e.sl.PopHead()
 	segSeq, segEnd, segPkts, skip := seg.Seq, seg.EndSeq(), seg.Pkts, seg.SkipStamps
 	j.buffered -= seg.Bytes
 	j.bufferedPkts -= seg.Pkts
@@ -966,7 +886,7 @@ func (j *Juggler) afterFlush(e *flowEntry, skip bool) {
 		}
 		fallthrough
 	case PhaseActiveMerge:
-		if e.oooEmpty() {
+		if e.sl.Empty() {
 			// §4.2.4: queue drained in sequence -> post merge.
 			j.active.remove(e)
 			j.enlist(&j.inactive, e)
@@ -1021,7 +941,7 @@ func (j *Juggler) onTimer() {
 // flowDeadline returns the next timeout instant for a flow, or 0 when it
 // holds nothing.
 func (j *Juggler) flowDeadline(e *flowEntry) sim.Time {
-	return j.deadlineForHead(e, e.oooHead())
+	return j.deadlineForHead(e, e.sl.Head())
 }
 
 // deadlineForHead is flowDeadline with the queue head already in hand,
@@ -1043,7 +963,7 @@ func (j *Juggler) deadlineForHead(e *flowEntry, head *packet.Segment) sim.Time {
 // out-of-order queues, each at its flowDeadline. A deadline of Time 0 is
 // legal (zero timeouts at the simulation origin: due immediately).
 func (j *Juggler) updateDeadline(e *flowEntry) {
-	head := e.oooHead()
+	head := e.sl.Head()
 	if head == nil {
 		j.dq.Remove(e)
 		return
@@ -1123,7 +1043,7 @@ func (j *Juggler) rearm(now, next sim.Time) {
 
 // expireFlow applies the timeout flushes to one flow at time now.
 func (j *Juggler) expireFlow(e *flowEntry, now sim.Time) {
-	head := e.ooo.Head()
+	head := e.sl.Head()
 	if head == nil {
 		return
 	}
@@ -1135,14 +1055,14 @@ func (j *Juggler) expireFlow(e *flowEntry, now sim.Time) {
 				Note: "held ns in N"})
 		}
 		for {
-			head = e.ooo.Head()
+			head = e.sl.Head()
 			if head == nil || head.Seq != e.seqNext {
 				break
 			}
 			j.flushHead(e, &j.Stats.FlushInseqTimeout, j.mFlushInseq, CauseInseq)
 		}
 	}
-	head = e.ooo.Head()
+	head = e.sl.Head()
 	if head == nil {
 		return
 	}
@@ -1159,7 +1079,7 @@ func (j *Juggler) ofoExpire(e *flowEntry) {
 	j.mOfoTimeouts.Inc()
 	if j.tel != nil {
 		j.tel.Event(telemetry.Event{Layer: telemetry.LayerCore, Kind: telemetry.KindTimeout,
-			Flow: e.key, Seq: e.seqNext, N: int64(e.ooo.Pkts()), Note: "ofo"})
+			Flow: e.key, Seq: e.seqNext, N: int64(e.sl.Pkts()), Note: "ofo"})
 	}
 	if j.auditing() {
 		j.decide(e, &telemetry.Decision{Op: telemetry.OpTimeout, Cause: CauseOfo,
@@ -1167,9 +1087,9 @@ func (j *Juggler) ofoExpire(e *flowEntry) {
 			N: int64(j.sim.Now().Sub(e.holdStart)), Note: "held ns in N, queue drains"})
 	}
 	firstMissing := e.seqNext
-	j.buffered -= e.ooo.Bytes()
-	j.bufferedPkts -= e.ooo.Pkts()
-	drained := e.ooo.Drain()
+	j.buffered -= e.sl.Bytes()
+	j.bufferedPkts -= e.sl.Pkts()
+	drained := e.sl.Drain()
 	for _, seg := range drained {
 		j.Stats.FlushOfoTimeout++
 		j.mFlushOfo.Inc()
@@ -1181,7 +1101,7 @@ func (j *Juggler) ofoExpire(e *flowEntry) {
 				Seq: segSeq, EndSeq: segEnd, N: int64(segPkts)})
 		}
 	}
-	e.ooo.RecycleDrained(drained)
+	e.sl.RecycleDrained(drained)
 	e.flushTimestamp = j.sim.Now()
 	e.holdStart = e.flushTimestamp
 
@@ -1259,15 +1179,15 @@ func (j *Juggler) evict(e *flowEntry, cause string) {
 	j.mEvictions.Inc()
 	if j.tel != nil {
 		j.tel.Event(telemetry.Event{Layer: telemetry.LayerCore, Kind: telemetry.KindEvict,
-			Flow: e.key, Seq: e.seqNext, N: int64(e.ooo.Pkts()), Note: e.phase.String()})
+			Flow: e.key, Seq: e.seqNext, N: int64(e.sl.Pkts()), Note: e.phase.String()})
 	}
 	if j.auditing() {
 		j.decide(e, &telemetry.Decision{Op: telemetry.OpEvict, Cause: cause,
-			Seq: e.seqNext, EndSeq: e.seqNext, N: int64(e.ooo.Pkts()), Note: e.phase.String()})
+			Seq: e.seqNext, EndSeq: e.seqNext, N: int64(e.sl.Pkts()), Note: e.phase.String()})
 	}
-	j.buffered -= e.ooo.Bytes()
-	j.bufferedPkts -= e.ooo.Pkts()
-	drained := e.ooo.Drain()
+	j.buffered -= e.sl.Bytes()
+	j.bufferedPkts -= e.sl.Pkts()
+	drained := e.sl.Drain()
 	for _, seg := range drained {
 		j.Stats.FlushEvict++
 		j.mFlushEvict.Inc()
@@ -1278,7 +1198,7 @@ func (j *Juggler) evict(e *flowEntry, cause string) {
 				Seq: segSeq, EndSeq: segEnd, N: int64(segPkts)})
 		}
 	}
-	e.ooo.RecycleDrained(drained)
+	e.sl.RecycleDrained(drained)
 	e.list.remove(e)
 	j.dq.Remove(e)
 	j.table.delete(e)
@@ -1292,12 +1212,12 @@ func (j *Juggler) evict(e *flowEntry, cause string) {
 func (j *Juggler) Flush() {
 	flush := func(l *flowList) {
 		for e := l.head; e != nil; e = e.next {
-			if e.ooo.Empty() {
+			if e.sl.Empty() {
 				continue
 			}
-			j.buffered -= e.ooo.Bytes()
-			j.bufferedPkts -= e.ooo.Pkts()
-			drained := e.ooo.Drain()
+			j.buffered -= e.sl.Bytes()
+			j.bufferedPkts -= e.sl.Pkts()
+			drained := e.sl.Drain()
 			for _, seg := range drained {
 				segSeq, segEnd, segPkts, skip := seg.Seq, seg.EndSeq(), seg.Pkts, seg.SkipStamps
 				j.emitMerged(seg)
@@ -1306,7 +1226,7 @@ func (j *Juggler) Flush() {
 						Seq: segSeq, EndSeq: segEnd, N: int64(segPkts)})
 				}
 			}
-			e.ooo.RecycleDrained(drained)
+			e.sl.RecycleDrained(drained)
 			j.dq.Remove(e)
 		}
 	}

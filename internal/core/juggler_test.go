@@ -116,8 +116,8 @@ func TestFigure6BuildUpLearning(t *testing.T) {
 	if h.j.Stats.Retransmissions != 1 {
 		t.Fatal("retransmission not counted")
 	}
-	if e.ooo.Pkts() != 1 { // only packet 5 remains buffered
-		t.Fatalf("buffered pkts = %d, want 1", e.ooo.Pkts())
+	if e.sl.Pkts() != 1 { // only packet 5 remains buffered
+		t.Fatalf("buffered pkts = %d, want 1", e.sl.Pkts())
 	}
 }
 
@@ -277,8 +277,8 @@ func TestFigure7LossRecoveryExit(t *testing.T) {
 	if e.phase != PhaseLossRecovery {
 		t.Fatal("packets >= seqNext must not exit loss recovery")
 	}
-	if e.ooo.Pkts() != 2 {
-		t.Fatalf("buffered = %d, want 2 (packets 6,7)", e.ooo.Pkts())
+	if e.sl.Pkts() != 2 {
+		t.Fatalf("buffered = %d, want 2 (packets 6,7)", e.sl.Pkts())
 	}
 
 	before := len(h.segs)
@@ -612,12 +612,12 @@ func TestFigure8EvictionStuckScenario(t *testing.T) {
 		t.Fatal("packet 1 should flush via inseq timeout")
 	}
 	// ...but 4 is stuck until ofo_timeout (2,3 will never arrive).
-	stuck := e.ooo.Pkts()
+	stuck := e.sl.Pkts()
 	if stuck != 1 {
 		t.Fatalf("packet 4 should still be buffered, have %d", stuck)
 	}
 	h.run(60 * time.Microsecond)
-	if e.ooo.Pkts() != 0 {
+	if e.sl.Pkts() != 0 {
 		t.Fatal("ofo timeout should eventually free packet 4")
 	}
 }

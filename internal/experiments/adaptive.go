@@ -111,7 +111,6 @@ func runAdaptive(o Options, adaptive bool) *adaptiveReport {
 	jcfg := core.DefaultConfig()
 	jcfg.InseqTimeout = adaptStaticInseq
 	jcfg.OfoTimeout = adaptStaticOfo
-	jcfg.Backend = o.Backend
 	if o.Inseq > 0 {
 		jcfg.InseqTimeout = o.Inseq
 	}

@@ -211,13 +211,6 @@ type ChaosReport struct {
 	Total      int64 // invariant violations (all kinds)
 	Violations []chaos.Violation
 	Summary    string
-
-	// Bake-off measurements, filled for Juggler stacks but not rendered by
-	// Fprint (existing report output stays byte-identical).
-	Backend       string // reassembly backend name
-	PeakBuffered  int64  // max bytes buffered across RX queues at any probe
-	OOOWork       int64  // packets needing out-of-order bookkeeping
-	ReasmRejected int64  // packets the backend refused to buffer
 }
 
 // Failed reports whether any invariant was violated.
@@ -288,7 +281,6 @@ func runChaos(spec chaosScenario, kind testbed.OffloadKind, o Options, intensity
 	jcfg := core.DefaultConfig()
 	jcfg.InseqTimeout = 52 * time.Microsecond // max-batch time at 10G
 	jcfg.OfoTimeout = spec.maxExtra + 300*time.Microsecond
-	jcfg.Backend = o.Backend
 	if o.Inseq > 0 {
 		jcfg.InseqTimeout = o.Inseq
 	}
@@ -324,23 +316,10 @@ func runChaos(spec chaosScenario, kind testbed.OffloadKind, o Options, intensity
 	rcv.ConnectEgress(toSender, 0)
 
 	// Observation points: every delivered segment, and the gro_table after
-	// every state-mutating offload entry point. The probe also samples total
-	// buffered bytes for the bake-off's memory-footprint column.
+	// every state-mutating offload entry point.
 	rcv.SegmentTap = ck.ObserveSegment
-	var peakBuffered int64
-	jugglers := rcv.Jugglers
-	for i, j := range jugglers {
-		tp := ck.TableProbe(fmt.Sprintf("rx%d", i), j)
-		j.Probe = func() {
-			tp()
-			var b int64
-			for _, jq := range jugglers {
-				b += int64(jq.BufferedBytes())
-			}
-			if b > peakBuffered {
-				peakBuffered = b
-			}
-		}
+	for i, j := range rcv.Jugglers {
+		j.Probe = ck.TableProbe(fmt.Sprintf("rx%d", i), j)
 	}
 
 	sc.Install(s)
@@ -402,12 +381,6 @@ func runChaos(spec chaosScenario, kind testbed.OffloadKind, o Options, intensity
 	}
 	for _, ft := range flowKeys {
 		rep.Delivered += ck.FlowDelivered(ft)
-	}
-	rep.Backend = jcfg.Backend.String()
-	rep.PeakBuffered = peakBuffered
-	for _, j := range jugglers {
-		rep.OOOWork += j.Counters().OOOWork
-		rep.ReasmRejected += j.Stats.ReasmRejected
 	}
 	return rep
 }

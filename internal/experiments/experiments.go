@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"juggler/internal/packet"
-	"juggler/internal/reasm"
 	"juggler/internal/sim"
 	"juggler/internal/telemetry"
 )
@@ -55,11 +54,6 @@ type Options struct {
 	// byte-identical at any lane count by construction. The goroutine
 	// budget composes with Workers via sweep.EffectiveWorkers.
 	Shards int
-
-	// Backend selects the reassembly backend every Juggler instance uses
-	// (the CLIs' -backend flag). The zero value is the default seglist
-	// backend, preserving byte-identical output for existing experiments.
-	Backend reasm.Kind
 
 	// Adapt attaches the internal/adapt detector+controller to every
 	// Juggler receiver (the CLIs' -adapt flag): the configured timeouts

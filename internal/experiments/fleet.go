@@ -73,7 +73,6 @@ func CollectFleetReport(o Options, impaired bool) *fleet.Report {
 	})
 
 	jcfg := core.DefaultConfig()
-	jcfg.Backend = o.Backend
 	if o.Inseq > 0 {
 		jcfg.InseqTimeout = o.Inseq
 	}

@@ -28,8 +28,7 @@ import (
 // conservation is asserted at teardown.
 
 // flowScaleResult carries one concurrency point's deterministic counters —
-// the raw material for the flowscale table row, reused by the bakeoff
-// experiment to compare reassembly backends on the same workload.
+// the raw material for the flowscale table row.
 type flowScaleResult struct {
 	Flows           int
 	Sent, Delivered int
@@ -40,7 +39,7 @@ type flowScaleResult struct {
 }
 
 // runFlowScalePoint drives the flow-scale workload at one concurrency
-// point. The reassembly backend comes from o.Backend (zero: seglist).
+// point.
 func runFlowScalePoint(o Options, flows, rounds int) flowScaleResult {
 	const interval = 20 * time.Microsecond
 
@@ -50,7 +49,6 @@ func runFlowScalePoint(o Options, flows, rounds int) flowScaleResult {
 		InseqTimeout: 15 * time.Microsecond,
 		OfoTimeout:   50 * time.Microsecond,
 		MaxFlows:     flows,
-		Backend:      o.Backend,
 	}
 	delivered := 0
 	j := core.New(s, cfg, func(seg *packet.Segment) {

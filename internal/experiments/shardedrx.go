@@ -80,7 +80,6 @@ func runShardedRX(o Options, p shardedRXParams) shardedRXResult {
 			// without mass eviction (evictions that do happen are part
 			// of the deterministic output).
 			MaxFlows: 2*p.flows/queues + 64,
-			Backend:  o.Backend,
 		},
 	}
 	if o.Inseq > 0 {

@@ -7,17 +7,14 @@ import (
 	"juggler/internal/units"
 )
 
-// backendCycle returns one steady-state churn round for q: four MSS
-// packets — two in sequence, then a displaced pair (the later, PSH-sealed
-// packet before its hole fill) — then pops everything back to the pool.
-// Every backend accepts the in-sequence prefix; ring rejects the displaced
-// packet (a second hole) and bitmap/seglist/batchsort buffer it, so the
-// round exercises each implementation's own insert/merge/pop paths. The
-// sequence base advances every round, letting bitmap re-anchor its window.
-func backendCycle(q Backend, pool *packet.SegPool) func() {
+// churnCycle returns one steady-state churn round for q: four MSS packets
+// — two in sequence, then a displaced pair (the later, PSH-sealed packet
+// before its hole fill) — then pops everything back to the pool. The
+// sequence base advances every round.
+func churnCycle(q *SegList, pool *packet.SegPool) func() {
 	// One reusable packet: the production datapath hands Insert pool-owned
 	// heap packets, so a per-call stack packet would only measure its own
-	// escape through the Backend interface boundary.
+	// escape.
 	var p packet.Packet
 	seq := uint32(units.MSS)
 	ins := func(at uint32, flags packet.Flags) {
@@ -37,24 +34,21 @@ func backendCycle(q Backend, pool *packet.SegPool) func() {
 	}
 }
 
-// testZeroAlloc pins a backend's steady-state churn to zero heap
-// allocations: once the backing arrays and the segment pool have reached
-// working-set size, insert/merge/pop cycles must recycle everything.
-func testZeroAlloc(t *testing.T, k Kind) {
+// TestZeroAllocSegList pins steady-state churn to zero heap allocations:
+// once the backing arrays and the segment pool have reached working-set
+// size, insert/merge/pop cycles must recycle everything.
+func TestZeroAllocSegList(t *testing.T) {
 	pool := &packet.SegPool{}
-	q := New(k, pool)
-	cycle := backendCycle(q, pool)
+	q := New(KindSegList, pool)
+	cycle := churnCycle(q, pool)
 	for i := 0; i < 8; i++ {
 		cycle() // warm the backing arrays and the pool free list
 	}
 	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
-		t.Fatalf("%v steady-state churn allocates %.1f per cycle, want 0", k, allocs)
+		t.Fatalf("steady-state churn allocates %.1f per cycle, want 0", allocs)
 	}
 	if !q.Empty() || q.Bytes() != 0 || q.Pkts() != 0 {
 		t.Fatalf("queue not empty after churn: len=%d bytes=%d pkts=%d",
 			q.Len(), q.Bytes(), q.Pkts())
 	}
 }
-
-func TestZeroAllocSegList(t *testing.T) { testZeroAlloc(t, KindSegList) }
-func TestZeroAllocRing(t *testing.T)    { testZeroAlloc(t, KindRing) }

@@ -1,81 +1,19 @@
-// Package reasm provides pluggable out-of-order reassembly backends for
-// the Juggler receive path. The paper's gro_table keeps one sorted,
-// eagerly-merged segment list per flow (SegList below, the default); the
-// related-work designs in PAPERS.md make different tradeoffs — Wu et al.
-// sort the accumulated batch only when delivering (BatchSort), Eunomia
-// tracks fixed-size records with a constant-size bitmap (Bitmap), and
-// tulips bounds memory with a contiguous reorder window (Ring). Each is a
-// Backend; internal/core drives whichever Config selects, and the bakeoff
-// experiment races them head to head.
+// Package reasm holds one flow's out-of-order queue for the Juggler
+// receive path. The paper's gro_table keeps each flow's out-of-order
+// packets in one sorted list and eagerly merges contiguous runs into
+// segments (§4.1). SegList is that list, and internal/core holds one per
+// flow.
 //
-// Backends mint merged segments from the simulation's shared
-// packet.SegPool and never recycle what they hand out: segment ownership
+// SegList mints merged segments from the simulation's shared
+// packet.SegPool and never recycles what it hands out: segment ownership
 // transfers to the caller at PopHead/Drain (and at Insert time for
-// rejected or duplicate packets, which the caller delivers unbuffered), so
+// duplicate packets, which the caller delivers unbuffered), so
 // testbed.Host remains the single recycle point.
 package reasm
 
-import (
-	"fmt"
+import "juggler/internal/packet"
 
-	"juggler/internal/packet"
-)
-
-// Kind selects a reassembly backend implementation.
-type Kind uint8
-
-const (
-	// KindSegList is the paper's sorted, eagerly-merged segment list —
-	// the default, byte-identical to the pre-interface oooQueue.
-	KindSegList Kind = iota
-	// KindBatchSort accumulates per-packet records in a sorted batch and
-	// coalesces only at delivery time (Wu-style resequencing).
-	KindBatchSort
-	// KindBitmap tracks fixed-size records in a constant-size sliding
-	// window bitmap (Eunomia-style); irregular packets are rejected and
-	// delivered unbuffered.
-	KindBitmap
-	// KindRing keeps a single contiguous, memory-bounded run (tulips'
-	// ReorderBuffer style); inserts that would open a second hole or
-	// exceed the byte budget are rejected and delivered unbuffered.
-	KindRing
-)
-
-// Kinds lists every backend in bake-off order.
-func Kinds() []Kind { return []Kind{KindSegList, KindBatchSort, KindBitmap, KindRing} }
-
-// String names the backend kind (also the -backend flag spelling).
-func (k Kind) String() string {
-	switch k {
-	case KindSegList:
-		return "seglist"
-	case KindBatchSort:
-		return "batchsort"
-	case KindBitmap:
-		return "bitmap"
-	case KindRing:
-		return "ring"
-	}
-	return fmt.Sprintf("reasm.Kind(%d)", uint8(k))
-}
-
-// ParseKind resolves a -backend flag value; the empty string selects the
-// default seglist backend.
-func ParseKind(s string) (Kind, error) {
-	switch s {
-	case "", "seglist":
-		return KindSegList, nil
-	case "batchsort":
-		return KindBatchSort, nil
-	case "bitmap":
-		return KindBitmap, nil
-	case "ring":
-		return KindRing, nil
-	}
-	return KindSegList, fmt.Errorf("unknown reassembly backend %q (want seglist, batchsort, bitmap, or ring)", s)
-}
-
-// InsertResult describes what a backend did with an inserted packet.
+// InsertResult describes what SegList.Insert did with a packet.
 type InsertResult uint8
 
 const (
@@ -86,78 +24,26 @@ const (
 	// InsDuplicate means the packet's bytes are already fully present;
 	// nothing was stored and the caller delivers the packet immediately.
 	InsDuplicate
-	// InsRejected means the backend cannot represent the packet (outside
-	// a bitmap window, a ring's second hole, over a byte budget, ...);
-	// nothing was stored and the caller delivers the packet immediately,
-	// unbuffered. SegList never rejects.
-	InsRejected
 )
 
-// Backend is one flow's out-of-order reassembly queue. Implementations
-// keep segments ordered by sequence number and maintain byte/packet
-// totals incrementally so Bytes and Pkts are O(1).
+// Kind names a reassembly representation; bench/ladder.go is its only reason to exist.
+type Kind uint8
+
+// KindSegList is the only Kind: the paper's sorted, eagerly merged list.
+const KindSegList Kind = 0
+
+// Backend is the part of SegList that bench/ladder.go drives; that file is its only reason to exist.
 type Backend interface {
-	// Insert places p into the queue. fastPath reports the work standard
-	// GRO already does on in-order traffic (a plain tail extension, or
-	// the first segment of an empty queue) — no extra Juggler
-	// bookkeeping cost is charged for it.
-	// Insert's accounting contract: on InsMerged or InsNew the queue's
-	// Bytes/Pkts totals grow by exactly p.PayloadLen/1; on InsDuplicate
-	// or InsRejected they do not move. Callers (the core hot path) track
-	// aggregate buffered totals from the result alone instead of
-	// re-reading Bytes/Pkts around every insert.
 	Insert(p *packet.Packet) (res InsertResult, fastPath bool)
-	// Covered reports whether p's byte range is already fully present.
-	Covered(p *packet.Packet) bool
-
-	// Len returns the number of deliverable segments queued.
-	Len() int
-	// Empty reports whether the queue holds nothing.
-	Empty() bool
-	// Pkts returns the total wire packets queued — O(1).
-	Pkts() int
-	// Bytes returns the total payload bytes queued — O(1).
-	Bytes() int
-
-	// Head returns the first (lowest-sequence) deliverable segment, or
-	// nil. The segment remains owned by the queue until PopHead.
 	Head() *packet.Segment
-	// PopHead removes and returns the first segment; the caller takes
-	// ownership. Only valid when non-empty.
 	PopHead() *packet.Segment
-	// NextContiguous reports whether a second queued segment starts
-	// exactly at Head's end — the flush-cause-boundary test: the head
-	// can be flushed because its continuation is already here.
-	NextContiguous() bool
-
-	// Drain detaches and returns all segments in sequence order; the
-	// caller takes ownership of the segments and hands the walked slice
-	// back through RecycleDrained so steady-state churn stays
-	// allocation-free.
-	Drain() []*packet.Segment
-	// RecycleDrained retires a slice obtained from Drain for reuse. The
-	// segments themselves belong to whoever consumed them.
-	RecycleDrained(s []*packet.Segment)
-
-	// Reset returns any still-queued segments to the pool and restores
-	// the backend to its empty state, keeping reusable backing storage.
-	Reset()
-	// Kind identifies the implementation.
-	Kind() Kind
 }
 
-// New constructs a backend of the given kind minting merged segments from
-// pool (nil-safe: a nil pool heap-allocates).
-func New(k Kind, pool *packet.SegPool) Backend {
-	switch k {
-	case KindSegList:
-		return &SegList{pool: pool}
-	case KindBatchSort:
-		return &BatchSort{pktq: pktq{pool: pool}}
-	case KindBitmap:
-		return &Bitmap{pool: pool}
-	case KindRing:
-		return &Ring{pktq: pktq{pool: pool}, budget: DefaultRingBytes}
+// New returns an empty SegList minting merged segments from pool (nil-safe:
+// a nil pool heap-allocates). k must be KindSegList; bench/ladder.go is the only reason it takes one.
+func New(k Kind, pool *packet.SegPool) *SegList {
+	if k != KindSegList {
+		panic("reasm: unknown kind")
 	}
-	panic("reasm: unknown backend kind")
+	return &SegList{pool: pool}
 }

@@ -19,10 +19,16 @@ import (
 // never reallocates the slice.
 //
 // Invariants (checked by tests):
-//   - segments are strictly ordered by Seq;
+//   - segments are ordered by Seq;
 //   - no two segments are mergeable (overlap-free, and any two adjacent
 //     contiguous segments differ in options/CE, sealing, or size budget);
 //   - nbytes/npkts equal the sums over queued segments.
+//
+// The first two hold strictly only for inserts that do not partially
+// overlap a queued segment. A packet that overlaps one without being
+// covered by it is stored as its own segment, possibly at the same Seq,
+// and both copies are delivered; FuzzSegList pins that no byte is lost
+// either way.
 type SegList struct {
 	segs   []*packet.Segment
 	spare  []*packet.Segment // retired backing array awaiting reuse
@@ -30,9 +36,6 @@ type SegList struct {
 	nbytes int
 	npkts  int
 }
-
-// Kind identifies the implementation.
-func (q *SegList) Kind() Kind { return KindSegList }
 
 // Len returns the number of segments queued.
 func (q *SegList) Len() int { return len(q.segs) }
@@ -88,34 +91,19 @@ func (q *SegList) findInsertPos(seq uint32) int {
 	return lo
 }
 
-// Covered reports whether the packet's byte range is already fully present.
-func (q *SegList) Covered(p *packet.Packet) bool {
-	i := q.findInsertPos(p.Seq)
-	// A covering segment starts at or before p.Seq: check segs[i] (equal
-	// start) and segs[i-1] (earlier start).
-	if i < len(q.segs) && q.segs[i].Seq == p.Seq &&
-		packet.SeqLEQ(p.EndSeq(), q.segs[i].EndSeq()) {
-		return true
-	}
-	if i > 0 {
-		prev := q.segs[i-1]
-		if packet.SeqLEQ(prev.Seq, p.Seq) && packet.SeqLEQ(p.EndSeq(), prev.EndSeq()) {
-			return true
-		}
-	}
-	return false
-}
-
 // Insert places p into the queue, merging with neighbours where the GRO
 // merge rules allow. Exact duplicates are reported, not stored. fastPath
-// reports a plain tail extension of the last segment — the same work
-// standard GRO does on in-order traffic, which therefore carries no extra
-// Juggler bookkeeping cost.
+// reports a plain tail extension of the last segment, or the first segment
+// of an empty queue — the same work standard GRO does on in-order traffic,
+// which therefore carries no extra Juggler bookkeeping cost.
+//
+// On InsMerged or InsNew, Bytes/Pkts grow by exactly p.PayloadLen/1; on
+// InsDuplicate they do not move. Callers (the core hot path) track
+// aggregate buffered totals from the result alone.
 func (q *SegList) Insert(p *packet.Packet) (res InsertResult, fastPath bool) {
 	i := q.findInsertPos(p.Seq)
-	// Coverage check at the found position — calling Covered would repeat
-	// the binary search. A covering segment starts at or before p.Seq:
-	// segs[i] (equal start) or segs[i-1] (earlier start).
+	// A covering segment starts at or before p.Seq: segs[i] (equal start)
+	// or segs[i-1] (earlier start).
 	if i < len(q.segs) && q.segs[i].Seq == p.Seq &&
 		packet.SeqLEQ(p.EndSeq(), q.segs[i].EndSeq()) {
 		return InsDuplicate, false

@@ -28,8 +28,7 @@ type ShardedHostConfig struct {
 	// Offload selects the per-queue offload implementation.
 	Offload OffloadKind
 	// Juggler tunes each queue's Juggler instance (OffloadJuggler);
-	// MaxFlows is per queue. Juggler.Backend selects the reassembly
-	// backend.
+	// MaxFlows is per queue.
 	Juggler core.Config
 	// Adapt, when non-nil, attaches one detector+controller per RX queue
 	// on the queue's own lane — the per-RX-queue adaptive configuration:

@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"juggler/internal/core"
-	"juggler/internal/reasm"
 	"juggler/internal/testbed"
 	"juggler/internal/units"
 )
@@ -99,11 +98,6 @@ type Tuning struct {
 	// MaxFlows bounds the per-RX-queue flow table (8 suffices for
 	// per-packet load balancing; 64 covers ~1ms of reordering).
 	MaxFlows int
-	// Backend names the reassembly backend buffering each flow's
-	// out-of-order packets: "seglist" (default, also ""), "batchsort",
-	// "bitmap", or "ring". See internal/reasm; unknown names panic at
-	// configuration time.
-	Backend string
 	// Adapt enables the online reordering detector and self-tuning
 	// controller (internal/adapt): InseqTimeout/OfoTimeout become the
 	// starting point instead of fixed values, and the controller drives
@@ -134,11 +128,6 @@ func (t Tuning) coreConfig() core.Config {
 	if t.MaxFlows > 0 {
 		cfg.MaxFlows = t.MaxFlows
 	}
-	k, err := reasm.ParseKind(t.Backend)
-	if err != nil {
-		panic("juggler: " + err.Error())
-	}
-	cfg.Backend = k
 	return cfg
 }
 

@@ -2,7 +2,7 @@ package juggler
 
 // The sharded receive datapath's determinism contract, checked end to
 // end: `-shards N` must be byte-identical to `-shards 1` — for every
-// seed, every reassembly backend, any sweep width, with and without the
+// seed, any sweep width, with and without the
 // adaptive controller, for the rendered table AND the exported telemetry
 // artifacts, and for the chaos catalog (whose closed-loop scenarios
 // ignore the lane count entirely; the flag must still never change their
@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"juggler/internal/experiments"
-	"juggler/internal/reasm"
 	"juggler/internal/sim"
 	"juggler/internal/sweep"
 	"juggler/internal/telemetry"
@@ -21,11 +20,10 @@ import (
 )
 
 // shardedTable renders one quick shardedrx run.
-func shardedTable(t *testing.T, seed int64, bk reasm.Kind, shards, workers int, adapt bool) []byte {
+func shardedTable(t *testing.T, seed int64, shards, workers int, adapt bool) []byte {
 	t.Helper()
 	tbl := experiments.Run("shardedrx", experiments.Options{
-		Seed: seed, Quick: true, Workers: workers, Shards: shards,
-		Backend: bk, Adapt: adapt,
+		Seed: seed, Quick: true, Workers: workers, Shards: shards, Adapt: adapt,
 	})
 	if tbl == nil {
 		t.Fatal("experiment shardedrx not registered")
@@ -35,35 +33,29 @@ func shardedTable(t *testing.T, seed int64, bk reasm.Kind, shards, workers int, 
 	return buf.Bytes()
 }
 
-// TestShardedMatchesSerial sweeps the full matrix: two seeds, all four
-// reassembly backends, lane counts 1/2/4/8, sweep widths 1 and 8. The
-// one-lane run is the byte-exact serial reference; every other cell must
-// reproduce it exactly. A second pass repeats the lane sweep with the
-// per-queue adapt controllers attached (their retunes are part of the
-// deterministic output).
+// TestShardedMatchesSerial sweeps the full matrix: two seeds, lane counts
+// 1/2/4/8, sweep widths 1 and 8. The one-lane run is the byte-exact serial
+// reference; every other cell must reproduce it exactly. A second pass
+// repeats the lane sweep with the per-queue adapt controllers attached
+// (their retunes are part of the deterministic output).
 func TestShardedMatchesSerial(t *testing.T) {
 	for _, seed := range []int64{3, 11} {
-		for _, bk := range reasm.Kinds() {
-			ref := shardedTable(t, seed, bk, 1, 1, false)
-			if len(ref) == 0 {
-				t.Fatalf("seed %d backend %v: empty serial table", seed, bk)
-			}
-			for _, shards := range []int{2, 4, 8} {
-				for _, workers := range []int{1, 8} {
-					got := shardedTable(t, seed, bk, shards, workers, false)
-					if !bytes.Equal(ref, got) {
-						t.Errorf("seed %d backend %v: table differs at -shards %d -j %d:\n--- serial ---\n%s--- sharded ---\n%s",
-							seed, bk, shards, workers, ref, got)
-					}
+		ref := shardedTable(t, seed, 1, 1, false)
+		if len(ref) == 0 {
+			t.Fatalf("seed %d: empty serial table", seed)
+		}
+		for _, shards := range []int{2, 4, 8} {
+			for _, workers := range []int{1, 8} {
+				got := shardedTable(t, seed, shards, workers, false)
+				if !bytes.Equal(ref, got) {
+					t.Errorf("seed %d: table differs at -shards %d -j %d:\n--- serial ---\n%s--- sharded ---\n%s",
+						seed, shards, workers, ref, got)
 				}
 			}
 		}
-		// Adaptive pass: one backend suffices — the controller sits above
-		// the reassembly layer, and the backend matrix above already
-		// pinned that layer.
-		ref := shardedTable(t, seed, reasm.KindSegList, 1, 1, true)
+		ref = shardedTable(t, seed, 1, 1, true)
 		for _, shards := range []int{2, 4, 8} {
-			if got := shardedTable(t, seed, reasm.KindSegList, shards, 1, true); !bytes.Equal(ref, got) {
+			if got := shardedTable(t, seed, shards, 1, true); !bytes.Equal(ref, got) {
 				t.Errorf("seed %d: -adapt table differs at -shards %d:\n--- serial ---\n%s--- sharded ---\n%s",
 					seed, shards, ref, got)
 			}
