@@ -2,8 +2,6 @@ package juggler
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -12,6 +10,7 @@ import (
 	"time"
 
 	"juggler/internal/experiments"
+	"juggler/internal/golden"
 	"juggler/internal/sim"
 	"juggler/internal/telemetry"
 )
@@ -20,76 +19,29 @@ import (
 // batched pipeline replaced: for every case of the two tests below, the
 // length and SHA-256 of each artefact, recorded while that scalar path
 // still existed. The batched pipeline must reproduce them byte for byte.
-// Regenerate with UPDATE_GOLDEN=1 only for a change that is meant to
-// alter the simulation.
 var rxGoldenPath = filepath.Join("testdata", "rx_golden.json")
 
-// artefact is one export's fingerprint in rx_golden.json.
-type artefact struct {
-	Len    int    `json:"len"`
-	SHA256 string `json:"sha256"`
-}
-
-func fingerprint(b []byte) artefact {
-	sum := sha256.Sum256(b)
-	return artefact{Len: len(b), SHA256: hex.EncodeToString(sum[:])}
-}
-
-// readRXGolden loads rx_golden.json; a missing file is empty.
-func readRXGolden(t *testing.T) map[string]map[string]artefact {
+// checkRXGolden fingerprints one case's exports and writes them over that
+// case in the file's current contents, so rx_golden.json is reproduced
+// byte for byte exactly when the case matches its frozen fingerprints;
+// regenerating rewrites this case and keeps every other one.
+func checkRXGolden(t *testing.T, name string, exports map[string][]byte) {
 	t.Helper()
-	g := map[string]map[string]artefact{}
-	b, err := os.ReadFile(rxGoldenPath)
-	if os.IsNotExist(err) {
-		return g
+	g := map[string]map[string]golden.Digest{}
+	if b, err := os.ReadFile(rxGoldenPath); err == nil { // golden.JSON reports an unreadable file
+		if err := json.Unmarshal(b, &g); err != nil {
+			t.Fatalf("%s: %v", rxGoldenPath, err)
+		}
 	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(b, &g); err != nil {
-		t.Fatalf("%s: %v", rxGoldenPath, err)
-	}
-	return g
-}
-
-// recordRXGolden stores one case's fingerprints under UPDATE_GOLDEN=1,
-// keeping every other case already in the file.
-func recordRXGolden(t *testing.T, name string, exports map[string][]byte) {
-	t.Helper()
-	g := readRXGolden(t)
-	fp := map[string]artefact{}
-	for k, b := range exports {
-		fp[k] = fingerprint(b)
-	}
-	g[name] = fp
-	out, err := json.MarshalIndent(g, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(rxGoldenPath, append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// checkRXGolden compares one run's exports against the frozen case.
-func checkRXGolden(t *testing.T, name, run string, exports map[string][]byte) {
-	t.Helper()
-	want, ok := readRXGolden(t)[name]
-	if !ok {
-		t.Fatalf("%s has no case %q (run with UPDATE_GOLDEN=1)", rxGoldenPath, name)
-	}
-	if len(want) != len(exports) {
-		t.Fatalf("%s: golden holds %d exports, run produced %d", name, len(want), len(exports))
-	}
+	fp := map[string]golden.Digest{}
 	for k, b := range exports {
 		if len(b) == 0 {
-			t.Errorf("%s: empty %s export (%s)", name, k, run)
+			t.Errorf("%s: empty %s export", name, k)
 		}
-		if got := fingerprint(b); got != want[k] {
-			t.Errorf("%s: %s export drifted from %s (%s): got %d bytes %s, want %d bytes %s",
-				name, k, rxGoldenPath, run, got.Len, got.SHA256[:12], want[k].Len, want[k].SHA256[:12])
-		}
+		fp[k] = golden.Fingerprint(b)
 	}
+	g[name] = fp
+	golden.JSON(t, rxGoldenPath, g)
 }
 
 // TestBatchMatchesScalar is the batch pipeline's determinism contract
@@ -129,11 +81,7 @@ func TestBatchMatchesScalar(t *testing.T) {
 			if err := p.WriteMetrics(&mb); err != nil {
 				t.Fatalf("WriteMetrics: %v", err)
 			}
-			got := map[string][]byte{"trace": tb.Bytes(), "pcap": pb.Bytes(), "prom": mb.Bytes()}
-			if os.Getenv("UPDATE_GOLDEN") != "" {
-				recordRXGolden(t, name, got)
-			}
-			checkRXGolden(t, name, "batch", got)
+			checkRXGolden(t, name, map[string][]byte{"trace": tb.Bytes(), "pcap": pb.Bytes(), "prom": mb.Bytes()})
 		})
 	}
 }
@@ -175,11 +123,12 @@ func TestBatchMatchesScalarSweep(t *testing.T) {
 			}
 			return map[string][]byte{"table": tb.Bytes(), "trace": tr.Bytes(), "pcap": pc.Bytes(), "prom": mb.Bytes()}
 		}
-		if os.Getenv("UPDATE_GOLDEN") != "" {
-			recordRXGolden(t, name, run(1))
-		}
-		for _, workers := range []int{1, 8} {
-			checkRXGolden(t, name, fmt.Sprintf("-j %d", workers), run(workers))
+		serial := run(1)
+		checkRXGolden(t, name, serial)
+		for k, b := range run(8) {
+			if !bytes.Equal(b, serial[k]) {
+				t.Errorf("%s: %s export differs between -j 1 and -j 8 (%d vs %d bytes)", name, k, len(serial[k]), len(b))
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -8,6 +9,8 @@ import (
 	"testing"
 
 	"juggler/internal/cliflags"
+	"juggler/internal/experiments"
+	"juggler/internal/testbed"
 )
 
 // reorderedTrace writes a 20 ms single-flow trace in which every fourth
@@ -29,6 +32,22 @@ func reorderedTrace(t *testing.T) string {
 		t.Fatal(err)
 	}
 	return path
+}
+
+// TestScenariosWidthIndependent: `-scenario all -quick -json` writes the
+// same report bytes whether the catalog runs serially or on 8 workers.
+func TestScenariosWidthIndependent(t *testing.T) {
+	var reports [2]bytes.Buffer
+	for i, j := range []int{1, 8} {
+		cf := &cliflags.Flags{Seed: 1, J: j, StampSample: 1}
+		diags, _ := diagnoseScenarios(experiments.ChaosScenarios(), testbed.OffloadJuggler, cf, true, 1)
+		if err := writeJSON(&reports[i], diags); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(reports[0].Bytes(), reports[1].Bytes()) {
+		t.Fatalf("diagnosis JSON differs between -j 1 and -j 8 (%d vs %d bytes)", reports[0].Len(), reports[1].Len())
+	}
 }
 
 // TestReplayAdaptReachesDiagnosis: -adapt on -replay attaches the

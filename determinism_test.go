@@ -2,7 +2,6 @@ package juggler
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -12,12 +11,11 @@ import (
 	"time"
 
 	"juggler/internal/chaos"
-	"juggler/internal/experiments"
 	"juggler/internal/fabric"
+	"juggler/internal/golden"
 	"juggler/internal/lb"
 	"juggler/internal/sim"
 	"juggler/internal/tcp"
-	"juggler/internal/telemetry"
 	"juggler/internal/testbed"
 	"juggler/internal/units"
 	"juggler/internal/workload"
@@ -120,64 +118,6 @@ func TestTelemetryExportsDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(m1, m2) {
 		t.Errorf("metrics snapshot differs between identically-seeded runs (%d vs %d bytes)", len(m1), len(m2))
-	}
-}
-
-// TestParallelSweepDeterministic is the internal/sweep contract checked end
-// to end: running a sweeping experiment on 8 workers must produce the same
-// bytes as the serial run — the rendered table AND the telemetry artifacts
-// exported from the designated traced point. fig6 is the probe because it
-// both sweeps (so points really interleave under -j) and attaches the
-// telemetry sink. Two seeds guard against a coincidentally stable schedule.
-func TestParallelSweepDeterministic(t *testing.T) {
-	for _, seed := range []int64{3, 11} {
-		run := func(workers int) (table, trace, pcap, prom []byte) {
-			t.Helper()
-			var sink *telemetry.Sink
-			o := experiments.Options{Seed: seed, Quick: true, Workers: workers}
-			o.AttachTelemetry = func(s *sim.Sim) {
-				sink = telemetry.New(s, telemetry.Options{EventCap: 1 << 14})
-			}
-			tbl := experiments.Run("fig6", o)
-			if tbl == nil {
-				t.Fatalf("experiment fig6 not registered")
-			}
-			var tb bytes.Buffer
-			tbl.Fprint(&tb)
-			if sink == nil {
-				t.Fatalf("no telemetry sink attached (workers=%d)", workers)
-			}
-			var tr, pc, mb bytes.Buffer
-			if err := sink.WriteTrace(&tr); err != nil {
-				t.Fatalf("WriteTrace: %v", err)
-			}
-			if err := sink.WritePcap(&pc); err != nil {
-				t.Fatalf("WritePcap: %v", err)
-			}
-			if err := sink.Metrics.WriteProm(&mb); err != nil {
-				t.Fatalf("WriteProm: %v", err)
-			}
-			return tb.Bytes(), tr.Bytes(), pc.Bytes(), mb.Bytes()
-		}
-
-		st, str, spc, spm := run(1)
-		pt, ptr, ppc, ppm := run(8)
-		if len(st) == 0 || len(str) == 0 || len(spc) == 0 || len(spm) == 0 {
-			t.Fatalf("seed %d: empty serial output: table=%d trace=%d pcap=%d metrics=%d bytes",
-				seed, len(st), len(str), len(spc), len(spm))
-		}
-		if !bytes.Equal(st, pt) {
-			t.Errorf("seed %d: table differs between -j 1 and -j 8:\n--- serial ---\n%s--- parallel ---\n%s", seed, st, pt)
-		}
-		if !bytes.Equal(str, ptr) {
-			t.Errorf("seed %d: trace-event JSON differs between -j 1 and -j 8 (%d vs %d bytes)", seed, len(str), len(ptr))
-		}
-		if !bytes.Equal(spc, ppc) {
-			t.Errorf("seed %d: pcapng capture differs between -j 1 and -j 8 (%d vs %d bytes)", seed, len(spc), len(ppc))
-		}
-		if !bytes.Equal(spm, ppm) {
-			t.Errorf("seed %d: metrics snapshot differs between -j 1 and -j 8 (%d vs %d bytes)", seed, len(spm), len(ppm))
-		}
 	}
 }
 
@@ -343,9 +283,9 @@ func engineChaos() engineRun {
 
 // TestEngineGolden freezes three short same-seed simulations against
 // testdata/engine_golden.json, generated before the event engine was
-// rebuilt (ISSUE 13). It passes only while every event still executes in
-// the same (at, seq) order; regenerate with UPDATE_GOLDEN=1 only for a
-// change that is meant to alter the simulation.
+// rebuilt. It passes only while every event still executes in the same
+// (at, seq) order; regenerate it (see internal/golden) only for a change
+// that is meant to alter the simulation.
 func TestEngineGolden(t *testing.T) {
 	runs := []engineRun{enginePair(), engineClos(), engineChaos()}
 	for _, r := range runs {
@@ -357,26 +297,5 @@ func TestEngineGolden(t *testing.T) {
 			t.Fatalf("%s: degenerate run: %+v", r.Name, r)
 		}
 	}
-	got, err := json.MarshalIndent(runs, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got = append(got, '\n')
-	path := filepath.Join("testdata", "engine_golden.json")
-	if os.Getenv("UPDATE_GOLDEN") != "" {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (run with UPDATE_GOLDEN=1): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("engine fingerprint drifted from %s: the event order changed\ngot:\n%s\nwant:\n%s", path, got, want)
-	}
+	golden.JSON(t, filepath.Join("testdata", "engine_golden.json"), runs)
 }

@@ -11,6 +11,10 @@ import (
 	"juggler/internal/units"
 )
 
+// fuzzBases are the seed corpus's base sequence numbers: base 1, then two
+// that make every seed program straddle the 2^32 wrap.
+var fuzzBases = []uint32{1, 1<<32 - 4*units.MSS, 1<<32 - 1}
+
 // FuzzJugglerReceive drives a Juggler instance with an arbitrary packet
 // program: each input byte triple encodes (flow, seq-slot, op), and slots
 // count from a fuzzer-chosen base sequence number. The invariants checked
@@ -19,7 +23,7 @@ import (
 // every program from base 1 and from two bases that straddle the 2^32
 // wrap.
 func FuzzJugglerReceive(f *testing.F) {
-	for _, base := range []uint32{1, 1<<32 - 4*units.MSS, 1<<32 - 1} {
+	for _, base := range fuzzBases {
 		f.Add(base, []byte{0, 1, 0, 0, 0, 1, 1, 5, 2})
 		f.Add(base, []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 		f.Add(base, []byte{0, 0, 0, 0, 0, 0}) // duplicates
@@ -76,12 +80,16 @@ func FuzzJugglerReceive(f *testing.F) {
 // bytes, and the gro_table is audited after every state-mutating entry
 // point through the Probe hook. This cross-checks core's own invariants
 // (checkInvariants) against the independent observer the fault-injection
-// harness uses — the two must never disagree.
+// harness uses — the two must never disagree. Slots count from a
+// fuzzer-chosen base sequence number, seeded on both sides of the 2^32
+// wrap.
 func FuzzChaosSegments(f *testing.F) {
-	f.Add([]byte{0, 1, 0, 0, 1, 4, 0, 2, 5}) // dup then overlap
-	f.Add([]byte{0, 0, 2, 0, 1, 2, 0, 2, 2}) // corrupted options run
-	f.Add([]byte{1, 3, 6, 1, 3, 4, 2, 3, 5, 0, 9, 3})
-	f.Fuzz(func(t *testing.T, program []byte) {
+	for _, base := range fuzzBases {
+		f.Add(base, []byte{0, 1, 0, 0, 1, 4, 0, 2, 5}) // dup then overlap
+		f.Add(base, []byte{0, 0, 2, 0, 1, 2, 0, 2, 2}) // corrupted options run
+		f.Add(base, []byte{1, 3, 6, 1, 3, 4, 2, 3, 5, 0, 9, 3})
+	}
+	f.Fuzz(func(t *testing.T, base uint32, program []byte) {
 		s := sim.New(1)
 		cfg := Config{
 			InseqTimeout: 15 * time.Microsecond,
@@ -103,7 +111,7 @@ func FuzzChaosSegments(f *testing.F) {
 					SrcIP: uint32(fl%5) + 1, DstIP: 2,
 					SrcPort: uint16(fl % 5), DstPort: 80, Proto: packet.ProtoTCP,
 				},
-				Seq:        1 + uint32(slot%32)*units.MSS,
+				Seq:        base + uint32(slot%32)*units.MSS,
 				PayloadLen: units.MSS,
 				Flags:      packet.FlagACK,
 			}
@@ -156,12 +164,15 @@ func FuzzChaosSegments(f *testing.F) {
 // Each program triple is (flow, seq slot, op): op%4 == 1 seals the packet
 // with PSH, 2 changes its options signature (a merge boundary), and 3
 // ends the poll and idles op microseconds before the next one. Bit k of
-// splits (cycled) cuts the split run's batch after packet k.
+// splits (cycled) cuts the split run's batch after packet k. Slots count
+// from a fuzzer-chosen base sequence number, as in FuzzJugglerReceive.
 func FuzzBatchPartition(f *testing.F) {
-	f.Add([]byte{0, 0, 0, 1, 0, 0, 2, 0, 0, 3, 0, 0, 4, 0, 0, 5, 0, 3, 0, 1, 0, 5, 1, 0}, []byte{0x55}) // six flows, MaxFlows 4: eviction
-	f.Add([]byte{0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 3, 0, 2, 0, 0, 2, 0}, []byte{0x09})                   // duplicates
-	f.Add([]byte{0, 0, 0, 0, 1, 1, 0, 3, 0, 0, 2, 1, 1, 0, 1, 1, 1, 63, 1, 3, 0}, []byte{0x0f, 0xa0})   // sealed packets
-	f.Fuzz(func(t *testing.T, program, splits []byte) {
+	for _, base := range fuzzBases {
+		f.Add(base, []byte{0, 0, 0, 1, 0, 0, 2, 0, 0, 3, 0, 0, 4, 0, 0, 5, 0, 3, 0, 1, 0, 5, 1, 0}, []byte{0x55}) // six flows, MaxFlows 4: eviction
+		f.Add(base, []byte{0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 3, 0, 2, 0, 0, 2, 0}, []byte{0x09})                   // duplicates
+		f.Add(base, []byte{0, 0, 0, 0, 1, 1, 0, 3, 0, 0, 2, 1, 1, 0, 1, 1, 1, 63, 1, 3, 0}, []byte{0x0f, 0xa0})   // sealed packets
+	}
+	f.Fuzz(func(t *testing.T, base uint32, program, splits []byte) {
 		type poll struct {
 			at   sim.Time
 			pkts []packet.Packet
@@ -178,7 +189,7 @@ func FuzzBatchPartition(f *testing.F) {
 					SrcIP: uint32(fl%6) + 1, DstIP: 2,
 					SrcPort: uint16(fl % 6), DstPort: 80, Proto: packet.ProtoTCP,
 				},
-				Seq:        1 + uint32(slot%32)*units.MSS,
+				Seq:        base + uint32(slot%32)*units.MSS,
 				PayloadLen: units.MSS,
 				Flags:      packet.FlagACK,
 			}
@@ -219,14 +230,14 @@ func FuzzBatchPartition(f *testing.F) {
 			j.Probe = j.checkInvariants
 			k := 0
 			for _, pl := range polls {
-				base := k
+				first := k
 				k += len(pl.pkts)
 				s.ScheduleAt(pl.at, func() {
 					var batch []*packet.Packet
 					for i := range pl.pkts {
 						q := pl.pkts[i] // each run hands the Juggler its own wire packets
 						batch = append(batch, &q)
-						if cut(base+i) || i == len(pl.pkts)-1 {
+						if cut(first+i) || i == len(pl.pkts)-1 {
 							j.ReceiveBatch(batch)
 							batch = batch[:0]
 						}

@@ -3,14 +3,13 @@ package core
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
 
+	"juggler/internal/golden"
 	"juggler/internal/packet"
 	"juggler/internal/sim"
 	"juggler/internal/units"
@@ -138,23 +137,11 @@ func digestTimeoutRun(recs []segRecord, st Stats, state string) timeoutPoint {
 // expiry it replaced exactly — same segments, same order, same delivery
 // instants, same statistics, same final state, same simulator event
 // count — as recorded from that scan in testdata/timeout_golden.json.
-// Regenerate with UPDATE_GOLDEN=1 only for a change that is meant to
+// Regenerate it (see internal/golden) only for a change that is meant to
 // alter expiry.
 func TestTimeoutWheelMatchesScan(t *testing.T) {
 	inseqs := []time.Duration{0, 5 * time.Microsecond, 15 * time.Microsecond}
 	ofos := []time.Duration{0, 25 * time.Microsecond, 50 * time.Microsecond, 200 * time.Microsecond}
-	path := filepath.Join("testdata", "timeout_golden.json")
-	update := os.Getenv("UPDATE_GOLDEN") != ""
-	want := map[string]timeoutPoint{}
-	if !update {
-		b, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("missing golden file (run with UPDATE_GOLDEN=1): %v", err)
-		}
-		if err := json.Unmarshal(b, &want); err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-	}
 	got := map[string]timeoutPoint{}
 	for _, inseq := range inseqs {
 		for _, ofo := range ofos {
@@ -162,25 +149,11 @@ func TestTimeoutWheelMatchesScan(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				p := digestTimeoutRun(runTimeoutWorkload(inseq, ofo))
 				got[name] = p
-				if !update && p != want[name] {
-					t.Errorf("expiry drifted from %s:\ngot  %+v\nwant %+v", path, p, want[name])
-				}
 				if p.FlushInseq+p.FlushOfo == 0 && ofo > 0 && inseq > 0 {
 					t.Fatal("workload exercised no timeout flushes; test is vacuous")
 				}
 			})
 		}
 	}
-	if update {
-		out, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	golden.JSON(t, filepath.Join("testdata", "timeout_golden.json"), got)
 }

@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"bytes"
 	"strconv"
 	"strings"
 	"testing"
+
+	"juggler/internal/sweep"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -87,17 +90,22 @@ func findRow(t *testing.T, tb *Table, prefix ...string) []string {
 }
 
 // TestAllExperimentsRunQuick executes every registered experiment in quick
-// mode and sanity-checks the headline relationships the paper reports.
-// Skipped under -short (the full sweep takes a couple of minutes).
+// mode twice — serially, then as `-j 8 -shards 4` budgets it (2 sweep
+// workers of 4 lanes each) — and requires byte-identical rendered tables:
+// the width-independence contract of internal/sweep and the sharded
+// datapath, checked for every ID. It then sanity-checks the headline
+// relationships the paper reports on the serial tables. Skipped under
+// -short.
 func TestAllExperimentsRunQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quick experiment sweep skipped in -short mode")
 	}
-	o := Options{Seed: 1, Quick: true}
+	serial := Options{Seed: 1, Quick: true}
+	wide := serial
+	wide.Workers, wide.Shards = sweep.EffectiveWorkers(8, 4), 4
 	tables := map[string]*Table{}
 	for _, id := range IDs() {
-		id := id
-		tb := Run(id, o)
+		tb := Run(id, serial)
 		if tb == nil || len(tb.Rows) == 0 {
 			t.Fatalf("experiment %s produced no rows", id)
 		}
@@ -105,6 +113,12 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 			if len(row) != len(tb.Columns) {
 				t.Fatalf("%s: ragged row %v", id, row)
 			}
+		}
+		var s, w bytes.Buffer
+		tb.Fprint(&s)
+		Run(id, wide).Fprint(&w)
+		if !bytes.Equal(s.Bytes(), w.Bytes()) {
+			t.Errorf("%s differs between -j 1 -shards 1 and -j 8 -shards 4:\n--- serial ---\n%s--- wide ---\n%s", id, s.Bytes(), w.Bytes())
 		}
 		tables[id] = tb
 	}

@@ -2,25 +2,10 @@ package experiments
 
 import (
 	"bytes"
-	"reflect"
 	"testing"
 
 	"juggler/internal/telemetry/fleet"
 )
-
-// TestFleetSweepDeterministic: the fleet table must be byte-identical
-// at any -j width — each scenario point owns its simulation and rows
-// commit by index.
-func TestFleetSweepDeterministic(t *testing.T) {
-	o := Options{Seed: 1, Quick: true}
-	o.Workers = 1
-	t1 := fleetExperiment(o)
-	o.Workers = 8
-	t8 := fleetExperiment(o)
-	if !reflect.DeepEqual(t1.Rows, t8.Rows) {
-		t.Fatalf("rows differ across -j widths:\n-j1: %v\n-j8: %v", t1.Rows, t8.Rows)
-	}
-}
 
 // TestFleetReportFlagsImpairedHost: the impaired receiver must rank
 // worst, the clean run must stay healthy, and both reports must

@@ -59,8 +59,8 @@ func TestSojournTelescoping(t *testing.T) {
 }
 
 // TestDiagnosisDeterministic demands byte-identical diagnosis JSON from
-// same-seed runs — the property the doctor CLI's -j 1 vs -j 8 CI check
-// and all replay workflows build on.
+// same-seed runs — the property juggler-doctor's width test
+// (TestScenariosWidthIndependent) and all replay workflows build on.
 func TestDiagnosisDeterministic(t *testing.T) {
 	render := func() []byte {
 		d, _ := chaosDiagnosis(t, "storm", 7)

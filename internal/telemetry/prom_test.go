@@ -4,10 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
 
+	"juggler/internal/golden"
 	"juggler/internal/packet"
 	"juggler/internal/sim"
 )
@@ -212,7 +214,7 @@ func TestPromForensicsGolden(t *testing.T) {
 	if err := k.Metrics.WriteProm(&buf); err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "forensics.prom", buf.Bytes())
+	golden.Check(t, filepath.Join("testdata", "forensics.prom"), buf.Bytes())
 }
 
 // TestPromBucketsCumulative checks histogram exposition invariants on a

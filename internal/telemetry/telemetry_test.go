@@ -4,10 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
-	"os"
 	"path/filepath"
 	"testing"
 
+	"juggler/internal/golden"
 	"juggler/internal/packet"
 	"juggler/internal/sim"
 )
@@ -158,29 +158,6 @@ func fixtureSink() *Sink {
 	return k
 }
 
-// checkGolden compares got against testdata/<name>; set UPDATE_GOLDEN=1 to
-// regenerate.
-func checkGolden(t *testing.T, name string, got []byte) {
-	t.Helper()
-	path := filepath.Join("testdata", name)
-	if os.Getenv("UPDATE_GOLDEN") != "" {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (run with UPDATE_GOLDEN=1): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("%s drifted from golden file (%d vs %d bytes); run with UPDATE_GOLDEN=1 after verifying\ngot:\n%s", name, len(got), len(want), got)
-	}
-}
-
 func TestTraceEventGolden(t *testing.T) {
 	k := fixtureSink()
 	var buf bytes.Buffer
@@ -198,7 +175,7 @@ func TestTraceEventGolden(t *testing.T) {
 	if len(doc.TraceEvents) == 0 {
 		t.Fatal("no trace events emitted")
 	}
-	checkGolden(t, "fixture.trace.json", buf.Bytes())
+	golden.Check(t, filepath.Join("testdata", "fixture.trace.json"), buf.Bytes())
 }
 
 func TestPcapGolden(t *testing.T) {
@@ -215,7 +192,7 @@ func TestPcapGolden(t *testing.T) {
 	if b[8] != 0x4d || b[9] != 0x3c || b[10] != 0x2b || b[11] != 0x1a {
 		t.Fatalf("missing byte-order magic: % x", b[8:12])
 	}
-	checkGolden(t, "fixture.pcapng", b)
+	golden.Check(t, filepath.Join("testdata", "fixture.pcapng"), b)
 }
 
 func TestPromGolden(t *testing.T) {
@@ -224,7 +201,7 @@ func TestPromGolden(t *testing.T) {
 	if err := k.Metrics.WriteProm(&buf); err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "fixture.prom", buf.Bytes())
+	golden.Check(t, filepath.Join("testdata", "fixture.prom"), buf.Bytes())
 }
 
 // TestExportsDeterministic re-runs the fixture and demands byte-identical
