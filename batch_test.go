@@ -86,48 +86,64 @@ func TestBatchMatchesScalar(t *testing.T) {
 	}
 }
 
+// fig6Exports runs the fig6 sweep on the given number of workers and
+// returns its rendered table and the telemetry artifacts exported from the
+// designated traced point, keyed as in rx_golden.json.
+func fig6Exports(t *testing.T, seed int64, workers int) map[string][]byte {
+	t.Helper()
+	var sink *telemetry.Sink
+	o := experiments.Options{Seed: seed, Quick: true, Workers: workers}
+	o.AttachTelemetry = func(s *sim.Sim) {
+		sink = telemetry.New(s, telemetry.Options{EventCap: 1 << 14})
+	}
+	tbl := experiments.Run("fig6", o)
+	if tbl == nil {
+		t.Fatalf("experiment fig6 not registered")
+	}
+	var tb bytes.Buffer
+	tbl.Fprint(&tb)
+	if sink == nil {
+		t.Fatalf("no telemetry sink attached (workers=%d)", workers)
+	}
+	var tr, pc, mb bytes.Buffer
+	if err := sink.WriteTrace(&tr); err != nil {
+		t.Fatalf("WriteTrace: %v", err)
+	}
+	if err := sink.WritePcap(&pc); err != nil {
+		t.Fatalf("WritePcap: %v", err)
+	}
+	if err := sink.Metrics.WriteProm(&mb); err != nil {
+		t.Fatalf("WriteProm: %v", err)
+	}
+	return map[string][]byte{"table": tb.Bytes(), "trace": tr.Bytes(), "pcap": pc.Bytes(), "prom": mb.Bytes()}
+}
+
 // TestBatchMatchesScalarSweep extends the contract to the sweeping
-// apparatus: a fig6 sweep run with the batched receive pipeline — serial
-// AND on 8 workers — must render the table and export the telemetry
-// artifacts of the per-packet serial reference frozen in rx_golden.json.
-// The -j dimension proves the batch path introduced no scheduling
-// coupling between concurrently-simulated points.
+// apparatus: a serial fig6 sweep run with the batched receive pipeline
+// must render the table and export the telemetry artifacts of the
+// per-packet serial reference frozen in rx_golden.json.
+// TestParallelSweepDeterministic carries the same bytes to -j 8.
 func TestBatchMatchesScalarSweep(t *testing.T) {
 	for _, seed := range []int64{3, 11} {
-		name := fmt.Sprintf("fig6/seed=%d", seed)
-		run := func(workers int) map[string][]byte {
-			t.Helper()
-			var sink *telemetry.Sink
-			o := experiments.Options{Seed: seed, Quick: true, Workers: workers}
-			o.AttachTelemetry = func(s *sim.Sim) {
-				sink = telemetry.New(s, telemetry.Options{EventCap: 1 << 14})
+		checkRXGolden(t, fmt.Sprintf("fig6/seed=%d", seed), fig6Exports(t, seed, 1))
+	}
+}
+
+// TestParallelSweepDeterministic is the internal/sweep contract checked end
+// to end: running fig6 on 8 workers must produce the same bytes as the
+// serial run — the rendered table AND the telemetry artifacts exported from
+// the designated traced point. fig6 is the probe because it both sweeps (so
+// points really interleave under -j) and attaches the telemetry sink. Two
+// seeds guard against a coincidentally stable schedule.
+func TestParallelSweepDeterministic(t *testing.T) {
+	for _, seed := range []int64{3, 11} {
+		serial := fig6Exports(t, seed, 1)
+		for k, b := range fig6Exports(t, seed, 8) {
+			if len(serial[k]) == 0 {
+				t.Errorf("seed %d: empty serial %s export", seed, k)
 			}
-			tbl := experiments.Run("fig6", o)
-			if tbl == nil {
-				t.Fatalf("experiment fig6 not registered")
-			}
-			var tb bytes.Buffer
-			tbl.Fprint(&tb)
-			if sink == nil {
-				t.Fatalf("no telemetry sink attached (workers=%d)", workers)
-			}
-			var tr, pc, mb bytes.Buffer
-			if err := sink.WriteTrace(&tr); err != nil {
-				t.Fatalf("WriteTrace: %v", err)
-			}
-			if err := sink.WritePcap(&pc); err != nil {
-				t.Fatalf("WritePcap: %v", err)
-			}
-			if err := sink.Metrics.WriteProm(&mb); err != nil {
-				t.Fatalf("WriteProm: %v", err)
-			}
-			return map[string][]byte{"table": tb.Bytes(), "trace": tr.Bytes(), "pcap": pc.Bytes(), "prom": mb.Bytes()}
-		}
-		serial := run(1)
-		checkRXGolden(t, name, serial)
-		for k, b := range run(8) {
 			if !bytes.Equal(b, serial[k]) {
-				t.Errorf("%s: %s export differs between -j 1 and -j 8 (%d vs %d bytes)", name, k, len(serial[k]), len(b))
+				t.Errorf("seed %d: %s export differs between -j 1 and -j 8 (%d vs %d bytes)", seed, k, len(serial[k]), len(b))
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"testing"
 	"time"
 )
@@ -62,5 +63,24 @@ func TestAdaptiveRecoversFromSkewShift(t *testing.T) {
 	// The adaptive stack should leak fewer out-of-order segments to TCP.
 	if ad.OOOSegs >= st.OOOSegs {
 		t.Errorf("adaptive leaked %d OOO segments, static %d", ad.OOOSegs, st.OOOSegs)
+	}
+}
+
+// TestAdaptiveSweepDeterministic: the registered experiment must emit
+// byte-identical rows regardless of sweep parallelism — each point owns its
+// simulation and results commit by index. It runs 8 sweep workers of one
+// lane each, the width TestAllExperimentsRunQuick's 2-workers-by-4-lanes
+// pass does not reach.
+func TestAdaptiveSweepDeterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("adaptive determinism check skipped in -short mode")
+	}
+	o := Options{Seed: 1, Quick: true}
+	o.Workers = 1
+	t1 := adaptiveSweep(o)
+	o.Workers = 8
+	t8 := adaptiveSweep(o)
+	if !reflect.DeepEqual(t1.Rows, t8.Rows) {
+		t.Fatalf("rows differ across -j widths:\n-j1: %v\n-j8: %v", t1.Rows, t8.Rows)
 	}
 }

@@ -2,10 +2,26 @@ package experiments
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"juggler/internal/telemetry/fleet"
 )
+
+// TestFleetSweepDeterministic: the fleet table must be byte-identical
+// at any -j width — each scenario point owns its simulation and rows
+// commit by index. It runs 8 sweep workers of one lane each, the width
+// TestAllExperimentsRunQuick's 2-workers-by-4-lanes pass does not reach.
+func TestFleetSweepDeterministic(t *testing.T) {
+	o := Options{Seed: 1, Quick: true}
+	o.Workers = 1
+	t1 := fleetExperiment(o)
+	o.Workers = 8
+	t8 := fleetExperiment(o)
+	if !reflect.DeepEqual(t1.Rows, t8.Rows) {
+		t.Fatalf("rows differ across -j widths:\n-j1: %v\n-j8: %v", t1.Rows, t8.Rows)
+	}
+}
 
 // TestFleetReportFlagsImpairedHost: the impaired receiver must rank
 // worst, the clean run must stay healthy, and both reports must
