@@ -178,7 +178,6 @@ type Controller struct {
 
 	gRate, gSkew, gWinMax, gCoalesce *telemetry.Gauge
 	gInseq, gOfo                     *telemetry.Gauge
-	mRetunes                         *telemetry.Counter
 }
 
 // NewController builds a controller bound to the simulation clock and
@@ -195,7 +194,7 @@ func NewController(s *sim.Sim, cfg Config) *Controller {
 	c.gCoalesce = r.Gauge("adapt_coalesce_ewma_ns", "Detector smoothed NIC coalescing delay, ns.")
 	c.gInseq = r.Gauge("adapt_inseq_timeout_ns", "Controller-applied inseq_timeout, ns.")
 	c.gOfo = r.Gauge("adapt_ofo_timeout_ns", "Controller-applied ofo_timeout, ns.")
-	c.mRetunes = r.Counter("adapt_retunes_total", "Knob changes applied by the adapt controller.")
+	r.CounterOf("adapt_retunes_total", "Knob changes applied by the adapt controller.", "", "", &c.Stats.Retunes)
 	return c
 }
 
@@ -432,11 +431,10 @@ func (c *Controller) ofoTarget(est Estimates, winMax time.Duration, relaxed, liv
 	return c.curOfo, false
 }
 
-// record emits one knob change to the forensics ring, the flight
-// recorder and the metric counter.
+// record counts one knob change and emits it to the forensics ring and
+// the flight recorder.
 func (c *Controller) record(now, was time.Duration, knob string) {
 	c.Stats.Retunes++
-	c.mRetunes.Inc()
 	cause := CauseRaise
 	if now < was {
 		cause = CauseLower

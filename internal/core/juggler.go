@@ -174,8 +174,7 @@ type flowEntry struct {
 	hash uint32 // key.Hash(0), cached for probing
 	// sl is the flow's out-of-order queue; it survives release with its
 	// backing arrays, so a recycled entry buffers without allocating.
-	sl             *reasm.SegList
-	flushTimestamp sim.Time
+	sl *reasm.SegList
 	// holdStart anchors the timeout clocks: the later of the last flush
 	// and the instant the queue went from empty to non-empty. Using the
 	// raw flush timestamp would spuriously expire a freshly reactivated
@@ -297,12 +296,10 @@ type Juggler struct {
 	Stats Stats
 
 	// tel is the run's telemetry sink; nil disables recording at the cost
-	// of one branch per event site. The metric instruments below are all
-	// nil no-ops when telemetry is off.
-	tel                                              *telemetry.Sink
-	mFlushEvent, mFlushInseq, mFlushOfo, mFlushEvict *telemetry.Counter
-	mRetrans, mDuplicates, mOfoTimeouts, mEvictions  *telemetry.Counter
-	hFlushPkts                                       *telemetry.Histogram
+	// of one branch per event site. hFlushPkts is a nil no-op when
+	// telemetry is off; the counter metrics are views of Stats.
+	tel        *telemetry.Sink
+	hFlushPkts *telemetry.Histogram
 
 	// Probe, when non-nil, is invoked after every state-mutating entry
 	// point (ReceiveBatch, PollComplete, the timeout timer). The chaos
@@ -323,28 +320,31 @@ func New(s *sim.Sim, cfg Config, d gro.Deliver) *Juggler {
 		segPool: packet.SegPoolFromSim(s),
 	}
 	j.dq = sim.NewDeadlineQueue(func(e *flowEntry) *sim.DeadlineItem { return &e.dl })
-	j.timer = sim.NewTimer(s, j.onTimer)
+	j.timer = sim.NewTimer(s, j.PollComplete)
 	j.Instrument(telemetry.FromSim(s))
 	return j
 }
 
 // Instrument (re)binds the instance to a telemetry sink. New wires up the
 // sink attached to the simulation automatically; harnesses that enable
-// telemetry after construction call it directly. A nil sink disables
-// recording.
+// telemetry after construction call it directly (before any traffic: the
+// counter metrics are views of Stats, which count from construction). A
+// nil sink disables recording.
 func (j *Juggler) Instrument(k *telemetry.Sink) {
 	j.tel = k
 	r := k.Reg()
 	const flushName = "juggler_flush_total"
 	const flushHelp = "Juggler segments flushed, by cause (Table 2)."
-	j.mFlushEvent = r.CounterL(flushName, flushHelp, "reason", "event")
-	j.mFlushInseq = r.CounterL(flushName, flushHelp, "reason", "inseq_timeout")
-	j.mFlushOfo = r.CounterL(flushName, flushHelp, "reason", "ofo_timeout")
-	j.mFlushEvict = r.CounterL(flushName, flushHelp, "reason", "evict")
-	j.mRetrans = r.Counter("juggler_retransmissions_total", "Packets passed through as inferred retransmissions.")
-	j.mDuplicates = r.Counter("juggler_duplicates_total", "Packets whose byte range was already buffered.")
-	j.mOfoTimeouts = r.Counter("juggler_ofo_timeouts_total", "ofo_timeout expirations (loss inferences).")
-	j.mEvictions = r.Counter("juggler_evictions_total", "Flows evicted from gro_table.")
+	r.CounterOf(flushName, flushHelp, "reason", "event", &j.Stats.FlushEvent)
+	r.CounterOf(flushName, flushHelp, "reason", "inseq_timeout", &j.Stats.FlushInseqTimeout)
+	r.CounterOf(flushName, flushHelp, "reason", "ofo_timeout", &j.Stats.FlushOfoTimeout)
+	r.CounterOf(flushName, flushHelp, "reason", "evict", &j.Stats.FlushEvict)
+	r.CounterOf("juggler_retransmissions_total", "Packets passed through as inferred retransmissions.", "", "", &j.Stats.Retransmissions)
+	r.CounterOf("juggler_duplicates_total", "Packets whose byte range was already buffered.", "", "", &j.Stats.Duplicates)
+	r.CounterOf("juggler_ofo_timeouts_total", "ofo_timeout expirations (loss inferences).", "", "", &j.Stats.OfoTimeouts)
+	for _, n := range []*int64{&j.Stats.EvictionsInactive, &j.Stats.EvictionsActive, &j.Stats.EvictionsLoss} {
+		r.CounterOf("juggler_evictions_total", "Flows evicted from gro_table.", "", "", n)
+	}
 	j.hFlushPkts = r.Histogram("juggler_flush_pkts", "Packets per flushed segment (batching).")
 }
 
@@ -606,7 +606,6 @@ func (j *Juggler) receive(p *packet.Packet) {
 		if packet.SeqLess(p.Seq, e.seqNext) {
 			if j.cfg.DisableBuildUpLearning {
 				j.Stats.Retransmissions++
-				j.mRetrans.Inc()
 				j.emit(j.segPool.FromPacket(p))
 				return
 			}
@@ -620,7 +619,6 @@ func (j *Juggler) receive(p *packet.Packet) {
 		// and flushed immediately, never buffered (Figure 6).
 		if packet.SeqLess(p.Seq, e.seqNext) {
 			j.Stats.Retransmissions++
-			j.mRetrans.Inc()
 			if j.tel != nil && !p.SkipStamps {
 				j.tel.Event(telemetry.Event{Layer: telemetry.LayerCore, Kind: telemetry.KindRetransmit,
 					Flow: p.Flow, Seq: p.Seq, N: int64(p.PayloadLen), Note: "inferred"})
@@ -703,7 +701,6 @@ func (j *Juggler) newFlow(p *packet.Packet, hash uint32) *flowEntry {
 	e.hash = hash
 	e.seqNext = p.Seq
 	e.phase = PhaseBuildUp
-	e.flushTimestamp = now
 	e.holdStart = now
 	j.table.insert(e)
 	j.enlist(&j.active, e)
@@ -750,7 +747,6 @@ func (j *Juggler) bufferAndCheck(e *flowEntry, p *packet.Packet) {
 	}
 	if res == reasm.InsDuplicate {
 		j.Stats.Duplicates++
-		j.mDuplicates.Inc()
 		if j.auditing() && !p.SkipStamps {
 			j.decide(e, &telemetry.Decision{Op: telemetry.OpPass, Cause: "duplicate",
 				Seq: p.Seq, EndSeq: p.EndSeq(), N: int64(p.PayloadLen), Note: "range already buffered"})
@@ -845,25 +841,23 @@ func (j *Juggler) eventFlush(e *flowEntry) *packet.Segment {
 		default:
 			return head
 		}
-		j.flushHead(e, &j.Stats.FlushEvent, j.mFlushEvent, cause)
+		j.flushHead(e, &j.Stats.FlushEvent, cause)
 	}
 }
 
 // flushHead delivers the head segment and advances flow state; reason
-// points at the statistic to increment, mirrored by the metric counter;
-// cause names the Table-2 condition for the forensics audit ring.
-// Callers refresh the flow's deadline-queue position afterwards.
-func (j *Juggler) flushHead(e *flowEntry, reason *int64, m *telemetry.Counter, cause string) {
+// points at the statistic to increment; cause names the Table-2 condition
+// for the forensics audit ring. Callers refresh the flow's deadline-queue
+// position afterwards.
+func (j *Juggler) flushHead(e *flowEntry, reason *int64, cause string) {
 	seg := e.sl.PopHead()
 	segSeq, segEnd, segPkts, skip := seg.Seq, seg.EndSeq(), seg.Pkts, seg.SkipStamps
 	j.buffered -= seg.Bytes
 	j.bufferedPkts -= seg.Pkts
 	*reason++
-	m.Inc()
 	j.emitMerged(seg)
 	e.seqNext = segEnd
-	e.flushTimestamp = j.sim.Now()
-	e.holdStart = e.flushTimestamp
+	e.holdStart = j.sim.Now()
 	if j.auditing() && !skip {
 		j.decide(e, &telemetry.Decision{Op: telemetry.OpFlush, Cause: cause,
 			Seq: segSeq, EndSeq: segEnd, N: int64(segPkts)})
@@ -922,16 +916,9 @@ func (j *Juggler) emit(seg *packet.Segment) {
 }
 
 // PollComplete implements gro.Offload: timeout conditions are checked at
-// polling completions (§4.2.2), in addition to the high-resolution timer.
+// polling completions (§4.2.2). It is also the callback of the one
+// high-resolution timer per gro_table.
 func (j *Juggler) PollComplete() {
-	j.checkTimeouts()
-	if j.Probe != nil {
-		j.Probe()
-	}
-}
-
-// onTimer is the one high-resolution timer callback per gro_table.
-func (j *Juggler) onTimer() {
 	j.checkTimeouts()
 	if j.Probe != nil {
 		j.Probe()
@@ -1059,7 +1046,7 @@ func (j *Juggler) expireFlow(e *flowEntry, now sim.Time) {
 			if head == nil || head.Seq != e.seqNext {
 				break
 			}
-			j.flushHead(e, &j.Stats.FlushInseqTimeout, j.mFlushInseq, CauseInseq)
+			j.flushHead(e, &j.Stats.FlushInseqTimeout, CauseInseq)
 		}
 	}
 	head = e.sl.Head()
@@ -1076,7 +1063,6 @@ func (j *Juggler) expireFlow(e *flowEntry, now sim.Time) {
 // loss recovery (§4.2.5, Figure 7).
 func (j *Juggler) ofoExpire(e *flowEntry) {
 	j.Stats.OfoTimeouts++
-	j.mOfoTimeouts.Inc()
 	if j.tel != nil {
 		j.tel.Event(telemetry.Event{Layer: telemetry.LayerCore, Kind: telemetry.KindTimeout,
 			Flow: e.key, Seq: e.seqNext, N: int64(e.sl.Pkts()), Note: "ofo"})
@@ -1092,7 +1078,6 @@ func (j *Juggler) ofoExpire(e *flowEntry) {
 	drained := e.sl.Drain()
 	for _, seg := range drained {
 		j.Stats.FlushOfoTimeout++
-		j.mFlushOfo.Inc()
 		segSeq, segEnd, segPkts, skip := seg.Seq, seg.EndSeq(), seg.Pkts, seg.SkipStamps
 		j.emitMerged(seg)
 		e.seqNext = packet.SeqMax(e.seqNext, segEnd)
@@ -1102,8 +1087,7 @@ func (j *Juggler) ofoExpire(e *flowEntry) {
 		}
 	}
 	e.sl.RecycleDrained(drained)
-	e.flushTimestamp = j.sim.Now()
-	e.holdStart = e.flushTimestamp
+	e.holdStart = j.sim.Now()
 
 	switch e.phase {
 	case PhaseLossRecovery:
@@ -1176,7 +1160,6 @@ func (j *Juggler) evictOne() {
 // recycles the entry through the free list. cause names why for the
 // forensics ring (table-full pressure vs adaptive idle trimming).
 func (j *Juggler) evict(e *flowEntry, cause string) {
-	j.mEvictions.Inc()
 	if j.tel != nil {
 		j.tel.Event(telemetry.Event{Layer: telemetry.LayerCore, Kind: telemetry.KindEvict,
 			Flow: e.key, Seq: e.seqNext, N: int64(e.sl.Pkts()), Note: e.phase.String()})
@@ -1190,7 +1173,6 @@ func (j *Juggler) evict(e *flowEntry, cause string) {
 	drained := e.sl.Drain()
 	for _, seg := range drained {
 		j.Stats.FlushEvict++
-		j.mFlushEvict.Inc()
 		segSeq, segEnd, segPkts, skip := seg.Seq, seg.EndSeq(), seg.Pkts, seg.SkipStamps
 		j.emitMerged(seg)
 		if j.auditing() && !skip {

@@ -92,8 +92,7 @@ type DropInjector struct {
 	DroppedSeqs []uint32
 
 	// tel is the run's telemetry sink; nil disables recording.
-	tel    *telemetry.Sink
-	mDrops *telemetry.Counter
+	tel *telemetry.Sink
 }
 
 // NewDropInjector wraps dst with uniform random drops.
@@ -104,8 +103,8 @@ func NewDropInjector(s *sim.Sim, prob float64, dst Sink) *DropInjector {
 	di := &DropInjector{sim: s, Prob: prob, dst: dst}
 	if k := telemetry.FromSim(s); k != nil {
 		di.tel = k
-		di.mDrops = k.Reg().Counter("fabric_injected_drops_total",
-			"Packets dropped by the loss injector.")
+		k.Reg().CounterOf("fabric_injected_drops_total",
+			"Packets dropped by the loss injector.", "", "", &di.Dropped)
 	}
 	return di
 }
@@ -114,7 +113,6 @@ func NewDropInjector(s *sim.Sim, prob float64, dst Sink) *DropInjector {
 func (di *DropInjector) Deliver(p *packet.Packet) {
 	if di.Prob > 0 && di.sim.Rand().Float64() < di.Prob {
 		di.Dropped++
-		di.mDrops.Inc()
 		di.tel.Event(telemetry.Event{Layer: telemetry.LayerFabric, Kind: telemetry.KindDrop,
 			Flow: p.Flow, Seq: p.Seq, N: int64(p.PayloadLen), Note: "injected"})
 		if len(di.DroppedSeqs) < 64 {

@@ -57,15 +57,17 @@ type Port struct {
 	// DroppedDown counts packets lost to the link being down (arrivals
 	// while down plus queued frames discarded when the link goes down).
 	DroppedDown int64
+	// sendDrops counts arrivals Send discarded (link down or queue full),
+	// the fabric_drops_total view.
+	sendDrops int64
 
 	// Probe, when non-nil, samples queue occupancy at each enqueue.
 	Probe *OccupancyProbe
 
 	// tel is the run's telemetry sink; nil disables recording.
-	tel             *telemetry.Sink
-	track           int32
-	queueEvents     bool
-	mTxPkts, mDrops *telemetry.Counter
+	tel         *telemetry.Sink
+	track       int32
+	queueEvents bool
 }
 
 // NewPort creates a port transmitting at rate with propagation delay prop
@@ -84,10 +86,10 @@ func NewPort(s *sim.Sim, name string, rate units.BitRate, prop time.Duration, q 
 		pt.tel = k
 		pt.track = k.Track(name)
 		pt.queueEvents = k.FabricQueueEvents()
-		pt.mTxPkts = k.Reg().CounterL("fabric_tx_packets_total",
-			"Packets transmitted by fabric ports.", "port", name)
-		pt.mDrops = k.Reg().CounterL("fabric_drops_total",
-			"Packets dropped at fabric ports (queue overflow or link down).", "port", name)
+		k.Reg().CounterOf("fabric_tx_packets_total",
+			"Packets transmitted by fabric ports.", "port", name, &pt.TxPkts)
+		k.Reg().CounterOf("fabric_drops_total",
+			"Packets dropped at fabric ports (queue overflow or link down).", "port", name, &pt.sendDrops)
 	}
 	return pt
 }
@@ -123,7 +125,7 @@ func (pt *Port) Down() bool { return pt.down }
 func (pt *Port) Send(p *packet.Packet) {
 	if pt.down {
 		pt.DroppedDown++
-		pt.mDrops.Inc()
+		pt.sendDrops++
 		pt.tel.Event(telemetry.Event{Layer: telemetry.LayerFabric, Kind: telemetry.KindDrop,
 			Track: pt.track, Flow: p.Flow, Seq: p.Seq, N: int64(p.WireLen()), Note: "link-down"})
 		return
@@ -132,7 +134,7 @@ func (pt *Port) Send(p *packet.Packet) {
 		pt.Probe.Observe(pt.queue.Bytes())
 	}
 	if !pt.queue.Enqueue(p) {
-		pt.mDrops.Inc()
+		pt.sendDrops++
 		pt.tel.Event(telemetry.Event{Layer: telemetry.LayerFabric, Kind: telemetry.KindDrop,
 			Track: pt.track, Flow: p.Flow, Seq: p.Seq, N: int64(p.WireLen()), Note: "queue-full"})
 		return
@@ -168,7 +170,6 @@ func (pt *Port) txDone(arg any) {
 	p := arg.(*packet.Packet)
 	pt.TxPkts++
 	pt.TxBytes += int64(p.WireLen())
-	pt.mTxPkts.Inc()
 	// First-egress hop stamp: only the first port on the path records
 	// it, so the fabric sojourn spans every later switch hop too.
 	if !p.SkipStamps && p.Stamps[packet.HopFabricEgress] == 0 {

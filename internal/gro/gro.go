@@ -117,11 +117,14 @@ type Vanilla struct {
 	order   []packet.FiveTuple
 	onOrder map[packet.FiveTuple]bool
 
-	// tel is the run's telemetry sink; nil disables recording. The metric
-	// instruments are nil no-ops when telemetry is off.
-	tel                                                    *telemetry.Sink
-	mFlushControl, mFlushSealed, mFlushRestart, mFlushPoll *telemetry.Counter
-	hMergePkts                                             *telemetry.Histogram
+	// flushControl/Sealed/Restart/Poll count flushes by cause; Instrument
+	// exports them as gro_flush_total.
+	flushControl, flushSealed, flushRestart, flushPoll int64
+
+	// tel is the run's telemetry sink; nil disables recording. hMergePkts
+	// is a nil no-op when telemetry is off.
+	tel        *telemetry.Sink
+	hMergePkts *telemetry.Histogram
 }
 
 // Instrument binds the instance to a telemetry sink; the testbed calls it
@@ -132,10 +135,10 @@ func (g *Vanilla) Instrument(k *telemetry.Sink) {
 	r := k.Reg()
 	const name = "gro_flush_total"
 	const help = "Vanilla GRO segments flushed, by cause."
-	g.mFlushControl = r.CounterL(name, help, "reason", "control")
-	g.mFlushSealed = r.CounterL(name, help, "reason", "sealed")
-	g.mFlushRestart = r.CounterL(name, help, "reason", "ooo-restart")
-	g.mFlushPoll = r.CounterL(name, help, "reason", "poll")
+	r.CounterOf(name, help, "reason", "control", &g.flushControl)
+	r.CounterOf(name, help, "reason", "sealed", &g.flushSealed)
+	r.CounterOf(name, help, "reason", "ooo-restart", &g.flushRestart)
+	r.CounterOf(name, help, "reason", "poll", &g.flushPoll)
 	g.hMergePkts = r.Histogram("gro_merge_pkts", "Packets per flushed GRO segment.")
 }
 
@@ -153,7 +156,7 @@ func (g *Vanilla) Receive(p *packet.Packet) {
 	g.c.Packets++
 	if p.PassThrough() {
 		// Control packets end any in-progress merge.
-		g.flushFlow(p.Flow, "control", g.mFlushControl)
+		g.flushFlow(p.Flow, "control", &g.flushControl)
 		g.emit(g.pool.FromPacket(p))
 		return
 	}
@@ -165,14 +168,14 @@ func (g *Vanilla) Receive(p *packet.Packet) {
 	if seg.CanAppend(p, units.TSOMaxBytes) {
 		seg.Append(p)
 		if seg.Sealed() || seg.Bytes+units.MSS > units.TSOMaxBytes {
-			g.flushFlow(p.Flow, "sealed", g.mFlushSealed)
+			g.flushFlow(p.Flow, "sealed", &g.flushSealed)
 		}
 		return
 	}
 	// Out of sequence, incompatible, or size-limited: flush the old merge
 	// and start fresh from this packet — exactly the behaviour whose CPU
 	// cost collapses under reordering.
-	g.flushFlow(p.Flow, "ooo-restart", g.mFlushRestart)
+	g.flushFlow(p.Flow, "ooo-restart", &g.flushRestart)
 	g.start(p)
 }
 
@@ -201,15 +204,15 @@ func (g *Vanilla) start(p *packet.Packet) {
 	}
 }
 
-// flushFlow delivers the flow's in-progress merge, recording the flush
-// reason (note must be a constant string).
-func (g *Vanilla) flushFlow(ft packet.FiveTuple, note string, m *telemetry.Counter) {
+// flushFlow delivers the flow's in-progress merge, counting it in *n and
+// recording the flush reason (note must be a constant string).
+func (g *Vanilla) flushFlow(ft packet.FiveTuple, note string, n *int64) {
 	seg := g.merges[ft]
 	if seg == nil {
 		return
 	}
 	delete(g.merges, ft)
-	m.Inc()
+	*n++
 	if g.tel != nil {
 		g.tel.Event(telemetry.Event{Layer: telemetry.LayerGRO, Kind: telemetry.KindFlush,
 			Flow: ft, Seq: seg.Seq, N: int64(seg.Pkts), Note: note})
@@ -234,7 +237,7 @@ func (g *Vanilla) emit(seg *packet.Segment) {
 // starts fresh from the next polling interval.
 func (g *Vanilla) PollComplete() {
 	for _, ft := range g.order {
-		g.flushFlow(ft, "poll", g.mFlushPoll)
+		g.flushFlow(ft, "poll", &g.flushPoll)
 		delete(g.onOrder, ft)
 	}
 	g.order = g.order[:0]

@@ -19,7 +19,6 @@ import (
 	"juggler/internal/gro"
 	"juggler/internal/packet"
 	"juggler/internal/sim"
-	"juggler/internal/stats"
 	"juggler/internal/telemetry"
 	"juggler/internal/units"
 )
@@ -42,8 +41,6 @@ type TX struct {
 	tel     *telemetry.Sink
 	track   int32
 	txIface int32
-	mTSO    *telemetry.Counter
-	mTxPkts *telemetry.Counter
 }
 
 // NewTX creates a transmit engine bound to the host egress port. When a
@@ -56,10 +53,10 @@ func NewTX(s *sim.Sim, port *fabric.Port) *TX {
 		tx.tel = k
 		tx.track = k.Track(port.Name)
 		tx.txIface = k.Iface(port.Name + "/tx")
-		tx.mTSO = k.Reg().CounterL("nic_tso_bursts_total",
-			"TSO super-segments handed to the NIC.", "port", port.Name)
-		tx.mTxPkts = k.Reg().CounterL("nic_tx_packets_total",
-			"Wire packets emitted by the NIC.", "port", port.Name)
+		k.Reg().CounterOf("nic_tso_bursts_total",
+			"TSO super-segments handed to the NIC.", "port", port.Name, &tx.TSOBursts)
+		k.Reg().CounterOf("nic_tx_packets_total",
+			"Wire packets emitted by the NIC.", "port", port.Name, &tx.TxPackets)
 	}
 	return tx
 }
@@ -77,7 +74,6 @@ func (tx *TX) SendTSO(tmpl packet.Packet, seq uint32, payloadLen int) {
 	}
 	tx.nextTSOID++
 	tx.TSOBursts++
-	tx.mTSO.Inc()
 	tx.tel.Event(telemetry.Event{Layer: telemetry.LayerNIC, Kind: telemetry.KindSend,
 		Track: tx.track, Flow: tmpl.Flow, Seq: seq, N: int64(payloadLen), Note: "tso"})
 	id := tx.nextTSOID
@@ -106,7 +102,6 @@ func (tx *TX) SendTSO(tmpl packet.Packet, seq uint32, payloadLen int) {
 		// set, so every later hop skips its stamp write.
 		tx.sampler.Apply(p)
 		tx.TxPackets++
-		tx.mTxPkts.Inc()
 		tx.tel.CapturePacket(tx.txIface, false, p)
 		tx.port.Send(p)
 	}
@@ -117,7 +112,6 @@ func (tx *TX) SendRaw(p *packet.Packet) {
 	tx.sampler.Apply(p)
 	p.SentAt = tx.sim.Now()
 	tx.TxPackets++
-	tx.mTxPkts.Inc()
 	tx.tel.CapturePacket(tx.txIface, false, p)
 	tx.port.Send(p)
 }
@@ -177,7 +171,6 @@ type RX struct {
 	// tel is the run's telemetry sink; nil disables recording.
 	tel     *telemetry.Sink
 	rxIface int32
-	mRxPkts *telemetry.Counter
 }
 
 // rxQueue is one receive queue: ring, coalescing timer, offload instance.
@@ -201,15 +194,14 @@ type rxQueue struct {
 	// from the CPU model does not allocate per poll.
 	pollFn func()
 
-	// Polls counts NAPI poll batches; BatchSizes samples packets per poll.
-	Polls      int64
-	BatchSizes stats.Hist
+	// Polls counts NAPI poll batches.
+	Polls int64
 	// Episodes counts polling intervals (interrupt to ring-empty), which
 	// bound GRO's batching interval.
 	Episodes int64
 
-	// track is the queue's telemetry timeline; hBatch mirrors BatchSizes
-	// into the metric registry.
+	// track is the queue's telemetry timeline; hBatch records the packets
+	// drained per poll (nil when telemetry is off).
 	track  int32
 	hBatch *telemetry.Histogram
 }
@@ -240,8 +232,8 @@ func NewRX(s *sim.Sim, cfg RXConfig, cpu *cpumodel.Model, makeOffload func(queue
 	if k := telemetry.FromSim(s); k != nil {
 		rx.tel = k
 		rx.rxIface = k.Iface(name + "/rx")
-		rx.mRxPkts = k.Reg().CounterL("nic_rx_packets_total",
-			"Wire packets accepted from the fabric.", "nic", name)
+		k.Reg().CounterOf("nic_rx_packets_total",
+			"Wire packets accepted from the fabric.", "nic", name, &rx.RxPackets)
 	}
 	for i := 0; i < cfg.Queues; i++ {
 		q := &rxQueue{rx: rx, idx: i, offload: makeOffload(i)}
@@ -260,7 +252,6 @@ func NewRX(s *sim.Sim, cfg RXConfig, cpu *cpumodel.Model, makeOffload func(queue
 // Deliver implements fabric.Sink: a packet arrives from the wire.
 func (rx *RX) Deliver(p *packet.Packet) {
 	rx.RxPackets++
-	rx.mRxPkts.Inc()
 	rx.tel.CapturePacket(rx.rxIface, true, p)
 	// RSS hashes the tuple exactly once per packet; the canonical salt-0
 	// hash rides on the packet so the offload flow table reuses it instead
@@ -325,7 +316,7 @@ func (rx *RX) pick(p *packet.Packet) int {
 // Queue returns queue i (stats, offload access).
 func (rx *RX) Queue(i int) RXQueueInfo {
 	q := rx.queues[i]
-	return RXQueueInfo{Offload: q.offload, Polls: q.Polls, Episodes: q.Episodes, BatchSizes: &q.BatchSizes}
+	return RXQueueInfo{Offload: q.offload, Polls: q.Polls, Episodes: q.Episodes}
 }
 
 // NumQueues returns the configured queue count.
@@ -336,10 +327,9 @@ func (rx *RX) Offload(i int) gro.Offload { return rx.queues[i].offload }
 
 // RXQueueInfo is a read-only view of one queue's statistics.
 type RXQueueInfo struct {
-	Offload    gro.Offload
-	Polls      int64
-	Episodes   int64
-	BatchSizes *stats.Hist
+	Offload  gro.Offload
+	Polls    int64
+	Episodes int64
 }
 
 // wake is the interrupt: it switches the queue into polling mode and the
@@ -390,7 +380,6 @@ func (q *rxQueue) poll() {
 	}
 	q.head += len(batch)
 	q.Polls++
-	q.BatchSizes.Observe(len(batch))
 	q.hBatch.Observe(int64(len(batch)))
 	q.rx.tel.Event(telemetry.Event{Layer: telemetry.LayerNIC, Kind: telemetry.KindPoll,
 		Track: q.track, N: int64(len(batch))})

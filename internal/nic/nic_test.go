@@ -167,9 +167,10 @@ func TestRXNAPIStaysPollingUnderLoad(t *testing.T) {
 	if info.Polls < 2 {
 		t.Fatal("expected multiple NAPI polls")
 	}
-	// Under continuous load, later polls should batch multiple packets.
-	if info.BatchSizes.Max() < 2 {
-		t.Fatal("expected multi-packet poll batches")
+	// Under continuous load, later polls should batch multiple packets:
+	// 200 packets in fewer than 200 polls means some poll took several.
+	if info.Polls >= 200 {
+		t.Fatalf("%d polls for 200 packets: expected multi-packet poll batches", info.Polls)
 	}
 }
 

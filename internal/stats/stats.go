@@ -253,28 +253,3 @@ func (ts *TimeSeries) Rates() []float64 {
 	}
 	return out
 }
-
-// Counter is a named monotonic event counter. The stack uses a CounterSet
-// per host to report the §5.1.1 statistics (segments seen, ACKs sent, OOO
-// segments, ...).
-type CounterSet struct {
-	m     map[string]int64
-	order []string
-}
-
-// NewCounterSet returns an empty counter set.
-func NewCounterSet() *CounterSet { return &CounterSet{m: map[string]int64{}} }
-
-// Inc adds delta to the named counter, creating it on first use.
-func (c *CounterSet) Inc(name string, delta int64) {
-	if _, ok := c.m[name]; !ok {
-		c.order = append(c.order, name)
-	}
-	c.m[name] += delta
-}
-
-// Get returns the counter's value (0 if never incremented).
-func (c *CounterSet) Get(name string) int64 { return c.m[name] }
-
-// Names returns counter names in first-use order.
-func (c *CounterSet) Names() []string { return append([]string(nil), c.order...) }

@@ -206,17 +206,3 @@ func TestTimeSeries(t *testing.T) {
 		t.Fatal("negative time should be ignored")
 	}
 }
-
-func TestCounterSet(t *testing.T) {
-	c := NewCounterSet()
-	c.Inc("segments", 2)
-	c.Inc("acks", 1)
-	c.Inc("segments", 3)
-	if c.Get("segments") != 5 || c.Get("acks") != 1 || c.Get("missing") != 0 {
-		t.Fatal("counter values wrong")
-	}
-	names := c.Names()
-	if len(names) != 2 || names[0] != "segments" || names[1] != "acks" {
-		t.Fatalf("names = %v", names)
-	}
-}

@@ -50,8 +50,7 @@ type Receiver struct {
 	Stats ReceiverStats
 
 	// tel is the run's telemetry sink; nil disables recording.
-	tel                       *telemetry.Sink
-	mSegs, mOOOSegs, mAcksOut *telemetry.Counter
+	tel *telemetry.Sink
 }
 
 // NewReceiver creates a receiver for the data-direction flow; ACKs are
@@ -61,9 +60,9 @@ func NewReceiver(s *sim.Sim, flow packet.FiveTuple, sendAck func(p *packet.Packe
 	if k := telemetry.FromSim(s); k != nil {
 		r.tel = k
 		reg := k.Reg()
-		r.mSegs = reg.Counter("tcp_segments_in_total", "Segments reaching TCP receivers.")
-		r.mOOOSegs = reg.Counter("tcp_ooo_segments_total", "Segments reaching TCP out of cumulative order.")
-		r.mAcksOut = reg.Counter("tcp_acks_sent_total", "Acknowledgments emitted by receivers.")
+		reg.CounterOf("tcp_segments_in_total", "Segments reaching TCP receivers.", "", "", &r.Stats.SegmentsIn)
+		reg.CounterOf("tcp_ooo_segments_total", "Segments reaching TCP out of cumulative order.", "", "", &r.Stats.OOOSegments)
+		reg.CounterOf("tcp_acks_sent_total", "Acknowledgments emitted by receivers.", "", "", &r.Stats.AcksSent)
 	}
 	return r
 }
@@ -97,7 +96,6 @@ func (r *Receiver) Delivered() int64 { return int64(r.rcvNxt - r.irs) }
 // OnSegment consumes one segment from the stack.
 func (r *Receiver) OnSegment(seg *packet.Segment) {
 	r.Stats.SegmentsIn++
-	r.mSegs.Inc()
 	progressed := false
 	ooo := false
 	dup := true
@@ -114,7 +112,6 @@ func (r *Receiver) OnSegment(seg *packet.Segment) {
 	}
 	if ooo && !progressed {
 		r.Stats.OOOSegments++
-		r.mOOOSegs.Inc()
 		r.tel.Event(telemetry.Event{Layer: telemetry.LayerTCP, Kind: telemetry.KindOOO,
 			Flow: r.flow, Seq: seg.Seq, N: int64(seg.Bytes)})
 		seg.OOO = true
@@ -242,7 +239,6 @@ func (r *Receiver) coalesceAt(i int) {
 // ack emits one cumulative acknowledgment; ce echoes congestion marks.
 func (r *Receiver) ack(ce bool) {
 	r.Stats.AcksSent++
-	r.mAcksOut.Inc()
 	p := r.pool.Get()
 	p.Flow = r.flow.Reverse()
 	p.Flags = packet.FlagACK

@@ -143,9 +143,7 @@ type Sender struct {
 	Stats SenderStats
 
 	// tel is the run's telemetry sink; nil disables recording.
-	tel                           *telemetry.Sink
-	mFastRetrans, mTimeouts, mTLP *telemetry.Counter
-	mRetransPkts, mECN            *telemetry.Counter
+	tel *telemetry.Sink
 }
 
 // NewSender creates a sender for flow, transmitting through out.
@@ -184,11 +182,11 @@ func NewSender(s *sim.Sim, cfg SenderConfig, flow packet.FiveTuple, out PacketSe
 	if k := telemetry.FromSim(s); k != nil {
 		snd.tel = k
 		r := k.Reg()
-		snd.mFastRetrans = r.Counter("tcp_fast_retransmits_total", "Fast-retransmit recoveries entered.")
-		snd.mTimeouts = r.Counter("tcp_timeouts_total", "Retransmission timeouts fired.")
-		snd.mTLP = r.Counter("tcp_tlp_probes_total", "Tail-loss probes sent.")
-		snd.mRetransPkts = r.Counter("tcp_retrans_packets_total", "Packets retransmitted.")
-		snd.mECN = r.Counter("tcp_ecn_reductions_total", "DCTCP window reductions.")
+		r.CounterOf("tcp_fast_retransmits_total", "Fast-retransmit recoveries entered.", "", "", &snd.Stats.FastRetransmits)
+		r.CounterOf("tcp_timeouts_total", "Retransmission timeouts fired.", "", "", &snd.Stats.Timeouts)
+		r.CounterOf("tcp_tlp_probes_total", "Tail-loss probes sent.", "", "", &snd.Stats.TLPProbes)
+		r.CounterOf("tcp_retrans_packets_total", "Packets retransmitted.", "", "", &snd.Stats.RetransPackets)
+		r.CounterOf("tcp_ecn_reductions_total", "DCTCP window reductions.", "", "", &snd.Stats.ECNReductions)
 	}
 	return snd
 }
@@ -317,7 +315,6 @@ func (s *Sender) sendBurst(seq uint32, n int, psh, retrans bool) {
 	s.Stats.TSOBursts++
 	if retrans {
 		s.Stats.RetransPackets += int64((n + units.MSS - 1) / units.MSS)
-		s.mRetransPkts.Add(int64((n + units.MSS - 1) / units.MSS))
 		s.tel.Event(telemetry.Event{Layer: telemetry.LayerTCP, Kind: telemetry.KindRetransmit,
 			Flow: s.flow, Seq: seq, N: int64(n)})
 	}
@@ -416,7 +413,6 @@ func (s *Sender) OnAck(seg *packet.Segment) {
 		if !s.inRecov && (s.dupacks >= thresh || fack) {
 			// Fast retransmit + fast recovery.
 			s.Stats.FastRetransmits++
-			s.mFastRetrans.Inc()
 			s.inRecov = true
 			s.recover = s.sndNxt
 			s.ssthresh = s.halfFlight()
@@ -477,7 +473,6 @@ func (s *Sender) onRTO() {
 		return
 	}
 	s.Stats.Timeouts++
-	s.mTimeouts.Inc()
 	s.tlp.Stop()
 	s.ssthresh = s.halfFlight()
 	s.cwnd = float64(units.MSS)
@@ -517,7 +512,6 @@ func (s *Sender) onTLP() {
 	}
 	s.tlpSpent = true
 	s.Stats.TLPProbes++
-	s.mTLP.Inc()
 	n := int(s.sndNxt - s.sndUna)
 	if n > units.MSS {
 		n = units.MSS
@@ -554,7 +548,6 @@ func (s *Sender) dctcpUpdate(acked int, ece bool, ack uint32) {
 		s.dctcpAlpha = (1-g)*s.dctcpAlpha + g*frac
 		if s.windowMarked > 0 {
 			s.Stats.ECNReductions++
-			s.mECN.Inc()
 			s.cwnd *= 1 - s.dctcpAlpha/2
 			s.ssthresh = s.cwnd
 			s.clampCwnd()

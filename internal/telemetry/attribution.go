@@ -125,7 +125,7 @@ func (f *Forensics) observeDelivery(seg *packet.Segment) {
 	}
 	f.delivered++
 	if worst >= 0 {
-		f.spanDom[worst].Inc()
+		f.spanDom[worst]++
 	}
 
 	fe := f.flowFor(seg.Flow)
@@ -186,8 +186,8 @@ func (f *Forensics) ensureAttribution() {
 		f.spanHist[i] = r.HistogramL("forensics_sojourn_ns",
 			"Per-layer sojourn between adjacent hop stamps (ns).",
 			"span", spanNames[i])
-		f.spanDom[i] = r.CounterL("forensics_dominant_total",
+		r.CounterOf("forensics_dominant_total",
 			"Deliveries in which this span was the largest latency contributor.",
-			"span", spanNames[i])
+			"span", spanNames[i], &f.spanDom[i])
 	}
 }

@@ -194,7 +194,7 @@ func (k *Sink) Diagnose(meta DiagnosisMeta) *Diagnosis {
 		h := f.spanHist[i]
 		d.Spans = append(d.Spans, SpanReport{Span: spanNames[i], Count: h.Count(),
 			TotalNs: h.Sum(), MeanNs: mean(h.Sum(), h.Count()), MaxNs: f.spanMax[i],
-			SharePct: pct(h.Sum(), e2eTotal), DominantIn: f.spanDom[i].Value()})
+			SharePct: pct(h.Sum(), e2eTotal), DominantIn: f.spanDom[i]})
 	}
 
 	for _, s := range f.Slowest() {

@@ -151,7 +151,7 @@ func (a *Aggregator) Report(now time.Duration) *Report {
 			Retransmissions: c.Retransmissions, OfoHolds: c.OfoHolds,
 			Drops:      c.Drops,
 			SLOWindows: roll.windows, SLOBurnWindows: roll.burnWindows,
-			SLOViolations: roll.sloViolations, Deliveries: roll.deliveries,
+			SLOViolations: roll.sloViolations, Deliveries: roll.delivSegs,
 		}
 		hh.Score = hh.SojournP99Ns +
 			scorePerDrop*hh.Drops +

@@ -55,7 +55,6 @@ type LaneProbe struct {
 	delivBytes    int64
 	delivSegs     int64
 	delivPkts     int64
-	deliveries    int64
 	sloViolations int64
 
 	// SLO burn accounting: a window is one cadence tick; it burns when
@@ -81,7 +80,6 @@ func (l *LaneProbe) ObserveDelivery(seg *packet.Segment) {
 	if l == nil {
 		return
 	}
-	l.deliveries++
 	l.delivSegs++
 	l.delivBytes += int64(seg.Bytes)
 	l.delivPkts += int64(seg.Pkts)
@@ -169,7 +167,7 @@ type hostRoll struct {
 
 	delivBytes, delivSegs, delivPkts int64
 	peakBuffered, peakTable          int64
-	deliveries, sloViolations        int64
+	sloViolations                    int64
 	windows, burnWindows             int64
 }
 
@@ -192,7 +190,6 @@ func (h *HostProbe) rollup() hostRoll {
 		c.Drops += l.last.Drops
 		r.peakBuffered += l.peakBuffered
 		r.peakTable += l.peakTable
-		r.deliveries += l.deliveries
 		r.sloViolations += l.sloViolations
 		r.windows += l.windows
 		r.burnWindows += l.burnWindows
@@ -237,9 +234,6 @@ func (a *Aggregator) AddHost(name string, tor, lanes int) *HostProbe {
 
 // ObserveFCT records one flow/RPC completion time into the fleet sketch.
 func (a *Aggregator) ObserveFCT(ns int64) { a.fct.Observe(ns) }
-
-// FCT exposes the fleet completion-time sketch.
-func (a *Aggregator) FCT() *QuantileSketch { return &a.fct }
 
 // Hosts returns the registered probes in registration order.
 func (a *Aggregator) Hosts() []*HostProbe { return a.hosts }

@@ -55,9 +55,6 @@ func NewTopK(k int) *TopK {
 	return &TopK{k: k, slots: make([]TopEntry, 0, k)}
 }
 
-// K returns the slot budget.
-func (t *TopK) K() int { return t.k }
-
 // Total returns the total observed weight.
 func (t *TopK) Total() int64 { return t.total }
 

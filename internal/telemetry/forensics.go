@@ -3,6 +3,7 @@ package telemetry
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"time"
 
@@ -220,7 +221,7 @@ type Forensics struct {
 	e2e       *Histogram
 	e2eMax    int64
 	spanHist  [NumSpans]*Histogram
-	spanDom   [NumSpans]*Counter
+	spanDom   [NumSpans]int64 // deliveries each span dominated
 	spanMax   [NumSpans]int64
 	delivered int64
 	slowest   []SlowDelivery
@@ -232,10 +233,9 @@ type Forensics struct {
 	// cluster by flow (several per packet, a batch per poll), so the
 	// hot path usually skips the map probe. Entries are never removed
 	// from flows, so the memo cannot go stale.
-	lastFlow  packet.FiveTuple
-	lastFE    *FlowForensics
-	opTotal   [NumOps]int64
-	opCounter [NumOps]*Counter
+	lastFlow packet.FiveTuple
+	lastFE   *FlowForensics
+	opTotal  [NumOps]int64
 	// causes tallies per-op decision causes. A short linear-scanned
 	// slice, not a map: causes are constant strings (a handful per op),
 	// so the scan usually resolves on the pointer-equality fast path of
@@ -252,12 +252,11 @@ type Forensics struct {
 	globalNext  int
 	GlobalTotal int64
 
-	// Watchdog.
-	anomalies    []Anomaly
-	anomalyTotal int64
-	akCounter    map[string]*Counter
-	evictWinAt   sim.Time
-	evictInWin   int64
+	// Watchdog. akTotal counts anomalies per anomalyKinds entry.
+	anomalies  []Anomaly
+	akTotal    [len(anomalyKinds)]int64
+	evictWinAt sim.Time
+	evictInWin int64
 }
 
 // globalRingCap bounds the host-scoped decision ring. Retunes are rare
@@ -329,7 +328,11 @@ func (f *Forensics) AnomalyTotal() int64 {
 	if f == nil {
 		return 0
 	}
-	return f.anomalyTotal
+	var n int64
+	for _, c := range f.akTotal {
+		n += c
+	}
+	return n
 }
 
 // Slowest returns the worst-deliveries leaderboard, slowest first.
@@ -384,13 +387,14 @@ func (f *Forensics) decide(d *Decision) {
 	if int(op) >= NumOps {
 		op = OpPass
 	}
-	f.opTotal[op]++
-	if f.opCounter[op] == nil {
-		f.opCounter[op] = f.k.Metrics.CounterL("forensics_decisions_total",
+	if f.opTotal[op] == 0 {
+		// Registered on the op's first decision: the family's snapshot
+		// position, and its absence from decision-free runs, follow use.
+		f.k.Metrics.CounterOf("forensics_decisions_total",
 			"Datapath decisions recorded in the forensics audit rings.",
-			"op", opNames[op])
+			"op", opNames[op], &f.opTotal[op])
 	}
-	f.opCounter[op].Inc()
+	f.opTotal[op]++
 	if d.Cause != "" {
 		tallied := false
 		for i := range f.causes[op] {
@@ -480,20 +484,15 @@ func (f *Forensics) watch(d *Decision, fe *FlowForensics) {
 	}
 }
 
-// anomaly records one watchdog finding: exact per-kind counter, bounded
-// retained list.
+// anomaly records one watchdog finding: exact per-kind count, bounded
+// retained list. a.Kind is one of anomalyKinds.
 func (f *Forensics) anomaly(a Anomaly) {
-	f.anomalyTotal++
-	if f.akCounter == nil {
-		f.akCounter = make(map[string]*Counter, len(anomalyKinds))
+	i := slices.Index(anomalyKinds[:], a.Kind)
+	if f.akTotal[i] == 0 {
+		f.k.Metrics.CounterOf("forensics_anomalies_total",
+			"Watchdog anomalies detected online in virtual time.", "kind", a.Kind, &f.akTotal[i])
 	}
-	c := f.akCounter[a.Kind]
-	if c == nil {
-		c = f.k.Metrics.CounterL("forensics_anomalies_total",
-			"Watchdog anomalies detected online in virtual time.", "kind", a.Kind)
-		f.akCounter[a.Kind] = c
-	}
-	c.Inc()
+	f.akTotal[i]++
 	if len(f.anomalies) < anomalyCap {
 		f.anomalies = append(f.anomalies, a)
 	}

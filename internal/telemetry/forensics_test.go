@@ -182,7 +182,7 @@ func TestAttributionSpans(t *testing.T) {
 		t.Errorf("spans sum to %d, e2e %d — telescoping broken", total, f.e2e.Sum())
 	}
 	// Hold (100ns) dominates both deliveries.
-	if got := f.spanDom[SpanHold].Value(); got != 2 {
+	if got := f.spanDom[SpanHold]; got != 2 {
 		t.Errorf("hold dominant in %d deliveries, want 2", got)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -13,30 +14,8 @@ import (
 // the last bucket is the overflow catch-all.
 const histBuckets = 32
 
-// Counter is a monotonically increasing metric. A nil *Counter is a valid
-// no-op, so disabled telemetry costs one branch per update.
-type Counter struct{ v int64 }
-
-// Add increments the counter by d; safe on nil.
-func (c *Counter) Add(d int64) {
-	if c == nil {
-		return
-	}
-	c.v += d
-}
-
-// Inc increments the counter by one; safe on nil.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Value returns the current count (0 on nil).
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
-}
-
-// Gauge is a metric that can move in both directions; nil-safe like Counter.
+// Gauge is a metric that can move in both directions. A nil *Gauge is a
+// valid no-op, so disabled telemetry costs one branch per update.
 type Gauge struct{ v int64 }
 
 // Set overwrites the gauge value; safe on nil.
@@ -45,14 +24,6 @@ func (g *Gauge) Set(v int64) {
 		return
 	}
 	g.v = v
-}
-
-// Add shifts the gauge by d; safe on nil.
-func (g *Gauge) Add(d int64) {
-	if g == nil {
-		return
-	}
-	g.v += d
 }
 
 // Value returns the current value (0 on nil).
@@ -165,10 +136,12 @@ func (t metricType) String() string {
 	return "untyped"
 }
 
-// child is one labeled instrument inside a family.
+// child is one labeled series inside a family. A counter child owns no
+// count: it is a view whose value is the sum of the layer-owned int64s
+// registered as its sources, read at export time.
 type child struct {
 	labelVal string
-	counter  *Counter
+	srcs     []*int64
 	gauge    *Gauge
 	hist     *Histogram
 }
@@ -191,8 +164,6 @@ func (f *family) get(labelVal string) *child {
 	}
 	c := &child{labelVal: labelVal}
 	switch f.typ {
-	case typeCounter:
-		c.counter = &Counter{}
 	case typeGauge:
 		c.gauge = &Gauge{}
 	case typeHistogram:
@@ -204,8 +175,9 @@ func (f *family) get(labelVal string) *child {
 }
 
 // Registry holds metric families in registration order. A nil *Registry is
-// valid: every constructor returns a nil instrument, which is itself a
-// no-op, so call sites never branch on enablement.
+// valid: CounterOf is a no-op and every other constructor returns a nil
+// instrument, which is itself a no-op, so call sites never branch on
+// enablement.
 type Registry struct {
 	families []*family
 	index    map[string]*family
@@ -230,21 +202,21 @@ func (r *Registry) family(name, help string, typ metricType, labelKey string) *f
 	return f
 }
 
-// Counter returns the unlabeled counter named name, creating it on first
-// use. Safe on nil (returns a nil no-op counter).
-func (r *Registry) Counter(name, help string) *Counter {
+// CounterOf registers src as a source of a counter: the unlabeled family
+// name when labelKey is empty, else the child for labelVal. The registry
+// keeps no count of its own — WriteProm prints the sum of the child's
+// sources — so the int64 the layer already keeps is the one record of the
+// fact. Many instances may feed one child (every tcp.Receiver feeds
+// tcp_segments_in_total); registering a pointer again is a no-op, and a
+// nil src only creates the child, which then prints 0. Safe on nil.
+func (r *Registry) CounterOf(name, help, labelKey, labelVal string, src *int64) {
 	if r == nil {
-		return nil
+		return
 	}
-	return r.family(name, help, typeCounter, "").get("").counter
-}
-
-// CounterL returns the counter for one label value of a labeled family.
-func (r *Registry) CounterL(name, help, labelKey, labelVal string) *Counter {
-	if r == nil {
-		return nil
+	c := r.family(name, help, typeCounter, labelKey).get(labelVal)
+	if src != nil && !slices.Contains(c.srcs, src) {
+		c.srcs = append(c.srcs, src)
 	}
-	return r.family(name, help, typeCounter, labelKey).get(labelVal).counter
 }
 
 // Gauge returns the unlabeled gauge named name.
@@ -305,7 +277,11 @@ func (r *Registry) WriteProm(w io.Writer) error {
 			}
 			switch f.typ {
 			case typeCounter:
-				if _, err := fmt.Fprintf(w, "%s%s %d\n", f.name, label, c.counter.Value()); err != nil {
+				var v int64
+				for _, src := range c.srcs {
+					v += *src
+				}
+				if _, err := fmt.Fprintf(w, "%s%s %d\n", f.name, label, v); err != nil {
 					return err
 				}
 			case typeGauge:

@@ -102,8 +102,9 @@ func TestPromConformance(t *testing.T) {
 		`mixed\"all three` + "\n",
 		"unicode-µs",
 	}
+	one := int64(1)
 	for _, v := range nasty {
-		k.Reg().CounterL("conf_causes_total", `Causes with \ and "quotes" and`+"\nnewlines.", "cause", v).Inc()
+		k.Reg().CounterOf("conf_causes_total", `Causes with \ and "quotes" and`+"\nnewlines.", "cause", v, &one)
 		k.Reg().HistogramL("conf_ns", "Sojourn.", "span", v).Observe(5)
 	}
 	k.Reg().Gauge("conf_depth", "Depth.").Set(3)

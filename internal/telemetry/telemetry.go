@@ -7,10 +7,13 @@
 // One Sink serves a whole simulation run. It rides on the *sim.Sim
 // (telemetry.Attach / telemetry.FromSim) so every component — NIC, GRO,
 // Juggler core, TCP, fabric, testbed hosts — picks it up at construction
-// without any per-layer plumbing. Everything is nil-safe: a nil *Sink, nil
-// *Counter, nil *Histogram and so on record nothing and cost exactly one
-// branch, so the disabled path stays allocation-free on the hot receive
-// path (enforced by TestDisabledPathZeroAlloc).
+// without any per-layer plumbing. Counters are views: a layer registers
+// the int64 it already keeps (Registry.CounterOf) and the export reads
+// it, so the per-packet path bumps one field whether telemetry is on or
+// off. Everything else is nil-safe: a nil *Sink, nil *Gauge, nil
+// *Histogram and so on record nothing and cost exactly one branch, so the
+// disabled path stays allocation-free on the hot receive path (enforced
+// by TestDisabledPathZeroAlloc).
 //
 // Determinism: all state is per-run, all iteration orders are registration
 // orders, and timestamps come from the simulation clock — two runs with the
@@ -239,7 +242,7 @@ func FromSim(s *sim.Sim) *Sink {
 func (k *Sink) FabricQueueEvents() bool { return k != nil && k.opts.FabricQueues }
 
 // Reg returns the metric registry (nil when the sink is nil, which makes
-// every instrument constructor return a nil no-op instrument).
+// every registration a no-op).
 func (k *Sink) Reg() *Registry {
 	if k == nil {
 		return nil

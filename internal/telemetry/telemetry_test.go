@@ -21,7 +21,7 @@ var testFlow = packet.FiveTuple{
 // hot receive path performs with telemetry off must allocate nothing.
 func TestDisabledPathZeroAlloc(t *testing.T) {
 	var k *Sink
-	var c *Counter
+	var src int64
 	var g *Gauge
 	var h *Histogram
 	s := sim.New(1) // no sink attached
@@ -36,12 +36,10 @@ func TestDisabledPathZeroAlloc(t *testing.T) {
 		}},
 		{"Sink.CapturePacket", func() { k.CapturePacket(-1, true, p) }},
 		{"Sink.Track", func() { k.Track("rxq0") }},
-		{"Counter.Inc", func() { c.Inc() }},
-		{"Counter.Add", func() { c.Add(7) }},
 		{"Gauge.Set", func() { g.Set(7) }},
 		{"Histogram.Observe", func() { h.Observe(7) }},
 		{"FromSim", func() { FromSim(s) }},
-		{"Registry.Counter", func() { k.Reg().Counter("x", "y") }},
+		{"Registry.CounterOf", func() { k.Reg().CounterOf("x", "y", "", "", &src) }},
 	}
 	for _, tc := range cases {
 		if n := testing.AllocsPerRun(200, tc.fn); n != 0 {
@@ -131,8 +129,9 @@ func fixtureSink() *Sink {
 	rxq := k.Track("eth0/rxq0")
 	iface := k.Iface("eth0/rx")
 
-	k.Reg().CounterL("juggler_flush_total", "Flushes by reason.", "reason", "event").Add(3)
-	k.Reg().CounterL("juggler_flush_total", "Flushes by reason.", "reason", "inseq_timeout").Add(2)
+	flushEvent, flushInseq := int64(3), int64(2)
+	k.Reg().CounterOf("juggler_flush_total", "Flushes by reason.", "reason", "event", &flushEvent)
+	k.Reg().CounterOf("juggler_flush_total", "Flushes by reason.", "reason", "inseq_timeout", &flushInseq)
 	k.Reg().Gauge("buffered_bytes", "Bytes buffered.").Set(2920)
 	h := k.Reg().Histogram("flush_pkts", "Packets per flush.")
 	h.Observe(0)
@@ -228,27 +227,39 @@ func TestExportsDeterministic(t *testing.T) {
 	}
 }
 
-// TestRegistryLabels verifies shared families: the same (name, label)
-// child is one counter across callers, and re-registration with a
-// different shape panics.
+// TestRegistryLabels verifies counter views over shared families: one
+// (name, label) child sums every source its callers register, a pointer
+// registered twice counts once (ReorderPair.EnableTrace re-instruments
+// live Jugglers), a nil source still prints a 0 line, the export reads
+// sources at write time, and re-registration with a different shape
+// panics.
 func TestRegistryLabels(t *testing.T) {
 	s := sim.New(1)
 	k := New(s, Options{})
-	a := k.Reg().CounterL("f_total", "h", "reason", "x")
-	b := k.Reg().CounterL("f_total", "h", "reason", "x")
-	if a != b {
-		t.Fatal("same labeled child should be shared")
+	r := k.Reg()
+	a, b := int64(2), int64(5)
+	r.CounterOf("f_total", "h", "reason", "x", &a)
+	r.CounterOf("f_total", "h", "reason", "x", &b)
+	r.CounterOf("f_total", "h", "reason", "x", &a)
+	r.CounterOf("f_total", "h", "reason", "y", nil)
+	r.CounterOf("u_total", "h", "", "", &b)
+	a++
+	var buf bytes.Buffer
+	if err := r.WriteProm(&buf); err != nil {
+		t.Fatal(err)
 	}
-	a.Inc()
-	if b.Value() != 1 {
-		t.Fatal("shared child lost an increment")
+	want := "# HELP f_total h\n# TYPE f_total counter\n" +
+		"f_total{reason=\"x\"} 8\nf_total{reason=\"y\"} 0\n" +
+		"# HELP u_total h\n# TYPE u_total counter\nu_total 5\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("snapshot:\n%s\nwant:\n%s", got, want)
 	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("re-registering f_total as a gauge should panic")
 		}
 	}()
-	k.Reg().Gauge("f_total", "h")
+	r.Gauge("f_total", "h")
 }
 
 // TestNilSinkExports verifies every exporter is a no-op on nil.

@@ -151,6 +151,8 @@ type Host struct {
 	DroppedSegs int64
 	// UnmatchedSegs counts segments with no registered endpoint.
 	UnmatchedSegs int64
+	// offloadSegs counts segments leaving the offload layer.
+	offloadSegs int64
 
 	nextPort uint16
 
@@ -164,9 +166,7 @@ type Host struct {
 	dispatchFn func(any)
 
 	// tel is the run's telemetry sink; nil disables recording.
-	tel                  *telemetry.Sink
-	mSegs, mBacklogDrops *telemetry.Counter
-	mConntrackDrops      *telemetry.Counter
+	tel *telemetry.Sink
 }
 
 // NewHost builds the receive side of a host. The transmit side is attached
@@ -202,12 +202,16 @@ func NewHost(s *sim.Sim, name string, cfg HostConfig) *Host {
 	if k := telemetry.FromSim(s); k != nil {
 		h.tel = k
 		r := k.Reg()
-		h.mSegs = r.CounterL("host_segments_total",
-			"Segments leaving the offload layer at each host.", "host", name)
-		h.mBacklogDrops = r.CounterL("host_backlog_drops_total",
-			"Segments lost to app-core backlog overflow.", "host", name)
-		h.mConntrackDrops = r.CounterL("host_conntrack_drops_total",
-			"Segments dropped by strict conntrack.", "host", name)
+		r.CounterOf("host_segments_total",
+			"Segments leaving the offload layer at each host.", "host", name, &h.offloadSegs)
+		r.CounterOf("host_backlog_drops_total",
+			"Segments lost to app-core backlog overflow.", "host", name, &h.DroppedSegs)
+		var ctDrops *int64 // nil without conntrack: the child still prints 0
+		if h.CT != nil {
+			ctDrops = &h.CT.Stats.Dropped
+		}
+		r.CounterOf("host_conntrack_drops_total",
+			"Segments dropped by strict conntrack.", "host", name, ctDrops)
 	}
 	if h.cfg.RX.Name == "" {
 		h.cfg.RX.Name = name
@@ -276,10 +280,9 @@ func (h *Host) onSegment(seg *packet.Segment) {
 	if h.SegmentTap != nil {
 		h.SegmentTap(seg)
 	}
-	h.mSegs.Inc()
+	h.offloadSegs++
 	if h.CT != nil {
 		if v := h.CT.Inspect(seg); h.CT.ShouldDrop(v) {
-			h.mConntrackDrops.Inc()
 			h.tel.Event(telemetry.Event{Layer: telemetry.LayerHost, Kind: telemetry.KindDrop,
 				Flow: seg.Flow, Seq: seg.Seq, N: int64(seg.Bytes), Note: "conntrack"})
 			h.segPool.Put(seg)
@@ -295,7 +298,6 @@ func (h *Host) onSegment(seg *packet.Segment) {
 	}
 	if !h.CPU.App.SubmitArg(cost, h.dispatchFn, seg) {
 		h.DroppedSegs++ // socket backlog overflow
-		h.mBacklogDrops.Inc()
 		h.tel.Event(telemetry.Event{Layer: telemetry.LayerHost, Kind: telemetry.KindDrop,
 			Flow: seg.Flow, Seq: seg.Seq, N: int64(seg.Bytes), Note: "app-backlog"})
 		h.segPool.Put(seg)
