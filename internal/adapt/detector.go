@@ -10,8 +10,7 @@
 // packet that set it. A packet arriving with a sequence number below its
 // slot's watermark was overtaken in the fabric; the time since the
 // watermark arrival ("lateness") is a direct lower bound on the path
-// skew an ofo_timeout must ride out, and the sequence distance is the
-// classic packet-lag displacement metric. Memory never grows with flow
+// skew an ofo_timeout must ride out. Memory never grows with flow
 // count — collisions degrade coverage (packets counted Unmeasured), not
 // correctness, and reference.go keeps an exact map-based oracle for
 // differential testing of that claim.
@@ -21,12 +20,10 @@
 package adapt
 
 import (
-	"math/bits"
 	"time"
 
 	"juggler/internal/packet"
 	"juggler/internal/sim"
-	"juggler/internal/units"
 )
 
 // Verdict classifies one observed packet.
@@ -64,24 +61,15 @@ func (v Verdict) String() string {
 }
 
 // Sample is one packet's full measurement: the verdict plus, for
-// reordered packets, the displacement and lateness evidence. The
-// differential fuzz compares these field-by-field against the exact
-// reference.
+// reordered packets, the lateness evidence. The differential fuzz
+// compares these field-by-field against the exact reference.
 type Sample struct {
 	Verdict Verdict
-	// LagPkts is the displacement in MSS-sized packet positions: how many
-	// full packets the watermark ran ahead of this one (0 for a duplicate
-	// of the watermark packet itself). Valid only for VerdictReordered.
-	LagPkts uint32
 	// Lateness is now minus the watermark packet's arrival — how long the
 	// overtaken packet trailed the packet that passed it. Valid only for
 	// VerdictReordered.
 	Lateness time.Duration
 }
-
-// LagBuckets sizes the displacement histogram: bucket 0 is lag 0
-// (duplicates/overlaps), bucket k>=1 holds lags in [2^(k-1), 2^k).
-const LagBuckets = 16
 
 // DetectorConfig tunes the sketch. The zero value takes defaults.
 type DetectorConfig struct {
@@ -148,10 +136,6 @@ type Estimates struct {
 	// CoalesceEWMA is the smoothed NIC-ring sojourn (NICRx to NAPIPoll),
 	// the interrupt-coalescing delay of the paper's tau_0 term.
 	CoalesceEWMA time.Duration
-	// MeanLagPkts is the mean displacement of reordered packets.
-	MeanLagPkts float64
-	// LagHist is the log2-bucketed displacement distribution.
-	LagHist [LagBuckets]uint64
 }
 
 // Detector is the per-host reordering sketch. Not safe for concurrent
@@ -162,8 +146,6 @@ type Detector struct {
 	mask  uint32
 
 	pkts, measured, unmeasured, steals, reordered uint64
-	lagSum                                        uint64
-	lagHist                                       [LagBuckets]uint64
 
 	skewEWMA     float64  // ns
 	coalesceEWMA float64  // ns
@@ -228,14 +210,7 @@ func (d *Detector) Observe(p *packet.Packet, now sim.Time) Sample {
 	}
 	// Below the watermark: this packet was overtaken.
 	d.reordered++
-	s := Sample{Verdict: VerdictReordered}
-	dist := sl.end - p.Seq // serial distance; SeqLess guarantees < 2^31
-	if dist >= units.MSS {
-		s.LagPkts = dist/units.MSS - 1
-	}
-	d.lagSum += uint64(s.LagPkts)
-	d.lagHist[lagBucket(s.LagPkts)]++
-	s.Lateness = now.Sub(sl.t)
+	s := Sample{Verdict: VerdictReordered, Lateness: now.Sub(sl.t)}
 	if lateNs := sim.Time(s.Lateness); lateNs >= 0 && s.Lateness <= d.cfg.MaxSkewSample {
 		d.skewEWMA += (float64(lateNs) - d.skewEWMA) * skewAlpha
 		if lateNs > d.winMax {
@@ -251,15 +226,6 @@ func (d *Detector) Observe(p *packet.Packet, now sim.Time) Sample {
 	return s
 }
 
-// lagBucket maps a displacement to its log2 histogram bucket.
-func lagBucket(lag uint32) int {
-	b := bits.Len32(lag)
-	if b >= LagBuckets {
-		b = LagBuckets - 1
-	}
-	return b
-}
-
 // Snapshot returns the current counters and estimates.
 func (d *Detector) Snapshot() Estimates {
 	e := Estimates{
@@ -267,13 +233,9 @@ func (d *Detector) Snapshot() Estimates {
 		Steals: d.steals, Reordered: d.reordered,
 		SkewEWMA:     time.Duration(d.skewEWMA),
 		CoalesceEWMA: time.Duration(d.coalesceEWMA),
-		LagHist:      d.lagHist,
 	}
 	if d.measured > 0 {
 		e.ReorderRate = float64(d.reordered) / float64(d.measured)
-	}
-	if d.reordered > 0 {
-		e.MeanLagPkts = float64(d.lagSum) / float64(d.reordered)
 	}
 	return e
 }

@@ -63,10 +63,6 @@ func TestDetectorReorderLagAndLateness(t *testing.T) {
 	if s.Verdict != VerdictReordered {
 		t.Fatalf("verdict = %v, want reordered", s.Verdict)
 	}
-	// Watermark end is after packet 3 => distance 3*MSS => lag 2 packets.
-	if s.LagPkts != 2 {
-		t.Fatalf("lag = %d packets, want 2", s.LagPkts)
-	}
 	if s.Lateness != 40*time.Microsecond {
 		t.Fatalf("lateness = %v, want 40us", s.Lateness)
 	}
@@ -85,17 +81,19 @@ func TestDetectorReorderLagAndLateness(t *testing.T) {
 	}
 }
 
+// TestDetectorDuplicateIsLagZero: a duplicate of the watermark packet
+// (zero displacement) still arrives below the watermark, so it counts as
+// reordered, trailing the original by the gap between the two.
 func TestDetectorDuplicateIsLagZero(t *testing.T) {
 	d := NewDetector(DetectorConfig{})
 	ft := flow(1)
 	d.Observe(dataPkt(ft, 0), at(0))
 	s := d.Observe(dataPkt(ft, 0), at(10))
-	if s.Verdict != VerdictReordered || s.LagPkts != 0 {
-		t.Fatalf("duplicate: verdict=%v lag=%d, want reordered lag 0", s.Verdict, s.LagPkts)
+	if s.Verdict != VerdictReordered || s.Lateness != 10*time.Microsecond {
+		t.Fatalf("duplicate: verdict=%v lateness=%v, want reordered 10us", s.Verdict, s.Lateness)
 	}
-	e := d.Snapshot()
-	if e.LagHist[0] != 1 {
-		t.Fatalf("lag hist = %v, want bucket 0 = 1", e.LagHist)
+	if e := d.Snapshot(); e.Reordered != 1 {
+		t.Fatalf("reordered = %d, want 1", e.Reordered)
 	}
 }
 
@@ -196,7 +194,7 @@ func TestDetectorMatchesReference(t *testing.T) {
 	if de.Steals != 0 || de.Unmeasured != 0 {
 		t.Fatalf("script collided: %+v", de)
 	}
-	if de.Packets != re.Packets || de.Reordered != re.Reordered || de.LagHist != re.LagHist {
+	if de != re {
 		t.Fatalf("sketch %+v != reference %+v", de, re)
 	}
 }

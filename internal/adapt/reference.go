@@ -5,7 +5,6 @@ import (
 
 	"juggler/internal/packet"
 	"juggler/internal/sim"
-	"juggler/internal/units"
 )
 
 // Reference is the exact, unbounded-memory oracle for the sketch
@@ -22,8 +21,6 @@ type Reference struct {
 	flows map[packet.FiveTuple]*refFlow
 
 	pkts, measured, reordered uint64
-	lagSum                    uint64
-	lagHist                   [LagBuckets]uint64
 
 	skewEWMA     float64
 	coalesceEWMA float64
@@ -67,14 +64,7 @@ func (r *Reference) Observe(p *packet.Packet, now sim.Time) Sample {
 		return Sample{Verdict: VerdictInOrder}
 	}
 	r.reordered++
-	s := Sample{Verdict: VerdictReordered}
-	dist := f.end - p.Seq
-	if dist >= units.MSS {
-		s.LagPkts = dist/units.MSS - 1
-	}
-	r.lagSum += uint64(s.LagPkts)
-	r.lagHist[lagBucket(s.LagPkts)]++
-	s.Lateness = now.Sub(f.t)
+	s := Sample{Verdict: VerdictReordered, Lateness: now.Sub(f.t)}
 	if lateNs := sim.Time(s.Lateness); lateNs >= 0 && s.Lateness <= r.cfg.MaxSkewSample {
 		r.skewEWMA += (float64(lateNs) - r.skewEWMA) * skewAlpha
 	}
@@ -92,13 +82,9 @@ func (r *Reference) Snapshot() Estimates {
 		Packets: r.pkts, Measured: r.measured, Reordered: r.reordered,
 		SkewEWMA:     time.Duration(r.skewEWMA),
 		CoalesceEWMA: time.Duration(r.coalesceEWMA),
-		LagHist:      r.lagHist,
 	}
 	if r.measured > 0 {
 		e.ReorderRate = float64(r.reordered) / float64(r.measured)
-	}
-	if r.reordered > 0 {
-		e.MeanLagPkts = float64(r.lagSum) / float64(r.reordered)
 	}
 	return e
 }

@@ -35,6 +35,7 @@ import (
 	"juggler/internal/packet"
 	"juggler/internal/reasm"
 	"juggler/internal/sim"
+	"juggler/internal/stats"
 	"juggler/internal/telemetry"
 	"juggler/internal/units"
 )
@@ -299,7 +300,7 @@ type Juggler struct {
 	// of one branch per event site. hFlushPkts is a nil no-op when
 	// telemetry is off; the counter metrics are views of Stats.
 	tel        *telemetry.Sink
-	hFlushPkts *telemetry.Histogram
+	hFlushPkts *stats.QuantileSketch
 
 	// Probe, when non-nil, is invoked after every state-mutating entry
 	// point (ReceiveBatch, PollComplete, the timeout timer). The chaos

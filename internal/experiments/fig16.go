@@ -38,7 +38,7 @@ func fig16(o Options) *Table {
 	return t
 }
 
-func fig16Run(o Options, nicRate units.BitRate) (mean float64, p99, max, lossP99 int, lossPerSec float64) {
+func fig16Run(o Options, nicRate units.BitRate) (mean, p99, max, lossP99, lossPerSec float64) {
 	s := o.newSim()
 	tb := testbed.NewClosTestbed(s, fabric.ClosConfig{
 		NumToRs: 2, NumSpines: 2, LinkRate: units.Rate40G,
@@ -75,12 +75,12 @@ func fig16Run(o Options, nicRate units.BitRate) (mean float64, p99, max, lossP99
 		tb.AddBackgroundPair(1, 0, 5*units.Gbps)
 	}
 
-	var active, loss stats.Hist
+	var active, loss stats.Sampler
 	j := receiver.Jugglers[0]
 	entered0 := int64(0)
 	tick := sim.NewTicker(s, 100*time.Microsecond, func() {
-		active.Observe(j.ActiveLen())
-		loss.Observe(j.LossLen())
+		active.Add(float64(j.ActiveLen()))
+		loss.Add(float64(j.LossLen()))
 	})
 	warm := o.scale(40 * time.Millisecond)
 	dur := o.scale(160 * time.Millisecond)

@@ -285,10 +285,10 @@ func fig15(o Options) *Table {
 			start := time.Duration(i) * 50 * time.Microsecond
 			s.Schedule(start, snd.MaybeSend)
 		}
-		var h stats.Hist
+		var h stats.Sampler
 		tick := sim.NewTicker(s, 100*time.Microsecond, func() {
 			for q := 0; q < 4; q++ {
-				h.Observe(tb.Receiver.Jugglers[q].ActiveLen())
+				h.Add(float64(tb.Receiver.Jugglers[q].ActiveLen()))
 			}
 		})
 		s.RunFor(po.scale(60 * time.Millisecond)) // warm up

@@ -36,7 +36,7 @@ func extRSS(o Options) *Table {
 	return t
 }
 
-func rssRun(o Options, queues int) (tput, rxMax float64, activeP99 int, ooo float64) {
+func rssRun(o Options, queues int) (tput, rxMax, activeP99, ooo float64) {
 	s := o.newSim()
 	rcvCfg := testbed.DefaultHostConfig(testbed.OffloadJuggler)
 	rcvCfg.Juggler = core.DefaultConfig()
@@ -59,10 +59,10 @@ func rssRun(o Options, queues int) (tput, rxMax float64, activeP99 int, ooo floa
 		rcvs = append(rcvs, rcv)
 	}
 
-	var active stats.Hist
+	var active stats.Sampler
 	tick := sim.NewTicker(s, 100*time.Microsecond, func() {
 		for _, j := range tb.Receiver.Jugglers {
-			active.Observe(j.ActiveLen())
+			active.Add(float64(j.ActiveLen()))
 		}
 	})
 	warm := o.scale(40 * time.Millisecond)

@@ -45,11 +45,11 @@ func ablWorstCase(o Options) *Table {
 		delivered := 0
 		j := core.New(s, cfg, func(seg *packet.Segment) { delivered += seg.Bytes })
 
-		var inactiveLen, activeLen stats.Hist
+		var inactiveLen, activeLen stats.Sampler
 		maxBuf := 0
 		sample := sim.NewTicker(s, 50*time.Microsecond, func() {
-			inactiveLen.Observe(j.InactiveLen())
-			activeLen.Observe(j.ActiveLen())
+			inactiveLen.Add(float64(j.InactiveLen()))
+			activeLen.Add(float64(j.ActiveLen()))
 			if b := j.BufferedBytes(); b > maxBuf {
 				maxBuf = b
 			}

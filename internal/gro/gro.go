@@ -11,6 +11,7 @@ package gro
 
 import (
 	"juggler/internal/packet"
+	"juggler/internal/stats"
 	"juggler/internal/telemetry"
 	"juggler/internal/units"
 )
@@ -124,12 +125,11 @@ type Vanilla struct {
 	// tel is the run's telemetry sink; nil disables recording. hMergePkts
 	// is a nil no-op when telemetry is off.
 	tel        *telemetry.Sink
-	hMergePkts *telemetry.Histogram
+	hMergePkts *stats.QuantileSketch
 }
 
 // Instrument binds the instance to a telemetry sink; the testbed calls it
-// at host construction when a sink is attached. A nil sink disables
-// recording.
+// at host construction. A nil sink disables recording.
 func (g *Vanilla) Instrument(k *telemetry.Sink) {
 	g.tel = k
 	r := k.Reg()

@@ -19,6 +19,7 @@ import (
 	"juggler/internal/gro"
 	"juggler/internal/packet"
 	"juggler/internal/sim"
+	"juggler/internal/stats"
 	"juggler/internal/telemetry"
 	"juggler/internal/units"
 )
@@ -203,7 +204,7 @@ type rxQueue struct {
 	// track is the queue's telemetry timeline; hBatch records the packets
 	// drained per poll (nil when telemetry is off).
 	track  int32
-	hBatch *telemetry.Histogram
+	hBatch *stats.QuantileSketch
 }
 
 // maxPollInterval bounds one polling episode: the kernel polls "up to a

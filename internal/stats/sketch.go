@@ -1,4 +1,4 @@
-package fleet
+package stats
 
 import (
 	"math"
@@ -6,11 +6,13 @@ import (
 )
 
 // QuantileSketch is a fixed-size streaming quantile estimator for
-// non-negative int64 observations (nanoseconds, bytes — anything whose
-// tail matters more than its mean). It is an HDR-histogram-style
+// non-negative int64 observations (nanoseconds, bytes, packets — anything
+// whose tail matters more than its mean). It is an HDR-histogram-style
 // log-linear bucketing: values below 32 land in exact unit buckets, and
 // every octave above is split into 32 linear sub-buckets, so a bucket's
-// width never exceeds 1/32 of the values it holds.
+// width never exceeds 1/32 of the values it holds. It is the one bounded,
+// mergeable distribution in the tree: the fleet rollups merge it, and
+// every metrics-registry histogram is one.
 //
 // Guarantees, all deterministic:
 //
@@ -22,17 +24,19 @@ import (
 //     exact <= estimate <= exact*(1+1/32)+1 — a one-sided relative
 //     value error of at most 3.125%, equivalently a rank error bounded
 //     by one bucket's mass.
+//   - Every 2^i - 1 is a bucket's upper bound, so CountAtMost reads the
+//     exact cumulative count at each log2 edge.
 //   - Merge is element-wise addition: exactly associative, commutative,
 //     and order-independent, so any rollup tree over the same leaf
 //     sketches produces identical bytes.
 //
 // The zero value is an empty, ready-to-use sketch (~15 KB inline, no
-// pointers).
+// pointers). A nil *QuantileSketch is a valid no-op for Observe, Count,
+// Sum and Max, so a disabled instrument costs one branch.
 type QuantileSketch struct {
 	buckets [numSketchBuckets]int64
 	count   int64
 	sum     int64
-	min     int64 // valid only when count > 0
 	max     int64
 }
 
@@ -68,17 +72,22 @@ func sketchBucketUpper(i int) int64 {
 	return lower + int64(1)<<(o-sketchSubBits) - 1
 }
 
-// Observe records one sample. Negative values clamp to 0 (latency and
-// byte counts have no meaningful negative range; clamping keeps the
-// count exact instead of silently dropping). Zero allocations.
+// Observe records one sample; safe on nil. Negative values clamp to 0
+// (latency and byte counts have no meaningful negative range; clamping
+// keeps the count exact instead of silently dropping). Zero allocations.
+// It stays small enough to inline, so a disabled instrument on the
+// receive path is one branch at the call site.
 func (q *QuantileSketch) Observe(v int64) {
+	if q != nil {
+		q.observe(v)
+	}
+}
+
+func (q *QuantileSketch) observe(v int64) {
 	if v < 0 {
 		v = 0
 	}
 	q.buckets[sketchBucketOf(v)]++
-	if q.count == 0 || v < q.min {
-		q.min = v
-	}
 	if v > q.max {
 		q.max = v
 	}
@@ -86,22 +95,43 @@ func (q *QuantileSketch) Observe(v int64) {
 	q.sum += v
 }
 
-// Count returns the number of observations.
-func (q *QuantileSketch) Count() int64 { return q.count }
-
-// Sum returns the exact sum of (clamped) observations.
-func (q *QuantileSketch) Sum() int64 { return q.sum }
-
-// Min returns the smallest observation (0 when empty).
-func (q *QuantileSketch) Min() int64 {
-	if q.count == 0 {
+// Count returns the number of observations (0 on nil).
+func (q *QuantileSketch) Count() int64 {
+	if q == nil {
 		return 0
 	}
-	return q.min
+	return q.count
 }
 
-// Max returns the largest observation (0 when empty).
-func (q *QuantileSketch) Max() int64 { return q.max }
+// Sum returns the exact sum of (clamped) observations (0 on nil).
+func (q *QuantileSketch) Sum() int64 {
+	if q == nil {
+		return 0
+	}
+	return q.sum
+}
+
+// Max returns the largest observation (0 when empty or nil).
+func (q *QuantileSketch) Max() int64 {
+	if q == nil {
+		return 0
+	}
+	return q.max
+}
+
+// CountAtMost returns the number of observations in the buckets up to and
+// including v's. It is exact — the count of observations <= v — when v is
+// a bucket's upper bound, as every 2^i - 1 is.
+func (q *QuantileSketch) CountAtMost(v int64) int64 {
+	if v < 0 {
+		return 0
+	}
+	var cum int64
+	for _, c := range q.buckets[:sketchBucketOf(v)+1] {
+		cum += c
+	}
+	return cum
+}
 
 // Quantile returns the estimate for the f-th quantile (0 <= f <= 1)
 // using nearest-rank over the exact bucket counts; the returned value is
@@ -144,8 +174,9 @@ func (q *QuantileSketch) P99() int64 { return q.Quantile(0.99) }
 func (q *QuantileSketch) P999() int64 { return q.Quantile(0.999) }
 
 // Merge folds o into q: element-wise bucket addition plus exact
-// count/sum/min/max combination. Associative, commutative, and
+// count/sum/max combination. Associative, commutative, and
 // schedule-independent — the foundation of the byte-identical rollup.
+// A nil or empty o is a no-op.
 func (q *QuantileSketch) Merge(o *QuantileSketch) {
 	if o == nil || o.count == 0 {
 		return
@@ -153,21 +184,9 @@ func (q *QuantileSketch) Merge(o *QuantileSketch) {
 	for i, c := range o.buckets {
 		q.buckets[i] += c
 	}
-	if q.count == 0 || o.min < q.min {
-		q.min = o.min
-	}
 	if o.max > q.max {
 		q.max = o.max
 	}
 	q.count += o.count
 	q.sum += o.sum
-}
-
-// Reset empties the sketch in place (the array is zeroed, nothing is
-// freed — steady-state reuse stays allocation-free).
-func (q *QuantileSketch) Reset() {
-	for i := range q.buckets {
-		q.buckets[i] = 0
-	}
-	q.count, q.sum, q.min, q.max = 0, 0, 0, 0
 }

@@ -1,10 +1,9 @@
-package fleet
+package stats
 
 import (
+	"math"
 	"math/rand"
 	"testing"
-
-	"juggler/internal/stats"
 )
 
 // sketchErrBound is the documented one-sided error: estimate in
@@ -27,7 +26,7 @@ func TestSketchDifferentialFuzz(t *testing.T) {
 	for seed := int64(1); seed <= 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		var q QuantileSketch
-		exact := stats.NewSampler(1 << 12)
+		exact := NewSampler(1 << 12)
 		n := 100 + rng.Intn(5000)
 		for i := 0; i < n; i++ {
 			var v int64
@@ -70,8 +69,8 @@ func TestSketchExactBelow32(t *testing.T) {
 			t.Fatalf("Quantile(%g) = %d, want exact %d", f, got, want)
 		}
 	}
-	if q.Min() != 0 || q.Max() != 31 || q.Sum() != 31*32/2 {
-		t.Fatalf("min/max/sum = %d/%d/%d", q.Min(), q.Max(), q.Sum())
+	if q.Max() != 31 || q.Sum() != 31*32/2 {
+		t.Fatalf("max/sum = %d/%d", q.Max(), q.Sum())
 	}
 }
 
@@ -116,20 +115,72 @@ func TestSketchMergeEquivalence(t *testing.T) {
 	}
 }
 
-func TestSketchNegativeClampsAndReset(t *testing.T) {
+// TestSketchMergeEdgeAlignment: sketches that observed disjoint value
+// ranges, right at the power-of-two edges, merge into the whole-stream
+// sketch, and the merged cumulative count at every 2^i - 1 is the exact
+// count of values at or below it — no sample shifts across a log2 edge.
+func TestSketchMergeEdgeAlignment(t *testing.T) {
+	var lo, hi, whole QuantileSketch
+	var vals []int64
+	for k := uint(0); k <= 62; k++ {
+		edge := int64(1) << k
+		dst := &lo
+		if k >= 20 {
+			dst = &hi
+		}
+		for _, v := range []int64{edge - 1, edge, edge + 1} {
+			dst.Observe(v)
+			whole.Observe(v)
+			vals = append(vals, v)
+		}
+	}
+	lo.Merge(&hi)
+	if lo != whole {
+		t.Fatal("merge of disjoint ranges differs from whole-stream sketch")
+	}
+	for i := uint(0); i <= 63; i++ {
+		edge := int64(math.MaxInt64)
+		if i < 63 {
+			edge = int64(1)<<i - 1
+		}
+		var want int64
+		for _, v := range vals {
+			if v <= edge {
+				want++
+			}
+		}
+		if got := lo.CountAtMost(edge); got != want {
+			t.Fatalf("CountAtMost(2^%d-1) = %d, want %d", i, got, want)
+		}
+	}
+}
+
+// TestSketchNilSafe: a nil sketch is a disabled instrument (Observe is a
+// no-op, reads are zero), and merging a nil or empty sketch changes
+// nothing.
+func TestSketchNilSafe(t *testing.T) {
+	var nilQ *QuantileSketch
+	nilQ.Observe(7)
+	if nilQ.Count() != 0 || nilQ.Sum() != 0 || nilQ.Max() != 0 {
+		t.Fatal("nil sketch reads non-zero")
+	}
+	var q QuantileSketch
+	q.Observe(1)
+	q.Observe(1 << 30)
+	before := q
+	q.Merge(nil)
+	q.Merge(&QuantileSketch{})
+	if q != before {
+		t.Fatal("Merge(nil) or Merge(empty) modified the receiver")
+	}
+}
+
+func TestSketchNegativeClamps(t *testing.T) {
 	var q QuantileSketch
 	q.Observe(-5)
 	q.Observe(10)
-	if q.Count() != 2 || q.Min() != 0 || q.Max() != 10 {
-		t.Fatalf("count/min/max = %d/%d/%d", q.Count(), q.Min(), q.Max())
-	}
-	q.Reset()
-	if q.Count() != 0 || q.Quantile(0.5) != 0 || q.Max() != 0 {
-		t.Fatal("reset did not empty the sketch")
-	}
-	var empty QuantileSketch
-	if q != empty {
-		t.Fatal("reset sketch differs from zero value")
+	if q.Count() != 2 || q.Sum() != 10 || q.Max() != 10 || q.Quantile(0) != 0 {
+		t.Fatalf("count/sum/max/min = %d/%d/%d/%d", q.Count(), q.Sum(), q.Max(), q.Quantile(0))
 	}
 }
 

@@ -1,14 +1,15 @@
-// Package stats provides the measurement primitives used by the evaluation
-// harness: exact-percentile samplers, fixed-bin histograms, time-binned
-// series, and streaming mean/variance.
+// Package stats provides the measurement primitives: time-binned series,
+// streaming mean/variance, and the tree's two distribution types. Sampler
+// keeps every observation and answers exact quantiles — the source of the
+// evaluation harness's columns. QuantileSketch is bounded and mergeable —
+// the type behind every telemetry histogram and fleet rollup.
 //
 // The experiments quote medians, 99th percentiles, averages, and standard
-// deviations; everything here is deterministic and allocation-conscious so
-// it can run inside the hot simulation loop.
+// deviations; everything here is deterministic, and the sketch is
+// allocation-free so it can run inside the hot simulation loop.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"time"
@@ -66,8 +67,8 @@ func (s *Sampler) Median() float64 { return s.Quantile(0.5) }
 // P99 is Quantile(0.99).
 func (s *Sampler) P99() float64 { return s.Quantile(0.99) }
 
-// P999 is Quantile(0.999) — the deep-tail reference the fleet sketches
-// are differentially tested against.
+// P999 is Quantile(0.999) — the deep-tail reference QuantileSketch is
+// differentially tested against.
 func (s *Sampler) P999() float64 { return s.Quantile(0.999) }
 
 // Mean returns the arithmetic mean (0 when empty).
@@ -124,95 +125,6 @@ func (w *Welford) Std() float64 {
 		return 0
 	}
 	return math.Sqrt(w.m2 / float64(w.n-1))
-}
-
-// Hist is an integer-valued histogram with unit-width bins starting at 0,
-// used for e.g. "length of the active list" distributions (Figure 16).
-type Hist struct {
-	bins []int64
-	n    int64
-}
-
-// Observe counts one occurrence of value v (negative values clamp to 0).
-func (h *Hist) Observe(v int) {
-	if v < 0 {
-		v = 0
-	}
-	for v >= len(h.bins) {
-		h.bins = append(h.bins, 0)
-	}
-	h.bins[v]++
-	h.n++
-}
-
-// N returns the total observation count.
-func (h *Hist) N() int64 { return h.n }
-
-// Fraction returns the fraction of observations equal to v.
-func (h *Hist) Fraction(v int) float64 {
-	if h.n == 0 || v < 0 || v >= len(h.bins) {
-		return 0
-	}
-	return float64(h.bins[v]) / float64(h.n)
-}
-
-// Quantile returns the smallest value v such that at least q of the mass is
-// <= v.
-func (h *Hist) Quantile(q float64) int {
-	if h.n == 0 {
-		return 0
-	}
-	target := int64(math.Ceil(q * float64(h.n)))
-	if target < 1 {
-		target = 1
-	}
-	var cum int64
-	for v, c := range h.bins {
-		cum += c
-		if cum >= target {
-			return v
-		}
-	}
-	return len(h.bins) - 1
-}
-
-// Mean returns the histogram mean.
-func (h *Hist) Mean() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	var sum int64
-	for v, c := range h.bins {
-		sum += int64(v) * c
-	}
-	return float64(sum) / float64(h.n)
-}
-
-// Max returns the largest observed value.
-func (h *Hist) Max() int {
-	for v := len(h.bins) - 1; v >= 0; v-- {
-		if h.bins[v] > 0 {
-			return v
-		}
-	}
-	return 0
-}
-
-// String renders non-empty bins compactly.
-func (h *Hist) String() string {
-	s := ""
-	for v, c := range h.bins {
-		if c > 0 {
-			if s != "" {
-				s += " "
-			}
-			s += fmt.Sprintf("%d:%d", v, c)
-		}
-	}
-	if s == "" {
-		return "(empty)"
-	}
-	return s
 }
 
 // TimeSeries bins a running byte (or event) count into fixed intervals,

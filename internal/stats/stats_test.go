@@ -119,72 +119,6 @@ func TestWelfordDegenerate(t *testing.T) {
 	}
 }
 
-func TestHist(t *testing.T) {
-	var h Hist
-	for i := 0; i < 90; i++ {
-		h.Observe(1)
-	}
-	for i := 0; i < 9; i++ {
-		h.Observe(3)
-	}
-	h.Observe(10)
-	if h.N() != 100 {
-		t.Fatalf("N = %d", h.N())
-	}
-	if got := h.Quantile(0.5); got != 1 {
-		t.Fatalf("q50 = %d", got)
-	}
-	if got := h.Quantile(0.99); got != 3 {
-		t.Fatalf("q99 = %d", got)
-	}
-	if got := h.Quantile(1); got != 10 {
-		t.Fatalf("q100 = %d", got)
-	}
-	if got := h.Max(); got != 10 {
-		t.Fatalf("max = %d", got)
-	}
-	if got := h.Fraction(1); got != 0.9 {
-		t.Fatalf("fraction(1) = %v", got)
-	}
-	wantMean := (90*1 + 9*3 + 10) / 100.0
-	if math.Abs(h.Mean()-wantMean) > 1e-12 {
-		t.Fatalf("mean = %v, want %v", h.Mean(), wantMean)
-	}
-}
-
-func TestHistNegativeClamps(t *testing.T) {
-	var h Hist
-	h.Observe(-5)
-	if h.Fraction(0) != 1 {
-		t.Fatal("negative observation should clamp to bin 0")
-	}
-}
-
-// Property: histogram quantile is monotone and total mass is preserved.
-func TestPropertyHistQuantileMonotone(t *testing.T) {
-	f := func(vals []uint8) bool {
-		var h Hist
-		for _, v := range vals {
-			h.Observe(int(v) % 64)
-		}
-		if h.N() != int64(len(vals)) {
-			return false
-		}
-		prev := -1
-		for q := 0.0; q <= 1.0; q += 0.1 {
-			v := h.Quantile(q)
-			if v < prev {
-				return false
-			}
-			prev = v
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestTimeSeries(t *testing.T) {
 	ts := NewTimeSeries(100 * time.Millisecond)
 	ts.Add(50*time.Millisecond, 1000)

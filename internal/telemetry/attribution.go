@@ -112,18 +112,11 @@ func (f *Forensics) observeDelivery(seg *packet.Segment) {
 			continue
 		}
 		f.spanHist[i].Observe(spans[i])
-		if spans[i] > f.spanMax[i] {
-			f.spanMax[i] = spans[i]
-		}
 		if worst < 0 || spans[i] > spans[worst] {
 			worst = i // ties keep the earliest span: deterministic
 		}
 	}
 	f.e2e.Observe(e2e)
-	if e2e > f.e2eMax {
-		f.e2eMax = e2e
-	}
-	f.delivered++
 	if worst >= 0 {
 		f.spanDom[worst]++
 	}

@@ -189,11 +189,11 @@ func (k *Sink) Diagnose(meta DiagnosisMeta) *Diagnosis {
 	e2eTotal := f.e2e.Sum()
 	d.EndToEnd = SpanReport{Span: "end-to-end", Count: f.e2e.Count(),
 		TotalNs: e2eTotal, MeanNs: mean(e2eTotal, f.e2e.Count()),
-		MaxNs: f.e2eMax, SharePct: pct(e2eTotal, e2eTotal)}
+		MaxNs: f.e2e.Max(), SharePct: pct(e2eTotal, e2eTotal)}
 	for i := 0; i < NumSpans; i++ {
 		h := f.spanHist[i]
 		d.Spans = append(d.Spans, SpanReport{Span: spanNames[i], Count: h.Count(),
-			TotalNs: h.Sum(), MeanNs: mean(h.Sum(), h.Count()), MaxNs: f.spanMax[i],
+			TotalNs: h.Sum(), MeanNs: mean(h.Sum(), h.Count()), MaxNs: h.Max(),
 			SharePct: pct(h.Sum(), e2eTotal), DominantIn: f.spanDom[i]})
 	}
 

@@ -15,15 +15,16 @@
 //
 // Two sketches cover the report's needs:
 //
-//   - QuantileSketch: an HDR-style log-linear histogram for latency
+//   - stats.QuantileSketch: an HDR-style log-linear histogram for latency
 //     tails (p50/p99/p999) with a bounded relative value error of
-//     1/32 (3.125%) and an exact-count merge (element-wise add).
+//     1/32 (3.125%) and an exact-count merge (element-wise add). It lives
+//     in internal/stats because the metrics registry's histograms are the
+//     same type; it is differentially tested against stats.Sampler there.
 //   - TopK: a space-saving heavy-hitter tracker for "top flows by
 //     bytes" / "top hosts by retransmits" with the classic
-//     (count, err) overestimate guarantees and a deterministic merge.
-//
-// Both are differentially fuzzed against exact references in this
-// package's tests.
+//     (count, err) overestimate guarantees and a deterministic merge,
+//     differentially fuzzed against an exact reference in this
+//     package's tests.
 package fleet
 
 import "time"

@@ -10,6 +10,7 @@ import (
 
 	"juggler/internal/jsonschema"
 	"juggler/internal/packet"
+	"juggler/internal/stats"
 )
 
 //go:embed fleet.schema.json
@@ -129,11 +130,11 @@ func (a *Aggregator) Report(now time.Duration) *Report {
 		Hosts:      []HostHealth{},
 	}
 
-	var fleetSketch QuantileSketch
+	var fleetSketch stats.QuantileSketch
 	fleetFlows := NewTopK(a.cfg.TopK)
 	hostsByRetrans := NewTopK(a.cfg.TopK)
 	hostsByHolds := NewTopK(a.cfg.TopK)
-	torSketch := map[int]*QuantileSketch{}
+	torSketch := map[int]*stats.QuantileSketch{}
 	torRoll := map[int]*ToRRollup{}
 
 	for i, h := range a.hosts {
@@ -166,7 +167,7 @@ func (a *Aggregator) Report(now time.Duration) *Report {
 		hostsByHolds.Observe(uint64(i), packet.FiveTuple{}, c.OfoHolds)
 		ts, ok := torSketch[h.ToR]
 		if !ok {
-			ts = &QuantileSketch{}
+			ts = &stats.QuantileSketch{}
 			torSketch[h.ToR] = ts
 			torRoll[h.ToR] = &ToRRollup{ToR: h.ToR}
 		}

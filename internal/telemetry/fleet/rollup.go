@@ -3,6 +3,7 @@ package fleet
 import (
 	"juggler/internal/packet"
 	"juggler/internal/sim"
+	"juggler/internal/stats"
 )
 
 // Counters is the rollup snapshot one vantage point fills in on every
@@ -40,7 +41,7 @@ type Counters struct {
 type LaneProbe struct {
 	cfg Config
 
-	sojourn QuantileSketch
+	sojourn stats.QuantileSketch
 	flows   *TopK
 
 	// sample, when set, fills c with the vantage point's current
@@ -161,7 +162,7 @@ func (h *HostProbe) Lane(i int) *LaneProbe { return h.lanes[i] }
 
 // hostRoll is one host's lane merge (queue order).
 type hostRoll struct {
-	sketch QuantileSketch
+	sketch stats.QuantileSketch
 	flows  *TopK
 	c      Counters
 
@@ -207,7 +208,7 @@ type Aggregator struct {
 
 	// fct is the fleet-level flow/RPC completion-time sketch, fed by
 	// workload completion hooks.
-	fct QuantileSketch
+	fct stats.QuantileSketch
 }
 
 // NewAggregator returns an empty aggregator.

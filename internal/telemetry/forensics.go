@@ -9,6 +9,7 @@ import (
 
 	"juggler/internal/packet"
 	"juggler/internal/sim"
+	"juggler/internal/stats"
 )
 
 // Op classifies a datapath decision recorded in a flow's audit ring.
@@ -218,13 +219,10 @@ type Forensics struct {
 
 	// Attribution (attribution.go). Metric families are registered lazily
 	// on first use so forensics-free runs keep prior snapshot bytes.
-	e2e       *Histogram
-	e2eMax    int64
-	spanHist  [NumSpans]*Histogram
-	spanDom   [NumSpans]int64 // deliveries each span dominated
-	spanMax   [NumSpans]int64
-	delivered int64
-	slowest   []SlowDelivery
+	e2e      *stats.QuantileSketch
+	spanHist [NumSpans]*stats.QuantileSketch
+	spanDom  [NumSpans]int64 // deliveries each span dominated
+	slowest  []SlowDelivery
 
 	// Decision provenance.
 	flows map[packet.FiveTuple]*FlowForensics
@@ -279,7 +277,7 @@ func (f *Forensics) Delivered() int64 {
 	if f == nil {
 		return 0
 	}
-	return f.delivered
+	return f.e2e.Count()
 }
 
 // Flows returns the tracked flows in first-seen order.

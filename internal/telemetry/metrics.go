@@ -3,16 +3,16 @@ package telemetry
 import (
 	"fmt"
 	"io"
-	"math/bits"
 	"slices"
 	"sort"
 	"strings"
+
+	"juggler/internal/stats"
 )
 
-// histBuckets is the number of log2 buckets in a Histogram. Bucket 0 holds
-// observations <= 0; bucket b (1..histBuckets-2) holds [2^(b-1), 2^b - 1];
-// the last bucket is the overflow catch-all.
-const histBuckets = 32
+// promHistEdges is the number of finite log2 le edges a histogram
+// exports: 0, then 2^i - 1 for i = 1..promHistEdges-1.
+const promHistEdges = 31
 
 // Gauge is a metric that can move in both directions. A nil *Gauge is a
 // valid no-op, so disabled telemetry costs one branch per update.
@@ -32,87 +32,6 @@ func (g *Gauge) Value() int64 {
 		return 0
 	}
 	return g.v
-}
-
-// Histogram is a log2-bucketed distribution of int64 observations. A nil
-// *Histogram is a valid no-op.
-type Histogram struct {
-	buckets [histBuckets]int64
-	count   int64
-	sum     int64
-}
-
-// bucketOf maps an observation to its bucket index.
-func bucketOf(v int64) int {
-	if v <= 0 {
-		return 0
-	}
-	b := bits.Len64(uint64(v)) // v in [2^(b-1), 2^b - 1]
-	if b >= histBuckets {
-		return histBuckets - 1
-	}
-	return b
-}
-
-// bucketUpper returns the inclusive upper bound of bucket i ("+Inf" for the
-// overflow bucket, handled by the caller).
-func bucketUpper(i int) int64 {
-	if i == 0 {
-		return 0
-	}
-	return (int64(1) << uint(i)) - 1
-}
-
-// Observe records one sample; safe on nil.
-func (h *Histogram) Observe(v int64) {
-	if h == nil {
-		return
-	}
-	h.buckets[bucketOf(v)]++
-	h.count++
-	h.sum += v
-}
-
-// Count returns the number of samples (0 on nil).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count
-}
-
-// Sum returns the sum of samples (0 on nil).
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum
-}
-
-// Merge folds o's samples into h: element-wise bucket addition plus
-// count and sum. Because both histograms share the fixed log2 bucket
-// edges, merging is exact at bucket resolution — merging equals having
-// observed the union stream — and therefore associative, commutative,
-// and independent of which rollup path delivered the samples (the
-// fleet-telemetry merge rule). Safe on a nil receiver (no-op) and a
-// nil argument.
-func (h *Histogram) Merge(o *Histogram) {
-	if h == nil || o == nil {
-		return
-	}
-	for i := range h.buckets {
-		h.buckets[i] += o.buckets[i]
-	}
-	h.count += o.count
-	h.sum += o.sum
-}
-
-// Bucket returns the raw count in bucket i (0 on nil or out of range).
-func (h *Histogram) Bucket(i int) int64 {
-	if h == nil || i < 0 || i >= histBuckets {
-		return 0
-	}
-	return h.buckets[i]
 }
 
 // metricType tags a family's instrument kind.
@@ -143,7 +62,7 @@ type child struct {
 	labelVal string
 	srcs     []*int64
 	gauge    *Gauge
-	hist     *Histogram
+	hist     *stats.QuantileSketch
 }
 
 // family is a named metric with optional single-key labels. Children are
@@ -167,7 +86,7 @@ func (f *family) get(labelVal string) *child {
 	case typeGauge:
 		c.gauge = &Gauge{}
 	case typeHistogram:
-		c.hist = &Histogram{}
+		c.hist = &stats.QuantileSketch{}
 	}
 	f.children = append(f.children, c)
 	f.index[labelVal] = c
@@ -228,7 +147,7 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 }
 
 // Histogram returns the unlabeled histogram named name.
-func (r *Registry) Histogram(name, help string) *Histogram {
+func (r *Registry) Histogram(name, help string) *stats.QuantileSketch {
 	if r == nil {
 		return nil
 	}
@@ -236,7 +155,7 @@ func (r *Registry) Histogram(name, help string) *Histogram {
 }
 
 // HistogramL returns the histogram for one label value of a labeled family.
-func (r *Registry) HistogramL(name, help, labelKey, labelVal string) *Histogram {
+func (r *Registry) HistogramL(name, help, labelKey, labelVal string) *stats.QuantileSketch {
 	if r == nil {
 		return nil
 	}
@@ -298,7 +217,9 @@ func (r *Registry) WriteProm(w io.Writer) error {
 	return nil
 }
 
-// writePromHist writes one histogram child with cumulative le buckets.
+// writePromHist writes one histogram child with cumulative le buckets at
+// the log2 edges 0, 1, 3, ..., 2^30 - 1, then +Inf. Each edge is a sketch
+// bucket's upper bound, so every cumulative count is exact.
 func writePromHist(w io.Writer, f *family, c *child, label string) error {
 	// Merge the extra le label into any existing label set.
 	leLabel := func(le string) string {
@@ -307,19 +228,19 @@ func writePromHist(w io.Writer, f *family, c *child, label string) error {
 		}
 		return fmt.Sprintf(`{%s="%s",le="%s"}`, f.labelKey, promLabelEsc.Replace(c.labelVal), le)
 	}
-	cum := int64(0)
-	for i := 0; i < histBuckets; i++ {
-		n := c.hist.Bucket(i)
-		cum += n
-		// Skip interior empty buckets to keep snapshots readable, but
-		// always emit the first, any non-empty, and the +Inf bucket.
-		if n == 0 && i != 0 && i != histBuckets-1 {
+	prev := int64(-1)
+	for i := 0; i <= promHistEdges; i++ {
+		le, cum := "+Inf", c.hist.Count()
+		if i < promHistEdges {
+			edge := int64(1)<<i - 1
+			le, cum = fmt.Sprint(edge), c.hist.CountAtMost(edge)
+		}
+		// Skip interior edges that add nothing over the previous edge to
+		// keep snapshots readable, but always emit the first and +Inf.
+		if cum == prev && i != 0 && i != promHistEdges {
 			continue
 		}
-		le := fmt.Sprint(bucketUpper(i))
-		if i == histBuckets-1 {
-			le = "+Inf"
-		}
+		prev = cum
 		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", f.name, leLabel(le), cum); err != nil {
 			return err
 		}

@@ -1,8 +1,9 @@
 // Package telemetry is the cross-layer observability subsystem: a metrics
-// registry (counters, gauges, log-bucketed histograms), a bounded flight
-// recorder of typed events stamped with simulation virtual time, and a
-// wire-level packet capture — all exportable as a Prometheus-style text
-// snapshot, a Chrome/Perfetto trace-event JSON, and a pcapng file.
+// registry (counters, gauges, and histograms — stats.QuantileSketch
+// sketches exported at log2 edges), a bounded flight recorder of typed
+// events stamped with simulation virtual time, and a wire-level packet
+// capture — all exportable as a Prometheus-style text snapshot, a
+// Chrome/Perfetto trace-event JSON, and a pcapng file.
 //
 // One Sink serves a whole simulation run. It rides on the *sim.Sim
 // (telemetry.Attach / telemetry.FromSim) so every component — NIC, GRO,
@@ -11,9 +12,9 @@
 // the int64 it already keeps (Registry.CounterOf) and the export reads
 // it, so the per-packet path bumps one field whether telemetry is on or
 // off. Everything else is nil-safe: a nil *Sink, nil *Gauge, nil
-// *Histogram and so on record nothing and cost exactly one branch, so the
-// disabled path stays allocation-free on the hot receive path (enforced
-// by TestDisabledPathZeroAlloc).
+// *stats.QuantileSketch and so on record nothing and cost exactly one
+// branch, so the disabled path stays allocation-free on the hot receive
+// path (enforced by TestDisabledPathZeroAlloc).
 //
 // Determinism: all state is per-run, all iteration orders are registration
 // orders, and timestamps come from the simulation clock — two runs with the

@@ -10,6 +10,7 @@ import (
 	"juggler/internal/golden"
 	"juggler/internal/packet"
 	"juggler/internal/sim"
+	"juggler/internal/stats"
 )
 
 var testFlow = packet.FiveTuple{
@@ -23,7 +24,7 @@ func TestDisabledPathZeroAlloc(t *testing.T) {
 	var k *Sink
 	var src int64
 	var g *Gauge
-	var h *Histogram
+	var h *stats.QuantileSketch
 	s := sim.New(1) // no sink attached
 	p := &packet.Packet{Flow: testFlow, Seq: 1, PayloadLen: 1460}
 
@@ -60,41 +61,63 @@ func TestEnabledEventZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestHistogramBucketEdges checks the log2 bucketing at its boundaries:
-// zero and negatives, exact powers of two, the top finite bucket, and
-// overflow into +Inf.
+// TestHistogramBucketEdges pins the Prometheus text of a histogram at
+// its log2 edges: 0, 1, 2^k - 1 and 2^k for k = 1..30 straddle every le
+// line, 2^30 and MaxInt64 land above the last finite edge in +Inf, and
+// the sum wraps exactly as int64 addition does.
 func TestHistogramBucketEdges(t *testing.T) {
-	var h Histogram
-	for _, v := range []int64{-5, 0, 1, 2, 3, 4, math.MaxInt64} {
-		h.Observe(v)
+	k := New(sim.New(1), Options{})
+	h := k.Reg().Histogram("edge", "Edge values.")
+	h.Observe(0)
+	h.Observe(1)
+	for i := 1; i <= 30; i++ {
+		h.Observe(int64(1)<<i - 1)
+		h.Observe(int64(1) << i)
 	}
-	want := map[int]int64{
-		0:               2, // -5 and 0
-		1:               1, // 1
-		2:               2, // 2 and 3 land in [2, 3]
-		3:               1, // 4 lands in [4, 7]
-		histBuckets - 1: 1, // MaxInt64 overflows
+	h.Observe(1 << 30)
+	h.Observe(math.MaxInt64)
+	var buf bytes.Buffer
+	if err := k.Metrics.WriteProm(&buf); err != nil {
+		t.Fatal(err)
 	}
-	for i := 0; i < histBuckets; i++ {
-		if got := h.Bucket(i); got != want[i] {
-			t.Errorf("bucket %d = %d, want %d", i, got, want[i])
-		}
-	}
-	if h.Count() != 7 {
-		t.Errorf("count = %d, want 7", h.Count())
-	}
-	// Boundary mapping itself: 2^k-1 and 2^k straddle buckets k and k+1.
-	for k := 2; k < histBuckets-1; k++ {
-		hi := int64(1)<<uint(k) - 1
-		if bucketOf(hi) != k {
-			t.Errorf("bucketOf(2^%d-1) = %d, want %d", k, bucketOf(hi), k)
-		}
-		if k+1 < histBuckets-1 && bucketOf(hi+1) != k+1 {
-			t.Errorf("bucketOf(2^%d) = %d, want %d", k, bucketOf(hi+1), k+1)
-		}
-	}
-	if bucketUpper(0) != 0 || bucketUpper(3) != 7 {
-		t.Errorf("bucketUpper: got %d, %d", bucketUpper(0), bucketUpper(3))
+	want := "# HELP edge Edge values.\n" +
+		"# TYPE edge histogram\n" +
+		"edge_bucket{le=\"0\"} 1\n" +
+		"edge_bucket{le=\"1\"} 3\n" +
+		"edge_bucket{le=\"3\"} 5\n" +
+		"edge_bucket{le=\"7\"} 7\n" +
+		"edge_bucket{le=\"15\"} 9\n" +
+		"edge_bucket{le=\"31\"} 11\n" +
+		"edge_bucket{le=\"63\"} 13\n" +
+		"edge_bucket{le=\"127\"} 15\n" +
+		"edge_bucket{le=\"255\"} 17\n" +
+		"edge_bucket{le=\"511\"} 19\n" +
+		"edge_bucket{le=\"1023\"} 21\n" +
+		"edge_bucket{le=\"2047\"} 23\n" +
+		"edge_bucket{le=\"4095\"} 25\n" +
+		"edge_bucket{le=\"8191\"} 27\n" +
+		"edge_bucket{le=\"16383\"} 29\n" +
+		"edge_bucket{le=\"32767\"} 31\n" +
+		"edge_bucket{le=\"65535\"} 33\n" +
+		"edge_bucket{le=\"131071\"} 35\n" +
+		"edge_bucket{le=\"262143\"} 37\n" +
+		"edge_bucket{le=\"524287\"} 39\n" +
+		"edge_bucket{le=\"1048575\"} 41\n" +
+		"edge_bucket{le=\"2097151\"} 43\n" +
+		"edge_bucket{le=\"4194303\"} 45\n" +
+		"edge_bucket{le=\"8388607\"} 47\n" +
+		"edge_bucket{le=\"16777215\"} 49\n" +
+		"edge_bucket{le=\"33554431\"} 51\n" +
+		"edge_bucket{le=\"67108863\"} 53\n" +
+		"edge_bucket{le=\"134217727\"} 55\n" +
+		"edge_bucket{le=\"268435455\"} 57\n" +
+		"edge_bucket{le=\"536870911\"} 59\n" +
+		"edge_bucket{le=\"1073741823\"} 61\n" +
+		"edge_bucket{le=\"+Inf\"} 64\n" +
+		"edge_sum -9223372031486066722\n" +
+		"edge_count 64\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("snapshot:\n%s\nwant:\n%s", got, want)
 	}
 }
 

@@ -63,6 +63,31 @@ func ParseOffloadKind(name string) (OffloadKind, error) {
 	return 0, fmt.Errorf("unknown stack %q (want juggler, vanilla, linkedlist or none)", name)
 }
 
+// newOffload builds one receive-offload instance of kind on s. Segments
+// it mints come from pool and leave through deliver. A non-nil tel
+// instruments vanilla GRO; a Juggler instruments itself from s.
+func newOffload(s *sim.Sim, kind OffloadKind, jcfg core.Config, pool *packet.SegPool,
+	deliver gro.Deliver, tel *telemetry.Sink) gro.Offload {
+	switch kind {
+	case OffloadVanilla:
+		g := gro.NewVanilla(deliver)
+		g.UsePool(pool)
+		g.Instrument(tel)
+		return g
+	case OffloadJuggler:
+		return core.New(s, jcfg, deliver)
+	case OffloadLinkedList:
+		g := gro.NewLinkedList(deliver)
+		g.UsePool(pool)
+		return g
+	case OffloadNone:
+		g := gro.NewNull(deliver)
+		g.UsePool(pool)
+		return g
+	}
+	panic(fmt.Sprintf("testbed: unknown offload kind %d", kind))
+}
+
 // HostConfig configures one end host.
 type HostConfig struct {
 	// LinkRate is the NIC speed (10G / 40G in the paper).
@@ -223,39 +248,19 @@ func NewHost(s *sim.Sim, name string, cfg HostConfig) *Host {
 		}
 		h.Adapt = adapt.NewController(s, ac)
 	}
-	h.RX = nic.NewRX(s, h.cfg.RX, h.CPU, h.makeOffload)
+	h.RX = nic.NewRX(s, h.cfg.RX, h.CPU, func(int) gro.Offload {
+		off := newOffload(s, h.cfg.Offload, h.cfg.Juggler, h.segPool, h.onSegment, h.tel)
+		if j, ok := off.(*core.Juggler); ok {
+			h.Jugglers = append(h.Jugglers, j)
+			if h.Adapt != nil {
+				// The adapt tap measures every packet before the core sees
+				// it and registers the instance as an actuation target.
+				return h.Adapt.Wrap(j)
+			}
+		}
+		return off
+	})
 	return h
-}
-
-// makeOffload builds the per-RX-queue offload instance.
-func (h *Host) makeOffload(queue int) gro.Offload {
-	switch h.cfg.Offload {
-	case OffloadVanilla:
-		g := gro.NewVanilla(h.onSegment)
-		g.UsePool(h.segPool)
-		if h.tel != nil {
-			g.Instrument(h.tel)
-		}
-		return g
-	case OffloadJuggler:
-		j := core.New(h.sim, h.cfg.Juggler, h.onSegment)
-		h.Jugglers = append(h.Jugglers, j)
-		if h.Adapt != nil {
-			// The adapt tap measures every packet before the core sees it
-			// and registers the instance as an actuation target.
-			return h.Adapt.Wrap(j)
-		}
-		return j
-	case OffloadLinkedList:
-		g := gro.NewLinkedList(h.onSegment)
-		g.UsePool(h.segPool)
-		return g
-	case OffloadNone:
-		g := gro.NewNull(h.onSegment)
-		g.UsePool(h.segPool)
-		return g
-	}
-	panic(fmt.Sprintf("testbed: unknown offload kind %d", h.cfg.Offload))
 }
 
 // ConnectEgress attaches the host's transmit path: an egress port at link

@@ -96,30 +96,18 @@ func NewShardedHost(seed int64, cfg ShardedHostConfig) *ShardedHost {
 			}
 			pool.Put(seg)
 		}
-		switch cfg.Offload {
-		case OffloadVanilla:
-			g := gro.NewVanilla(deliver)
-			g.UsePool(pool)
-			return g
-		case OffloadJuggler:
-			j := core.New(ls, cfg.Juggler, deliver)
+		// No sink: lane-side vanilla GRO stays uninstrumented, so the
+		// sharded exports match the serial ones.
+		off := newOffload(ls, cfg.Offload, cfg.Juggler, pool, deliver, nil)
+		if j, ok := off.(*core.Juggler); ok {
 			h.Jugglers = append(h.Jugglers, j)
 			if cfg.Adapt != nil {
 				ctl := adapt.NewController(ls, *cfg.Adapt)
 				h.Controllers = append(h.Controllers, ctl)
 				return ctl.Wrap(j)
 			}
-			return j
-		case OffloadLinkedList:
-			g := gro.NewLinkedList(deliver)
-			g.UsePool(pool)
-			return g
-		case OffloadNone:
-			g := gro.NewNull(deliver)
-			g.UsePool(pool)
-			return g
 		}
-		panic(fmt.Sprintf("testbed: unknown offload kind %d", cfg.Offload))
+		return off
 	})
 	return h
 }

@@ -230,18 +230,18 @@ func TestJugglerFlowTableStaysTiny(t *testing.T) {
 		snd.SetInfinite()
 		snd.MaybeSend()
 	}
-	var h stats.Hist
+	var h stats.Sampler
 	tick := sim.NewTicker(s, 100*time.Microsecond, func() {
-		h.Observe(tb.Receiver.JugglerActiveLen())
+		h.Add(float64(tb.Receiver.JugglerActiveLen()))
 	})
 	tick.Start()
 	s.RunFor(200 * time.Millisecond)
 	p99 := h.Quantile(0.99)
 	if p99 >= flows {
-		t.Fatalf("active list p99 = %d with %d flows — tracking everything", p99, flows)
+		t.Fatalf("active list p99 = %v with %d flows — tracking everything", p99, flows)
 	}
 	if p99 > 40 {
-		t.Fatalf("active list p99 = %d, paper expects < ~35", p99)
+		t.Fatalf("active list p99 = %v, paper expects < ~35", p99)
 	}
 }
 

@@ -54,7 +54,6 @@ type ReorderPair struct {
 	tb *testbed.NetFPGAPair
 
 	flows []*Flow
-	rpcs  []*RPCStream
 }
 
 // NewReorderPair builds the apparatus.
@@ -122,9 +121,7 @@ type RPCStream struct {
 func (p *ReorderPair) AddRPCStream() *RPCStream {
 	snd, rcv := testbed.Connect(p.tb.Sender, p.tb.Receiver, tcp.SenderConfig{})
 	lat := stats.NewSampler(1024)
-	r := &RPCStream{stream: workload.NewRPCStream(p.s, snd, rcv, lat), snd: snd, lat: lat}
-	p.rpcs = append(p.rpcs, r)
-	return r
+	return &RPCStream{stream: workload.NewRPCStream(p.s, snd, rcv, lat), snd: snd, lat: lat}
 }
 
 // Send enqueues one RPC of the given size now.
@@ -269,9 +266,6 @@ func (p *ReorderPair) ReceiverStats() HostStats {
 		st.SegmentsIn += f.rcv.Stats.SegmentsIn
 		st.OOOSegments += f.rcv.Stats.OOOSegments
 		st.AcksSent += f.rcv.Stats.AcksSent
-	}
-	for _, r := range p.rpcs {
-		_ = r
 	}
 	return st
 }
