@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"math/rand"
 	"path/filepath"
 	"testing"
 
@@ -118,6 +119,48 @@ func TestHistogramBucketEdges(t *testing.T) {
 		"edge_count 64\n"
 	if got := buf.String(); got != want {
 		t.Fatalf("snapshot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestHistogramMergeEqualsUnionStream: merging two registry histograms
+// must be indistinguishable from one histogram that observed both
+// streams — sketch state and Prometheus text alike. That exactness (no
+// re-bucketing, no sampling) is what makes rollups path-independent.
+func TestHistogramMergeEqualsUnionStream(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for trial := 0; trial < 50; trial++ {
+		regs := [3]*Registry{}
+		hs := [3]*stats.QuantileSketch{}
+		for i := range regs {
+			regs[i] = New(sim.New(1), Options{}).Reg()
+			hs[i] = regs[i].Histogram("h", "Merged.")
+		}
+		a, b, union := hs[0], hs[1], hs[2]
+		for i := 0; i < 500; i++ {
+			// Spread across many octaves, including <=0 and values
+			// above the last finite Prometheus edge.
+			v := rng.Int63n(1<<uint(rng.Intn(63))+1) - 2
+			if rng.Intn(2) == 0 {
+				a.Observe(v)
+			} else {
+				b.Observe(v)
+			}
+			union.Observe(v)
+		}
+		a.Merge(b)
+		if *a != *union {
+			t.Fatalf("trial %d: merged histogram differs from union-stream histogram", trial)
+		}
+		var merged, whole bytes.Buffer
+		if err := regs[0].WriteProm(&merged); err != nil {
+			t.Fatal(err)
+		}
+		if err := regs[2].WriteProm(&whole); err != nil {
+			t.Fatal(err)
+		}
+		if merged.String() != whole.String() {
+			t.Fatalf("trial %d: merged export:\n%s\nunion export:\n%s", trial, &merged, &whole)
+		}
 	}
 }
 
