@@ -197,9 +197,12 @@ type flowEntry struct {
 	// deadline queue once. releaseFlow's zeroing clears it with the rest.
 	batched bool
 
-	// dl anchors the flow in the Juggler's deadline queue; its stored
-	// deadline always equals flowDeadline (maintained by updateDeadline at
-	// every mutation site).
+	// dl is the flow's deadline-queue item: the armed deadline and the
+	// arming seq of the flow's one live slot in the Juggler's queue (seq
+	// 0: not queued). The queue's heap holds the keys, so a sift never
+	// loads this entry; slots left by re-arms and removals go stale and
+	// are dropped lazily. The stored deadline always equals flowDeadline
+	// (maintained by updateDeadline at every mutation site).
 	dl sim.DeadlineItem
 }
 
@@ -712,7 +715,9 @@ func (j *Juggler) newFlow(p *packet.Packet, hash uint32) *flowEntry {
 // table and deadline queue, queue drained) to the free list. The
 // out-of-order queue survives the reset with its backing arrays and pool
 // binding intact, so the entry's next incarnation buffers without
-// allocating.
+// allocating. Stale deadline-queue slots may still name the entry; the
+// queue's arming seqs never repeat, so none of them matches a later
+// incarnation.
 func (j *Juggler) releaseFlow(e *flowEntry) {
 	if j.lastEntry == e {
 		j.lastEntry = nil
@@ -995,8 +1000,13 @@ func (j *Juggler) checkTimeouts() {
 // list before flows on the loss list, FIFO (ascending push order) within
 // each. The order is policy — it fixes which flow's segments, statistics
 // and telemetry come first when several deadlines fall due at one
-// instant. The set is tiny in steady state; insertion sort keeps it
-// allocation-free.
+// instant. At flow scale the set is not small: on the benchmark's
+// rx-flowscale workload a timer poll's due set holds 223 flows on
+// average (median 122, p99 972, max 1 028 over 42 008 polls). Insertion
+// sort stays cheap there, and allocation-free, because the set arrives
+// close to listSeq order: PopDue yields it by deadline, and a flow
+// shifts 17 places on average (1.6e8 shifts for 9.3e6 expiries), so the
+// sort costs O(n + shifts), not O(n²).
 func (j *Juggler) sortDue(due []*flowEntry) {
 	rank := func(e *flowEntry) int {
 		if e.list == &j.loss {

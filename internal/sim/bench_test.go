@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -70,6 +71,44 @@ func BenchmarkTimerReset(b *testing.B) {
 		tm.Reset(5 * time.Millisecond)
 		s.Schedule(1024*time.Microsecond, fn)
 		s.step()
+	}
+}
+
+// BenchmarkDeadlineQueue measures the Juggler's timeout bookkeeping at the
+// rx-flowscale shape: 25 000 flows per queue, each armed at a later
+// deadline than every flow before it, and a due-prefix PopDue every 16
+// arms whose expired flows are the next ones re-armed. One op is one arm
+// plus a sixteenth of a PopDue. Owners are padded to the size of a core
+// flow entry and shuffled in memory, so they outgrow the cache the way
+// the flow table does.
+func BenchmarkDeadlineQueue(b *testing.B) {
+	const n = 25000
+	type owner struct {
+		it DeadlineItem
+		_  [112]byte
+	}
+	q := NewDeadlineQueue(func(o *owner) *DeadlineItem { return &o.it })
+	owners := make([]*owner, n)
+	for i := range owners {
+		owners[i] = &owner{}
+	}
+	rand.New(rand.NewSource(1)).Shuffle(n, func(i, j int) { owners[i], owners[j] = owners[j], owners[i] })
+	for i, o := range owners {
+		q.Update(o, Time(i))
+	}
+	expired := make([]*owner, 0, n)
+	visit := func(o *owner) { expired = append(expired, o) }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now := Time(i)
+		if i&15 == 0 {
+			q.PopDue(now, visit)
+		}
+		if k := len(expired) - 1; k >= 0 {
+			q.Update(expired[k], now+n)
+			expired = expired[:k]
+		}
 	}
 }
 

@@ -1,49 +1,65 @@
 package sim
 
-// DeadlineItem is the intrusive bookkeeping a DeadlineQueue keeps inside
-// each tracked object: the armed deadline, an arming sequence number that
-// makes ordering among equal deadlines deterministic, and the object's
-// current heap position. Embed one per queue an object can be on and hand
-// the accessor to NewDeadlineQueue. The zero value means "not queued".
+// DeadlineItem is the bookkeeping a DeadlineQueue keeps inside each
+// tracked object: the armed deadline and the arming seq of the owner's one
+// live heap slot, 0 meaning "not queued", so the zero value is valid. Embed
+// one per queue an object can be on and hand the accessor to the queue.
 type DeadlineItem struct {
 	at  Time
 	seq uint64
-	// pos is the heap slot plus one; 0 means not queued, so the zero
-	// DeadlineItem is valid.
-	pos int32
 }
 
 // Deadline returns the armed deadline, or 0 when the item is not queued.
 func (it *DeadlineItem) Deadline() Time {
-	if it.pos == 0 {
+	if it.seq == 0 {
 		return 0
 	}
 	return it.at
 }
 
 // Queued reports whether the item currently sits in a queue.
-func (it *DeadlineItem) Queued() bool { return it.pos != 0 }
+func (it *DeadlineItem) Queued() bool { return it.seq != 0 }
 
 // DeadlineQueue tracks the earliest deadline over a dynamic set of objects
 // — the role the kernel's hrtimer timerqueue (an rbtree keyed on expiry)
 // plays for its timer wheel. It is the facility behind Juggler's O(expired)
-// timeout processing: one Update per deadline change, Min in O(1) for
+// timeout processing: one Update per deadline change, MinDeadline for
 // arming the single hardware (sim.Timer) deadline, and PopDue walking only
 // the expired prefix.
 //
-// The implementation is an inlined 4-ary min-heap on (deadline, arming
-// seq), the same shape as the engine's event queue: no interface boxing,
-// backing array reused across churn, so steady-state operation is
-// allocation-free. Ties break FIFO by arming order, keeping every
-// traversal deterministic.
+// It is an inlined 4-ary min-heap of slots that carry their ordering key
+// (deadline, arming seq) beside the owner, so a sift never touches an
+// owner. Owners hold no heap position: a re-arm pushes a fresh slot and
+// the old one goes stale, recognisable because its seq no longer matches
+// the owner's item. Stale slots are dropped as they reach the top, and the
+// queue compacts in place before it holds more than 2·Len()+64 slots. The
+// backing array is reused, so steady-state operation is allocation-free.
 //
-// DeadlineQueue is generic over the owner type; the item accessor returns
-// the embedded DeadlineItem so the queue can be intrusive without the
-// owner importing anything beyond this package.
+// Ties break by arming seq: PopDue visits equal deadlines in re-arm order.
+// That is mechanism, not policy; a caller that cares about the order of
+// simultaneous expiries imposes its own, as core.sortDue does (active
+// before loss, then FIFO by list push order).
+//
+// The queue is generic over the owner type; the item accessor returns the
+// embedded DeadlineItem, so the queue is intrusive without the owner
+// importing anything beyond this package. An item belongs to one queue.
 type DeadlineQueue[T any] struct {
-	heap []T
+	heap []dqSlot[T]
 	item func(T) *DeadlineItem
 	seq  uint64
+	live int
+}
+
+// dqSlot is one heap entry. It is live while seq equals its owner's
+// item seq and stale once the owner is re-armed, removed or popped.
+type dqSlot[T any] struct {
+	at  Time
+	seq uint64
+	v   T
+}
+
+func (a *dqSlot[T]) before(b *dqSlot[T]) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
 // NewDeadlineQueue creates an empty queue; item must return the embedded
@@ -56,22 +72,18 @@ func NewDeadlineQueue[T any](item func(T) *DeadlineItem) *DeadlineQueue[T] {
 }
 
 // Len returns the number of queued owners.
-func (q *DeadlineQueue[T]) Len() int { return len(q.heap) }
+func (q *DeadlineQueue[T]) Len() int { return q.live }
 
-// MinDeadline returns the earliest queued deadline, or 0 when empty.
+// MinDeadline returns the earliest queued deadline, or 0 when empty. It
+// drops stale slots off the top first, so the answer is exact.
 func (q *DeadlineQueue[T]) MinDeadline() Time {
-	if len(q.heap) == 0 {
-		return 0
+	for len(q.heap) > 0 {
+		if top := &q.heap[0]; q.item(top.v).seq == top.seq {
+			return top.at
+		}
+		q.pop()
 	}
-	return q.item(q.heap[0]).at
-}
-
-// Min returns the owner with the earliest deadline; ok is false when empty.
-func (q *DeadlineQueue[T]) Min() (v T, ok bool) {
-	if len(q.heap) == 0 {
-		return v, false
-	}
-	return q.heap[0], true
+	return 0
 }
 
 // Update arms or moves owner v to deadline at, inserting it when absent.
@@ -80,119 +92,107 @@ func (q *DeadlineQueue[T]) Min() (v T, ok bool) {
 // can invoke Update unconditionally after any state change.
 func (q *DeadlineQueue[T]) Update(v T, at Time) {
 	it := q.item(v)
-	if it.pos == 0 {
-		q.seq++
-		it.at = at
-		it.seq = q.seq
-		q.heap = append(q.heap, v)
-		it.pos = int32(len(q.heap))
-		q.siftUp(len(q.heap) - 1)
+	if it.seq != 0 && it.at == at {
 		return
 	}
-	if it.at == at {
-		return
+	if it.seq == 0 {
+		q.live++
 	}
-	up := at < it.at
-	it.at = at
-	// A moved deadline keeps its arming seq: the queue orders re-arms of
-	// the same owner consistently without pretending it was re-inserted.
-	if up {
-		q.siftUp(int(it.pos) - 1)
-	} else {
-		q.siftDown(int(it.pos) - 1)
+	q.seq++
+	it.at, it.seq = at, q.seq
+	h := append(q.heap, dqSlot[T]{at: at, seq: q.seq, v: v})
+	i := len(h) - 1
+	s := h[i]
+	for i > 0 { // sift up
+		p := (i - 1) >> 2
+		if !s.before(&h[p]) {
+			break
+		}
+		h[i], i = h[p], p
 	}
+	h[i], q.heap = s, h
+	q.bound()
 }
 
-// Remove takes owner v out of the queue; absent owners are a no-op.
-func (q *DeadlineQueue[T]) Remove(v T) { q.remove(q.item(v)) }
-
-func (q *DeadlineQueue[T]) remove(it *DeadlineItem) {
-	if it.pos == 0 {
-		it.at = 0
-		return
-	}
-	i := int(it.pos) - 1
-	n := len(q.heap) - 1
-	last := q.heap[n]
-	var zero T
-	q.heap[n] = zero
-	q.heap = q.heap[:n]
-	it.pos = 0
-	it.at = 0
-	if i == n {
-		return
-	}
-	q.heap[i] = last
-	q.item(last).pos = int32(i + 1)
-	lit := q.item(last)
-	if i > 0 && q.before(lit, q.item(q.heap[(i-1)>>2])) {
-		q.siftUp(i)
-	} else {
-		q.siftDown(i)
+// Remove takes owner v out of the queue; absent owners are a no-op. Its
+// slot stays behind, stale, until it reaches the top or a compaction.
+func (q *DeadlineQueue[T]) Remove(v T) {
+	if it := q.item(v); it.seq != 0 {
+		it.at, it.seq = 0, 0
+		q.live--
+		q.bound()
 	}
 }
 
 // PopDue removes every owner whose deadline is <= now and passes it to
-// visit, earliest (then FIFO) first. visit must not mutate the queue.
+// visit, earliest (then in arming order) first. A stale top at a later
+// deadline proves no live owner is due. visit must not mutate the queue.
 func (q *DeadlineQueue[T]) PopDue(now Time, visit func(T)) {
-	for len(q.heap) > 0 {
-		top := q.heap[0]
-		if q.item(top).at > now {
-			return
+	for len(q.heap) > 0 && q.heap[0].at <= now {
+		s := q.pop()
+		if it := q.item(s.v); it.seq == s.seq {
+			it.at, it.seq = 0, 0
+			q.live--
+			visit(s.v)
 		}
-		q.Remove(top)
-		visit(top)
 	}
+	q.bound()
 }
 
-func (q *DeadlineQueue[T]) before(a, b *DeadlineItem) bool {
-	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+// pop removes and returns the top slot.
+func (q *DeadlineQueue[T]) pop() dqSlot[T] {
+	h, n := q.heap, len(q.heap)-1
+	top, last := h[0], h[n]
+	h[n], q.heap = dqSlot[T]{}, h[:n]
+	if n > 0 {
+		q.siftDown(0, last)
+	}
+	return top
 }
 
-func (q *DeadlineQueue[T]) siftUp(i int) {
+// bound compacts the heap in place once it holds more than 2·Len()+64
+// slots. Stale slots then outnumber live ones, so packing the live ones
+// and re-heapifying costs O(1) per stale slot amortised.
+func (q *DeadlineQueue[T]) bound() {
 	h := q.heap
-	v := h[i]
-	it := q.item(v)
-	for i > 0 {
-		p := (i - 1) >> 2
-		if !q.before(it, q.item(h[p])) {
-			break
-		}
-		h[i] = h[p]
-		q.item(h[i]).pos = int32(i + 1)
-		i = p
+	if len(h) <= 2*q.live+64 {
+		return
 	}
-	h[i] = v
-	it.pos = int32(i + 1)
+	n := 0
+	for i := range h {
+		if q.item(h[i].v).seq == h[i].seq {
+			h[n] = h[i]
+			n++
+		}
+	}
+	clear(h[n:])
+	q.heap = h[:n]
+	for i := (n - 2) >> 2; i >= 0; i-- {
+		q.siftDown(i, h[i])
+	}
 }
 
-func (q *DeadlineQueue[T]) siftDown(i int) {
+// siftDown places s in the hole at i or below it: at each level the
+// smallest of up to 4 children moves up.
+func (q *DeadlineQueue[T]) siftDown(i int, s dqSlot[T]) {
 	h := q.heap
 	n := len(h)
-	v := h[i]
-	it := q.item(v)
 	for {
 		c := i<<2 + 1
 		if c >= n {
 			break
 		}
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		min := c
-		for k := c + 1; k < end; k++ {
-			if q.before(q.item(h[k]), q.item(h[min])) {
-				min = k
+		m := c
+		for k := c + 1; k < c+4 && k < n; k++ {
+			if h[k].before(&h[m]) {
+				m = k
 			}
 		}
-		if !q.before(q.item(h[min]), it) {
+		if !h[m].before(&s) {
 			break
 		}
-		h[i] = h[min]
-		q.item(h[i]).pos = int32(i + 1)
-		i = min
+		h[i] = h[m]
+		i = m
 	}
-	h[i] = v
-	it.pos = int32(i + 1)
+	h[i] = s
 }

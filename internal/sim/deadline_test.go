@@ -27,13 +27,10 @@ func TestDeadlineQueueBasics(t *testing.T) {
 	if q.MinDeadline() != 10 {
 		t.Fatalf("min = %v, want 10", q.MinDeadline())
 	}
-	if v, ok := q.Min(); !ok || v != b {
-		t.Fatal("Min should be b")
-	}
 	// Move a to the front.
 	q.Update(a, 5)
-	if v, _ := q.Min(); v != a {
-		t.Fatal("Min should be a after re-arm")
+	if q.MinDeadline() != 5 {
+		t.Fatalf("min = %v after re-arm, want 5", q.MinDeadline())
 	}
 	if !a.it.Queued() || a.it.Deadline() != 5 {
 		t.Fatalf("item state: queued=%v deadline=%v", a.it.Queued(), a.it.Deadline())
@@ -45,6 +42,9 @@ func TestDeadlineQueueBasics(t *testing.T) {
 	q.Remove(a) // absent: no-op
 	if q.Len() != 2 {
 		t.Fatalf("len = %d, want 2", q.Len())
+	}
+	if q.MinDeadline() != 10 {
+		t.Fatalf("min = %v after removing a, want 10", q.MinDeadline())
 	}
 }
 
@@ -90,81 +90,111 @@ func TestDeadlineQueuePopDueOrder(t *testing.T) {
 }
 
 // TestDeadlineQueueRandomized drives the queue against a brute-force
-// reference model through thousands of random update/remove/pop steps.
+// reference model through thousands of random steps: updates, removes,
+// owners recycled (removed, zeroed and re-armed at the same deadline),
+// re-arm storms with no pops in between, and due-prefix pops. After every
+// step it checks the slot bound, Len and an exact MinDeadline; every pop
+// must visit each due owner once, in (deadline, arming order).
 func TestDeadlineQueueRandomized(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	q := NewDeadlineQueue(dlAccess)
-	const n = 64
-	owners := make([]*dlOwner, n)
-	ref := map[int]Time{} // id -> deadline for queued owners
-	for i := range owners {
-		owners[i] = &dlOwner{id: i}
-	}
-	for step := 0; step < 20000; step++ {
-		switch rng.Intn(10) {
-		case 0, 1, 2, 3, 4, 5: // update
-			o := owners[rng.Intn(n)]
-			at := Time(rng.Intn(1000))
+	for _, n := range []int{64, 600} {
+		rng := rand.New(rand.NewSource(int64(7 + n)))
+		q := NewDeadlineQueue(dlAccess)
+		owners := make([]*dlOwner, n)
+		for i := range owners {
+			owners[i] = &dlOwner{id: i}
+		}
+		type armed struct {
+			at  Time
+			seq int // reference arming order
+		}
+		ref := map[int]armed{} // id -> deadline for queued owners
+		arms := 0
+		update := func(o *dlOwner, at Time) {
 			q.Update(o, at)
-			ref[o.id] = at
-		case 6, 7: // remove
-			o := owners[rng.Intn(n)]
-			q.Remove(o)
-			delete(ref, o.id)
-		case 8: // pop a due prefix
-			now := Time(rng.Intn(1000))
-			var popped []int
-			q.PopDue(now, func(o *dlOwner) { popped = append(popped, o.id) })
-			var want []int
-			for id, at := range ref {
-				if at <= now {
-					want = append(want, id)
-				}
-			}
-			for _, id := range popped {
-				if ref[id] > now {
-					t.Fatalf("step %d: popped id %d with deadline %v > now %v", step, id, ref[id], now)
-				}
-				delete(ref, id)
-			}
-			sort.Ints(popped)
-			sort.Ints(want)
-			if len(popped) != len(want) {
-				t.Fatalf("step %d: popped %d owners, want %d", step, len(popped), len(want))
-			}
-			for i := range want {
-				if popped[i] != want[i] {
-					t.Fatalf("step %d: popped %v, want %v", step, popped, want)
-				}
-			}
-		case 9: // check min
-			min := Time(0)
-			has := false
-			for _, at := range ref {
-				if !has || at < min {
-					min, has = at, true
-				}
-			}
-			if has && len(ref) != q.Len() {
-				t.Fatalf("step %d: len %d, want %d", step, q.Len(), len(ref))
-			}
-			if has && q.MinDeadline() != min {
-				// MinDeadline may legitimately be 0 when the true min is 0.
-				t.Fatalf("step %d: min %v, want %v", step, q.MinDeadline(), min)
+			if a, ok := ref[o.id]; !ok || a.at != at {
+				arms++
+				ref[o.id] = armed{at, arms}
 			}
 		}
-		// Spot-check item bookkeeping.
-		o := owners[rng.Intn(n)]
-		_, queued := ref[o.id]
-		if o.it.Queued() != queued {
-			t.Fatalf("step %d: owner %d queued=%v, want %v", step, o.id, o.it.Queued(), queued)
+		for step := 0; step < 20000; step++ {
+			switch r := rng.Intn(20); {
+			case r < 10: // update
+				update(owners[rng.Intn(n)], Time(rng.Intn(1000)))
+			case r < 13: // remove
+				o := owners[rng.Intn(n)]
+				q.Remove(o)
+				delete(ref, o.id)
+			case r < 15: // recycle: remove, zero, re-arm at the same deadline
+				o := owners[rng.Intn(n)]
+				if a, ok := ref[o.id]; ok {
+					q.Remove(o)
+					delete(ref, o.id)
+					*o = dlOwner{id: o.id}
+					update(o, a.at)
+				}
+			case r < 16: // re-arm storm: many moves, no pop
+				for k := rng.Intn(4 * n); k > 0; k-- {
+					update(owners[rng.Intn(n)], Time(rng.Intn(1000)))
+				}
+			default: // pop a due prefix
+				now := Time(rng.Intn(1000))
+				var popped []int
+				seen := map[int]bool{}
+				q.PopDue(now, func(o *dlOwner) {
+					if seen[o.id] {
+						t.Fatalf("n=%d step %d: owner %d visited twice", n, step, o.id)
+					}
+					seen[o.id] = true
+					popped = append(popped, o.id)
+				})
+				var want []int
+				for id, a := range ref {
+					if a.at <= now {
+						want = append(want, id)
+					}
+				}
+				sort.Slice(want, func(i, j int) bool {
+					a, b := ref[want[i]], ref[want[j]]
+					return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+				})
+				if len(popped) != len(want) {
+					t.Fatalf("n=%d step %d: popped %v, want %v", n, step, popped, want)
+				}
+				for i := range want {
+					if popped[i] != want[i] {
+						t.Fatalf("n=%d step %d: popped %v, want %v", n, step, popped, want)
+					}
+					delete(ref, want[i])
+				}
+			}
+			if len(q.heap) > 2*q.Len()+64 {
+				t.Fatalf("n=%d step %d: %d slots for %d owners", n, step, len(q.heap), q.Len())
+			}
+			if q.Len() != len(ref) {
+				t.Fatalf("n=%d step %d: len %d, want %d", n, step, q.Len(), len(ref))
+			}
+			min, has := Time(0), false
+			for _, a := range ref {
+				if !has || a.at < min {
+					min, has = a.at, true
+				}
+			}
+			if got := q.MinDeadline(); got != min {
+				t.Fatalf("n=%d step %d: min %v, want %v", n, step, got, min)
+			}
+			o := owners[rng.Intn(n)]
+			a, queued := ref[o.id]
+			if o.it.Queued() != queued || o.it.Deadline() != a.at {
+				t.Fatalf("n=%d step %d: owner %d queued=%v at %v, want %v at %v",
+					n, step, o.id, o.it.Queued(), o.it.Deadline(), queued, a.at)
+			}
 		}
 	}
 }
 
 // TestDeadlineQueueZeroAllocSteadyState pins the queue's steady-state
 // allocation behaviour: once the backing array has grown, churning
-// update/pop cycles allocates nothing.
+// update/pop cycles allocates nothing, and neither does a compaction.
 func TestDeadlineQueueZeroAllocSteadyState(t *testing.T) {
 	q := NewDeadlineQueue(dlAccess)
 	owners := make([]*dlOwner, 32)
@@ -185,5 +215,29 @@ func TestDeadlineQueueZeroAllocSteadyState(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state churn allocates %.1f per cycle, want 0", allocs)
+	}
+
+	// Re-arm every owner five times without a pop: 160 slots for 32
+	// owners crosses the 2·32+64 bound, so each cycle compacts.
+	compactions := 0
+	allocs = testing.AllocsPerRun(100, func() {
+		peak := 0
+		for r := 0; r < 5; r++ {
+			for _, o := range owners {
+				q.Update(o, at)
+				at++
+				if len(q.heap) < peak {
+					compactions++
+				}
+				peak = len(q.heap)
+			}
+		}
+		q.PopDue(at, func(*dlOwner) {})
+	})
+	if compactions == 0 {
+		t.Fatal("re-arm cycle never compacted")
+	}
+	if allocs != 0 {
+		t.Fatalf("compacting re-arm cycle allocates %.1f per cycle, want 0", allocs)
 	}
 }
