@@ -10,6 +10,7 @@ import (
 
 	"juggler/internal/cliflags"
 	"juggler/internal/experiments"
+	"juggler/internal/golden"
 	"juggler/internal/testbed"
 )
 
@@ -35,7 +36,8 @@ func reorderedTrace(t *testing.T) string {
 }
 
 // TestScenariosWidthIndependent: `-scenario all -quick -json` writes the
-// same report bytes whether the catalog runs serially or on 8 workers.
+// same report bytes whether the catalog runs serially or on 8 workers,
+// and those bytes match testdata/diagnosis_golden.json.
 func TestScenariosWidthIndependent(t *testing.T) {
 	var reports [2]bytes.Buffer
 	for i, j := range []int{1, 8} {
@@ -48,6 +50,19 @@ func TestScenariosWidthIndependent(t *testing.T) {
 	if !bytes.Equal(reports[0].Bytes(), reports[1].Bytes()) {
 		t.Fatalf("diagnosis JSON differs between -j 1 and -j 8 (%d vs %d bytes)", reports[0].Len(), reports[1].Len())
 	}
+	golden.JSON(t, filepath.Join("testdata", "diagnosis_golden.json"), golden.Fingerprint(reports[0].Bytes()))
+}
+
+// TestFleetReportGolden: the `-fleet -quick -json` report matches
+// testdata/fleet_golden.json.
+func TestFleetReportGolden(t *testing.T) {
+	o := (&cliflags.Flags{Seed: 1, J: 1, StampSample: 1}).Options()
+	o.Quick, o.Workers = true, 1
+	var buf bytes.Buffer
+	if err := experiments.CollectFleetReport(o, true).WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	golden.JSON(t, filepath.Join("testdata", "fleet_golden.json"), golden.Fingerprint(buf.Bytes()))
 }
 
 // TestReplayAdaptReachesDiagnosis: -adapt on -replay attaches the

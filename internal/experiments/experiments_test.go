@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"bytes"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 
+	"juggler/internal/golden"
 	"juggler/internal/sweep"
 )
 
@@ -94,7 +96,8 @@ func findRow(t *testing.T, tb *Table, prefix ...string) []string {
 // workers of 4 lanes each) — and requires byte-identical rendered tables:
 // the width-independence contract of internal/sweep and the sharded
 // datapath, checked for every ID. It then sanity-checks the headline
-// relationships the paper reports on the serial tables. Skipped under
+// relationships the paper reports on the serial tables, and pins every
+// serial table's bytes to testdata/tables_golden.json. Skipped under
 // -short.
 func TestAllExperimentsRunQuick(t *testing.T) {
 	if testing.Short() {
@@ -104,6 +107,7 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 	wide := serial
 	wide.Workers, wide.Shards = sweep.EffectiveWorkers(8, 4), 4
 	tables := map[string]*Table{}
+	prints := map[string]golden.Digest{}
 	for _, id := range IDs() {
 		tb := Run(id, serial)
 		if tb == nil || len(tb.Rows) == 0 {
@@ -121,7 +125,9 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 			t.Errorf("%s differs between -j 1 -shards 1 and -j 8 -shards 4:\n--- serial ---\n%s--- wide ---\n%s", id, s.Bytes(), w.Bytes())
 		}
 		tables[id] = tb
+		prints[id] = golden.Fingerprint(s.Bytes())
 	}
+	golden.JSON(t, filepath.Join("testdata", "tables_golden.json"), prints)
 
 	// fig9: juggler under reordering holds the target; vanilla does not.
 	fig9 := tables["fig9"]
