@@ -12,7 +12,7 @@ import (
 // TestDetectorObserveZeroAlloc: Observe sits on the per-packet datapath
 // ahead of the Juggler; it must never allocate.
 func TestDetectorObserveZeroAlloc(t *testing.T) {
-	d := NewDetector(DetectorConfig{})
+	d := NewDetector()
 	ft := packet.FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 9, DstPort: 4, Proto: packet.ProtoTCP}
 	p := packet.Packet{Flow: ft, PayloadLen: units.MSS, Flags: packet.FlagACK}
 	p.Stamps[packet.HopNICRx] = 1
@@ -37,7 +37,7 @@ func TestDetectorObserveZeroAlloc(t *testing.T) {
 // BenchmarkAdaptDetector measures the sketch's per-packet cost on a mixed
 // in-order/reordered arrival pattern.
 func BenchmarkAdaptDetector(b *testing.B) {
-	d := NewDetector(DetectorConfig{})
+	d := NewDetector()
 	ft := packet.FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 9, DstPort: 4, Proto: packet.ProtoTCP}
 	p := packet.Packet{Flow: ft, PayloadLen: units.MSS, Flags: packet.FlagACK}
 	p.Stamps[packet.HopNICRx] = 1

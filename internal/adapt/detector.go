@@ -71,36 +71,22 @@ type Sample struct {
 	Lateness time.Duration
 }
 
-// DetectorConfig tunes the sketch. The zero value takes defaults.
-type DetectorConfig struct {
-	// Slots is the sketch size, rounded up to a power of two
-	// (default 1024 — 16 KB of state regardless of flow count).
-	Slots int
-	// ClaimTTL is how long an idle slot claim blocks other flows before
-	// it can be stolen (default 10ms). Shorter TTLs recover coverage
-	// faster after flow churn at the price of losing a quiet flow's
-	// watermark.
-	ClaimTTL time.Duration
-	// MaxSkewSample caps the lateness fed into the skew estimators
-	// (default 1ms). Late arrivals beyond it are still counted reordered,
-	// but their lateness is attributed to loss retransmission rather than
-	// path skew — an RTO retransmit trails by a full RTO, and letting it
-	// into the EWMA would drag ofo_timeout to its ceiling.
-	MaxSkewSample time.Duration
-}
-
-func (c DetectorConfig) withDefaults() DetectorConfig {
-	if c.Slots <= 0 {
-		c.Slots = 1024
-	}
-	if c.ClaimTTL <= 0 {
-		c.ClaimTTL = 10 * time.Millisecond
-	}
-	if c.MaxSkewSample <= 0 {
-		c.MaxSkewSample = time.Millisecond
-	}
-	return c
-}
+// Sketch tuning.
+const (
+	// sketchSlots is the sketch size, a power of two: 16 KB of state
+	// regardless of flow count.
+	sketchSlots = 1024
+	// claimTTL is how long an idle slot claim blocks other flows before
+	// it can be stolen. Shorter TTLs recover coverage faster after flow
+	// churn at the price of losing a quiet flow's watermark.
+	claimTTL = 10 * time.Millisecond
+	// maxSkewSample caps the lateness fed into the skew estimators. Late
+	// arrivals beyond it are still counted reordered, but their lateness
+	// is attributed to loss retransmission rather than path skew — an RTO
+	// retransmit trails by a full RTO, and letting it into the EWMA would
+	// drag ofo_timeout to its ceiling.
+	maxSkewSample = time.Millisecond
+)
 
 // EWMA smoothing: skew uses alpha = 1/8 (responsive — it feeds a
 // controller with its own hysteresis); the coalesce estimate uses 1/16
@@ -141,9 +127,11 @@ type Estimates struct {
 // Detector is the per-host reordering sketch. Not safe for concurrent
 // use; in this codebase each simulation owns one.
 type Detector struct {
-	cfg   DetectorConfig
 	slots []slot
 	mask  uint32
+	// claimTTL is the package constant; only the fuzz target shrinks it,
+	// together with the slot array, to reach collisions and steals.
+	claimTTL time.Duration
 
 	pkts, measured, unmeasured, steals, reordered uint64
 
@@ -152,14 +140,9 @@ type Detector struct {
 	winMax       sim.Time // max lateness since last TakeWindowMax, as ns count
 }
 
-// NewDetector builds a sketch with cfg (zero fields take defaults).
-func NewDetector(cfg DetectorConfig) *Detector {
-	cfg = cfg.withDefaults()
-	n := 1
-	for n < cfg.Slots {
-		n <<= 1
-	}
-	return &Detector{cfg: cfg, slots: make([]slot, n), mask: uint32(n - 1)}
+// NewDetector builds an empty sketch.
+func NewDetector() *Detector {
+	return &Detector{slots: make([]slot, sketchSlots), mask: sketchSlots - 1, claimTTL: claimTTL}
 }
 
 // Observe measures one arriving data packet at virtual time now and
@@ -188,7 +171,7 @@ func (d *Detector) Observe(p *packet.Packet, now sim.Time) Sample {
 	sl := &d.slots[h&d.mask]
 	if sl.fp != fp {
 		if sl.fp != 0 {
-			if now.Sub(sl.t) < d.cfg.ClaimTTL {
+			if now.Sub(sl.t) < d.claimTTL {
 				// Live claim by another flow: coverage loss, not error.
 				d.unmeasured++
 				return Sample{Verdict: VerdictUnmeasured}
@@ -211,7 +194,7 @@ func (d *Detector) Observe(p *packet.Packet, now sim.Time) Sample {
 	// Below the watermark: this packet was overtaken.
 	d.reordered++
 	s := Sample{Verdict: VerdictReordered, Lateness: now.Sub(sl.t)}
-	if lateNs := sim.Time(s.Lateness); lateNs >= 0 && s.Lateness <= d.cfg.MaxSkewSample {
+	if lateNs := sim.Time(s.Lateness); lateNs >= 0 && s.Lateness <= maxSkewSample {
 		d.skewEWMA += (float64(lateNs) - d.skewEWMA) * skewAlpha
 		if lateNs > d.winMax {
 			d.winMax = lateNs

@@ -23,7 +23,7 @@ func dataPkt(ft packet.FiveTuple, seqMSS int) *packet.Packet {
 func at(us int64) sim.Time { return sim.Time(us * int64(time.Microsecond)) }
 
 func TestDetectorInOrder(t *testing.T) {
-	d := NewDetector(DetectorConfig{})
+	d := NewDetector()
 	ft := flow(1)
 	for i := 0; i < 10; i++ {
 		s := d.Observe(dataPkt(ft, i), at(int64(i)))
@@ -41,7 +41,7 @@ func TestDetectorInOrder(t *testing.T) {
 }
 
 func TestDetectorSkipsPureAcks(t *testing.T) {
-	d := NewDetector(DetectorConfig{})
+	d := NewDetector()
 	p := &packet.Packet{Flow: flow(1), Flags: packet.FlagACK}
 	if s := d.Observe(p, at(0)); s.Verdict != VerdictSkipped {
 		t.Fatalf("verdict = %v, want skipped", s.Verdict)
@@ -52,7 +52,7 @@ func TestDetectorSkipsPureAcks(t *testing.T) {
 }
 
 func TestDetectorReorderLagAndLateness(t *testing.T) {
-	d := NewDetector(DetectorConfig{})
+	d := NewDetector()
 	ft := flow(1)
 	// 0 arrives, then 2 and 3 overtake; 1 arrives 40us after 3 set the
 	// watermark.
@@ -85,7 +85,7 @@ func TestDetectorReorderLagAndLateness(t *testing.T) {
 // (zero displacement) still arrives below the watermark, so it counts as
 // reordered, trailing the original by the gap between the two.
 func TestDetectorDuplicateIsLagZero(t *testing.T) {
-	d := NewDetector(DetectorConfig{})
+	d := NewDetector()
 	ft := flow(1)
 	d.Observe(dataPkt(ft, 0), at(0))
 	s := d.Observe(dataPkt(ft, 0), at(10))
@@ -97,16 +97,16 @@ func TestDetectorDuplicateIsLagZero(t *testing.T) {
 	}
 }
 
-// TestDetectorRetransExcludedFromSkew: lateness past MaxSkewSample is
-// counted reordered but kept out of the skew estimators — an RTO
+// TestDetectorRetransExcludedFromSkew: lateness past the 1ms skew-sample
+// cap is counted reordered but kept out of the skew estimators — an RTO
 // retransmission trails by a full RTO and would otherwise pin ofo_timeout
 // at its ceiling.
 func TestDetectorRetransExcludedFromSkew(t *testing.T) {
-	d := NewDetector(DetectorConfig{MaxSkewSample: 100 * time.Microsecond})
+	d := NewDetector()
 	ft := flow(1)
 	d.Observe(dataPkt(ft, 0), at(0))
 	d.Observe(dataPkt(ft, 2), at(5))
-	s := d.Observe(dataPkt(ft, 1), at(5000)) // ~5ms late: a retransmission
+	s := d.Observe(dataPkt(ft, 1), at(1006)) // 1001us late: past the cap
 	if s.Verdict != VerdictReordered {
 		t.Fatalf("verdict = %v, want reordered", s.Verdict)
 	}
@@ -122,17 +122,19 @@ func TestDetectorRetransExcludedFromSkew(t *testing.T) {
 	}
 }
 
-// collide finds two flows whose salt-0 hashes land in the same sketch slot
-// but differ as fingerprints.
-func collide(t *testing.T, slots int) (a, b packet.FiveTuple) {
+// collide pairs flow(1) with a flow whose salt-0 hash is a different
+// fingerprint that agrees with flow(1)'s on the low `bits` bits and not on
+// the next one: collide(10) lands in flow(1)'s slot of the 1024-slot
+// sketch, collide(9) would only in a sketch half that size.
+func collide(t *testing.T, bits uint) (a, b packet.FiveTuple) {
 	t.Helper()
-	mask := uint32(slots - 1)
+	mask := uint32(1)<<bits - 1
 	a = flow(1)
 	ha := a.Hash(0)
 	for n := uint16(2); n < 60000; n++ {
 		b = flow(n)
 		hb := b.Hash(0)
-		if hb != ha && (hb&mask) == (ha&mask) {
+		if hb != ha && (hb&mask) == (ha&mask) && (hb^ha)&(mask+1) != 0 {
 			return a, b
 		}
 	}
@@ -141,21 +143,28 @@ func collide(t *testing.T, slots int) (a, b packet.FiveTuple) {
 }
 
 func TestDetectorCollisionUnmeasuredThenSteal(t *testing.T) {
-	cfg := DetectorConfig{Slots: 64, ClaimTTL: time.Millisecond}
-	d := NewDetector(cfg)
-	a, b := collide(t, 64)
+	d := NewDetector()
+	a, b := collide(t, 10)
 	d.Observe(dataPkt(a, 0), at(0))
 	// b collides with a's live claim: coverage loss, not a verdict.
 	if s := d.Observe(dataPkt(b, 0), at(10)); s.Verdict != VerdictUnmeasured {
 		t.Fatalf("live collision: verdict = %v, want unmeasured", s.Verdict)
 	}
-	// After the claim TTL, b steals the slot and measures normally.
-	if s := d.Observe(dataPkt(b, 1), at(2000)); s.Verdict != VerdictInOrder {
+	if s := d.Observe(dataPkt(b, 0), at(9990)); s.Verdict != VerdictUnmeasured {
+		t.Fatalf("collision inside the 10ms claim TTL: verdict = %v, want unmeasured", s.Verdict)
+	}
+	// After the 10ms claim TTL, b steals the slot and measures normally.
+	if s := d.Observe(dataPkt(b, 1), at(10010)); s.Verdict != VerdictInOrder {
 		t.Fatalf("post-TTL: verdict = %v, want in-order", s.Verdict)
 	}
 	e := d.Snapshot()
-	if e.Unmeasured != 1 || e.Steals != 1 {
-		t.Fatalf("unmeasured=%d steals=%d, want 1/1", e.Unmeasured, e.Steals)
+	if e.Unmeasured != 2 || e.Steals != 1 {
+		t.Fatalf("unmeasured=%d steals=%d, want 2/1", e.Unmeasured, e.Steals)
+	}
+	// A flow sharing only the low 9 bits with a has a slot of its own.
+	_, c := collide(t, 9)
+	if s := d.Observe(dataPkt(c, 0), at(10020)); s.Verdict != VerdictInOrder {
+		t.Fatalf("distinct slot: verdict = %v, want in-order", s.Verdict)
 	}
 }
 
@@ -163,9 +172,8 @@ func TestDetectorCollisionUnmeasuredThenSteal(t *testing.T) {
 // collisions) the constant-memory detector must agree with the exact
 // map-based oracle packet for packet.
 func TestDetectorMatchesReference(t *testing.T) {
-	cfg := DetectorConfig{Slots: 1024}
-	d := NewDetector(cfg)
-	ref := NewReference(cfg)
+	d := NewDetector()
+	ref := NewReference()
 
 	// Deterministic interleaving of 3 flows with displacement patterns:
 	// in-order runs, swaps, a long overtake, duplicates.
@@ -200,7 +208,7 @@ func TestDetectorMatchesReference(t *testing.T) {
 }
 
 func TestDetectorCoalesceEWMA(t *testing.T) {
-	d := NewDetector(DetectorConfig{})
+	d := NewDetector()
 	p := dataPkt(flow(1), 0)
 	p.Stamps[packet.HopNICRx] = at(10)
 	p.Stamps[packet.HopNAPIPoll] = at(25)

@@ -25,10 +25,11 @@ func FuzzAdaptDetector(f *testing.F) {
 	f.Add([]byte{0x12, 0x34, 0x56, 0x78, 0x9a, 0xbc, 0xde, 0xf0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Tiny sketch so the fuzzer can actually reach the collision paths.
-		cfg := DetectorConfig{Slots: 16, ClaimTTL: 500 * time.Microsecond}
-		det := NewDetector(cfg)
-		ref := NewReference(cfg)
+		// Tiny sketch and short claim TTL so the fuzzer can actually reach
+		// the collision and steal paths.
+		det := NewDetector()
+		det.slots, det.mask, det.claimTTL = make([]slot, 16), 15, 500*time.Microsecond
+		ref := NewReference()
 
 		// Interpret the corpus as (flow, seq-delta, time-delta) triples over
 		// an 8-flow pool. Sequence deltas are signed MSS offsets from each

@@ -17,7 +17,6 @@ import (
 // slot rule, so for a flow whose fingerprint never collides the two
 // produce identical samples — the property the fuzz target checks.
 type Reference struct {
-	cfg   DetectorConfig
 	flows map[packet.FiveTuple]*refFlow
 
 	pkts, measured, reordered uint64
@@ -31,11 +30,10 @@ type refFlow struct {
 	t   sim.Time
 }
 
-// NewReference builds the oracle with the same tuning as the sketch it
-// shadows (only MaxSkewSample matters; Slots and ClaimTTL have no exact-
-// map analogue).
-func NewReference(cfg DetectorConfig) *Reference {
-	return &Reference{cfg: cfg.withDefaults(), flows: make(map[packet.FiveTuple]*refFlow)}
+// NewReference builds the oracle. It shares the sketch's skew-sample cap;
+// the slot count and claim TTL have no exact-map analogue.
+func NewReference() *Reference {
+	return &Reference{flows: make(map[packet.FiveTuple]*refFlow)}
 }
 
 // Observe measures one packet exactly. Every data packet is measured —
@@ -65,7 +63,7 @@ func (r *Reference) Observe(p *packet.Packet, now sim.Time) Sample {
 	}
 	r.reordered++
 	s := Sample{Verdict: VerdictReordered, Lateness: now.Sub(f.t)}
-	if lateNs := sim.Time(s.Lateness); lateNs >= 0 && s.Lateness <= r.cfg.MaxSkewSample {
+	if lateNs := sim.Time(s.Lateness); lateNs >= 0 && s.Lateness <= maxSkewSample {
 		r.skewEWMA += (float64(lateNs) - r.skewEWMA) * skewAlpha
 	}
 	if end := p.EndSeq(); packet.SeqLess(f.end, end) {

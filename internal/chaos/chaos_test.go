@@ -225,7 +225,8 @@ type okTable struct{}
 func (okTable) TableLen() int          { return 0 }
 func (okTable) CheckInvariants() error { return nil }
 
-// TestTableProbe: the probe records exactly the failing audits.
+// TestTableProbe: the probe records exactly the failing audits. Counting
+// continues past the 64 retained violation records.
 func TestTableProbe(t *testing.T) {
 	s := sim.New(1)
 	ck := NewChecker(s, Config{})
@@ -238,6 +239,12 @@ func TestTableProbe(t *testing.T) {
 	bad()
 	if ck.Count(InvTable) != 1 {
 		t.Fatalf("broken table not flagged: %v", ck.Violations())
+	}
+	for i := 0; i < 69; i++ {
+		bad()
+	}
+	if ck.Total() != 70 || len(ck.Violations()) != 64 {
+		t.Fatalf("total %d, retained %d; want 70, 64", ck.Total(), len(ck.Violations()))
 	}
 }
 

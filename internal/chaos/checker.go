@@ -76,10 +76,11 @@ type Config struct {
 	// involves loss or duplication, where retransmission plumbing makes
 	// dup delivery to TCP legitimate.
 	StrictOrder bool
-	// MaxViolations bounds how many Violation records are retained
-	// (counting continues past the bound). Default 64.
-	MaxViolations int
 }
+
+// maxViolations bounds how many Violation records are retained; counting
+// continues past the bound.
+const maxViolations = 64
 
 // flowState is the checker's per-flow account of sent coverage and the
 // delivery frontier.
@@ -118,9 +119,6 @@ type Checker struct {
 
 // NewChecker creates a checker bound to the simulation clock.
 func NewChecker(s *sim.Sim, cfg Config) *Checker {
-	if cfg.MaxViolations <= 0 {
-		cfg.MaxViolations = 64
-	}
 	return &Checker{
 		sim:    s,
 		cfg:    cfg,
@@ -133,7 +131,7 @@ func NewChecker(s *sim.Sim, cfg Config) *Checker {
 func (c *Checker) violate(inv Invariant, flow packet.FiveTuple, detail string) {
 	c.total++
 	c.counts[inv]++
-	if len(c.violations) < c.cfg.MaxViolations {
+	if len(c.violations) < maxViolations {
 		c.violations = append(c.violations, Violation{
 			At: c.sim.Now(), Invariant: inv, Flow: flow, Detail: detail,
 		})
@@ -259,7 +257,7 @@ func (c *Checker) CheckSegLeaks(live int64) {
 }
 
 // Total returns the number of invariant failures observed (including any
-// past the MaxViolations retention bound).
+// past the maxViolations retention bound).
 func (c *Checker) Total() int64 { return c.total }
 
 // Count returns the failure count for one invariant.

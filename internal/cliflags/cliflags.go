@@ -12,7 +12,6 @@ import (
 	"flag"
 	"time"
 
-	"juggler/internal/adapt"
 	"juggler/internal/core"
 	"juggler/internal/experiments"
 	"juggler/internal/replay"
@@ -62,16 +61,12 @@ func (f *Flags) Workers() int { return sweep.EffectiveWorkers(f.J, f.Shards) }
 // Replay builds the replay-driver configuration the shared flags
 // describe: core's defaults, with -inseq/-ofo when set.
 func (f *Flags) Replay() replay.Config {
-	c := replay.Config{Seed: f.Seed, Core: core.DefaultConfig(), StampSample: f.StampSample}
+	c := replay.Config{Seed: f.Seed, Core: core.DefaultConfig(), Adapt: f.Adapt, StampSample: f.StampSample}
 	if f.Inseq > 0 {
 		c.Core.InseqTimeout = f.Inseq
 	}
 	if f.Ofo > 0 {
 		c.Core.OfoTimeout = f.Ofo
-	}
-	if f.Adapt {
-		a := adapt.DefaultConfig()
-		c.Adapt = &a
 	}
 	return c
 }

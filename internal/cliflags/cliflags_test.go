@@ -56,7 +56,7 @@ func TestParseFillsFlagsAndOptions(t *testing.T) {
 	}
 	r := f.Replay()
 	if r.Seed != 7 || r.Core.InseqTimeout != want.Inseq ||
-		r.Core.OfoTimeout != want.Ofo || r.Adapt == nil || r.StampSample != 16 {
+		r.Core.OfoTimeout != want.Ofo || !r.Adapt || r.StampSample != 16 {
 		t.Fatalf("Replay() = %+v", r)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"juggler/internal/adapt"
 	"juggler/internal/chaos"
 	"juggler/internal/core"
 	"juggler/internal/fabric"
@@ -118,10 +117,7 @@ func runAdaptive(o Options, adaptive bool) *adaptiveReport {
 		jcfg.OfoTimeout = o.Ofo
 	}
 	rcvCfg.Juggler = jcfg
-	if adaptive {
-		ac := adapt.DefaultConfig()
-		rcvCfg.Adapt = &ac
-	}
+	rcvCfg.Adapt = adaptive
 
 	sndCfg := testbed.DefaultHostConfig(testbed.OffloadVanilla)
 	sndCfg.LinkRate = rate

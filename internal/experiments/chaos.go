@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"juggler/internal/adapt"
 	"juggler/internal/chaos"
 	"juggler/internal/core"
 	"juggler/internal/fabric"
@@ -288,10 +287,7 @@ func runChaos(spec chaosScenario, kind testbed.OffloadKind, o Options, intensity
 		jcfg.OfoTimeout = o.Ofo
 	}
 	rcvCfg.Juggler = jcfg
-	if o.Adapt {
-		ac := adapt.DefaultConfig()
-		rcvCfg.Adapt = &ac
-	}
+	rcvCfg.Adapt = o.Adapt
 
 	sndCfg := testbed.DefaultHostConfig(testbed.OffloadVanilla)
 	sndCfg.LinkRate = rate

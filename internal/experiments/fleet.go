@@ -3,7 +3,6 @@ package experiments
 import (
 	"time"
 
-	"juggler/internal/adapt"
 	"juggler/internal/chaos"
 	"juggler/internal/core"
 	"juggler/internal/fabric"
@@ -81,10 +80,7 @@ func CollectFleetReport(o Options, impaired bool) *fleet.Report {
 	}
 	hostCfg := testbed.DefaultHostConfig(testbed.OffloadJuggler)
 	hostCfg.Juggler = jcfg
-	if o.Adapt {
-		ac := adapt.DefaultConfig()
-		hostCfg.Adapt = &ac
-	}
+	hostCfg.Adapt = o.Adapt
 
 	agg := fleet.NewAggregator(fleet.Config{
 		Cadence: 250 * time.Microsecond,

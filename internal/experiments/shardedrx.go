@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"juggler/internal/adapt"
 	"juggler/internal/core"
 	"juggler/internal/nic"
 	"juggler/internal/packet"
@@ -88,9 +87,7 @@ func runShardedRX(o Options, p shardedRXParams) shardedRXResult {
 	if o.Ofo > 0 {
 		cfg.Juggler.OfoTimeout = o.Ofo
 	}
-	if o.Adapt {
-		cfg.Adapt = &adapt.Config{}
-	}
+	cfg.Adapt = o.Adapt
 	h := testbed.NewShardedHost(o.Seed, cfg)
 
 	var res shardedRXResult

@@ -33,18 +33,15 @@ const (
 
 // Config tunes a Conntrack instance.
 type Config struct {
-	// MaxConns bounds the connection table, like
-	// net.netfilter.nf_conntrack_max; 0 means 4096. Beyond it the least
-	// recently touched entry is recycled ("nf_conntrack: table full,
-	// dropping packet" is the DoS the paper cites).
-	MaxConns int
 	// Strict drops INVALID segments instead of merely counting them.
 	Strict bool
-	// WindowSlack is how far past the expected next sequence a segment
-	// may begin and still be ACCEPTed (out-of-order tolerance measured in
-	// bytes); 0 means exact in-order tracking.
-	WindowSlack int
 }
+
+// maxConns bounds the connection table, like
+// net.netfilter.nf_conntrack_max. Beyond it the least recently touched
+// entry is recycled ("nf_conntrack: table full, dropping packet" is the
+// DoS the paper cites).
+const maxConns = 4096
 
 // Stats are cumulative counters.
 type Stats struct {
@@ -59,7 +56,6 @@ type Stats struct {
 type connState struct {
 	key     packet.FiveTuple
 	nextSeq uint32
-	touched uint64 // LRU stamp
 
 	prev, next *connState
 }
@@ -71,16 +67,12 @@ type Conntrack struct {
 
 	// Intrusive LRU list: head = least recently used.
 	lruHead, lruTail *connState
-	clock            uint64
 
 	Stats Stats
 }
 
 // New creates a tracker.
 func New(cfg Config) *Conntrack {
-	if cfg.MaxConns <= 0 {
-		cfg.MaxConns = 4096
-	}
 	return &Conntrack{cfg: cfg, table: map[packet.FiveTuple]*connState{}}
 }
 
@@ -107,9 +99,6 @@ func (ct *Conntrack) Inspect(seg *packet.Segment) Verdict {
 		if packet.SeqLess(st.nextSeq, seg.EndSeq()) {
 			st.nextSeq = seg.EndSeq()
 		}
-	case int64(seg.Seq-st.nextSeq) <= int64(ct.cfg.WindowSlack):
-		// A hole, but within the configured tolerance.
-		st.nextSeq = seg.EndSeq()
 	default:
 		verdict = VerdictInvalid
 		// Like nf_conntrack's non-strict mode, adopt the new edge so a
@@ -135,19 +124,17 @@ func (ct *Conntrack) ShouldDrop(v Verdict) bool {
 
 // lookup fetches or creates the connection entry, maintaining the LRU.
 func (ct *Conntrack) lookup(ft packet.FiveTuple) (st *connState, created bool) {
-	ct.clock++
 	if st, ok := ct.table[ft]; ok {
-		st.touched = ct.clock
 		ct.moveToBack(st)
 		return st, false
 	}
-	if len(ct.table) >= ct.cfg.MaxConns {
+	if len(ct.table) >= maxConns {
 		victim := ct.lruHead
 		ct.unlink(victim)
 		delete(ct.table, victim.key)
 		ct.Stats.Recycled++
 	}
-	st = &connState{key: ft, touched: ct.clock}
+	st = &connState{key: ft}
 	ct.table[ft] = st
 	ct.pushBack(st)
 	ct.Stats.Created++

@@ -46,15 +46,34 @@ func TestOutOfOrderInvalid(t *testing.T) {
 	}
 }
 
-func TestWindowSlackTolerance(t *testing.T) {
-	ct := New(Config{WindowSlack: 3 * units.MSS})
-	ft := flowN(1)
-	ct.Inspect(seg(ft, 0, 1))
-	if v := ct.Inspect(seg(ft, 3, 1)); v != VerdictAccept {
-		t.Fatalf("jump within slack should be accepted, got %v", v)
+// TestSequenceWraparound: window tracking compares sequence numbers in
+// serial arithmetic, so a flow crossing 2^32 stays in window, a
+// retransmission from before the wrap is accepted, and a hole that spans
+// the wrap is still a hole.
+func TestSequenceWraparound(t *testing.T) {
+	ct := New(Config{})
+	const start = 1<<32 - 2*units.MSS
+	at := func(ft packet.FiveTuple, i int) *packet.Segment {
+		return &packet.Segment{Flow: ft, Seq: uint32(start + i*units.MSS), Bytes: units.MSS, Pkts: 1}
 	}
-	if v := ct.Inspect(seg(ft, 20, 1)); v != VerdictInvalid {
-		t.Fatalf("jump beyond slack should be INVALID, got %v", v)
+	ft := flowN(1)
+	for i := 0; i < 5; i++ { // segment 2 starts at sequence 0
+		if v := ct.Inspect(at(ft, i)); v != VerdictAccept {
+			t.Fatalf("in-order segment %d across the wrap: verdict %v", i, v)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if v := ct.Inspect(at(ft, i)); v != VerdictAccept {
+			t.Fatalf("retransmission of pre-wrap segment %d: verdict %v", i, v)
+		}
+	}
+	jump := flowN(2)
+	ct.Inspect(at(jump, 0))
+	if v := ct.Inspect(at(jump, 4)); v != VerdictInvalid {
+		t.Fatalf("jump across the wrap: verdict %v, want INVALID", v)
+	}
+	if ct.Stats.Invalid != 1 {
+		t.Fatalf("invalid = %d, want 1", ct.Stats.Invalid)
 	}
 }
 
@@ -87,25 +106,26 @@ func TestStrictModeDrops(t *testing.T) {
 }
 
 func TestTableBoundAndLRURecycling(t *testing.T) {
-	ct := New(Config{MaxConns: 4})
-	for i := 0; i < 10; i++ {
+	ct := New(Config{})
+	for i := 0; i < 4096+6; i++ {
 		ct.Inspect(seg(flowN(i), 0, 1))
 	}
-	if ct.Len() != 4 {
-		t.Fatalf("table size = %d, want 4", ct.Len())
+	if ct.Len() != 4096 {
+		t.Fatalf("table size = %d, want 4096", ct.Len())
 	}
 	if ct.Stats.Recycled != 6 {
 		t.Fatalf("recycled = %d, want 6", ct.Stats.Recycled)
 	}
 	// Most recent flows survive.
 	before := ct.Stats.Created
-	ct.Inspect(seg(flowN(9), 1, 1))
+	ct.Inspect(seg(flowN(4101), 1, 1))
 	if ct.Stats.Created != before {
 		t.Fatal("recent flow should still be tracked")
 	}
-	// Touching a flow protects it from recycling.
+	// Touching a flow protects it from recycling: flow 6 is the LRU entry
+	// until it is touched.
 	ct.Inspect(seg(flowN(6), 1, 1))
-	ct.Inspect(seg(flowN(100), 0, 1)) // evicts LRU, which is not flow 6
+	ct.Inspect(seg(flowN(5000), 0, 1)) // evicts LRU, which is now flow 7
 	before = ct.Stats.Created
 	ct.Inspect(seg(flowN(6), 2, 1))
 	if ct.Stats.Created != before {
@@ -136,19 +156,22 @@ func TestPropertyInOrderNeverInvalid(t *testing.T) {
 	}
 }
 
-// Property: table never exceeds its bound.
+// Property: table never exceeds its bound. Each id opens a run of 256
+// flows, so a few dozen ids overflow the 4096-entry table.
 func TestPropertyTableBounded(t *testing.T) {
 	f := func(ids []uint16) bool {
-		ct := New(Config{MaxConns: 8})
+		ct := New(Config{})
 		for _, id := range ids {
-			ct.Inspect(seg(flowN(int(id)), 0, 1))
-			if ct.Len() > 8 {
-				return false
+			for k := 0; k < 256; k++ {
+				ct.Inspect(seg(flowN(int(id)+k), 0, 1))
+				if ct.Len() > 4096 {
+					return false
+				}
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -140,9 +140,6 @@ type RXConfig struct {
 	// SteerToQueue0, when true, aims all flows at queue 0 regardless of
 	// RSS — the paper's CPU experiments do this deliberately.
 	SteerToQueue0 bool
-
-	// RSSSalt perturbs the RSS hash.
-	RSSSalt uint32
 }
 
 // DefaultRXConfig mirrors the paper's testbed NIC: 125us coalescing with a
@@ -165,6 +162,9 @@ type RX struct {
 	pool *packet.Pool
 
 	queues []*rxQueue
+	// salt perturbs the RSS hash once Rehash sets it; 0 uses the stamped
+	// FlowHash.
+	salt uint32
 
 	// RxPackets counts packets accepted from the wire.
 	RxPackets int64
@@ -300,18 +300,18 @@ func (rx *RX) ResumeQueue(i int) {
 // indirection table rebalances queues: subsequent packets of a flow may land
 // on a different queue than its earlier packets, whose offload state stays
 // behind on the old queue.
-func (rx *RX) Rehash(salt uint32) { rx.cfg.RSSSalt = salt }
+func (rx *RX) Rehash(salt uint32) { rx.salt = salt }
 
 // pick selects the RX queue for a packet.
 func (rx *RX) pick(p *packet.Packet) int {
 	if rx.cfg.SteerToQueue0 || len(rx.queues) == 1 {
 		return 0
 	}
-	if rx.cfg.RSSSalt == 0 {
+	if rx.salt == 0 {
 		// Hash(0) is the stamped FlowHash: no second hash pass.
 		return int(p.FlowHash) % len(rx.queues)
 	}
-	return int(p.Flow.Hash(rx.cfg.RSSSalt)) % len(rx.queues)
+	return int(p.Flow.Hash(rx.salt)) % len(rx.queues)
 }
 
 // Queue returns queue i (stats, offload access).

@@ -52,10 +52,6 @@ type ShardedRXConfig struct {
 	// PollComplete), driven by a per-queue ticker on the owning lane.
 	// Default 10us.
 	PollEvery time.Duration
-
-	// RSSSalt seeds queue selection; 0 uses the stamped FlowHash
-	// directly (no second hash pass), mirroring RX.pick.
-	RSSSalt uint32
 }
 
 func (c ShardedRXConfig) withDefaults() ShardedRXConfig {
@@ -160,7 +156,6 @@ func NewShardedRX(seed int64, cfg ShardedRXConfig, makeOffload func(q *ShardQueu
 	srx := &ShardedRX{
 		cfg:   cfg,
 		group: sim.NewShardGroup(seed, cfg.Shards),
-		salt:  cfg.RSSSalt,
 	}
 	srx.body = srx.runLane
 	srx.queues = make([]*ShardQueue, cfg.Queues)

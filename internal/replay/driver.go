@@ -19,9 +19,9 @@ const drain = 10 * time.Millisecond
 type Config struct {
 	Seed int64
 	Core core.Config
-	// Adapt, when non-nil, wraps the Juggler in the self-tuning
-	// controller: Core's timeouts become its starting point.
-	Adapt *adapt.Config
+	// Adapt wraps the Juggler in the self-tuning controller: Core's
+	// timeouts become its starting point.
+	Adapt bool
 	// StampSample is the 1-in-N hop-stamp sampling rate (0 or 1 = all).
 	StampSample int
 	Telemetry   telemetry.Options
@@ -55,8 +55,8 @@ func Run(tr *Trace, cfg Config) (*core.Juggler, *adapt.Controller, *telemetry.Si
 	})
 	var ctl *adapt.Controller
 	var off gro.Offload = j
-	if cfg.Adapt != nil {
-		ctl = adapt.NewController(s, *cfg.Adapt)
+	if cfg.Adapt {
+		ctl = adapt.NewController(s)
 		off = ctl.Wrap(j)
 	}
 

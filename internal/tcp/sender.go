@@ -28,16 +28,12 @@ type PacketSender interface {
 // SenderConfig tunes a TCP sender. Zero fields take defaults from
 // DefaultSenderConfig.
 type SenderConfig struct {
-	// InitCwnd is the initial congestion window in bytes (default 10 MSS).
-	InitCwnd int
 	// MaxCwnd caps the window (stands in for the receive window; default
 	// 4 MB).
 	MaxCwnd int
 	// RTOMin floors the retransmission timeout (default 5 ms — a
 	// datacenter-tuned stack; Linux defaults to 200 ms).
 	RTOMin time.Duration
-	// DupAckThresh triggers fast retransmit (default 3).
-	DupAckThresh int
 	// PaceRate, when non-zero, caps the flow's send rate.
 	PaceRate units.BitRate
 	// ECN enables DCTCP-style window reduction on ECN-Echo feedback: the
@@ -45,8 +41,6 @@ type SenderConfig struct {
 	// and cuts cwnd by alpha/2 once per RTT — gentle under low marking,
 	// halving under persistent congestion.
 	ECN bool
-	// OptSig is the flow's TCP options signature carried on every packet.
-	OptSig uint32
 	// DisableTLP turns off the tail-loss-probe timer (RFC 8985 style:
 	// after ~2 SRTT without progress, the last unacked segment is
 	// retransmitted once so short transfers do not wait out a full RTO).
@@ -64,12 +58,18 @@ type SenderConfig struct {
 // DefaultSenderConfig returns the default tuning.
 func DefaultSenderConfig() SenderConfig {
 	return SenderConfig{
-		InitCwnd:     10 * units.MSS,
-		MaxCwnd:      4 * units.MB,
-		RTOMin:       5 * time.Millisecond,
-		DupAckThresh: 3,
+		MaxCwnd: 4 * units.MB,
+		RTOMin:  5 * time.Millisecond,
 	}
 }
+
+const (
+	// initCwnd is the initial congestion window in bytes.
+	initCwnd = 10 * units.MSS
+	// dupAckThresh is the duplicate-ACK count that triggers fast
+	// retransmit.
+	dupAckThresh = 3
+)
 
 // SenderStats are cumulative sender-side counters.
 type SenderStats struct {
@@ -149,17 +149,11 @@ type Sender struct {
 // NewSender creates a sender for flow, transmitting through out.
 func NewSender(s *sim.Sim, cfg SenderConfig, flow packet.FiveTuple, out PacketSender) *Sender {
 	def := DefaultSenderConfig()
-	if cfg.InitCwnd <= 0 {
-		cfg.InitCwnd = def.InitCwnd
-	}
 	if cfg.MaxCwnd <= 0 {
 		cfg.MaxCwnd = def.MaxCwnd
 	}
 	if cfg.RTOMin <= 0 {
 		cfg.RTOMin = def.RTOMin
-	}
-	if cfg.DupAckThresh <= 0 {
-		cfg.DupAckThresh = def.DupAckThresh
 	}
 	snd := &Sender{
 		sim:      s,
@@ -170,7 +164,7 @@ func NewSender(s *sim.Sim, cfg SenderConfig, flow packet.FiveTuple, out PacketSe
 		sndUna:   1,
 		sndNxt:   1,
 		sndLim:   1,
-		cwnd:     float64(cfg.InitCwnd),
+		cwnd:     initCwnd,
 		ssthresh: float64(cfg.MaxCwnd),
 		// DCTCP initializes alpha to 1 so the first marked window reacts
 		// strongly; it decays as windows pass unmarked.
@@ -298,10 +292,12 @@ func (s *Sender) MaybeSend() {
 
 // sendBurst emits one TSO burst.
 func (s *Sender) sendBurst(seq uint32, n int, psh, retrans bool) {
+	// The options signature is constant per flow; the source port makes
+	// it differ across a host's connections.
 	tmpl := packet.Packet{
 		Flow:   s.flow,
 		Flags:  packet.FlagACK,
-		OptSig: s.cfg.OptSig,
+		OptSig: uint32(s.flow.SrcPort),
 	}
 	packet.Stamp(&tmpl.Stamps, packet.HopTCPSend, s.sim.Now())
 	if psh {
@@ -386,7 +382,7 @@ func (s *Sender) OnAck(seg *packet.Segment) {
 	if ack == s.sndUna && s.sndNxt != s.sndUna {
 		s.Stats.DupAcks++
 		s.dupacks++
-		thresh := s.cfg.DupAckThresh
+		thresh := dupAckThresh
 		if !s.cfg.DisableEarlyRetransmit {
 			// RFC 5827: with fewer than four segments outstanding, waiting
 			// for three dupACKs would wait forever — lower the threshold.
@@ -416,7 +412,7 @@ func (s *Sender) OnAck(seg *packet.Segment) {
 			s.inRecov = true
 			s.recover = s.sndNxt
 			s.ssthresh = s.halfFlight()
-			s.cwnd = s.ssthresh + float64(s.cfg.DupAckThresh*units.MSS)
+			s.cwnd = s.ssthresh + dupAckThresh*units.MSS
 			s.clampCwnd()
 			s.tel.Event(telemetry.Event{Layer: telemetry.LayerTCP, Kind: telemetry.KindCwnd,
 				Flow: s.flow, Seq: s.sndUna, N: int64(s.cwnd), Note: "fast-recovery"})

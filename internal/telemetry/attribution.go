@@ -135,14 +135,6 @@ func (f *Forensics) observeDelivery(seg *packet.Segment) {
 
 	f.noteSlow(SlowDelivery{At: st[packet.HopDeliver], Flow: seg.Flow, Seq: seg.Seq,
 		E2ENs: e2e, Spans: spans})
-
-	for i := 0; i < NumSpans; i++ {
-		if slo := f.opt.SojournSLO[i]; slo > 0 && seen[i] && spans[i] > int64(slo) {
-			f.anomaly(Anomaly{At: st[packet.HopDeliver], Kind: AnomalySojournSLO,
-				Flow: seg.Flow, HasFlow: true, Value: spans[i], Limit: int64(slo),
-				Note: spanNames[i]})
-		}
-	}
 }
 
 // noteSlow inserts d into the bounded slowest-deliveries leaderboard

@@ -39,24 +39,23 @@ type Config struct {
 	// app delivery); deliveries slower than this are SLO violations.
 	// Default 2ms.
 	SLO time.Duration
-
-	// BurnPerMille is the per-window violation budget in parts per
-	// thousand: a cadence window whose violation fraction exceeds it
-	// counts as one burned window (default 1, i.e. 0.1%).
-	BurnPerMille int64
-
-	// StragglerPct flags a host as a straggler when its p99 sojourn
-	// exceeds this percentage of the fleet-merged p99 (default 150).
-	StragglerPct int64
-
-	// StragglerMinSamples is the minimum delivery count before a host
-	// can be flagged (default 64) — a host that saw three packets has
-	// no tail to diverge.
-	StragglerMinSamples int64
-
-	// TopK sizes the heavy-hitter trackers (default 8).
-	TopK int
 }
+
+// Report thresholds.
+const (
+	// burnPerMille is the per-window violation budget in parts per
+	// thousand: a cadence window whose violation fraction exceeds it
+	// counts as one burned window (0.1%).
+	burnPerMille = 1
+	// stragglerPct flags a host as a straggler when its p99 sojourn
+	// exceeds this percentage of the fleet-merged p99.
+	stragglerPct = 150
+	// stragglerMinSamples is the minimum delivery count before a host can
+	// be flagged — a host that saw three packets has no tail to diverge.
+	stragglerMinSamples = 64
+	// topK sizes the heavy-hitter trackers.
+	topK = 8
+)
 
 func (c Config) withDefaults() Config {
 	if c.Cadence <= 0 {
@@ -64,18 +63,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SLO <= 0 {
 		c.SLO = 2 * time.Millisecond
-	}
-	if c.BurnPerMille <= 0 {
-		c.BurnPerMille = 1
-	}
-	if c.StragglerPct <= 0 {
-		c.StragglerPct = 150
-	}
-	if c.StragglerMinSamples <= 0 {
-		c.StragglerMinSamples = 64
-	}
-	if c.TopK <= 0 {
-		c.TopK = 8
 	}
 	return c
 }

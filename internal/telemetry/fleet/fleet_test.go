@@ -2,6 +2,7 @@ package fleet_test
 
 import (
 	"bytes"
+	"maps"
 	"testing"
 	"time"
 
@@ -186,5 +187,62 @@ func TestFleetReportContent(t *testing.T) {
 	}
 	if len(probe.TopFlows) == 0 {
 		t.Fatal("no flow heavy hitters")
+	}
+}
+
+// TestFleetSLOBurnBudget: a cadence window burns when more than 0.1% of
+// its deliveries miss the SLO. One miss in 1000 is within budget; two
+// are not.
+func TestFleetSLOBurnBudget(t *testing.T) {
+	agg := fleet.NewAggregator(fleet.Config{SLO: time.Millisecond})
+	lane := agg.AddHost("h", 0, 1).Lane(0)
+	deliver := func(n int, sojourn time.Duration) {
+		for i := 0; i < n; i++ {
+			seg := &packet.Segment{Bytes: units.MSS, Pkts: 1}
+			packet.Stamp(&seg.Stamps, packet.HopTCPSend, 1)
+			packet.Stamp(&seg.Stamps, packet.HopDeliver, sim.Time(1+sojourn))
+			lane.ObserveDelivery(seg)
+		}
+	}
+	deliver(999, time.Microsecond)
+	deliver(1, 2*time.Millisecond)
+	lane.SampleNow()
+	deliver(998, time.Microsecond)
+	deliver(2, 2*time.Millisecond)
+	lane.SampleNow()
+	h := agg.Report(time.Second).Hosts[0]
+	if h.SLOWindows != 2 || h.SLOBurnWindows != 1 {
+		t.Fatalf("windows %d, burned %d; want 2, 1", h.SLOWindows, h.SLOBurnWindows)
+	}
+}
+
+// TestFleetStragglers: a host is a straggler when its p99 sojourn exceeds
+// 150% of the fleet-merged p99 and it has at least 64 deliveries.
+func TestFleetStragglers(t *testing.T) {
+	agg := fleet.NewAggregator(fleet.Config{})
+	for _, h := range []struct {
+		name    string
+		n       int
+		sojourn time.Duration
+	}{
+		{"bulk", 100000, 10 * time.Microsecond}, // sets the fleet p99
+		{"slow", 64, 20 * time.Microsecond},     // 200%
+		{"mild", 64, 14 * time.Microsecond},     // 140% of the fleet p99
+		{"sparse", 63, 20 * time.Microsecond},
+	} {
+		lane := agg.AddHost(h.name, 0, 1).Lane(0)
+		for i := 0; i < h.n; i++ {
+			seg := &packet.Segment{Bytes: units.MSS, Pkts: 1}
+			packet.Stamp(&seg.Stamps, packet.HopTCPSend, 1)
+			packet.Stamp(&seg.Stamps, packet.HopDeliver, sim.Time(1+h.sojourn))
+			lane.ObserveDelivery(seg)
+		}
+	}
+	got := map[string]bool{}
+	for _, h := range agg.Report(time.Second).Hosts {
+		got[h.Name] = h.Straggler
+	}
+	if want := map[string]bool{"bulk": false, "slow": true, "mild": false, "sparse": false}; !maps.Equal(got, want) {
+		t.Fatalf("stragglers %v, want %v", got, want)
 	}
 }

@@ -131,9 +131,9 @@ func (a *Aggregator) Report(now time.Duration) *Report {
 	}
 
 	var fleetSketch stats.QuantileSketch
-	fleetFlows := NewTopK(a.cfg.TopK)
-	hostsByRetrans := NewTopK(a.cfg.TopK)
-	hostsByHolds := NewTopK(a.cfg.TopK)
+	fleetFlows := NewTopK(topK)
+	hostsByRetrans := NewTopK(topK)
+	hostsByHolds := NewTopK(topK)
 	torSketch := map[int]*stats.QuantileSketch{}
 	torRoll := map[int]*ToRRollup{}
 
@@ -220,8 +220,8 @@ func (a *Aggregator) Report(now time.Duration) *Report {
 	// fleet merge. Flag order follows the ranked host order below.
 	for i := range r.Hosts {
 		hh := &r.Hosts[i]
-		if hh.Samples >= a.cfg.StragglerMinSamples &&
-			hh.SojournP99Ns*100 > fleetP99*a.cfg.StragglerPct {
+		if hh.Samples >= stragglerMinSamples &&
+			hh.SojournP99Ns*100 > fleetP99*stragglerPct {
 			hh.Straggler = true
 		}
 	}

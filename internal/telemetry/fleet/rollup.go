@@ -68,7 +68,7 @@ type LaneProbe struct {
 }
 
 func newLaneProbe(cfg Config) *LaneProbe {
-	return &LaneProbe{cfg: cfg, flows: NewTopK(cfg.TopK)}
+	return &LaneProbe{cfg: cfg, flows: NewTopK(topK)}
 }
 
 // SetSample installs the counter snapshot callback.
@@ -121,7 +121,7 @@ func (l *LaneProbe) SampleNow() {
 	l.samples++
 	if l.winGood+l.winBad > 0 {
 		l.windows++
-		if l.winBad*1000 > (l.winGood+l.winBad)*l.cfg.BurnPerMille {
+		if l.winBad*1000 > (l.winGood+l.winBad)*burnPerMille {
 			l.burnWindows++
 		}
 		l.winGood, l.winBad = 0, 0
@@ -174,7 +174,7 @@ type hostRoll struct {
 
 // rollup merges the host's lanes in queue order.
 func (h *HostProbe) rollup() hostRoll {
-	r := hostRoll{flows: NewTopK(h.lanes[0].cfg.TopK)}
+	r := hostRoll{flows: NewTopK(topK)}
 	for _, l := range h.lanes {
 		r.sketch.Merge(&l.sojourn)
 		r.flows.Merge(l.flows)
@@ -215,9 +215,6 @@ type Aggregator struct {
 func NewAggregator(cfg Config) *Aggregator {
 	return &Aggregator{cfg: cfg.withDefaults()}
 }
-
-// Config returns the (defaulted) configuration.
-func (a *Aggregator) Config() Config { return a.cfg }
 
 // AddHost registers a host with the given lane count (1 for serial
 // hosts, the RX queue count for sharded ones) and returns its probe.

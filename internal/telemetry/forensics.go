@@ -88,70 +88,37 @@ const (
 	CausePhaseNewData = "new-data"
 )
 
-// ForensicsOptions tunes the forensics subsystem; zero values take the
-// defaults documented per field.
-type ForensicsOptions struct {
-	// FlowCap bounds how many flows get audit rings and per-flow
-	// attribution (default 1024; decisions beyond it still count in the
-	// global tallies and TruncatedDecisions).
-	FlowCap int
-	// RingCap is the per-flow audit-ring depth (default 64 decisions).
-	RingCap int
-	// TopK bounds the slowest-deliveries leaderboard (default 8).
-	TopK int
-	// Window is the watchdog's tumbling window in virtual time
-	// (default 1ms).
-	Window time.Duration
-	// EvictChurn fires an anomaly when evictions in one window reach this
-	// count (default 64; <0 disables).
-	EvictChurn int64
-	// PhaseFlaps fires an anomaly when one flow's phase transitions in
-	// one window reach this count (default 8; <0 disables).
-	PhaseFlaps int64
-	// InflationBytes fires a once-per-flow anomaly when a decision
-	// observes an ofo queue at or above this occupancy (default 256KiB;
-	// <0 disables).
-	InflationBytes int64
-	// SojournSLO sets a per-span latency SLO; a delivery whose span
-	// sojourn exceeds it records an anomaly. Zero disables a span.
-	SojournSLO [NumSpans]time.Duration
-}
-
-// withDefaults fills zero fields.
-func (o ForensicsOptions) withDefaults() ForensicsOptions {
-	if o.FlowCap == 0 {
-		o.FlowCap = 1024
-	}
-	if o.RingCap == 0 {
-		o.RingCap = 64
-	}
-	if o.TopK == 0 {
-		o.TopK = 8
-	}
-	if o.Window == 0 {
-		o.Window = time.Millisecond
-	}
-	if o.EvictChurn == 0 {
-		o.EvictChurn = 64
-	}
-	if o.PhaseFlaps == 0 {
-		o.PhaseFlaps = 8
-	}
-	if o.InflationBytes == 0 {
-		o.InflationBytes = 256 << 10
-	}
-	return o
-}
+// Forensics bounds and watchdog limits.
+const (
+	// flowCap bounds how many flows get audit rings and per-flow
+	// attribution; decisions beyond it still count in the global tallies
+	// and TruncatedDecisions.
+	flowCap = 1024
+	// ringCap is the per-flow audit-ring depth in decisions.
+	ringCap = 64
+	// topK bounds the slowest-deliveries leaderboard.
+	topK = 8
+	// watchdogWindow is the watchdog's tumbling window in virtual time.
+	watchdogWindow = time.Millisecond
+	// evictChurn fires an anomaly when evictions in one window reach this
+	// count.
+	evictChurn = 64
+	// phaseFlaps fires an anomaly when one flow's phase transitions in one
+	// window reach this count.
+	phaseFlaps = 8
+	// inflationBytes fires a once-per-flow anomaly when a decision
+	// observes an ofo queue at or above this occupancy.
+	inflationBytes = 256 << 10
+)
 
 // Anomaly kinds reported by the streaming watchdog.
 const (
 	AnomalyEvictChurn   = "eviction-churn"
 	AnomalyPhaseFlap    = "phase-flap"
 	AnomalyOFOInflation = "ofo-inflation"
-	AnomalySojournSLO   = "sojourn-slo"
 )
 
-var anomalyKinds = [...]string{AnomalyEvictChurn, AnomalyPhaseFlap, AnomalyOFOInflation, AnomalySojournSLO}
+var anomalyKinds = [...]string{AnomalyEvictChurn, AnomalyPhaseFlap, AnomalyOFOInflation}
 
 // Anomaly is one watchdog finding: a value crossed its limit at a virtual
 // instant, optionally pinned to a flow.
@@ -214,8 +181,7 @@ func (fe *FlowForensics) Decisions() []Decision {
 // watchdog. All bounds are fixed up front so steady-state recording does
 // not allocate (new flows are the only growth, and they are capped).
 type Forensics struct {
-	k   *Sink
-	opt ForensicsOptions
+	k *Sink
 
 	// Attribution (attribution.go). Metric families are registered lazily
 	// on first use so forensics-free runs keep prior snapshot bytes.
@@ -239,7 +205,7 @@ type Forensics struct {
 	// so the scan usually resolves on the pointer-equality fast path of
 	// string comparison instead of hashing the key on every decision.
 	causes [NumOps][]CauseCount
-	// TruncatedDecisions counts decisions from flows beyond FlowCap,
+	// TruncatedDecisions counts decisions from flows beyond flowCap,
 	// which were tallied globally but kept no audit ring.
 	TruncatedDecisions int64
 
@@ -262,13 +228,11 @@ type Forensics struct {
 // virtual time.
 const globalRingCap = 128
 
-func newForensics(k *Sink, o ForensicsOptions) *Forensics {
-	o = o.withDefaults()
+func newForensics(k *Sink) *Forensics {
 	return &Forensics{
 		k:       k,
-		opt:     o,
 		flows:   make(map[packet.FiveTuple]*FlowForensics),
-		slowest: make([]SlowDelivery, 0, o.TopK),
+		slowest: make([]SlowDelivery, 0, topK),
 	}
 }
 
@@ -439,23 +403,19 @@ func (f *Forensics) decide(d *Decision) {
 
 // watch runs the streaming watchdog detectors on one decision.
 func (f *Forensics) watch(d *Decision, fe *FlowForensics) {
-	win := f.opt.Window
 	switch d.Op {
 	case OpEvict:
-		if f.opt.EvictChurn < 0 {
-			break
-		}
-		if d.At.Sub(f.evictWinAt) >= win {
+		if d.At.Sub(f.evictWinAt) >= watchdogWindow {
 			f.evictWinAt = d.At
 			f.evictInWin = 0
 		}
 		f.evictInWin++
-		if f.evictInWin == f.opt.EvictChurn {
+		if f.evictInWin == evictChurn {
 			f.anomaly(Anomaly{At: d.At, Kind: AnomalyEvictChurn,
-				Value: f.evictInWin, Limit: f.opt.EvictChurn, Note: "evictions/window"})
+				Value: f.evictInWin, Limit: evictChurn, Note: "evictions/window"})
 		}
 	case OpPhase:
-		if f.opt.PhaseFlaps < 0 || fe == nil {
+		if fe == nil {
 			break
 		}
 		// The active-merge <-> post-merge breathing of a healthy paced flow
@@ -464,21 +424,20 @@ func (f *Forensics) watch(d *Decision, fe *FlowForensics) {
 		if d.Cause == CausePhaseDrained || d.Cause == CausePhaseNewData {
 			break
 		}
-		if d.At.Sub(fe.phaseWinStart) >= win {
+		if d.At.Sub(fe.phaseWinStart) >= watchdogWindow {
 			fe.phaseWinStart = d.At
 			fe.phaseInWin = 0
 		}
 		fe.phaseInWin++
-		if fe.phaseInWin == f.opt.PhaseFlaps {
+		if fe.phaseInWin == phaseFlaps {
 			f.anomaly(Anomaly{At: d.At, Kind: AnomalyPhaseFlap, Flow: d.Flow, HasFlow: true,
-				Value: fe.phaseInWin, Limit: f.opt.PhaseFlaps, Note: "transitions/window"})
+				Value: fe.phaseInWin, Limit: phaseFlaps, Note: "transitions/window"})
 		}
 	}
-	if f.opt.InflationBytes > 0 && d.QBytes >= f.opt.InflationBytes &&
-		fe != nil && !fe.inflated {
+	if d.QBytes >= inflationBytes && fe != nil && !fe.inflated {
 		fe.inflated = true
 		f.anomaly(Anomaly{At: d.At, Kind: AnomalyOFOInflation, Flow: d.Flow, HasFlow: true,
-			Value: d.QBytes, Limit: f.opt.InflationBytes, Note: "ofo-queue bytes"})
+			Value: d.QBytes, Limit: inflationBytes, Note: "ofo-queue bytes"})
 	}
 }
 
@@ -505,11 +464,11 @@ func (f *Forensics) flowFor(ft packet.FiveTuple) *FlowForensics {
 		f.lastFlow, f.lastFE = ft, fe
 		return fe
 	}
-	if len(f.order) >= f.opt.FlowCap {
+	if len(f.order) >= flowCap {
 		return nil
 	}
 	fe := &FlowForensics{Flow: ft, Index: len(f.order),
-		ring: make([]Decision, f.opt.RingCap)}
+		ring: make([]Decision, ringCap)}
 	f.flows[ft] = fe
 	f.order = append(f.order, fe)
 	f.lastFlow, f.lastFE = ft, fe

@@ -10,19 +10,18 @@ import (
 	"juggler/internal/sim"
 )
 
-// forensicsSink builds a sink with small forensics bounds so tests can hit
-// rotation and watchdog limits quickly.
-func forensicsSink(o ForensicsOptions) (*sim.Sim, *Sink) {
+// forensicsSink builds a sink with forensics at its fixed bounds.
+func forensicsSink() (*sim.Sim, *Sink) {
 	s := sim.New(1)
-	k := New(s, Options{Forensics: o})
+	k := New(s, Options{})
 	return s, k
 }
 
 // TestDecisionRingRotation checks the per-flow audit ring keeps the newest
-// RingCap decisions, oldest first, while the totals keep exact count.
+// 64 decisions, oldest first, while the totals keep exact count.
 func TestDecisionRingRotation(t *testing.T) {
-	s, k := forensicsSink(ForensicsOptions{RingCap: 4})
-	for i := 0; i < 10; i++ {
+	s, k := forensicsSink()
+	for i := 0; i < 70; i++ {
 		k.Decide(&Decision{Layer: LayerCore, Op: OpFlush, Cause: "sealed",
 			Flow: testFlow, Seq: uint32(i * 1460), EndSeq: uint32((i + 1) * 1460)})
 		s.RunFor(time.Microsecond)
@@ -31,77 +30,87 @@ func TestDecisionRingRotation(t *testing.T) {
 	if fe == nil {
 		t.Fatal("flow untracked")
 	}
-	if fe.Total != 10 || fe.ByOp[OpFlush] != 10 {
-		t.Fatalf("Total=%d ByOp[flush]=%d, want 10/10", fe.Total, fe.ByOp[OpFlush])
+	if fe.Total != 70 || fe.ByOp[OpFlush] != 70 {
+		t.Fatalf("Total=%d ByOp[flush]=%d, want 70/70", fe.Total, fe.ByOp[OpFlush])
 	}
 	decs := fe.Decisions()
-	if len(decs) != 4 {
-		t.Fatalf("ring retained %d decisions, want 4", len(decs))
+	if len(decs) != 64 {
+		t.Fatalf("ring retained %d decisions, want 64", len(decs))
 	}
-	if decs[0].Seq != 6*1460 || decs[3].Seq != 9*1460 {
-		t.Fatalf("ring kept seqs %d..%d, want %d..%d", decs[0].Seq, decs[3].Seq, 6*1460, 9*1460)
+	if decs[0].Seq != 6*1460 || decs[63].Seq != 69*1460 {
+		t.Fatalf("ring kept seqs %d..%d, want %d..%d", decs[0].Seq, decs[63].Seq, 6*1460, 69*1460)
 	}
-	if got := k.Forensics.OpTotal(OpFlush); got != 10 {
-		t.Fatalf("global OpTotal(flush)=%d, want 10", got)
+	if got := k.Forensics.OpTotal(OpFlush); got != 70 {
+		t.Fatalf("global OpTotal(flush)=%d, want 70", got)
 	}
-	if got := k.Forensics.CauseCount(OpFlush, "sealed"); got != 10 {
-		t.Fatalf("CauseCount(flush,sealed)=%d, want 10", got)
+	if got := k.Forensics.CauseCount(OpFlush, "sealed"); got != 70 {
+		t.Fatalf("CauseCount(flush,sealed)=%d, want 70", got)
 	}
 }
 
-// TestFlowCapTruncation checks flows beyond FlowCap still count globally
-// but keep no ring, recorded in TruncatedDecisions.
+// TestFlowCapTruncation checks flows beyond the first 1024 still count
+// globally but keep no ring, recorded in TruncatedDecisions.
 func TestFlowCapTruncation(t *testing.T) {
-	_, k := forensicsSink(ForensicsOptions{FlowCap: 1})
+	_, k := forensicsSink()
+	flow := testFlow
+	for i := 0; i < 1024; i++ {
+		flow.SrcPort = uint16(i)
+		k.Decide(&Decision{Op: OpFlush, Flow: flow})
+	}
 	other := testFlow
-	other.SrcPort++
-	k.Decide(&Decision{Op: OpFlush, Flow: testFlow})
+	other.SrcPort = 1024
 	k.Decide(&Decision{Op: OpFlush, Flow: other})
 	k.Decide(&Decision{Op: OpFlush, Flow: other})
 	f := k.Forensics
+	if f.FlowState(flow) == nil {
+		t.Fatal("the 1024th flow should be tracked")
+	}
 	if f.FlowState(other) != nil {
-		t.Fatal("flow beyond FlowCap should be untracked")
+		t.Fatal("the 1025th flow should be untracked")
 	}
 	if f.TruncatedDecisions != 2 {
 		t.Fatalf("TruncatedDecisions=%d, want 2", f.TruncatedDecisions)
 	}
-	if f.OpTotal(OpFlush) != 3 {
-		t.Fatalf("global tally %d, want 3 (truncation must not lose counts)", f.OpTotal(OpFlush))
+	if f.OpTotal(OpFlush) != 1026 {
+		t.Fatalf("global tally %d, want 1026 (truncation must not lose counts)", f.OpTotal(OpFlush))
 	}
 }
 
 // TestWatchdogEvictChurn checks the eviction-rate detector fires exactly at
-// the threshold and that a new window resets the count.
+// the threshold of 64 per 1ms window and that a new window resets the
+// count.
 func TestWatchdogEvictChurn(t *testing.T) {
-	s, k := forensicsSink(ForensicsOptions{EvictChurn: 3, Window: time.Millisecond})
-	evict := func() { k.Decide(&Decision{Op: OpEvict, Cause: "evict", Flow: testFlow}) }
-	evict()
-	evict()
+	s, k := forensicsSink()
+	evict := func(n int) {
+		for i := 0; i < n; i++ {
+			k.Decide(&Decision{Op: OpEvict, Cause: "evict", Flow: testFlow})
+		}
+	}
+	evict(63)
 	if k.Forensics.AnomalyTotal() != 0 {
 		t.Fatal("anomaly before threshold")
 	}
-	evict()
+	evict(1)
 	if got := k.Forensics.AnomalyTotal(); got != 1 {
 		t.Fatalf("anomalies=%d after hitting threshold, want 1", got)
 	}
 	a := k.Forensics.Anomalies()[0]
-	if a.Kind != AnomalyEvictChurn || a.Value != 3 || a.Limit != 3 {
-		t.Fatalf("anomaly = %+v, want eviction-churn 3/3", a)
+	if a.Kind != AnomalyEvictChurn || a.Value != 64 || a.Limit != 64 {
+		t.Fatalf("anomaly = %+v, want eviction-churn 64/64", a)
 	}
-	// Next window starts clean: two evictions fire nothing.
+	// Next window starts clean: 63 evictions fire nothing.
 	s.RunFor(2 * time.Millisecond)
-	evict()
-	evict()
+	evict(63)
 	if got := k.Forensics.AnomalyTotal(); got != 1 {
 		t.Fatalf("anomalies=%d after window reset, want still 1", got)
 	}
 }
 
 // TestWatchdogPhaseFlap checks the flap detector counts abnormal phase
-// transitions only — the drained/new-data breathing of a healthy paced
-// flow is exempt.
+// transitions only (8 in one window fire it) — the drained/new-data
+// breathing of a healthy paced flow is exempt.
 func TestWatchdogPhaseFlap(t *testing.T) {
-	_, k := forensicsSink(ForensicsOptions{PhaseFlaps: 2, Window: time.Millisecond})
+	_, k := forensicsSink()
 	phase := func(cause string) {
 		k.Decide(&Decision{Op: OpPhase, Cause: cause, Flow: testFlow, Note: "a>b"})
 	}
@@ -112,32 +121,37 @@ func TestWatchdogPhaseFlap(t *testing.T) {
 	if got := k.Forensics.AnomalyTotal(); got != 0 {
 		t.Fatalf("benign breathing raised %d anomalies, want 0", got)
 	}
-	phase("hole-filled")
+	for i := 0; i < 7; i++ {
+		phase("hole-filled")
+	}
+	if got := k.Forensics.AnomalyTotal(); got != 0 {
+		t.Fatalf("anomalies=%d after 7 abnormal transitions, want 0", got)
+	}
 	phase("first-flush")
 	if got := k.Forensics.AnomalyTotal(); got != 1 {
-		t.Fatalf("anomalies=%d after 2 abnormal transitions, want 1", got)
+		t.Fatalf("anomalies=%d after 8 abnormal transitions, want 1", got)
 	}
 	if a := k.Forensics.Anomalies()[0]; a.Kind != AnomalyPhaseFlap || !a.HasFlow {
 		t.Fatalf("anomaly = %+v, want flow-pinned phase-flap", a)
 	}
 }
 
-// TestWatchdogOFOInflation checks the queue-occupancy detector fires once
-// per flow, not on every decision above the limit.
+// TestWatchdogOFOInflation checks the queue-occupancy detector fires at
+// 256 KiB, once per flow, not on every decision above the limit.
 func TestWatchdogOFOInflation(t *testing.T) {
-	_, k := forensicsSink(ForensicsOptions{InflationBytes: 1000})
-	k.Decide(&Decision{Op: OpFlush, Flow: testFlow, QBytes: 999})
+	_, k := forensicsSink()
+	k.Decide(&Decision{Op: OpFlush, Flow: testFlow, QBytes: 256<<10 - 1})
 	if k.Forensics.AnomalyTotal() != 0 {
 		t.Fatal("anomaly below limit")
 	}
-	k.Decide(&Decision{Op: OpFlush, Flow: testFlow, QBytes: 1500})
-	k.Decide(&Decision{Op: OpFlush, Flow: testFlow, QBytes: 2000})
+	k.Decide(&Decision{Op: OpFlush, Flow: testFlow, QBytes: 300 << 10})
+	k.Decide(&Decision{Op: OpFlush, Flow: testFlow, QBytes: 400 << 10})
 	if got := k.Forensics.AnomalyTotal(); got != 1 {
 		t.Fatalf("anomalies=%d, want 1 (once per flow)", got)
 	}
 	a := k.Forensics.Anomalies()[0]
-	if a.Kind != AnomalyOFOInflation || a.Value != 1500 || a.Limit != 1000 {
-		t.Fatalf("anomaly = %+v, want ofo-inflation 1500/1000", a)
+	if a.Kind != AnomalyOFOInflation || a.Value != 300<<10 || a.Limit != 256<<10 {
+		t.Fatalf("anomaly = %+v, want ofo-inflation 300KiB/256KiB", a)
 	}
 }
 
@@ -156,7 +170,7 @@ func stampedSegment(flow packet.FiveTuple, seq uint32, at [packet.NumHops]int64)
 // TestAttributionSpans checks per-span deltas, the dominant-span account,
 // and that a missing interior stamp folds forward into the next span.
 func TestAttributionSpans(t *testing.T) {
-	_, k := forensicsSink(ForensicsOptions{})
+	_, k := forensicsSink()
 	f := k.Forensics
 
 	// Fully stamped: tx 10, fabric 20, coalesce 30, softirq 5, hold 100.
@@ -190,7 +204,7 @@ func TestAttributionSpans(t *testing.T) {
 // TestAttributionPartialStamps checks the degenerate stampings: delivery
 // stamp missing (ignored) and delivery-only (nothing upstream to attribute).
 func TestAttributionPartialStamps(t *testing.T) {
-	_, k := forensicsSink(ForensicsOptions{})
+	_, k := forensicsSink()
 	k.ObserveDelivery(stampedSegment(testFlow, 0, [packet.NumHops]int64{100, 110, 130, 160, 165, 0}))
 	k.ObserveDelivery(stampedSegment(testFlow, 0, [packet.NumHops]int64{0, 0, 0, 0, 0, 265}))
 	if got := k.Forensics.Delivered(); got != 0 {
@@ -198,38 +212,21 @@ func TestAttributionPartialStamps(t *testing.T) {
 	}
 }
 
-// TestSojournSLO checks the per-span latency SLO raises an anomaly naming
-// the offending span.
-func TestSojournSLO(t *testing.T) {
-	var slo [NumSpans]time.Duration
-	slo[SpanHold] = 50 * time.Nanosecond
-	_, k := forensicsSink(ForensicsOptions{SojournSLO: slo})
-	k.ObserveDelivery(stampedSegment(testFlow, 0, [packet.NumHops]int64{100, 110, 130, 160, 165, 265}))
-	f := k.Forensics
-	if f.AnomalyTotal() != 1 {
-		t.Fatalf("anomalies=%d, want 1", f.AnomalyTotal())
-	}
-	a := f.Anomalies()[0]
-	if a.Kind != AnomalySojournSLO || a.Note != "hold" || a.Value != 100 || a.Limit != 50 {
-		t.Fatalf("anomaly = %+v, want sojourn-slo hold 100/50", a)
-	}
-}
-
-// TestSlowestLeaderboard checks the worst-deliveries board is bounded,
-// sorted slowest first, and ties keep the earlier delivery.
+// TestSlowestLeaderboard checks the worst-deliveries board is bounded at
+// eight, sorted slowest first, and ties keep the earlier delivery.
 func TestSlowestLeaderboard(t *testing.T) {
-	_, k := forensicsSink(ForensicsOptions{TopK: 3})
-	for i, hold := range []int64{30, 80, 10, 80, 50, 20} {
+	_, k := forensicsSink()
+	for i, hold := range []int64{30, 80, 10, 80, 50, 20, 60, 5, 70, 40} {
 		k.ObserveDelivery(stampedSegment(testFlow, uint32(i),
 			[packet.NumHops]int64{0, 0, 0, 0, 100, 100 + hold}))
 	}
 	slow := k.Forensics.Slowest()
-	if len(slow) != 3 {
-		t.Fatalf("leaderboard size %d, want 3", len(slow))
+	if len(slow) != 8 {
+		t.Fatalf("leaderboard size %d, want 8", len(slow))
 	}
-	if slow[0].E2ENs != 80 || slow[1].E2ENs != 80 || slow[2].E2ENs != 50 {
-		t.Fatalf("leaderboard e2e %d,%d,%d want 80,80,50",
-			slow[0].E2ENs, slow[1].E2ENs, slow[2].E2ENs)
+	if slow[0].E2ENs != 80 || slow[1].E2ENs != 80 || slow[2].E2ENs != 70 || slow[7].E2ENs != 20 {
+		t.Fatalf("leaderboard e2e %d,%d,%d..%d want 80,80,70..20",
+			slow[0].E2ENs, slow[1].E2ENs, slow[2].E2ENs, slow[7].E2ENs)
 	}
 	if slow[0].Seq != 1 || slow[1].Seq != 3 {
 		t.Fatalf("tie order: seqs %d,%d want 1,3 (earlier delivery first)", slow[0].Seq, slow[1].Seq)
@@ -239,7 +236,7 @@ func TestSlowestLeaderboard(t *testing.T) {
 // TestExplain checks the why-query: seq-covering decisions are matched and
 // marked, flow-scoped context rides along, untracked flows report ok=false.
 func TestExplain(t *testing.T) {
-	s, k := forensicsSink(ForensicsOptions{})
+	s, k := forensicsSink()
 	k.Decide(&Decision{Layer: LayerCore, Op: OpFlush, Cause: "sealed", Flow: testFlow,
 		Seq: 0, EndSeq: 2920, SeqNext: 2920, N: 2})
 	s.RunFor(time.Microsecond)
@@ -338,7 +335,7 @@ func TestForensicsZeroAlloc(t *testing.T) {
 		t.Errorf("packet.Stamp: %v allocs/op, want 0", n)
 	}
 
-	_, k := forensicsSink(ForensicsOptions{})
+	_, k := forensicsSink()
 	k.Decide(&d)           // warm: flow ring, counters, cause map
 	k.ObserveDelivery(seg) // warm: attribution families, leaderboard
 	if n := testing.AllocsPerRun(200, func() { k.Decide(&d) }); n != 0 {

@@ -196,7 +196,7 @@ func TestPromConformance(t *testing.T) {
 // families (decision, anomaly, attribution) against a golden file.
 func TestPromForensicsGolden(t *testing.T) {
 	s := sim.New(1)
-	k := New(s, Options{Forensics: ForensicsOptions{InflationBytes: 4096}})
+	k := New(s, Options{})
 	step := func(d Decision) {
 		k.Decide(&d)
 		s.RunFor(1000)
@@ -206,7 +206,7 @@ func TestPromForensicsGolden(t *testing.T) {
 	step(Decision{Layer: LayerCore, Op: OpPhase, Cause: CausePhaseDrained, Flow: testFlow,
 		Note: "active-merge>post-merge"})
 	step(Decision{Layer: LayerCore, Op: OpFlush, Cause: "ofo_timeout", Flow: testFlow,
-		Seq: 4380, EndSeq: 5840, Hole: true, HoleSeq: 2920, QPkts: 3, QBytes: 4380, N: 1})
+		Seq: 4380, EndSeq: 5840, Hole: true, HoleSeq: 2920, QPkts: 180, QBytes: 256 << 10, N: 1})
 	step(Decision{Layer: LayerCore, Op: OpEvict, Cause: "evict", Flow: testFlow, N: 1})
 	k.ObserveDelivery(stampedSegment(testFlow, 0, [packet.NumHops]int64{100, 110, 130, 160, 165, 265}))
 	k.ObserveDelivery(stampedSegment(testFlow, 1460, [packet.NumHops]int64{200, 215, 240, 280, 290, 1290}))

@@ -169,15 +169,13 @@ type Event struct {
 type Options struct {
 	// EventCap bounds the flight recorder (default 65536 events).
 	EventCap int
-	// PacketCap bounds the packet capture (default 65536 packets).
-	PacketCap int
 	// FabricQueues additionally records a KindEnqueue occupancy event per
 	// fabric enqueue — detailed queue timelines at the price of ring churn.
 	FabricQueues bool
-	// Forensics tunes the flow-forensics subsystem (latency attribution,
-	// decision audit rings, anomaly watchdog); zero takes the defaults.
-	Forensics ForensicsOptions
 }
+
+// packetCap bounds the packet capture.
+const packetCap = 1 << 16
 
 // Sink is one run's telemetry pipeline: metrics + flight recorder +
 // packet capture. A nil *Sink is valid everywhere and records nothing.
@@ -211,18 +209,15 @@ func New(s *sim.Sim, o Options) *Sink {
 	if o.EventCap <= 0 {
 		o.EventCap = 1 << 16
 	}
-	if o.PacketCap <= 0 {
-		o.PacketCap = 1 << 16
-	}
 	k := &Sink{
 		sim:      s,
 		opts:     o,
 		Metrics:  newRegistry(),
 		Recorder: newRecorder(o.EventCap),
-		Capture:  newCapture(o.PacketCap),
+		Capture:  newCapture(packetCap),
 		tracks:   []string{"events"},
 	}
-	k.Forensics = newForensics(k, o.Forensics)
+	k.Forensics = newForensics(k)
 	Attach(s, k)
 	return k
 }

@@ -191,7 +191,7 @@ func TestRecorderRing(t *testing.T) {
 // labeled metrics, and a two-packet capture — the golden-file scenario.
 func fixtureSink() *Sink {
 	s := sim.New(1)
-	k := New(s, Options{EventCap: 16, PacketCap: 8})
+	k := New(s, Options{EventCap: 16})
 	rxq := k.Track("eth0/rxq0")
 	iface := k.Iface("eth0/rx")
 

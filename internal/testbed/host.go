@@ -99,13 +99,12 @@ type HostConfig struct {
 	// Juggler tunes the Juggler instances (used when Offload is
 	// OffloadJuggler).
 	Juggler core.Config
-	// Adapt, when non-nil, enables the online reordering detector and
-	// self-tuning controller (internal/adapt) over the host's Juggler
-	// instances: every received packet feeds the sketch, and the
-	// controller drives the timeouts from its live estimates. Ignored for
-	// non-Juggler offloads. BatchTime, when zero, is derived from
-	// LinkRate (the §5.2.1 64 KB-batch rule).
-	Adapt *adapt.Config
+	// Adapt enables the online reordering detector and self-tuning
+	// controller (internal/adapt) over the host's Juggler instances:
+	// every received packet feeds the sketch, and the controller drives
+	// the timeouts from its live estimates. Ignored for non-Juggler
+	// offloads.
+	Adapt bool
 	// Costs is the CPU cost table (DefaultCosts when zero).
 	Costs cpumodel.Costs
 	// AppBacklogLimit bounds the app core's queued work; segments beyond
@@ -241,12 +240,8 @@ func NewHost(s *sim.Sim, name string, cfg HostConfig) *Host {
 	if h.cfg.RX.Name == "" {
 		h.cfg.RX.Name = name
 	}
-	if cfg.Adapt != nil && cfg.Offload == OffloadJuggler {
-		ac := *cfg.Adapt
-		if ac.BatchTime <= 0 {
-			ac.BatchTime = units.TxTimeNoOverhead(int64(units.TSOMaxBytes), cfg.LinkRate)
-		}
-		h.Adapt = adapt.NewController(s, ac)
+	if cfg.Adapt && cfg.Offload == OffloadJuggler {
+		h.Adapt = adapt.NewController(s)
 	}
 	h.RX = nic.NewRX(s, h.cfg.RX, h.CPU, func(int) gro.Offload {
 		off := newOffload(s, h.cfg.Offload, h.cfg.Juggler, h.segPool, h.onSegment, h.tel)
@@ -362,9 +357,6 @@ func Connect(h, dst *Host, cfg tcp.SenderConfig) (*tcp.Sender, *tcp.Receiver) {
 		SrcIP: h.IP, DstIP: dst.IP,
 		SrcPort: h.nextPort, DstPort: 5001,
 		Proto: packet.ProtoTCP,
-	}
-	if cfg.OptSig == 0 {
-		cfg.OptSig = uint32(flow.SrcPort)
 	}
 	snd := tcp.NewSender(h.sim, cfg, flow, h.TX)
 	rcv := tcp.NewReceiver(dst.sim, flow, dst.sendACK)

@@ -23,17 +23,17 @@ import (
 // ShardedHostConfig configures a sharded receive datapath.
 type ShardedHostConfig struct {
 	// RX sizes the datapath: logical queue count (output-affecting),
-	// lane count (never output-affecting), poll cadence, RSS salt.
+	// lane count (never output-affecting) and poll cadence.
 	RX nic.ShardedRXConfig
 	// Offload selects the per-queue offload implementation.
 	Offload OffloadKind
 	// Juggler tunes each queue's Juggler instance (OffloadJuggler);
 	// MaxFlows is per queue.
 	Juggler core.Config
-	// Adapt, when non-nil, attaches one detector+controller per RX queue
+	// Adapt attaches one detector+controller per RX queue
 	// on the queue's own lane — the per-RX-queue adaptive configuration:
 	// every queue measures its own traffic and tunes its own instance.
-	Adapt *adapt.Config
+	Adapt bool
 
 	// DeliverTap, when non-nil, observes every delivered segment on the
 	// owning queue's lane goroutine, before the segment is recycled.
@@ -101,8 +101,8 @@ func NewShardedHost(seed int64, cfg ShardedHostConfig) *ShardedHost {
 		off := newOffload(ls, cfg.Offload, cfg.Juggler, pool, deliver, nil)
 		if j, ok := off.(*core.Juggler); ok {
 			h.Jugglers = append(h.Jugglers, j)
-			if cfg.Adapt != nil {
-				ctl := adapt.NewController(ls, *cfg.Adapt)
+			if cfg.Adapt {
+				ctl := adapt.NewController(ls)
 				h.Controllers = append(h.Controllers, ctl)
 				return ctl.Wrap(j)
 			}

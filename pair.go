@@ -4,7 +4,6 @@ import (
 	"io"
 	"time"
 
-	"juggler/internal/adapt"
 	"juggler/internal/packet"
 	"juggler/internal/sim"
 	"juggler/internal/stats"
@@ -74,10 +73,7 @@ func NewReorderPair(cfg ReorderPairConfig) *ReorderPair {
 	}
 	rcvCfg := testbed.DefaultHostConfig(cfg.Receiver.kind())
 	rcvCfg.Juggler = cfg.Tuning.coreConfig()
-	if cfg.Tuning.Adapt {
-		ac := adapt.DefaultConfig()
-		rcvCfg.Adapt = &ac
-	}
+	rcvCfg.Adapt = cfg.Tuning.Adapt
 	tb := testbed.NewNetFPGAPair(s, units.BitRate(cfg.Rate), cfg.ReorderDelay,
 		cfg.DropProb, testbed.DefaultHostConfig(testbed.OffloadVanilla), rcvCfg)
 	tb.Receiver.CPU.ResetWindows()
