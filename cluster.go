@@ -127,28 +127,9 @@ func (c *Cluster) AddHost(tor int) *Node {
 	hostCfg.Juggler = c.cfg.Tuning.coreConfig()
 	h := c.tb.AddHost(tor, hostCfg)
 	if c.fleet != nil {
-		attachFleetProbe(c.fleet, c.s, h, tor)
+		h.AttachFleetProbe(c.fleet, tor)
 	}
 	return &Node{host: h, c: c}
-}
-
-// attachFleetProbe registers a serial host with the fleet aggregator:
-// the delivery tap feeds the sojourn sketch and flow tracker, and the
-// cadence ticker samples the stack's gauges and counters.
-func attachFleetProbe(agg *fleet.Aggregator, s *sim.Sim, h *testbed.Host, tor int) {
-	lane := agg.AddHost(h.Name, tor, 1).Lane(0)
-	h.DeliverTap = lane.ObserveDelivery
-	lane.SetSample(func(cn *fleet.Counters) {
-		cn.BufferedBytes = int64(h.JugglerBufferedBytes())
-		cn.SegPoolLive = h.SegPoolLive()
-		cn.TableFlows = int64(h.JugglerTableLen())
-		cn.Retunes = h.AdaptRetunes()
-		st := h.JugglerStats()
-		cn.Retransmissions = st.Retransmissions
-		cn.OfoHolds = st.FlushOfoTimeout
-		cn.Drops = h.DroppedSegs
-	})
-	lane.Start(s)
 }
 
 // FlowOptions tune one connection.
@@ -248,20 +229,7 @@ func (c *Cluster) WriteFleetReport(w io.Writer) error {
 }
 
 // Stats summarizes a node's receive path.
-func (n *Node) Stats() HostStats {
-	h := n.host
-	st := HostStats{
-		RXCoreUtil:      h.CPU.RX.Utilization(),
-		AppCoreUtil:     h.CPU.App.Utilization(),
-		ActiveFlows:     h.JugglerActiveLen(),
-		DroppedSegments: h.DroppedSegs,
-	}
-	c := h.OffloadCounters()
-	if c.Segments > 0 {
-		st.BatchingMTUs = float64(c.Packets) / float64(c.Segments)
-	}
-	return st
-}
+func (n *Node) Stats() HostStats { return hostStats(n.host) }
 
 // ResetCPUWindow restarts the node's CPU utilization measurement.
 func (n *Node) ResetCPUWindow() { n.host.CPU.ResetWindows() }

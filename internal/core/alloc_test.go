@@ -71,7 +71,7 @@ func TestZeroAllocFlowChurn(t *testing.T) {
 //     must recycle its state or every NAPI poll would allocate;
 //   - forensics_sampled: a live telemetry.Sink at 1-in-8 stamp sampling,
 //     the pay-as-you-go recording path (sampled stamping, gated decisions,
-//     batch-pinned event stamps).
+//     recorder events).
 func TestZeroAllocHoleChurn(t *testing.T) {
 	for _, tc := range []struct {
 		name    string

@@ -110,12 +110,7 @@ func runAdaptive(o Options, adaptive bool) *adaptiveReport {
 	jcfg := core.DefaultConfig()
 	jcfg.InseqTimeout = adaptStaticInseq
 	jcfg.OfoTimeout = adaptStaticOfo
-	if o.Inseq > 0 {
-		jcfg.InseqTimeout = o.Inseq
-	}
-	if o.Ofo > 0 {
-		jcfg.OfoTimeout = o.Ofo
-	}
+	o.tune(&jcfg)
 	rcvCfg.Juggler = jcfg
 	rcvCfg.Adapt = adaptive
 

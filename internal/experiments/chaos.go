@@ -280,12 +280,7 @@ func runChaos(spec chaosScenario, kind testbed.OffloadKind, o Options, intensity
 	jcfg := core.DefaultConfig()
 	jcfg.InseqTimeout = 52 * time.Microsecond // max-batch time at 10G
 	jcfg.OfoTimeout = spec.maxExtra + 300*time.Microsecond
-	if o.Inseq > 0 {
-		jcfg.InseqTimeout = o.Inseq
-	}
-	if o.Ofo > 0 {
-		jcfg.OfoTimeout = o.Ofo
-	}
+	o.tune(&jcfg)
 	rcvCfg.Juggler = jcfg
 	rcvCfg.Adapt = o.Adapt
 

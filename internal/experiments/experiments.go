@@ -17,6 +17,7 @@ import (
 	"strings"
 	"time"
 
+	"juggler/internal/core"
 	"juggler/internal/packet"
 	"juggler/internal/sim"
 	"juggler/internal/telemetry"
@@ -103,6 +104,16 @@ func (o Options) installSim(s *sim.Sim) {
 	packet.AttachStampSampler(s, o.StampSample)
 	if o.AttachTelemetry != nil {
 		o.AttachTelemetry(s)
+	}
+}
+
+// tune applies the -inseq/-ofo overrides to a receiver's Juggler config.
+func (o Options) tune(c *core.Config) {
+	if o.Inseq > 0 {
+		c.InseqTimeout = o.Inseq
+	}
+	if o.Ofo > 0 {
+		c.OfoTimeout = o.Ofo
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"juggler/internal/core"
 	"juggler/internal/fabric"
 	"juggler/internal/lb"
-	"juggler/internal/sim"
 	"juggler/internal/sweep"
 	"juggler/internal/tcp"
 	"juggler/internal/telemetry/fleet"
@@ -72,12 +71,7 @@ func CollectFleetReport(o Options, impaired bool) *fleet.Report {
 	})
 
 	jcfg := core.DefaultConfig()
-	if o.Inseq > 0 {
-		jcfg.InseqTimeout = o.Inseq
-	}
-	if o.Ofo > 0 {
-		jcfg.OfoTimeout = o.Ofo
-	}
+	o.tune(&jcfg)
 	hostCfg := testbed.DefaultHostConfig(testbed.OffloadJuggler)
 	hostCfg.Juggler = jcfg
 	hostCfg.Adapt = o.Adapt
@@ -91,7 +85,7 @@ func CollectFleetReport(o Options, impaired bool) *fleet.Report {
 	senders := make([]*testbed.Host, pairs)
 	for i := range senders {
 		senders[i] = tb.AddHost(0, hostCfg)
-		attachHostProbe(agg, s, senders[i], 0)
+		senders[i].AttachFleetProbe(agg, 0)
 	}
 	receivers := make([]*testbed.Host, pairs)
 	for i := range receivers {
@@ -103,7 +97,7 @@ func CollectFleetReport(o Options, impaired bool) *fleet.Report {
 			}
 		}
 		receivers[i] = tb.AddHostVia(1, hostCfg, wrap)
-		attachHostProbe(agg, s, receivers[i], 1)
+		receivers[i].AttachFleetProbe(agg, 1)
 	}
 
 	// Traffic: one endless bulk flow per pair for delivery volume, plus
@@ -131,26 +125,6 @@ func CollectFleetReport(o Options, impaired bool) *fleet.Report {
 	gen.Stop()
 	agg.StopAll()
 	return agg.Report(time.Duration(s.Now()))
-}
-
-// attachHostProbe registers one serial host with the fleet aggregator:
-// the delivery tap feeds the sojourn sketch and flow tracker, and the
-// cadence ticker samples the stack's gauges and counters. This is the
-// testbed-level twin of the root package's cluster wiring.
-func attachHostProbe(agg *fleet.Aggregator, s *sim.Sim, h *testbed.Host, tor int) {
-	lane := agg.AddHost(h.Name, tor, 1).Lane(0)
-	h.DeliverTap = lane.ObserveDelivery
-	lane.SetSample(func(cn *fleet.Counters) {
-		cn.BufferedBytes = int64(h.JugglerBufferedBytes())
-		cn.SegPoolLive = h.SegPoolLive()
-		cn.TableFlows = int64(h.JugglerTableLen())
-		cn.Retunes = h.AdaptRetunes()
-		st := h.JugglerStats()
-		cn.Retransmissions = st.Retransmissions
-		cn.OfoHolds = st.FlushOfoTimeout
-		cn.Drops = h.DroppedSegs
-	})
-	lane.Start(s)
 }
 
 func init() {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math/rand"
 	"time"
 
 	"juggler/internal/core"
@@ -38,6 +39,52 @@ type flowScaleResult struct {
 	Counters        gro.Counters
 }
 
+// flowScaleTuple is flow f's five-tuple in the flow-scale workload.
+func flowScaleTuple(f int) packet.FiveTuple {
+	return packet.FiveTuple{
+		SrcIP: uint32(f/65000) + 1, DstIP: 9,
+		SrcPort: uint16(f % 65000), DstPort: 5001, Proto: packet.ProtoTCP,
+	}
+}
+
+// flowScaleFates is the flow-scale workload's per-flow fate schedule,
+// shared by flowscale and shardedrx.
+type flowScaleFates struct {
+	rounds  int
+	lateDue []int // round+1 a deferred packet arrives (0: none)
+	lateSeq []uint32
+}
+
+func newFlowScaleFates(flows, rounds int) *flowScaleFates {
+	return &flowScaleFates{rounds: rounds,
+		lateDue: make([]int, flows), lateSeq: make([]uint32, flows)}
+}
+
+// round draws round r's fates from rng, flow by flow, and calls send for
+// every packet that arrives in the round: first a packet deferred to it,
+// then the round's own packet unless that is dropped (~2%: a permanent
+// hole, cleared only by ofo expiry) or deferred two rounds (~25%: a hole
+// filled before ofo_timeout). The last two rounds drop and defer nothing;
+// last marks the final round's packets.
+func (fs *flowScaleFates) round(rng *rand.Rand, r int, send func(f int, seq uint32, last bool)) {
+	for f := range fs.lateDue {
+		if fs.lateDue[f] == r+1 {
+			fs.lateDue[f] = 0
+			send(f, fs.lateSeq[f], false)
+		}
+		d := rng.Intn(100)
+		switch {
+		case d < 2 && r < fs.rounds-2:
+			// Dropped.
+		case d < 27 && r < fs.rounds-2:
+			fs.lateDue[f] = r + 2 + 1
+			fs.lateSeq[f] = uint32(r)
+		default:
+			send(f, uint32(r), r == fs.rounds-1)
+		}
+	}
+}
+
 // runFlowScalePoint drives the flow-scale workload at one concurrency
 // point.
 func runFlowScalePoint(o Options, flows, rounds int) flowScaleResult {
@@ -71,16 +118,9 @@ func runFlowScalePoint(o Options, flows, rounds int) flowScaleResult {
 
 	rng := s.Rand()
 	sent := 0
-	lateDue := make([]int, flows) // round a deferred packet arrives (0: none)
-	lateSeq := make([]uint32, flows)
-	flowOf := func(f int) packet.FiveTuple {
-		return packet.FiveTuple{
-			SrcIP: uint32(f/65000) + 1, DstIP: 9,
-			SrcPort: uint16(f % 65000), DstPort: 5001, Proto: packet.ProtoTCP,
-		}
-	}
+	fates := newFlowScaleFates(flows, rounds)
 	send := func(f int, seq uint32, last bool) {
-		ft := flowOf(f)
+		ft := flowScaleTuple(f)
 		p := packet.Packet{
 			Flow: ft, FlowHash: ft.Hash(0),
 			Seq: 1 + seq*units.MSS, PayloadLen: units.MSS,
@@ -94,24 +134,7 @@ func runFlowScalePoint(o Options, flows, rounds int) flowScaleResult {
 	}
 	for r := 0; r < rounds; r++ {
 		r := r
-		s.Schedule(time.Duration(r)*interval, func() {
-			for f := 0; f < flows; f++ {
-				if lateDue[f] == r+1 { // encoded as round+1 so 0 means none
-					lateDue[f] = 0
-					send(f, lateSeq[f], false)
-				}
-				d := rng.Intn(100)
-				switch {
-				case d < 2 && r < rounds-2:
-					// Dropped: the flow's hole only clears via ofo expiry.
-				case d < 27 && r < rounds-2:
-					lateDue[f] = r + 2 + 1
-					lateSeq[f] = uint32(r)
-				default:
-					send(f, uint32(r), r == rounds-1)
-				}
-			}
-		})
+		s.Schedule(time.Duration(r)*interval, func() { fates.round(rng, r, send) })
 	}
 	s.RunFor(time.Duration(rounds)*interval + time.Millisecond)
 	poll.Stop()

@@ -81,26 +81,15 @@ func runShardedRX(o Options, p shardedRXParams) shardedRXResult {
 			MaxFlows: 2*p.flows/queues + 64,
 		},
 	}
-	if o.Inseq > 0 {
-		cfg.Juggler.InseqTimeout = o.Inseq
-	}
-	if o.Ofo > 0 {
-		cfg.Juggler.OfoTimeout = o.Ofo
-	}
+	o.tune(&cfg.Juggler)
 	cfg.Adapt = o.Adapt
 	h := testbed.NewShardedHost(o.Seed, cfg)
 
 	var res shardedRXResult
-	flowOf := func(f int) packet.FiveTuple {
-		return packet.FiveTuple{
-			SrcIP: uint32(f/65000) + 1, DstIP: 9,
-			SrcPort: uint16(f % 65000), DstPort: 5001, Proto: packet.ProtoTCP,
-		}
-	}
-	send := func(f int, seq uint32, at sim.Time, last bool) {
-		ft := flowOf(f)
+	var at sim.Time // the current round's arrival instant
+	send := func(f int, seq uint32, last bool) {
 		pkt := packet.Packet{
-			Flow: ft,
+			Flow: flowScaleTuple(f),
 			Seq:  1 + seq*units.MSS, PayloadLen: units.MSS,
 			Flags: packet.FlagACK,
 		}
@@ -111,11 +100,7 @@ func runShardedRX(o Options, p shardedRXParams) shardedRXResult {
 		h.RX.Inject(at, &pkt)
 	}
 
-	// The same per-flow fate schedule as flowscale: ~2% dropped
-	// (permanent holes -> ofo expiry), ~25% deferred two rounds (a
-	// filled 2-interval hole), the rest sent in order.
-	lateDue := make([]int, p.flows)
-	lateSeq := make([]uint32, p.flows)
+	fates := newFlowScaleFates(p.flows, p.rounds)
 	const rehashSalt = 0x9e3779b9
 	for r := 0; r < p.rounds; r++ {
 		if r == p.rounds/2 {
@@ -123,7 +108,7 @@ func runShardedRX(o Options, p shardedRXParams) shardedRXResult {
 			// queue assignment changes (the handoff population), then
 			// apply it — at an epoch boundary by construction.
 			for f := 0; f < p.flows; f++ {
-				pkt := packet.Packet{Flow: flowOf(f)}
+				pkt := packet.Packet{Flow: flowScaleTuple(f)}
 				pkt.FlowHash = pkt.Flow.Hash(0)
 				before := h.RX.QueueFor(&pkt)
 				h.RX.Rehash(rehashSalt)
@@ -135,23 +120,8 @@ func runShardedRX(o Options, p shardedRXParams) shardedRXResult {
 			}
 			h.RX.Rehash(rehashSalt)
 		}
-		at := sim.Time(0).Add(time.Duration(r) * interval)
-		for f := 0; f < p.flows; f++ {
-			if lateDue[f] == r+1 { // encoded as round+1 so 0 means none
-				lateDue[f] = 0
-				send(f, lateSeq[f], at, false)
-			}
-			d := rng.Intn(100)
-			switch {
-			case d < 2 && r < p.rounds-2:
-				// Dropped: the hole only clears via ofo expiry.
-			case d < 27 && r < p.rounds-2:
-				lateDue[f] = r + 2 + 1
-				lateSeq[f] = uint32(r)
-			default:
-				send(f, uint32(r), at, r == p.rounds-1)
-			}
-		}
+		at = sim.Time(0).Add(time.Duration(r) * interval)
+		fates.round(rng, r, send)
 		h.RX.RunEpoch(at.Add(interval))
 	}
 

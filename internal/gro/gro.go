@@ -216,8 +216,6 @@ func (g *Vanilla) flushFlow(ft packet.FiveTuple, note string, n *int64) {
 	if g.tel != nil {
 		g.tel.Event(telemetry.Event{Layer: telemetry.LayerGRO, Kind: telemetry.KindFlush,
 			Flow: ft, Seq: seg.Seq, N: int64(seg.Pkts), Note: note})
-	}
-	if g.tel != nil {
 		g.tel.Decide(&telemetry.Decision{Layer: telemetry.LayerGRO, Op: telemetry.OpFlush,
 			Cause: note, Flow: ft, Seq: seg.Seq, EndSeq: seg.EndSeq(), N: int64(seg.Pkts)})
 	}

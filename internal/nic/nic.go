@@ -396,12 +396,7 @@ func (q *rxQueue) poll() {
 		packet.StampPkt(p, packet.HopGROBuffer, now)
 	}
 	before := q.offload.Counters()
-	// Pin the event timestamp for the batch window: everything the batch
-	// triggers fires at this instant, so the sink reads the clock once
-	// instead of once per recorded event.
-	q.rx.tel.BeginBatch()
 	q.offload.ReceiveBatch(batch)
-	q.rx.tel.EndBatch()
 	// The offload layer copies what it keeps into Segments and never
 	// retains the *Packet (nor the batch slice), so the wire objects can
 	// be recycled here — the single Put matching the Get in SendTSO / the

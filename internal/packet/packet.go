@@ -156,10 +156,6 @@ type Packet struct {
 	// use it.
 	TSOID uint64
 
-	// PathTag is a sender-chosen path hint consumed by per-TSO load
-	// balancers (Presto-style flowcells pin a TSO burst to one path).
-	PathTag uint32
-
 	// CE is the ECN Congestion Experienced mark.
 	CE bool
 

@@ -107,9 +107,6 @@ type Shard struct {
 	// sendSeq numbers this shard's posts (the Mail.Seq tie-break).
 	sendSeq uint64
 
-	// emitted is the lane's ordered record stream for DrainEmitted.
-	emitted []any
-
 	_ [64]byte // pad: see type comment
 }
 
@@ -139,13 +136,9 @@ func (sh *Shard) Post(to int, at Time, data any) {
 	sh.staged[to] = append(sh.staged[to], Mail{At: at, From: sh.id, Seq: sh.sendSeq, Data: data})
 }
 
-// Emit appends one record to the lane's ordered output stream; see
-// ShardGroup.DrainEmitted for the deterministic merge.
-func (sh *Shard) Emit(v any) { sh.emitted = append(sh.emitted, v) }
-
 // ShardGroup coordinates N shard lanes. All methods are
-// coordinator-side (single goroutine) unless noted; Shard.Post/Emit are
-// the lane-side surface.
+// coordinator-side (single goroutine) unless noted; Shard.Post and
+// Shard.Inbox are the lane-side surface.
 type ShardGroup struct {
 	shards []*Shard
 
@@ -153,7 +146,6 @@ type ShardGroup struct {
 	// epoch's end); until is the running epoch's end.
 	horizon Time
 	until   Time
-	epoch   uint64
 
 	// coordStaged / coordSeq are the coordinator's outbox.
 	coordStaged [][]Mail
@@ -196,9 +188,6 @@ func (g *ShardGroup) Shard(i int) *Shard { return g.shards[i] }
 
 // Horizon returns the virtual time every lane has reached.
 func (g *ShardGroup) Horizon() Time { return g.horizon }
-
-// Epoch returns the number of completed epochs.
-func (g *ShardGroup) Epoch() uint64 { return g.epoch }
 
 // Post sends coordinator mail to shard `to`, delivered at the start of
 // the next epoch. at must be >= the current horizon.
@@ -285,22 +274,6 @@ func (g *ShardGroup) RunEpoch(until Time, body func(*Shard)) {
 		}
 	}
 	g.horizon = until
-	g.epoch++
-}
-
-// DrainEmitted hands every lane's emitted records to fn in the
-// deterministic total order — lanes in id order, each lane's records in
-// emit order — and clears them. Called once per epoch boundary this
-// yields the (epoch, shard, seq) order; called once at the end it yields
-// the same records grouped by shard.
-func (g *ShardGroup) DrainEmitted(fn func(shard int, v any)) {
-	for _, sh := range g.shards {
-		for i, v := range sh.emitted {
-			fn(sh.id, v)
-			sh.emitted[i] = nil
-		}
-		sh.emitted = sh.emitted[:0]
-	}
 }
 
 // ensureWorkers starts the lane goroutines on first use.

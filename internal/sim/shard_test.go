@@ -27,36 +27,34 @@ func TestShardGroupDeterministicMerge(t *testing.T) {
 		// must still sort first (From = CoordinatorID).
 		g.Post(0, Time(0).Add(ep), "coord")
 
-		// Epoch 2: lane 0 drains its inbox into the emitted stream.
-		g.RunEpoch(Time(0).Add(2*ep), func(sh *Shard) {
+		// Epoch 2: each lane collects its inbox into its own slot.
+		inboxes := make([][]string, n)
+		collect := func(sh *Shard) {
 			for _, m := range sh.Inbox() {
-				sh.Emit(m.Data)
+				inboxes[sh.ID()] = append(inboxes[sh.ID()], m.Data.(string))
 			}
-		})
-		var got []string
-		g.DrainEmitted(func(shard int, v any) {
-			if shard != 0 {
-				t.Fatalf("emit from lane %d, want 0", shard)
+		}
+		g.RunEpoch(Time(0).Add(2*ep), collect)
+		for i := 1; i < n; i++ {
+			if len(inboxes[i]) != 0 {
+				t.Fatalf("n=%d: lane %d received %v, want nothing", n, i, inboxes[i])
 			}
-			got = append(got, v.(string))
-		})
+		}
+		got := inboxes[0]
 		want := []string{"coord"}
 		for i := 0; i < n; i++ {
 			want = append(want, fmt.Sprintf("s%d-a", i), fmt.Sprintf("s%d-b", i))
 		}
 		// The far-future posts surface only once their epoch starts.
-		g.RunEpoch(Time(0).Add(3*ep), func(sh *Shard) {
-			for _, m := range sh.Inbox() {
-				sh.Emit(m.Data)
-			}
-		})
+		inboxes = make([][]string, n)
+		g.RunEpoch(Time(0).Add(3*ep), collect)
 		late := 0
-		g.DrainEmitted(func(shard int, v any) {
-			if v.(string) != "late" {
+		for _, v := range inboxes[0] {
+			if v != "late" {
 				t.Fatalf("unexpected late-epoch mail %v", v)
 			}
 			late++
-		})
+		}
 		if late != n {
 			t.Fatalf("n=%d: %d held-back messages arrived, want %d", n, late, n)
 		}
@@ -107,8 +105,8 @@ func TestShardGroupClocksAdvanceTogether(t *testing.T) {
 			t.Fatalf("lane %d clock %v, want 1ms", i, now)
 		}
 	}
-	if g.Epoch() != 1 || g.Horizon() != Time(1_000_000) {
-		t.Fatalf("epoch=%d horizon=%v", g.Epoch(), g.Horizon())
+	if g.Horizon() != Time(1_000_000) {
+		t.Fatalf("horizon=%v", g.Horizon())
 	}
 }
 

@@ -1,8 +1,6 @@
 package tcp
 
 import (
-	"time"
-
 	"juggler/internal/packet"
 	"juggler/internal/sim"
 	"juggler/internal/telemetry"
@@ -11,11 +9,10 @@ import (
 // ReceiverStats are cumulative receive-side counters; they supply the
 // §5.1.1 statistics (segments seen, fraction out of order, ACKs sent).
 type ReceiverStats struct {
-	SegmentsIn     int64
-	OOOSegments    int64
-	DupSegments    int64
-	AcksSent       int64
-	BytesDelivered int64 // cumulative in-order payload handed to the app
+	SegmentsIn  int64
+	OOOSegments int64
+	DupSegments int64
+	AcksSent    int64
 }
 
 // Receiver is one TCP flow's receive side. It consumes (possibly merged)
@@ -37,15 +34,6 @@ type Receiver struct {
 	// OnDeliver, when non-nil, observes every in-order delivery with the
 	// cumulative byte count (RPC completion tracking hooks in here).
 	OnDeliver func(cumBytes int64)
-
-	// Delayed-ACK state (EnableDelayedAcks): in-order segments coalesce
-	// acknowledgments Linux-style — every ackEvery segments or at the
-	// delack timeout, whichever first; anything out of order or pushed
-	// still acks immediately.
-	ackEvery      int
-	delack        *sim.Timer
-	delackTimeout time.Duration
-	pendingAck    int
 
 	Stats ReceiverStats
 
@@ -69,26 +57,6 @@ func NewReceiver(s *sim.Sim, flow packet.FiveTuple, sendAck func(p *packet.Packe
 
 // Flow returns the data-direction tuple this receiver consumes.
 func (r *Receiver) Flow() packet.FiveTuple { return r.flow }
-
-// EnableDelayedAcks turns on Linux-style ACK coalescing: in-order segments
-// are acknowledged every n segments or after timeout, whichever comes
-// first. Out-of-order, duplicate, pushed, or CE-marked segments are still
-// acknowledged immediately (quick-ack), so loss signals and ECN feedback
-// keep their latency. The paper's experiments ACK per segment (n = 1
-// behaviour) — this option exists for ACK-load ablations.
-func (r *Receiver) EnableDelayedAcks(n int, timeout time.Duration) {
-	if n < 2 || timeout <= 0 {
-		panic("tcp: delayed acks need n >= 2 and a positive timeout")
-	}
-	r.ackEvery = n
-	r.delack = sim.NewTimer(r.sim, func() {
-		if r.pendingAck > 0 {
-			r.pendingAck = 0
-			r.ack(false)
-		}
-	})
-	r.delackTimeout = timeout
-}
 
 // Delivered returns the cumulative in-order bytes handed to the app.
 func (r *Receiver) Delivered() int64 { return int64(r.rcvNxt - r.irs) }
@@ -122,28 +90,8 @@ func (r *Receiver) OnSegment(seg *packet.Segment) {
 	if progressed && r.OnDeliver != nil {
 		r.OnDeliver(r.Delivered())
 	}
-	// One ACK per segment by default: in-order progress acks the new
-	// rcvNxt; anything else is a duplicate ACK that the sender counts.
-	// With delayed ACKs, clean in-order progress may coalesce.
-	if r.ackEvery > 1 {
-		quick := !progressed || ooo || dup || seg.CE ||
-			seg.Flags.Has(packet.FlagPSH) || seg.Flags.Has(packet.FlagFIN)
-		if quick {
-			r.pendingAck = 0
-			r.delack.Stop()
-			r.ack(seg.CE)
-			return
-		}
-		r.pendingAck++
-		if r.pendingAck >= r.ackEvery {
-			r.pendingAck = 0
-			r.delack.Stop()
-			r.ack(false)
-			return
-		}
-		r.delack.ArmIfIdle(r.delackTimeout)
-		return
-	}
+	// One ACK per segment: in-order progress acks the new rcvNxt;
+	// anything else is a duplicate ACK that the sender counts.
 	r.ack(seg.CE)
 }
 

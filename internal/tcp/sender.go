@@ -45,9 +45,6 @@ type SenderConfig struct {
 	// after ~2 SRTT without progress, the last unacked segment is
 	// retransmitted once so short transfers do not wait out a full RTO).
 	DisableTLP bool
-	// DisableEarlyRetransmit turns off RFC 5827 behaviour (lowering the
-	// dupACK threshold when fewer than four segments are outstanding).
-	DisableEarlyRetransmit bool
 	// FixedWindow pins the congestion window at MaxCwnd: loss recovery
 	// still retransmits, but there is no multiplicative decrease.
 	// Experiments use it to isolate recovery latency from congestion
@@ -121,7 +118,6 @@ type Sender struct {
 	tlp      *sim.Timer
 	tlpSpent bool
 
-	ecnSeen      bool
 	ecnCwndSeq   uint32 // window boundary for the DCTCP alpha update
 	dctcpAlpha   float64
 	windowAcked  int64
@@ -383,13 +379,12 @@ func (s *Sender) OnAck(seg *packet.Segment) {
 		s.Stats.DupAcks++
 		s.dupacks++
 		thresh := dupAckThresh
-		if !s.cfg.DisableEarlyRetransmit {
-			// RFC 5827: with fewer than four segments outstanding, waiting
-			// for three dupACKs would wait forever — lower the threshold.
-			if oseg := (int(s.sndNxt-s.sndUna) + units.MSS - 1) / units.MSS; oseg < 4 {
-				if t := oseg - 1; t >= 1 && t < thresh {
-					thresh = t
-				}
+		// RFC 5827 early retransmit: with fewer than four segments
+		// outstanding, waiting for three dupACKs would wait forever —
+		// lower the threshold.
+		if oseg := (int(s.sndNxt-s.sndUna) + units.MSS - 1) / units.MSS; oseg < 4 {
+			if t := oseg - 1; t >= 1 && t < thresh {
+				thresh = t
 			}
 		}
 		// FACK-style trigger: segment merging at the receiver's offload

@@ -143,7 +143,7 @@ func TestTLPRecoversTailLoss(t *testing.T) {
 
 func TestRTORecoversTailLossWithoutTLP(t *testing.T) {
 	s := sim.New(1)
-	snd, rcv, p := newLoop(s, SenderConfig{DisableTLP: true, DisableEarlyRetransmit: true}, 50*time.Microsecond)
+	snd, rcv, p := newLoop(s, SenderConfig{DisableTLP: true}, 50*time.Microsecond)
 	const total = 10 * units.MSS
 	p.drop[9] = true
 	snd.Write(total, true)
@@ -424,59 +424,4 @@ func TestThroughputRecoversAfterLossBurst(t *testing.T) {
 	if !snd.Done() {
 		t.Fatal("sender should complete after recovery")
 	}
-}
-
-func TestDelayedAcksHalveAckLoad(t *testing.T) {
-	s := sim.New(1)
-	snd, rcv, _ := newLoop(s, SenderConfig{}, 20*time.Microsecond)
-	rcv.EnableDelayedAcks(2, time.Millisecond)
-	const total = 20 * units.MSS
-	snd.Write(total, true)
-	s.RunFor(100 * time.Millisecond)
-	if rcv.Delivered() != total {
-		t.Fatalf("delivered %d", rcv.Delivered())
-	}
-	// The final PSH segment quick-acks; the rest coalesce 2:1.
-	if rcv.Stats.AcksSent >= rcv.Stats.SegmentsIn*3/4 {
-		t.Fatalf("acks=%d segments=%d — coalescing ineffective",
-			rcv.Stats.AcksSent, rcv.Stats.SegmentsIn)
-	}
-}
-
-func TestDelayedAcksQuickAckOnOOO(t *testing.T) {
-	s := sim.New(1)
-	var acks []*packet.Packet
-	rcv := NewReceiver(s, flow, func(p *packet.Packet) { acks = append(acks, p) })
-	rcv.EnableDelayedAcks(2, time.Millisecond)
-	// OOO segment must produce an immediate duplicate ACK.
-	rcv.OnSegment(&packet.Segment{Flow: flow, Seq: 1 + uint32(units.MSS), Bytes: units.MSS, Pkts: 1})
-	if len(acks) != 1 || acks[0].AckSeq != 1 {
-		t.Fatalf("OOO should quick-ack: %v", acks)
-	}
-}
-
-func TestDelayedAcksTimerFlushes(t *testing.T) {
-	s := sim.New(1)
-	var acks int
-	rcv := NewReceiver(s, flow, func(*packet.Packet) { acks++ })
-	rcv.EnableDelayedAcks(4, 500*time.Microsecond)
-	// One clean in-order segment: no immediate ack, timer fires later.
-	rcv.OnSegment(&packet.Segment{Flow: flow, Seq: 1, Bytes: units.MSS, Pkts: 1})
-	if acks != 0 {
-		t.Fatal("first in-order segment should be held")
-	}
-	s.RunFor(time.Millisecond)
-	if acks != 1 {
-		t.Fatalf("delack timer should flush exactly one ack, got %d", acks)
-	}
-}
-
-func TestDelayedAcksValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	s := sim.New(1)
-	NewReceiver(s, flow, func(*packet.Packet) {}).EnableDelayedAcks(1, time.Millisecond)
 }

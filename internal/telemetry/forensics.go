@@ -143,10 +143,9 @@ type FlowForensics struct {
 	Flow  packet.FiveTuple
 	Index int // registration order, stable across same-seed runs
 
-	ring []Decision
-	next int
+	ring ring[Decision]
 	// Total counts all decisions ever recorded (the ring keeps the last
-	// len(ring) of them); ByOp splits the total per op.
+	// ringCap of them); ByOp splits the total per op.
 	Total int64
 	ByOp  [NumOps]int64
 
@@ -167,13 +166,7 @@ func (fe *FlowForensics) Decisions() []Decision {
 	if fe == nil || fe.Total == 0 {
 		return nil
 	}
-	out := make([]Decision, 0, len(fe.ring))
-	n := len(fe.ring)
-	if fe.Total < int64(n) {
-		return append(out, fe.ring[:fe.Total]...)
-	}
-	out = append(out, fe.ring[fe.next:]...)
-	return append(out, fe.ring[:fe.next]...)
+	return fe.ring.items()
 }
 
 // Forensics is the per-run forensic state hanging off a Sink: latency
@@ -211,9 +204,9 @@ type Forensics struct {
 
 	// Global (host-scoped) decision ring: decisions that are not about
 	// any one flow — today the adapt controller's retunes. Bounded like
-	// the per-flow rings; GlobalTotal keeps the exact count past it.
-	global      []Decision
-	globalNext  int
+	// the per-flow rings; GlobalTotal keeps the exact count past it. Nil
+	// until the first retune.
+	global      *ring[Decision]
 	GlobalTotal int64
 
 	// Watchdog. akTotal counts anomalies per anomalyKinds entry.
@@ -267,13 +260,7 @@ func (f *Forensics) GlobalDecisions() []Decision {
 	if f == nil || f.GlobalTotal == 0 {
 		return nil
 	}
-	n := len(f.global)
-	out := make([]Decision, 0, n)
-	if f.GlobalTotal < int64(n) {
-		return append(out, f.global[:f.GlobalTotal]...)
-	}
-	out = append(out, f.global[f.globalNext:]...)
-	return append(out, f.global[:f.globalNext]...)
+	return f.global.items()
 }
 
 // Anomalies returns the retained watchdog findings (AnomalyTotal may be
@@ -374,13 +361,10 @@ func (f *Forensics) decide(d *Decision) {
 	if op == OpRetune {
 		// Host-scoped: no flow, no per-flow ring, no watchdog windows.
 		if f.global == nil {
-			f.global = make([]Decision, globalRingCap)
+			r := newRing[Decision](globalRingCap)
+			f.global = &r
 		}
-		f.global[f.globalNext] = *d
-		f.globalNext++
-		if f.globalNext == len(f.global) {
-			f.globalNext = 0
-		}
+		f.global.push(d)
 		f.GlobalTotal++
 		return
 	}
@@ -389,11 +373,7 @@ func (f *Forensics) decide(d *Decision) {
 	if fe == nil {
 		f.TruncatedDecisions++
 	} else {
-		fe.ring[fe.next] = *d
-		fe.next++
-		if fe.next == len(fe.ring) {
-			fe.next = 0
-		}
+		fe.ring.push(d)
 		fe.Total++
 		fe.ByOp[op]++
 	}
@@ -468,7 +448,7 @@ func (f *Forensics) flowFor(ft packet.FiveTuple) *FlowForensics {
 		return nil
 	}
 	fe := &FlowForensics{Flow: ft, Index: len(f.order),
-		ring: make([]Decision, ringCap)}
+		ring: newRing[Decision](ringCap)}
 	f.flows[ft] = fe
 	f.order = append(f.order, fe)
 	f.lastFlow, f.lastFE = ft, fe
@@ -497,7 +477,7 @@ func (f *Forensics) Explain(w io.Writer, ft packet.FiveTuple, seq uint32) (match
 		return 0, false
 	}
 	fmt.Fprintf(w, "flow %v seq %d — %d decisions recorded (ring keeps last %d):\n",
-		ft, seq, fe.Total, len(fe.ring))
+		ft, seq, fe.Total, ringCap)
 	// Host-scoped retunes interleave as context: a timeout change often
 	// explains why a later flush fired (or stopped firing).
 	decs := fe.Decisions()

@@ -22,16 +22,14 @@ type capturedPacket struct {
 // Capture is the bounded wire-level packet capture ring.
 type Capture struct {
 	ifaces  []string
-	packets []capturedPacket
-	next    int
-	full    bool
+	packets ring[capturedPacket]
 
 	// Total counts packets offered, including those rotated out.
 	Total int64
 }
 
 func newCapture(cap int) *Capture {
-	return &Capture{packets: make([]capturedPacket, cap)}
+	return &Capture{packets: newRing[capturedPacket](cap)}
 }
 
 func (c *Capture) iface(name string) int32 {
@@ -46,12 +44,7 @@ func (c *Capture) iface(name string) int32 {
 
 func (c *Capture) add(iface int32, at sim.Time, inbound bool, p *packet.Packet) {
 	c.Total++
-	c.packets[c.next] = capturedPacket{iface: iface, at: at, inbound: inbound, pkt: *p}
-	c.next++
-	if c.next == len(c.packets) {
-		c.next = 0
-		c.full = true
-	}
+	c.packets.push(&capturedPacket{iface: iface, at: at, inbound: inbound, pkt: *p})
 }
 
 // Len returns the number of retained packets.
@@ -59,20 +52,7 @@ func (c *Capture) Len() int {
 	if c == nil {
 		return 0
 	}
-	if c.full {
-		return len(c.packets)
-	}
-	return c.next
-}
-
-func (c *Capture) ordered() []capturedPacket {
-	if !c.full {
-		return c.packets[:c.next]
-	}
-	out := make([]capturedPacket, 0, len(c.packets))
-	out = append(out, c.packets[c.next:]...)
-	out = append(out, c.packets[:c.next]...)
-	return out
+	return c.packets.len()
 }
 
 // pcapng block types and constants (per the pcapng specification).
@@ -155,7 +135,7 @@ func (k *Sink) WritePcap(w io.Writer) error {
 		block(blockIDB, idb)
 	}
 
-	for _, cp := range c.ordered() {
+	for _, cp := range c.packets.items() {
 		wire := synthHeaders(&cp.pkt)
 		caplen := len(wire)
 		origlen := cp.pkt.WireLen()

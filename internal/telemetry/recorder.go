@@ -10,9 +10,7 @@ import (
 // events, plus per-layer offered counts so coverage checks (how many layers
 // actually emitted?) survive ring rotation.
 type Recorder struct {
-	events []Event
-	next   int
-	full   bool
+	events ring[Event]
 
 	// Total counts events offered, including those rotated out.
 	Total int64
@@ -24,19 +22,14 @@ type Recorder struct {
 }
 
 func newRecorder(cap int) *Recorder {
-	return &Recorder{events: make([]Event, cap)}
+	return &Recorder{events: newRing[Event](cap)}
 }
 
 func (r *Recorder) add(e Event) {
 	r.Total++
 	r.ByLayer[e.Layer]++
 	r.ByKind[e.Kind]++
-	r.events[r.next] = e
-	r.next++
-	if r.next == len(r.events) {
-		r.next = 0
-		r.full = true
-	}
+	r.events.push(&e)
 }
 
 // Len returns the number of retained events.
@@ -44,10 +37,7 @@ func (r *Recorder) Len() int {
 	if r == nil {
 		return 0
 	}
-	if r.full {
-		return len(r.events)
-	}
-	return r.next
+	return r.events.len()
 }
 
 // Events returns retained events oldest first.
@@ -55,15 +45,7 @@ func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil
 	}
-	if !r.full {
-		out := make([]Event, r.next)
-		copy(out, r.events[:r.next])
-		return out
-	}
-	out := make([]Event, 0, len(r.events))
-	out = append(out, r.events[r.next:]...)
-	out = append(out, r.events[:r.next]...)
-	return out
+	return r.events.items()
 }
 
 // Layers returns how many distinct layers have offered at least one event.

@@ -194,13 +194,6 @@ type Sink struct {
 	Forensics *Forensics
 
 	tracks []string
-
-	// pinned, while pinning is set, is the cached event timestamp for the
-	// current NAPI batch. Every event inside one ReceiveBatch fires at the
-	// same virtual instant, so the clock is read once per batch instead of
-	// once per event; the recorder's event order is untouched.
-	pinned  sim.Time
-	pinning bool
 }
 
 // New creates a Sink bound to the simulation clock and attaches it to s so
@@ -251,33 +244,8 @@ func (k *Sink) Event(e Event) {
 	if k == nil {
 		return
 	}
-	if k.pinning {
-		e.At = k.pinned
-	} else {
-		e.At = k.sim.Now()
-	}
+	e.At = k.sim.Now()
 	k.Recorder.add(e)
-}
-
-// BeginBatch opens a batch window: until EndBatch, events are stamped
-// with the (single) virtual instant captured here. The NIC brackets each
-// ReceiveBatch with it — every upcall the batch triggers runs inside the
-// same event-loop callback, so the pinned stamp equals what per-event
-// Now() reads would have produced and exports stay byte-identical.
-func (k *Sink) BeginBatch() {
-	if k == nil {
-		return
-	}
-	k.pinned = k.sim.Now()
-	k.pinning = true
-}
-
-// EndBatch closes the window opened by BeginBatch; safe on nil.
-func (k *Sink) EndBatch() {
-	if k == nil {
-		return
-	}
-	k.pinning = false
 }
 
 // Track registers (or looks up) a named event track and returns its id.

@@ -1,8 +1,9 @@
 // Package testbed assembles complete end hosts (NIC, receive offload, CPU
-// model, TCP endpoints) and the paper's three experimental topologies: the
-// NetFPGA delay-switch pair (Figure 11), the two-stage Clos (Figure 19),
-// and the strict-priority dumbbell (Figure 17). The evaluation harness,
-// the examples, and the integration tests all build on this package.
+// model, TCP endpoints) and the paper's experimental topologies: the
+// NetFPGA delay-switch pair (Figure 11) and the two-stage Clos (Figure
+// 19), which with one spine and priority queues is also Figure 17's
+// strict-priority dumbbell. The evaluation harness, the examples, and the
+// integration tests all build on this package.
 package testbed
 
 import (
@@ -20,6 +21,7 @@ import (
 	"juggler/internal/sim"
 	"juggler/internal/tcp"
 	"juggler/internal/telemetry"
+	"juggler/internal/telemetry/fleet"
 	"juggler/internal/units"
 )
 
@@ -408,13 +410,25 @@ func (h *Host) JugglerStats() core.Stats {
 // the leak canary the fleet rollup samples.
 func (h *Host) SegPoolLive() int64 { return h.segPool.Live() }
 
-// AdaptRetunes returns the adaptive controller's actuation count (0
-// without a controller).
-func (h *Host) AdaptRetunes() int64 {
-	if h.Adapt == nil {
-		return 0
-	}
-	return h.Adapt.Stats.Retunes
+// AttachFleetProbe registers the host with the fleet aggregator as one
+// lane under ToR tor: the delivery tap feeds the sojourn sketch and flow
+// tracker, and the cadence ticker samples the stack's gauges and counters.
+func (h *Host) AttachFleetProbe(agg *fleet.Aggregator, tor int) {
+	lane := agg.AddHost(h.Name, tor, 1).Lane(0)
+	h.DeliverTap = lane.ObserveDelivery
+	lane.SetSample(func(cn *fleet.Counters) {
+		cn.BufferedBytes = int64(h.JugglerBufferedBytes())
+		cn.SegPoolLive = h.SegPoolLive()
+		cn.TableFlows = int64(h.JugglerTableLen())
+		if h.Adapt != nil {
+			cn.Retunes = h.Adapt.Stats.Retunes
+		}
+		st := h.JugglerStats()
+		cn.Retransmissions = st.Retransmissions
+		cn.OfoHolds = st.FlushOfoTimeout
+		cn.Drops = h.DroppedSegs
+	})
+	lane.Start(h.sim)
 }
 
 // OffloadCounters aggregates offload counters across RX queues.

@@ -51,10 +51,6 @@ const (
 	// paper's experiments (1500 bytes including TCP/IP headers).
 	MTU = 1500
 
-	// HeaderLen is the combined Ethernet+IP+TCP header length assumed for
-	// MSS computation (14 + 20 + 20).
-	HeaderLen = 54
-
 	// MSS is the TCP maximum segment size: MTU minus IP and TCP headers
 	// (the Ethernet header is not counted against the MTU).
 	MSS = MTU - 40

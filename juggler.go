@@ -179,3 +179,18 @@ type HostStats struct {
 	// DroppedSegments counts socket-backlog overflow drops.
 	DroppedSegments int64
 }
+
+// hostStats summarizes h's receive path; the TCP counters are left for
+// the caller, which knows the host's connections.
+func hostStats(h *testbed.Host) HostStats {
+	st := HostStats{
+		RXCoreUtil:      h.CPU.RX.Utilization(),
+		AppCoreUtil:     h.CPU.App.Utilization(),
+		ActiveFlows:     h.JugglerActiveLen(),
+		DroppedSegments: h.DroppedSegs,
+	}
+	if c := h.OffloadCounters(); c.Segments > 0 {
+		st.BatchingMTUs = float64(c.Packets) / float64(c.Segments)
+	}
+	return st
+}

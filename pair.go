@@ -247,17 +247,7 @@ func (p *ReorderPair) ReceiverTimeouts() (inseq, ofo time.Duration) {
 
 // ReceiverStats summarizes the receiving host.
 func (p *ReorderPair) ReceiverStats() HostStats {
-	h := p.tb.Receiver
-	st := HostStats{
-		RXCoreUtil:      h.CPU.RX.Utilization(),
-		AppCoreUtil:     h.CPU.App.Utilization(),
-		ActiveFlows:     h.JugglerActiveLen(),
-		DroppedSegments: h.DroppedSegs,
-	}
-	c := h.OffloadCounters()
-	if c.Segments > 0 {
-		st.BatchingMTUs = float64(c.Packets) / float64(c.Segments)
-	}
+	st := hostStats(p.tb.Receiver)
 	for _, f := range p.flows {
 		st.SegmentsIn += f.rcv.Stats.SegmentsIn
 		st.OOOSegments += f.rcv.Stats.OOOSegments
