@@ -94,24 +94,13 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	if cfg.Telemetry {
 		telemetry.New(s, telemetry.Options{})
 	}
-	var picker fabric.Picker
-	switch cfg.LB {
-	case PerPacket:
-		picker = lb.NewPerPacket(s, true)
-	case PerTSO:
-		picker = &lb.PerTSO{}
-	case Flowlet:
-		picker = lb.NewFlowlet(s, 100*time.Microsecond)
-	default:
-		picker = &lb.ECMP{}
-	}
 	tb := testbed.NewClosTestbed(s, fabric.ClosConfig{
 		NumToRs: cfg.ToRs, NumSpines: cfg.Spines,
 		LinkRate:   units.BitRate(cfg.LinkRate),
 		Prop:       200 * time.Nanosecond,
 		QueueBytes: cfg.QueueBytes, MarkBytes: cfg.ECNThresholdBytes,
 		Priority: cfg.PriorityQueues,
-		UplinkLB: picker,
+		UplinkLB: lb.New(s, cfg.LB.String()),
 	})
 	c := &Cluster{s: s, tb: tb, cfg: cfg}
 	if cfg.Fleet != nil {
@@ -143,11 +132,16 @@ type FlowOptions struct {
 	MaxWindow int
 }
 
-// ConnectBulk opens an endless bulk flow from n to dst and starts it.
-func (c *Cluster) ConnectBulk(n, dst *Node, opt FlowOptions) *Flow {
-	snd, rcv := testbed.Connect(n.host, dst.host, tcp.SenderConfig{
+// connect opens one connection from n to dst tuned by opt.
+func (opt FlowOptions) connect(n, dst *Node) (*tcp.Sender, *tcp.Receiver) {
+	return testbed.Connect(n.host, dst.host, tcp.SenderConfig{
 		PaceRate: units.BitRate(opt.Pace), ECN: opt.ECN, MaxCwnd: opt.MaxWindow,
 	})
+}
+
+// ConnectBulk opens an endless bulk flow from n to dst and starts it.
+func (c *Cluster) ConnectBulk(n, dst *Node, opt FlowOptions) *Flow {
+	snd, rcv := opt.connect(n, dst)
 	snd.SetInfinite()
 	snd.MaybeSend()
 	return &Flow{snd: snd, rcv: rcv, s: c.s}
@@ -155,9 +149,7 @@ func (c *Cluster) ConnectBulk(n, dst *Node, opt FlowOptions) *Flow {
 
 // ConnectRPC opens a persistent connection for RPC traffic.
 func (c *Cluster) ConnectRPC(n, dst *Node, opt FlowOptions) *RPCStream {
-	snd, rcv := testbed.Connect(n.host, dst.host, tcp.SenderConfig{
-		PaceRate: units.BitRate(opt.Pace), ECN: opt.ECN, MaxCwnd: opt.MaxWindow,
-	})
+	snd, rcv := opt.connect(n, dst)
 	lat := stats.NewSampler(4096)
 	rs := &RPCStream{stream: workload.NewRPCStream(c.s, snd, rcv, lat), snd: snd, lat: lat}
 	if c.fleet != nil {

@@ -30,9 +30,8 @@ func ablLinkedList(o Options) *Table {
 		po := o.point(i, len(kinds))
 		jcfg := core.DefaultConfig()
 		jcfg.InseqTimeout = 52 * time.Microsecond
-		return runNetFPGABulk(netfpgaRun{
-			tau: 0, jcfg: jcfg, kind: kinds[i], seed: po.Seed, attach: po.installSim,
-		}, po.scale(40*time.Millisecond), po.scale(120*time.Millisecond))
+		return runNetFPGABulk(po, netfpgaRun{jcfg: jcfg, kind: kinds[i]},
+			40*time.Millisecond, 120*time.Millisecond)
 	})
 	base := results[0].rxUtil + results[0].appUtil
 	for i, res := range results {
@@ -112,30 +111,18 @@ func runManyFlows(o Options, jcfg core.Config, n int, tau time.Duration) manyFlo
 	warm := o.scale(40 * time.Millisecond)
 	dur := o.scale(160 * time.Millisecond)
 	s.RunFor(warm)
-	var bytes0, segs0, ooo0 int64
-	for _, r := range rcvs {
-		bytes0 += r.Delivered()
-		segs0 += r.Stats.SegmentsIn
-		ooo0 += r.Stats.OOOSegments
-	}
+	t0 := rxTotalsOf(rcvs...)
 	s.RunFor(dur)
-	var bytes1, segs1, ooo1 int64
-	for _, r := range rcvs {
-		bytes1 += r.Delivered()
-		segs1 += r.Stats.SegmentsIn
-		ooo1 += r.Stats.OOOSegments
-	}
+	rx := rxTotalsOf(rcvs...).since(t0)
 	j := tb.Receiver.Jugglers[0]
 	res := manyFlowsResult{
-		tput:      float64(units.Throughput(bytes1-bytes0, dur)),
+		oooFrac:   rx.oooFrac(),
+		tput:      float64(units.Throughput(rx.bytes, dur)),
 		ofoTO:     j.Stats.OfoTimeouts,
 		evictions: j.Stats.EvictionsActive + j.Stats.EvictionsInactive + j.Stats.EvictionsLoss,
 	}
-	if mb := float64(bytes1-bytes0) / (1 << 20); mb > 0 {
-		res.segsPerMB = float64(segs1-segs0) / mb
-	}
-	if d := segs1 - segs0; d > 0 {
-		res.oooFrac = float64(ooo1-ooo0) / float64(d)
+	if mb := float64(rx.bytes) / (1 << 20); mb > 0 {
+		res.segsPerMB = float64(rx.segs) / mb
 	}
 	return res
 }

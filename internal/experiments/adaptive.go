@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"juggler/internal/chaos"
-	"juggler/internal/core"
 	"juggler/internal/fabric"
 	"juggler/internal/sim"
 	"juggler/internal/sweep"
@@ -107,11 +106,9 @@ func runAdaptive(o Options, adaptive bool) *adaptiveReport {
 
 	rcvCfg := testbed.DefaultHostConfig(testbed.OffloadJuggler)
 	rcvCfg.LinkRate = rate
-	jcfg := core.DefaultConfig()
-	jcfg.InseqTimeout = adaptStaticInseq
-	jcfg.OfoTimeout = adaptStaticOfo
-	o.tune(&jcfg)
-	rcvCfg.Juggler = jcfg
+	rcvCfg.Juggler.InseqTimeout = adaptStaticInseq
+	rcvCfg.Juggler.OfoTimeout = adaptStaticOfo
+	o.tune(&rcvCfg.Juggler)
 	rcvCfg.Adapt = adaptive
 
 	sndCfg := testbed.DefaultHostConfig(testbed.OffloadVanilla)
@@ -150,13 +147,7 @@ func runAdaptive(o Options, adaptive bool) *adaptiveReport {
 		rcvs = append(rcvs, frcv)
 	}
 
-	delivered := func() int64 {
-		var b int64
-		for _, fr := range rcvs {
-			b += fr.Delivered()
-		}
-		return b
-	}
+	delivered := func() int64 { return rxTotalsOf(rcvs...).bytes }
 	var atPre, atShift, atConv, atEnd int64
 	s.Schedule(preStart, func() { atPre = delivered() })
 	s.Schedule(shiftAt, func() { atShift = delivered() })
@@ -195,9 +186,7 @@ func runAdaptive(o Options, adaptive bool) *adaptiveReport {
 		c := rcv.Jugglers[0].Config()
 		rep.FinalInseq, rep.FinalOfo = c.InseqTimeout, c.OfoTimeout
 	}
-	for _, fr := range rcvs {
-		rep.OOOSegs += fr.Stats.OOOSegments
-	}
+	rep.OOOSegs = rxTotalsOf(rcvs...).ooo
 	return rep
 }
 

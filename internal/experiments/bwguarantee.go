@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"juggler/internal/bwguard"
-	"juggler/internal/core"
 	"juggler/internal/fabric"
 	"juggler/internal/sim"
 	"juggler/internal/stats"
@@ -37,7 +36,6 @@ func newGuaranteeSetup(o Options, kind testbed.OffloadKind) *guaranteeSetup {
 		Priority:  true,
 	})
 	hostCfg := testbed.DefaultHostConfig(kind)
-	hostCfg.Juggler = core.DefaultConfig()
 	hostCfg.Juggler.InseqTimeout = 13 * time.Microsecond
 	// Priority-induced reordering spans the low queue's delay; give the
 	// ofo timeout room for it.

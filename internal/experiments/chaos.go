@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"juggler/internal/chaos"
-	"juggler/internal/core"
 	"juggler/internal/fabric"
 	"juggler/internal/packet"
 	"juggler/internal/sim"
@@ -277,11 +276,9 @@ func runChaos(spec chaosScenario, kind testbed.OffloadKind, o Options, intensity
 	if spec.queues > 1 {
 		rcvCfg.RX.Queues = spec.queues
 	}
-	jcfg := core.DefaultConfig()
-	jcfg.InseqTimeout = 52 * time.Microsecond // max-batch time at 10G
-	jcfg.OfoTimeout = spec.maxExtra + 300*time.Microsecond
-	o.tune(&jcfg)
-	rcvCfg.Juggler = jcfg
+	rcvCfg.Juggler.InseqTimeout = 52 * time.Microsecond // max-batch time at 10G
+	rcvCfg.Juggler.OfoTimeout = spec.maxExtra + 300*time.Microsecond
+	o.tune(&rcvCfg.Juggler)
 	rcvCfg.Adapt = o.Adapt
 
 	sndCfg := testbed.DefaultHostConfig(testbed.OffloadVanilla)

@@ -3,7 +3,6 @@ package experiments
 import (
 	"time"
 
-	"juggler/internal/core"
 	"juggler/internal/netfilter"
 	"juggler/internal/sweep"
 	"juggler/internal/tcp"
@@ -48,7 +47,6 @@ func ablConntrack(o Options) *Table {
 func conntrackRun(o Options, kind testbed.OffloadKind, tau time.Duration) (invFrac, invPerSec, tput float64) {
 	s := o.newSim()
 	rcvCfg := testbed.DefaultHostConfig(kind)
-	rcvCfg.Juggler = core.DefaultConfig()
 	rcvCfg.Juggler.InseqTimeout = 52 * time.Microsecond
 	rcvCfg.Juggler.OfoTimeout = tau + 200*time.Microsecond
 	rcvCfg.Conntrack = &netfilter.Config{} // observe, don't drop
@@ -63,7 +61,7 @@ func conntrackRun(o Options, kind testbed.OffloadKind, tau time.Duration) (invFr
 	s.RunFor(warm)
 	inv0 := tb.Receiver.CT.Stats.Invalid
 	acc0 := tb.Receiver.CT.Stats.Accepted
-	bytes0 := rcv.Delivered()
+	t0 := rxTotalsOf(rcv)
 	s.RunFor(dur)
 
 	inv := tb.Receiver.CT.Stats.Invalid - inv0
@@ -72,7 +70,7 @@ func conntrackRun(o Options, kind testbed.OffloadKind, tau time.Duration) (invFr
 		invFrac = float64(inv) / float64(tot)
 	}
 	invPerSec = float64(inv) / dur.Seconds()
-	tput = float64(units.Throughput(rcv.Delivered()-bytes0, dur))
+	tput = float64(units.Throughput(rxTotalsOf(rcv).since(t0).bytes, dur))
 	return
 }
 

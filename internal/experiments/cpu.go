@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"juggler/internal/core"
-	"juggler/internal/fabric"
 	"juggler/internal/lb"
 	"juggler/internal/stats"
 	"juggler/internal/sweep"
@@ -36,20 +34,9 @@ func cpuRun(o Options, sc cpuScenario) (rxUtil, appUtil, tputFrac float64,
 	s := o.newSim()
 	target := 20 * units.Gbps
 
-	var picker fabric.Picker
-	if sc.policy == lb.PolicyPerPacket {
-		picker = lb.NewPerPacket(s, true)
-	} else {
-		picker = &lb.ECMP{}
-	}
-	tb := testbed.NewClosTestbed(s, fabric.ClosConfig{
-		NumToRs: 2, NumSpines: 2, LinkRate: units.Rate40G,
-		Prop: 200 * time.Nanosecond, QueueBytes: 2 * units.MB,
-		UplinkLB: picker,
-	})
+	tb := newClos(s, 2*units.MB, sc.policy)
 
 	rcvCfg := testbed.DefaultHostConfig(sc.kind)
-	rcvCfg.Juggler = core.DefaultConfig()
 	// The rule of thumb sizes inseq_timeout to one 64KB batch at the rate
 	// bursts actually drain: the receiver takes 20G of test traffic on a
 	// 40G NIC, so overlapping bursts can spread to ~26us — 30us keeps a
@@ -84,29 +71,15 @@ func cpuRun(o Options, sc cpuScenario) (rxUtil, appUtil, tputFrac float64,
 	dur := o.scale(100 * time.Millisecond)
 	s.RunFor(warm)
 	receiver.CPU.ResetWindows()
-	var bytes0, segs0, ooo0, acks0 int64
-	for _, r := range receivers {
-		bytes0 += r.Delivered()
-		segs0 += r.Stats.SegmentsIn
-		ooo0 += r.Stats.OOOSegments
-		acks0 += r.Stats.AcksSent
-	}
+	t0 := rxTotalsOf(receivers...)
 	s.RunFor(dur)
-	var bytes1, segs1, ooo1, acks1 int64
-	for _, r := range receivers {
-		bytes1 += r.Delivered()
-		segs1 += r.Stats.SegmentsIn
-		ooo1 += r.Stats.OOOSegments
-		acks1 += r.Stats.AcksSent
-	}
+	rx := rxTotalsOf(receivers...).since(t0)
 	rxUtil = receiver.CPU.RX.Utilization()
 	appUtil = receiver.CPU.App.Utilization()
-	tputFrac = float64(units.Throughput(bytes1-bytes0, dur)) / float64(target)
-	segsPerSec = float64(segs1-segs0) / dur.Seconds()
-	acksPerSec = float64(acks1-acks0) / dur.Seconds()
-	if d := segs1 - segs0; d > 0 {
-		oooFrac = float64(ooo1-ooo0) / float64(d)
-	}
+	tputFrac = float64(units.Throughput(rx.bytes, dur)) / float64(target)
+	segsPerSec = float64(rx.segs) / dur.Seconds()
+	acksPerSec = float64(rx.acks) / dur.Seconds()
+	oooFrac = rx.oooFrac()
 	return
 }
 

@@ -87,24 +87,18 @@ func (o Options) scale(d time.Duration) time.Duration {
 	return d
 }
 
-// newSim creates one experiment simulation seeded with o.Seed and runs the
-// installSim hook on it.
+// newSim creates one experiment simulation seeded with o.Seed and applies
+// the per-sim Options to it: the hop-stamp sampler (on every sim, traced
+// or not, so such runs are identical at any sweep width) and the
+// AttachTelemetry hook (on the designated traced sim only — point() nils
+// it elsewhere).
 func (o Options) newSim() *sim.Sim {
 	s := sim.New(o.Seed)
-	o.installSim(s)
-	return s
-}
-
-// installSim applies the per-sim Options to a freshly created simulation:
-// the hop-stamp sampler (on every sim, traced or not, so such runs are
-// identical at any sweep width) and the AttachTelemetry hook (on the
-// designated traced sim only — point() nils it elsewhere). Experiments
-// that build their sims out-of-line take this as their attach callback.
-func (o Options) installSim(s *sim.Sim) {
 	packet.AttachStampSampler(s, o.StampSample)
 	if o.AttachTelemetry != nil {
 		o.AttachTelemetry(s)
 	}
+	return s
 }
 
 // tune applies the -inseq/-ofo overrides to a receiver's Juggler config.

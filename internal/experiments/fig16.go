@@ -3,8 +3,6 @@ package experiments
 import (
 	"time"
 
-	"juggler/internal/core"
-	"juggler/internal/fabric"
 	"juggler/internal/lb"
 	"juggler/internal/sim"
 	"juggler/internal/stats"
@@ -40,15 +38,10 @@ func fig16(o Options) *Table {
 
 func fig16Run(o Options, nicRate units.BitRate) (mean, p99, max, lossP99, lossPerSec float64) {
 	s := o.newSim()
-	tb := testbed.NewClosTestbed(s, fabric.ClosConfig{
-		NumToRs: 2, NumSpines: 2, LinkRate: units.Rate40G,
-		Prop: 200 * time.Nanosecond, QueueBytes: 2 * units.MB,
-		UplinkLB: lb.NewPerPacket(s, true),
-	})
+	tb := newClos(s, 2*units.MB, lb.PolicyPerPacket)
 
 	rcvCfg := testbed.DefaultHostConfig(testbed.OffloadJuggler)
 	rcvCfg.LinkRate = nicRate
-	rcvCfg.Juggler = core.DefaultConfig()
 	rcvCfg.Juggler.InseqTimeout = 13 * time.Microsecond
 	rcvCfg.Juggler.OfoTimeout = 300 * time.Microsecond
 	rcvCfg.RX.SteerToQueue0 = true

@@ -3,7 +3,6 @@ package experiments
 import (
 	"time"
 
-	"juggler/internal/core"
 	"juggler/internal/fabric"
 	"juggler/internal/lb"
 	"juggler/internal/stats"
@@ -65,28 +64,12 @@ type fig20Result struct {
 func fig20Run(o Options, loadPct int, policy string) (res fig20Result) {
 	s := o.newSim()
 
-	var picker fabric.Picker
-	switch policy {
-	case lb.PolicyPerPacket:
-		picker = lb.NewPerPacket(s, true)
-	case lb.PolicyPerTSO:
-		picker = &lb.PerTSO{}
-	case lb.PolicyFlowlet:
-		picker = lb.NewFlowlet(s, 100*time.Microsecond)
-	default:
-		picker = &lb.ECMP{}
-	}
-	tb := testbed.NewClosTestbed(s, fabric.ClosConfig{
-		NumToRs: 2, NumSpines: 2, LinkRate: units.Rate40G,
-		// Deep drop-tail buffers, as in the paper's standard-kernel testbed:
-		// buffer buildup under coarse load balancing is the phenomenon the
-		// figure measures.
-		Prop: 200 * time.Nanosecond, QueueBytes: 4 * units.MB,
-		UplinkLB: picker,
-	})
+	// Deep drop-tail buffers, as in the paper's standard-kernel testbed:
+	// buffer buildup under coarse load balancing is the phenomenon the
+	// figure measures.
+	tb := newClos(s, 4*units.MB, policy)
 
 	hostCfg := testbed.DefaultHostConfig(testbed.OffloadJuggler)
-	hostCfg.Juggler = core.DefaultConfig()
 	hostCfg.Juggler.InseqTimeout = 13 * time.Microsecond
 	hostCfg.Juggler.OfoTimeout = 400 * time.Microsecond
 	hostCfg.Juggler.MaxFlows = 64
@@ -153,11 +136,8 @@ func fig20Run(o Options, loadPct int, policy string) (res fig20Result) {
 	warm := o.scale(60 * time.Millisecond)
 	dur := o.scale(240 * time.Millisecond)
 	s.RunFor(warm)
-	// Discard warm-up samples.
-	largeLat = stats.NewSampler(1 << 14)
-	smallLat = stats.NewSampler(1 << 16)
-	swapSamplers(gens[:pairs], largeLat)
-	swapSamplers(gens[pairs:], smallLat)
+	largeLat.Reset() // discard warm-up samples
+	smallLat.Reset()
 
 	var gen0, shed0 int64
 	for _, g := range gens {
@@ -182,14 +162,6 @@ func fig20Run(o Options, loadPct int, policy string) (res fig20Result) {
 		res.shed = float64(shed1-shed0) / float64(d)
 	}
 	return res
-}
-
-// swapSamplers points every stream of the generators at a fresh sampler
-// (dropping warm-up samples).
-func swapSamplers(gens []*workload.PoissonRPCGen, to *stats.Sampler) {
-	for _, g := range gens {
-		g.SwapSampler(to)
-	}
 }
 
 func init() {

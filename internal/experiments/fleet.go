@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"juggler/internal/chaos"
-	"juggler/internal/core"
 	"juggler/internal/fabric"
 	"juggler/internal/lb"
 	"juggler/internal/sweep"
@@ -64,16 +63,10 @@ func fleetExperiment(o Options) *Table {
 // divergence, a straggler. Exported for juggler-doctor -fleet.
 func CollectFleetReport(o Options, impaired bool) *fleet.Report {
 	s := o.newSim()
-	tb := testbed.NewClosTestbed(s, fabric.ClosConfig{
-		NumToRs: 2, NumSpines: 2, LinkRate: units.Rate40G,
-		Prop: 200 * time.Nanosecond, QueueBytes: 2 * units.MB,
-		UplinkLB: lb.NewPerPacket(s, true),
-	})
+	tb := newClos(s, 2*units.MB, lb.PolicyPerPacket)
 
-	jcfg := core.DefaultConfig()
-	o.tune(&jcfg)
 	hostCfg := testbed.DefaultHostConfig(testbed.OffloadJuggler)
-	hostCfg.Juggler = jcfg
+	o.tune(&hostCfg.Juggler)
 	hostCfg.Adapt = o.Adapt
 
 	agg := fleet.NewAggregator(fleet.Config{

@@ -26,11 +26,6 @@ type netfpgaRun struct {
 	coalesce nic.RXConfig
 	// senderCfg tunes the TCP sender.
 	senderCfg tcp.SenderConfig
-	seed      int64
-	// attach is Options.installSim, threaded through so the bulk helper
-	// installs the stamp sampler and telemetry sink before building the
-	// pair.
-	attach func(s *sim.Sim)
 }
 
 // results of one bulk-flow run.
@@ -46,13 +41,11 @@ type bulkResult struct {
 	tb             *testbed.NetFPGAPair
 }
 
-// runNetFPGABulk drives one infinite flow for warm+dur and measures over
-// the last dur.
-func runNetFPGABulk(r netfpgaRun, warm, dur time.Duration) bulkResult {
-	s := sim.New(r.seed)
-	if r.attach != nil {
-		r.attach(s)
-	}
+// runNetFPGABulk drives one infinite flow for warm+dur (both scaled by
+// o) and measures over the last dur.
+func runNetFPGABulk(o Options, r netfpgaRun, warm, dur time.Duration) bulkResult {
+	warm, dur = o.scale(warm), o.scale(dur)
+	s := o.newSim()
 	sndHost := testbed.DefaultHostConfig(testbed.OffloadVanilla)
 	rcvHost := testbed.DefaultHostConfig(r.kind)
 	rcvHost.Juggler = r.jcfg
@@ -66,29 +59,25 @@ func runNetFPGABulk(r netfpgaRun, warm, dur time.Duration) bulkResult {
 
 	s.RunFor(warm)
 	c0 := tb.Receiver.OffloadCounters()
-	seg0 := rcv.Stats.SegmentsIn
-	ooo0 := rcv.Stats.OOOSegments
-	ack0 := rcv.Stats.AcksSent
-	bytes0 := rcv.Delivered()
+	t0 := rxTotalsOf(rcv)
 	tb.Receiver.CPU.ResetWindows()
 
 	s.RunFor(dur)
 
 	c1 := tb.Receiver.OffloadCounters()
+	rx := rxTotalsOf(rcv).since(t0)
 	res := bulkResult{
-		throughput:  units.Throughput(rcv.Delivered()-bytes0, dur),
+		throughput:  units.Throughput(rx.bytes, dur),
 		rxUtil:      tb.Receiver.CPU.RX.Utilization(),
 		appUtil:     tb.Receiver.CPU.App.Utilization(),
-		segsPerSec:  float64(rcv.Stats.SegmentsIn-seg0) / dur.Seconds(),
-		acksPerSec:  float64(rcv.Stats.AcksSent-ack0) / dur.Seconds(),
+		oooFrac:     rx.oooFrac(),
+		segsPerSec:  float64(rx.segs) / dur.Seconds(),
+		acksPerSec:  float64(rx.acks) / dur.Seconds(),
 		retransmits: snd.Stats.RetransPackets,
 		tb:          tb,
 	}
 	if segs := c1.Segments - c0.Segments; segs > 0 {
 		res.batchingExtent = float64(c1.Packets-c0.Packets) / float64(segs)
-	}
-	if tot := rcv.Stats.SegmentsIn - seg0; tot > 0 {
-		res.oooFrac = float64(rcv.Stats.OOOSegments-ooo0) / float64(tot)
 	}
 	return res
 }
@@ -120,9 +109,8 @@ func fig12(o Options) *Table {
 		jcfg := core.DefaultConfig()
 		jcfg.InseqTimeout = p.it
 		jcfg.OfoTimeout = p.tau + 300*time.Microsecond // ample: isolate inseq effect
-		res := runNetFPGABulk(netfpgaRun{
-			tau: p.tau, jcfg: jcfg, kind: testbed.OffloadJuggler, seed: po.Seed, attach: po.installSim,
-		}, po.scale(40*time.Millisecond), po.scale(120*time.Millisecond))
+		res := runNetFPGABulk(po, netfpgaRun{tau: p.tau, jcfg: jcfg, kind: testbed.OffloadJuggler},
+			40*time.Millisecond, 120*time.Millisecond)
 		return []string{fDurUs(p.tau), fDurUs(p.it), fF(res.batchingExtent),
 			fPct(res.rxUtil), fPct(res.appUtil), fGbps(float64(res.throughput))}
 	}) {
@@ -161,10 +149,9 @@ func fig13(o Options) *Table {
 		jcfg := core.DefaultConfig()
 		jcfg.InseqTimeout = 52 * time.Microsecond
 		jcfg.OfoTimeout = p.ot
-		res := runNetFPGABulk(netfpgaRun{
-			tau: p.tau, jcfg: jcfg, kind: testbed.OffloadJuggler, seed: po.Seed, attach: po.installSim,
-			coalesce: coalesceTimeBound(),
-		}, po.scale(40*time.Millisecond), po.scale(120*time.Millisecond))
+		res := runNetFPGABulk(po, netfpgaRun{
+			tau: p.tau, jcfg: jcfg, kind: testbed.OffloadJuggler, coalesce: coalesceTimeBound(),
+		}, 40*time.Millisecond, 120*time.Millisecond)
 		return []string{fDurUs(p.tau), fDurUs(p.ot), fGbps(float64(res.throughput)),
 			fF(res.oooFrac), fI(res.retransmits)}
 	}) {
@@ -328,12 +315,11 @@ func lossOfo(o Options) *Table {
 		// The window is pinned (no multiplicative decrease) so the sweep
 		// isolates Juggler's recovery latency from congestion control: the
 		// paper's CUBIC senders at datacenter RTTs tolerate 0.1%% loss.
-		res := runNetFPGABulk(netfpgaRun{
+		res := runNetFPGABulk(po, netfpgaRun{
 			tau: 250 * time.Microsecond, jcfg: jcfg, kind: testbed.OffloadJuggler,
-			dropProb: 0.001, seed: po.Seed, attach: po.installSim,
-			coalesce:  coalesceTimeBound(),
+			dropProb: 0.001, coalesce: coalesceTimeBound(),
 			senderCfg: tcp.SenderConfig{RTOMin: 5 * time.Millisecond, FixedWindow: true},
-		}, po.scale(100*time.Millisecond), po.scale(400*time.Millisecond))
+		}, 100*time.Millisecond, 400*time.Millisecond)
 		return []string{fMs(ot.Seconds()), fGbps(float64(res.throughput))}
 	}) {
 		t.Add(row...)

@@ -3,7 +3,6 @@ package experiments
 import (
 	"time"
 
-	"juggler/internal/core"
 	"juggler/internal/sim"
 	"juggler/internal/stats"
 	"juggler/internal/sweep"
@@ -39,7 +38,6 @@ func extRSS(o Options) *Table {
 func rssRun(o Options, queues int) (tput, rxMax, activeP99, ooo float64) {
 	s := o.newSim()
 	rcvCfg := testbed.DefaultHostConfig(testbed.OffloadJuggler)
-	rcvCfg.Juggler = core.DefaultConfig()
 	rcvCfg.Juggler.InseqTimeout = 13 * time.Microsecond
 	rcvCfg.Juggler.OfoTimeout = 700 * time.Microsecond
 	rcvCfg.RX.Queues = queues
@@ -69,32 +67,17 @@ func rssRun(o Options, queues int) (tput, rxMax, activeP99, ooo float64) {
 	dur := o.scale(120 * time.Millisecond)
 	s.RunFor(warm)
 	tb.Receiver.CPU.ResetWindows()
-	var bytes0, segs0, ooo0 int64
-	for _, r := range rcvs {
-		bytes0 += r.Delivered()
-		segs0 += r.Stats.SegmentsIn
-		ooo0 += r.Stats.OOOSegments
-	}
+	t0 := rxTotalsOf(rcvs...)
 	tick.Start()
 	s.RunFor(dur)
 	tick.Stop()
-	var bytes1, segs1, ooo1 int64
-	for _, r := range rcvs {
-		bytes1 += r.Delivered()
-		segs1 += r.Stats.SegmentsIn
-		ooo1 += r.Stats.OOOSegments
-	}
-	tput = float64(units.Throughput(bytes1-bytes0, dur))
+	rx := rxTotalsOf(rcvs...).since(t0)
 	for _, c := range tb.Receiver.CPU.RXCores() {
 		if u := c.Utilization(); u > rxMax {
 			rxMax = u
 		}
 	}
-	activeP99 = active.Quantile(0.99)
-	if d := segs1 - segs0; d > 0 {
-		ooo = float64(ooo1-ooo0) / float64(d)
-	}
-	return
+	return float64(units.Throughput(rx.bytes, dur)), rxMax, active.Quantile(0.99), rx.oooFrac()
 }
 
 func init() {

@@ -3,8 +3,6 @@ package experiments
 import (
 	"time"
 
-	"juggler/internal/core"
-	"juggler/internal/fabric"
 	"juggler/internal/lb"
 	"juggler/internal/stats"
 	"juggler/internal/sweep"
@@ -43,33 +41,23 @@ func extWebSearch(o Options) *Table {
 
 func webSearchRun(o Options, policy string) (shortLat, longLat *stats.Sampler, completed int64) {
 	s := o.newSim()
-	var picker fabric.Picker
-	switch policy {
-	case lb.PolicyPerPacket:
-		picker = lb.NewPerPacket(s, true)
-	case lb.PolicyPerTSO:
-		picker = &lb.PerTSO{}
-	default:
-		picker = &lb.ECMP{}
-	}
-	tb := testbed.NewClosTestbed(s, fabric.ClosConfig{
-		NumToRs: 2, NumSpines: 2, LinkRate: units.Rate40G,
-		Prop: 200 * time.Nanosecond, QueueBytes: 4 * units.MB,
-		UplinkLB: picker,
-	})
+	tb := newClos(s, 4*units.MB, policy)
 	hostCfg := testbed.DefaultHostConfig(testbed.OffloadJuggler)
-	hostCfg.Juggler = core.DefaultConfig()
 	hostCfg.Juggler.InseqTimeout = 13 * time.Microsecond
 	hostCfg.Juggler.OfoTimeout = 400 * time.Microsecond
 
 	const pairs = 4
 	shortLat = stats.NewSampler(1 << 15)
 	longLat = stats.NewSampler(1 << 12)
+	// Each completion lands in the sampler of its size class.
+	classify := func(size int) *stats.Sampler {
+		if size < shortFlowCutoff {
+			return shortLat
+		}
+		return longLat
+	}
 	dist := workload.WebSearchWorkload()
 
-	// The per-RPC latency is recorded into one sampler per stream; a
-	// wrapper classifies by size at send time instead, so each stream
-	// tracks its own class via closure state.
 	var gens []*workload.PoissonRPCGen
 	load := 0.6 * 80e9 / float64(pairs) // bits/s per server
 	scfg := tcp.SenderConfig{ECN: true, MaxCwnd: 2 * units.MB}
@@ -80,7 +68,8 @@ func webSearchRun(o Options, policy string) (shortLat, longLat *stats.Sampler, c
 			client := tb.AddHost(1, hostCfg)
 			for k := 0; k < 8; k++ {
 				snd, rcv := testbed.Connect(server, client, scfg)
-				st := workload.NewRPCStream(s, snd, rcv, stats.NewSampler(1024))
+				st := workload.NewRPCStream(s, snd, rcv, nil)
+				st.Classify = classify
 				streams = append(streams, st)
 			}
 		}
@@ -90,14 +79,10 @@ func webSearchRun(o Options, policy string) (shortLat, longLat *stats.Sampler, c
 		gens = append(gens, g)
 		g.Start()
 	}
-	// Classify completions: wrap each stream's sampler swap by observing
-	// sizes at completion via a classifying shim.
-	classify(gens, shortLat, longLat)
 
 	s.RunFor(o.scale(60 * time.Millisecond)) // warm
-	shortLat2 := stats.NewSampler(1 << 15)   // drop warm-up samples
-	longLat2 := stats.NewSampler(1 << 12)
-	reclassify(gens, shortLat2, longLat2)
+	shortLat.Reset()                         // drop warm-up samples
+	longLat.Reset()
 	s.RunFor(o.scale(240 * time.Millisecond))
 	for _, g := range gens {
 		g.Stop()
@@ -105,30 +90,11 @@ func webSearchRun(o Options, policy string) (shortLat, longLat *stats.Sampler, c
 			completed += st.Completed
 		}
 	}
-	return shortLat2, longLat2, completed
+	return shortLat, longLat, completed
 }
 
 // shortFlowCutoff splits the mix into the latency-sensitive class.
 const shortFlowCutoff = 100 * 1024
-
-// classify points each stream's latency recording at the class sampler
-// chosen per RPC size.
-func classify(gens []*workload.PoissonRPCGen, short, long *stats.Sampler) {
-	for _, g := range gens {
-		for _, st := range g.Streams() {
-			st.Classify = func(size int) *stats.Sampler {
-				if size < shortFlowCutoff {
-					return short
-				}
-				return long
-			}
-		}
-	}
-}
-
-func reclassify(gens []*workload.PoissonRPCGen, short, long *stats.Sampler) {
-	classify(gens, short, long)
-}
 
 func init() {
 	register("ext-websearch", "heavy-tailed web-search mix across LB policies", extWebSearch)

@@ -87,10 +87,6 @@ type DropInjector struct {
 	Dropped int64
 	Passed  int64
 
-	// DroppedSeqs records the sequence numbers of recent drops (ring of
-	// 64) for diagnostics.
-	DroppedSeqs []uint32
-
 	// tel is the run's telemetry sink; nil disables recording.
 	tel *telemetry.Sink
 }
@@ -115,11 +111,6 @@ func (di *DropInjector) Deliver(p *packet.Packet) {
 		di.Dropped++
 		di.tel.Event(telemetry.Event{Layer: telemetry.LayerFabric, Kind: telemetry.KindDrop,
 			Flow: p.Flow, Seq: p.Seq, N: int64(p.PayloadLen), Note: "injected"})
-		if len(di.DroppedSeqs) < 64 {
-			di.DroppedSeqs = append(di.DroppedSeqs, p.Seq)
-		} else {
-			di.DroppedSeqs[di.Dropped%64] = p.Seq
-		}
 		return
 	}
 	di.Passed++

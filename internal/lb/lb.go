@@ -135,7 +135,10 @@ const (
 	PolicyFlowlet   = "flowlet"
 )
 
-// New constructs a picker by policy name. Unknown names return nil.
+// New constructs a picker by policy name — the one name → picker map
+// behind every Clos the tree builds. Per-packet spraying is uniform
+// random (round-robin spraying is for tests); flowlets open after a
+// 100us gap. Unknown names return nil.
 func New(s *sim.Sim, name string) interface {
 	Pick(p *packet.Packet, n int) int
 } {
@@ -143,7 +146,7 @@ func New(s *sim.Sim, name string) interface {
 	case PolicyECMP:
 		return &ECMP{}
 	case PolicyPerPacket:
-		return NewPerPacket(s, false)
+		return NewPerPacket(s, true)
 	case PolicyPerTSO:
 		return &PerTSO{}
 	case PolicyFlowlet:

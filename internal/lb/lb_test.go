@@ -133,6 +133,14 @@ func TestNewByName(t *testing.T) {
 	if New(s, "bogus") != nil {
 		t.Fatal("unknown policy should return nil")
 	}
+	// Per-packet spraying by name is the uniform-random sprayer.
+	byName, direct := New(sim.New(4), PolicyPerPacket), NewPerPacket(sim.New(4), true)
+	p := &packet.Packet{Flow: flow(1)}
+	for i := 0; i < 1000; i++ {
+		if a, b := byName.Pick(p, 4), direct.Pick(p, 4); a != b {
+			t.Fatalf("pick %d: New(%q) chose %d, NewPerPacket(s, true) chose %d", i, PolicyPerPacket, a, b)
+		}
+	}
 }
 
 // Property: every picker returns an index in [0, n).

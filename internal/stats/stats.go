@@ -38,6 +38,13 @@ func (s *Sampler) AddDuration(d time.Duration) { s.Add(d.Seconds()) }
 // N returns the number of observations.
 func (s *Sampler) N() int { return len(s.xs) }
 
+// Reset discards every observation, keeping the buffer — how a run drops
+// its warm-up samples.
+func (s *Sampler) Reset() {
+	s.xs = s.xs[:0]
+	s.sorted = false
+}
+
 // Quantile returns the q-th quantile (0 <= q <= 1) using nearest-rank on
 // the sorted samples. Returns 0 when empty.
 func (s *Sampler) Quantile(q float64) float64 {

@@ -47,6 +47,28 @@ func TestSamplerAddAfterQuery(t *testing.T) {
 	}
 }
 
+func TestSamplerReset(t *testing.T) {
+	s, fresh := NewSampler(0), NewSampler(0)
+	for i := 0; i < 500; i++ {
+		s.Add(float64(i * 7 % 101)) // warm-up samples to discard
+	}
+	_ = s.Median() // leaves the buffer sorted
+	s.Reset()
+	if s.N() != 0 {
+		t.Fatalf("N after Reset = %d", s.N())
+	}
+	for i := 0; i < 300; i++ {
+		x := float64(i * 13 % 97)
+		s.Add(x)
+		fresh.Add(x)
+	}
+	for _, q := range []float64{0, 0.1, 0.5, 0.9, 0.99, 1} {
+		if got, want := s.Quantile(q), fresh.Quantile(q); got != want {
+			t.Fatalf("q%v after Reset = %v, fresh sampler = %v", q, got, want)
+		}
+	}
+}
+
 func TestSamplerMeanMax(t *testing.T) {
 	s := NewSampler(0)
 	s.AddDuration(2 * time.Second)

@@ -435,11 +435,7 @@ func (h *Host) AttachFleetProbe(agg *fleet.Aggregator, tor int) {
 func (h *Host) OffloadCounters() gro.Counters {
 	var total gro.Counters
 	for i := 0; i < h.RX.NumQueues(); i++ {
-		c := h.RX.Offload(i).Counters()
-		total.Packets += c.Packets
-		total.Segments += c.Segments
-		total.OOOWork += c.OOOWork
-		total.MergedPkts += c.MergedPkts
+		total.Add(h.RX.Offload(i).Counters())
 	}
 	return total
 }

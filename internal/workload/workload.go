@@ -144,14 +144,6 @@ func NewPoissonRPCGen(s *sim.Sim, streams []*RPCStream, size int, perSecond floa
 // Streams returns the generator's streams.
 func (g *PoissonRPCGen) Streams() []*RPCStream { return g.streams }
 
-// SwapSampler redirects every stream's latency recording to a fresh
-// sampler (used to discard warm-up samples).
-func (g *PoissonRPCGen) SwapSampler(to *stats.Sampler) {
-	for _, st := range g.streams {
-		st.Latency = to
-	}
-}
-
 // Start begins generation.
 func (g *PoissonRPCGen) Start() {
 	g.on = true

@@ -4,6 +4,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"juggler/internal/lb"
+	"juggler/internal/sim"
 )
 
 func TestDefaultTuningRuleOfThumb(t *testing.T) {
@@ -159,8 +162,17 @@ func TestStackAndPolicyStrings(t *testing.T) {
 	if StackJuggler.String() != "juggler" || StackVanilla.String() != "vanilla" {
 		t.Fatal("stack names wrong")
 	}
-	if PerPacket.String() != "perpacket" || ECMP.String() != "ecmp" {
-		t.Fatal("policy names wrong")
+	// NewCluster builds its uplink picker with lb.New(s, cfg.LB.String()).
+	for p, want := range map[LoadBalancing]string{
+		ECMP: lb.PolicyECMP, PerPacket: lb.PolicyPerPacket,
+		PerTSO: lb.PolicyPerTSO, Flowlet: lb.PolicyFlowlet,
+	} {
+		if p.String() != want {
+			t.Fatalf("policy %d named %q, want %q", p, p.String(), want)
+		}
+		if lb.New(sim.New(1), p.String()) == nil {
+			t.Fatalf("lb.New rejects policy %q", p.String())
+		}
 	}
 	if Rate40G.String() != "40Gb/s" {
 		t.Fatalf("rate string = %q", Rate40G.String())
