@@ -7,8 +7,8 @@ import (
 )
 
 // BenchmarkSchedule measures the steady-state cost of one schedule+execute
-// cycle on an otherwise empty queue: free-list pop, heap push, heap pop,
-// recycle. This is the floor under every event in the stack.
+// cycle on an otherwise empty queue: free-list pop, filing in a wheel
+// bucket, pop, recycle. This is the floor under every event in the stack.
 func BenchmarkSchedule(b *testing.B) {
 	s := New(1)
 	fn := func() {}
@@ -70,6 +70,41 @@ func BenchmarkTimerReset(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tm.Reset(5 * time.Millisecond)
 		s.Schedule(1024*time.Microsecond, fn)
+		s.step()
+	}
+}
+
+// BenchmarkScheduleClosShape reproduces the ready queue of the sprayed
+// Clos benchmark: 32 far timers, pushed out 1–2 ms like an RTO re-armed
+// by an ACK (one of them every 16 ops, so none fires), under a stream of
+// near events due 128–512 ns ahead — a port's tx-complete or a
+// propagation delivery — with 24 of them pending. One op is one schedule
+// plus one step.
+func BenchmarkScheduleClosShape(b *testing.B) {
+	s := New(1)
+	fn := func() {}
+	var tms [32]*Timer
+	rto := func(k int) time.Duration { return time.Millisecond + time.Duration(k)*31*time.Microsecond }
+	for k := range tms {
+		tms[k] = NewTimer(s, fn)
+		tms[k].Reset(rto(k))
+	}
+	var delays [256]time.Duration
+	rng := rand.New(rand.NewSource(1))
+	for i := range delays {
+		delays[i] = time.Duration(128 + rng.Intn(385))
+	}
+	for i := 0; i < 24; i++ {
+		s.Schedule(delays[i], fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i&15 == 0 {
+			k := i >> 4 & 31
+			tms[k].Reset(rto(k))
+		}
+		s.Schedule(delays[i&255], fn)
 		s.step()
 	}
 }
@@ -157,6 +192,28 @@ func TestScheduleStepZeroAlloc(t *testing.T) {
 		s.step()
 	}); allocs != 0 {
 		t.Errorf("ScheduleArg with a pointer argument allocates %v objects/op, want 0", allocs)
+	}
+
+	// One full wheel turn: each event is due one bucket after the last,
+	// so the loop files into and pops from all 64 buckets in turn.
+	if allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < wheelBuckets; i++ {
+			s.Schedule(1<<wheelShift, fn)
+			s.step()
+		}
+	}); allocs != 0 {
+		t.Errorf("a wheel turn allocates %v objects/op, want 0", allocs)
+	}
+
+	// A burst at one instant fills its bucket and overflows into the heap.
+	if allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < bucketCap+4; i++ {
+			s.Schedule(100*time.Nanosecond, fn)
+		}
+		for s.step() {
+		}
+	}); allocs != 0 {
+		t.Errorf("a bucket overflowing into the heap allocates %v objects/op, want 0", allocs)
 	}
 }
 

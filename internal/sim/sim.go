@@ -8,17 +8,25 @@
 // per-event argument, for per-packet paths), and cancel pending work via
 // the returned *Event handle or a Timer.
 //
-// The ready queue is an inlined 4-ary heap of *Event with no interface
-// boxing, and it holds only events that will run: Cancel removes its event
-// from the heap at once and a pending Timer is re-keyed in place, the way
-// the kernel timerqueue dequeues a cancelled hrtimer, so the heap's depth
-// is the number of live events and not the number of timers re-armed in
-// the last few milliseconds. Executed and cancelled events are recycled
-// through a per-Sim free list. A schedule+execute cycle therefore
-// allocates nothing once warm (TestScheduleStepZeroAlloc) — provided the
-// caller does not mint a closure per event, which is what ScheduleArg is
-// for: a fabric hop and a host segment dispatch are pinned at zero
-// allocations by TestFabricHopZeroAlloc and TestHostDispatchZeroAlloc.
+// The ready queue is two structures with one order. Events due within
+// 4.096 µs — a packet's tx-complete and propagation, most of the traffic —
+// are filed in a near-future wheel of 64 exact 64 ns buckets (wheel.go);
+// later ones, the RTO/TLP timers and held delay-line packets, go to an
+// inlined 4-ary heap of *Event with no interface boxing. The next event is
+// the (time, insertion-order) minimum of the wheel's first bucket head and
+// the heap's root, so a hop event never sifts through the far timers and
+// the execution order is the one a single heap gives. The queue holds only
+// events that will run: Cancel unlinks its event at once and a pending
+// Timer is re-keyed, the way the kernel timerqueue dequeues a cancelled
+// hrtimer, so the queue's size is the number of live events and not the
+// number of timers re-armed in the last few milliseconds. Executed and
+// cancelled events are recycled through a per-Sim free list, and the
+// wheel's buckets are allocated once, in New. A schedule+execute cycle
+// therefore allocates nothing once warm (TestScheduleStepZeroAlloc) —
+// provided the caller does not mint a closure per event, which is what
+// ScheduleArg is for: a fabric hop and a host segment dispatch are pinned
+// at zero allocations by TestFabricHopZeroAlloc and
+// TestHostDispatchZeroAlloc.
 package sim
 
 import (
@@ -32,7 +40,7 @@ import (
 // relative delays) so the two cannot be mixed up.
 type Time int64
 
-// Duration returns the span from t0 to t as a time.Duration.
+// Sub returns the span from t0 to t as a time.Duration.
 func (t Time) Sub(t0 Time) time.Duration { return time.Duration(t - t0) }
 
 // Add returns t shifted forward by d.
@@ -68,29 +76,29 @@ type Event struct {
 	fn    func(any)
 	arg   any
 	owner *Sim
-	idx   int // position in owner.queue; -1 when not queued (handle is dead)
+	idx   int // slot in owner.queue; inWheel when filed in the wheel; notQueued when the handle is dead
 }
 
 // Cancel removes the event from the ready queue so it never runs, and
 // recycles it. Cancelling an event that already ran (or was already
 // cancelled) is a no-op. Returns true if the event was still pending.
 func (e *Event) Cancel() bool {
-	if e == nil || e.idx < 0 {
+	if e == nil || e.idx == notQueued {
 		return false
 	}
 	s := e.owner
-	s.remove(e)
+	s.unlink(e)
 	s.recycle(e)
 	return true
 }
 
 // Pending reports whether the event is still queued.
-func (e *Event) Pending() bool { return e != nil && e.idx >= 0 }
+func (e *Event) Pending() bool { return e != nil && e.idx != notQueued }
 
 // Time returns the instant the event is (or was) scheduled for.
 func (e *Event) Time() Time { return e.at }
 
-// eventBefore is the heap order: earliest time first, FIFO within an
+// eventBefore is the queue order: earliest time first, FIFO within an
 // instant. Kept free of interface indirection so the compiler can inline it
 // into the sift loops.
 func eventBefore(a, b *Event) bool {
@@ -103,7 +111,8 @@ func eventBefore(a, b *Event) bool {
 // one Sim per parameter point).
 type Sim struct {
 	now     Time
-	queue   []*Event // 4-ary min-heap on (at, seq); holds only events that will run
+	wheel   wheel    // events due within the wheel's 4.096 µs span
+	queue   []*Event // 4-ary min-heap on (at, seq): later events, and overflow of a full bucket
 	free    []*Event // recycled events, reused by Schedule
 	seq     uint64
 	rng     *rand.Rand
@@ -146,7 +155,10 @@ type Sim struct {
 // New creates a simulator whose random source is seeded with seed.
 // Identical seeds yield bit-identical runs.
 func New(seed int64) *Sim {
-	return &Sim{rng: rand.New(rand.NewSource(seed))}
+	return &Sim{
+		rng:   rand.New(rand.NewSource(seed)),
+		wheel: wheel{slot: new([wheelBuckets][bucketCap]*Event)},
+	}
 }
 
 // Now returns the current simulation time.
@@ -201,9 +213,18 @@ func (s *Sim) ScheduleArgAt(t Time, fn func(any), arg any) *Event {
 	e.seq = s.seq
 	e.fn = fn
 	e.arg = arg
+	s.push(e)
+	return e
+}
+
+// push files e, keyed, in the wheel when it is due inside the span and its
+// bucket has room, else in the heap.
+func (s *Sim) push(e *Event) {
+	if near(s.now, e.at) && s.wheel.add(e) {
+		return
+	}
 	s.queue = append(s.queue, e)
 	s.siftUp(len(s.queue)-1, e)
-	return e
 }
 
 // after converts a relative delay to an absolute time.
@@ -221,19 +242,29 @@ func (s *Sim) checkAt(t Time) {
 	}
 }
 
-// rekey moves the queued event e to time t in place. It draws the seq a
+// rekey moves the queued event e to time t. It draws the seq a
 // cancel-then-schedule would have drawn, so the event runs exactly where
-// the replacement would have, with one sift and no free-list traffic.
+// the replacement would have, with no free-list traffic. A heap event that
+// stays beyond the span is re-keyed in place with one sift; any other is
+// unlinked and filed afresh.
 func (s *Sim) rekey(e *Event, t Time) {
 	s.checkAt(t)
 	s.seq++
+	if e.idx >= 0 && !near(s.now, t) {
+		e.at = t
+		e.seq = s.seq
+		s.fix(e.idx, e)
+		return
+	}
+	s.unlink(e)
 	e.at = t
 	e.seq = s.seq
-	s.fix(e.idx, e)
+	s.push(e)
 }
 
-// The ready queue is an inlined 4-ary heap of *Event. Every slot write
-// goes through siftUp/siftDown, which keep Event.idx equal to the slot.
+// The heap half of the ready queue is an inlined 4-ary heap of *Event.
+// Every slot write goes through siftUp/siftDown, which keep Event.idx
+// equal to the slot.
 
 // siftUp places e in the hole at i or above it.
 func (s *Sim) siftUp(i int, e *Event) {
@@ -301,16 +332,18 @@ func (s *Sim) takeLast() *Event {
 	return last
 }
 
-// remove takes the queued event e out of the heap: the last element fills
-// its slot and sifts to where it belongs.
-func (s *Sim) remove(e *Event) {
-	if last := s.takeLast(); last != e {
+// unlink takes the queued event e out of whichever structure holds it. In
+// the heap the last element fills its slot and sifts to where it belongs.
+func (s *Sim) unlink(e *Event) {
+	if e.idx == inWheel {
+		s.wheel.remove(e)
+	} else if last := s.takeLast(); last != e {
 		s.fix(e.idx, last)
 	}
-	e.idx = -1
+	e.idx = notQueued
 }
 
-// recycle returns an event that left the heap to the free list.
+// recycle returns an event that left the queue to the free list.
 func (s *Sim) recycle(e *Event) {
 	e.fn = nil
 	e.arg = nil
@@ -320,17 +353,36 @@ func (s *Sim) recycle(e *Event) {
 // Stop makes Run/RunUntil return after the current event completes.
 func (s *Sim) Stop() { s.stopped = true }
 
+// next returns the earliest queued event without removing it, or nil when
+// the queue is empty: the earlier of the wheel's first event and the
+// heap's root.
+func (s *Sim) next() *Event {
+	e := s.wheel.first(s.now)
+	if len(s.queue) > 0 && (e == nil || eventBefore(s.queue[0], e)) {
+		return s.queue[0]
+	}
+	return e
+}
+
 // step removes and executes the earliest event. Returns false when the
 // queue is empty.
 func (s *Sim) step() bool {
-	if len(s.queue) == 0 {
+	e := s.next()
+	if e == nil {
 		return false
 	}
-	e := s.queue[0]
-	if last := s.takeLast(); last != e {
+	s.run(e)
+	return true
+}
+
+// run removes e, which next just returned, and executes it.
+func (s *Sim) run(e *Event) {
+	if e.idx == inWheel {
+		s.wheel.popFirst(e)
+	} else if last := s.takeLast(); last != e {
 		s.siftDown(0, last) // the root's hole: no parent to compare against
 	}
-	e.idx = -1
+	e.idx = notQueued
 	if e.at < s.now {
 		panic("sim: time went backwards")
 	}
@@ -342,7 +394,6 @@ func (s *Sim) step() bool {
 		panic("sim: MaxEvents exceeded (runaway event loop?)")
 	}
 	fn(arg)
-	return true
 }
 
 // Step pops and executes the next event, returning false when the queue is
@@ -361,8 +412,12 @@ func (s *Sim) Run() {
 // Events scheduled exactly at t do run.
 func (s *Sim) RunUntil(t Time) {
 	s.stopped = false
-	for !s.stopped && len(s.queue) > 0 && s.queue[0].at <= t {
-		s.step()
+	for !s.stopped {
+		e := s.next()
+		if e == nil || e.at > t {
+			break
+		}
+		s.run(e)
 	}
 	if t > s.now {
 		s.now = t
@@ -372,6 +427,6 @@ func (s *Sim) RunUntil(t Time) {
 // RunFor advances the simulation by d from the current time.
 func (s *Sim) RunFor(d time.Duration) { s.RunUntil(s.now.Add(d)) }
 
-// Pending returns the number of events waiting to run: the ready queue
-// holds nothing else.
-func (s *Sim) Pending() int { return len(s.queue) }
+// Pending returns the number of events waiting to run: the wheel and the
+// heap hold nothing else.
+func (s *Sim) Pending() int { return s.wheel.n + len(s.queue) }

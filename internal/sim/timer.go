@@ -8,9 +8,10 @@ import "time"
 // coalescing.
 //
 // A Timer wraps at most one pending Event at a time; Reset on a pending
-// timer moves that event to the new deadline in place. Timers are re-armed
-// on hot paths (NIC coalescing, per-flow timeouts, RTO on every ACK), so a
-// re-arm costs one heap sift and allocates nothing.
+// timer moves that event to the new deadline. Timers are re-armed on hot
+// paths (NIC coalescing, per-flow timeouts, RTO on every ACK), so a re-arm
+// allocates nothing: a far timer that stays far costs one heap sift in
+// place, any other re-arm an unlink and a refile.
 type Timer struct {
 	sim *Sim
 	fn  func()
