@@ -173,9 +173,11 @@ func (s *Stats) Add(o Stats) {
 type flowEntry struct {
 	key  packet.FiveTuple
 	hash uint32 // key.Hash(0), cached for probing
-	// sl is the flow's out-of-order queue; it survives release with its
-	// backing arrays, so a recycled entry buffers without allocating.
-	sl *reasm.SegList
+	// sl is the flow's out-of-order queue, embedded: a flow is one
+	// allocation, and its queue is no pointer hop away. It survives
+	// release with its backing arrays, so a recycled entry buffers
+	// without allocating.
+	sl reasm.SegList
 	// holdStart anchors the timeout clocks: the later of the last flush
 	// and the instant the queue went from empty to non-empty. Using the
 	// raw flush timestamp would spuriously expire a freshly reactivated
@@ -199,10 +201,10 @@ type flowEntry struct {
 
 	// dl is the flow's deadline-queue item: the armed deadline and the
 	// arming seq of the flow's one live slot in the Juggler's queue (seq
-	// 0: not queued). The queue's heap holds the keys, so a sift never
-	// loads this entry; slots left by re-arms and removals go stale and
-	// are dropped lazily. The stored deadline always equals flowDeadline
-	// (maintained by updateDeadline at every mutation site).
+	// 0: not queued). The queue's slots hold the keys, so ordering them
+	// never loads this entry; slots left by re-arms and removals go stale
+	// and are dropped lazily. The stored deadline always equals
+	// flowDeadline (maintained by updateDeadline at every mutation site).
 	dl sim.DeadlineItem
 }
 
@@ -410,7 +412,8 @@ func flowHash(p *packet.Packet) uint32 {
 // table, post-merge flows holding nothing, the table within its Table-2
 // eviction bound, the incremental byte/packet accounting matching a full
 // recount, and the deadline queue holding exactly the flows with pending
-// timeouts at their current deadlines. It returns nil when consistent.
+// timeouts at their current deadlines, its earliest live slot at the
+// earliest of them. It returns nil when consistent and changes nothing.
 // Tests and the chaos invariant checker call it after operations; it is
 // not on the hot path.
 func (j *Juggler) CheckInvariants() error {
@@ -433,6 +436,7 @@ func (j *Juggler) CheckInvariants() error {
 			j.table.len(), j.cfg.MaxFlows)
 	}
 	bytes, pkts, deadlines := 0, 0, 0
+	minDeadline := sim.Time(0)
 	check := func(l *flowList) error {
 		var lastSeq uint64
 		first := true
@@ -467,6 +471,9 @@ func (j *Juggler) CheckInvariants() error {
 				return fmt.Errorf("core: flow %v deadline-queue state is stale", e.key)
 			}
 			if !e.sl.Empty() {
+				if deadlines == 0 || d < minDeadline {
+					minDeadline = d
+				}
 				deadlines++
 			}
 			bytes += e.sl.Bytes()
@@ -485,6 +492,11 @@ func (j *Juggler) CheckInvariants() error {
 	}
 	if j.dq.Len() != deadlines {
 		return fmt.Errorf("core: deadline queue holds %d flows, want %d", j.dq.Len(), deadlines)
+	}
+	// PeekMinDeadline, not MinDeadline: dropping stale slots here would
+	// make a checked run's queue differ from an unchecked one.
+	if got := j.dq.PeekMinDeadline(); got != minDeadline {
+		return fmt.Errorf("core: deadline queue's earliest live deadline %v, want %v", got, minDeadline)
 	}
 	return nil
 }
@@ -642,7 +654,8 @@ func (j *Juggler) newFlow(p *packet.Packet, hash uint32) *flowEntry {
 		j.freeFlows = e.next
 		e.next = nil
 	} else {
-		e = &flowEntry{sl: reasm.New(reasm.KindSegList, j.segPool)}
+		e = &flowEntry{}
+		e.sl.Init(j.segPool)
 	}
 	now := j.sim.Now()
 	e.key = p.Flow

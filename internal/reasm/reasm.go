@@ -45,5 +45,5 @@ func New(k Kind, pool *packet.SegPool) *SegList {
 	if k != KindSegList {
 		panic("reasm: unknown kind")
 	}
-	return &SegList{pool: pool}
+	return new(SegList).Init(pool)
 }

@@ -37,6 +37,13 @@ type SegList struct {
 	npkts  int
 }
 
+// Init binds an empty queue — a zero SegList embedded in a larger struct,
+// say — to pool and returns it.
+func (q *SegList) Init(pool *packet.SegPool) *SegList {
+	q.pool = pool
+	return q
+}
+
 // Len returns the number of segments queued.
 func (q *SegList) Len() int { return len(q.segs) }
 

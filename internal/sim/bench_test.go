@@ -147,6 +147,66 @@ func BenchmarkDeadlineQueue(b *testing.B) {
 	}
 }
 
+// BenchmarkDeadlineQueueMix is BenchmarkDeadlineQueue with the arming mix
+// of a full rx-flowscale run: 25 000 owners, each re-armed at one of two
+// offsets (the in-sequence and out-of-order timeouts) from the shared
+// instant, and one arm in nine (about 11 %) moving an out-of-order
+// deadline earlier to anchor+inseq — a filled hole — from an anchor some
+// 4 000 ops old. The moved owner's first slot goes stale, so about one pop
+// in nine is stale. One op is one arm plus a sixteenth of a PopDue, and
+// every eighth op adds the move.
+func BenchmarkDeadlineQueueMix(b *testing.B) {
+	const (
+		n     = 25000
+		inseq = 16384 // ops
+		ofo   = 40000
+		back  = 2048 // out-of-order arms between an arm and its move
+	)
+	type owner struct {
+		it     DeadlineItem
+		anchor Time
+		_      [104]byte
+	}
+	q := NewDeadlineQueue(func(o *owner) *DeadlineItem { return &o.it })
+	owners := make([]*owner, n)
+	for i := range owners {
+		owners[i] = &owner{}
+	}
+	rand.New(rand.NewSource(1)).Shuffle(n, func(i, j int) { owners[i], owners[j] = owners[j], owners[i] })
+	for i, o := range owners {
+		q.Update(o, Time(i))
+	}
+	var recent [2 * back]*owner // ring of the latest out-of-order arms
+	armed := 0
+	expired := make([]*owner, 0, n)
+	visit := func(o *owner) { expired = append(expired, o) }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now := Time(i)
+		if i&15 == 0 {
+			q.PopDue(now, visit)
+		}
+		if k := len(expired) - 1; k >= 0 {
+			o := expired[k]
+			expired = expired[:k]
+			o.anchor = now
+			if i&1 == 0 {
+				q.Update(o, now+inseq)
+			} else {
+				q.Update(o, now+ofo)
+				recent[armed%len(recent)] = o
+				armed++
+			}
+		}
+		if i&7 == 0 && armed > back {
+			if o := recent[(armed-back)%len(recent)]; o.it.Deadline() == o.anchor+ofo {
+				q.Update(o, o.anchor+inseq)
+			}
+		}
+	}
+}
+
 // TestScheduleStepZeroAlloc pins the hot-loop contract from the package
 // doc: once the free list and heap capacity are warm, a schedule+execute
 // cycle allocates nothing — including Cancel, a timer re-arm, and an
