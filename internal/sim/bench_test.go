@@ -180,9 +180,7 @@ func BenchmarkDeadlineQueueMix(b *testing.B) {
 	armed := 0
 	expired := make([]*owner, 0, n)
 	visit := func(o *owner) { expired = append(expired, o) }
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	step := func(i int) {
 		now := Time(i)
 		if i&15 == 0 {
 			q.PopDue(now, visit)
@@ -204,6 +202,17 @@ func BenchmarkDeadlineQueueMix(b *testing.B) {
 				q.Update(o, o.anchor+inseq)
 			}
 		}
+	}
+	// Warm up until the backing arrays have grown to the mix's steady
+	// state, so a short run does not time their growth.
+	const warm = 4 * n
+	for i := 0; i < warm; i++ {
+		step(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step(warm + i)
 	}
 }
 
