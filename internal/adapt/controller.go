@@ -277,7 +277,7 @@ func (c *Controller) tick() {
 		}
 		if !c.trimming {
 			c.trimming = true
-			c.tel.Decide(&telemetry.Decision{Layer: telemetry.LayerHost, Op: telemetry.OpRetune,
+			c.tel.Record(&telemetry.Record{Layer: telemetry.LayerHost, Op: telemetry.OpRetune,
 				Cause: CauseIdleTrim, N: int64(r.MaxIdleFlows), Note: "inactive-list bound"})
 		}
 	} else {
@@ -377,18 +377,16 @@ func (c *Controller) ofoTarget(est Estimates, winMax time.Duration, relaxed, liv
 	return c.curOfo, false
 }
 
-// record counts one knob change and emits it to the forensics ring and
-// the flight recorder.
+// record counts one knob change and records it (flight recorder and
+// global decision ring).
 func (c *Controller) record(now, was time.Duration, knob string) {
 	c.Stats.Retunes++
 	cause := CauseRaise
 	if now < was {
 		cause = CauseLower
 	}
-	c.tel.Decide(&telemetry.Decision{Layer: telemetry.LayerHost, Op: telemetry.OpRetune,
+	c.tel.Record(&telemetry.Record{Layer: telemetry.LayerHost, Op: telemetry.OpRetune,
 		Cause: cause, N: int64(now), Note: knob})
-	c.tel.Event(telemetry.Event{Layer: telemetry.LayerHost, Kind: telemetry.KindRetune,
-		N: int64(now), Note: knob})
 }
 
 // step applies hysteresis (hold inside the deadband) and the bounded

@@ -89,9 +89,7 @@ func (j *Juggler) evictOne() {
 func (j *Juggler) evict(e *flowEntry, cause string) {
 	*e.list.evictions++
 	if j.tel != nil {
-		j.tel.Event(telemetry.Event{Layer: telemetry.LayerCore, Kind: telemetry.KindEvict,
-			Flow: e.key, Seq: e.seqNext, N: int64(e.sl.Pkts()), Note: e.phase.String()})
-		j.decide(e, &telemetry.Decision{Op: telemetry.OpEvict, Cause: cause,
+		j.record(e, &telemetry.Record{Op: telemetry.OpEvict, Cause: cause,
 			Seq: e.seqNext, EndSeq: e.seqNext, N: int64(e.sl.Pkts()), Note: e.phase.String()})
 	}
 	j.drain(e, &j.Stats.FlushEvict, CauseEvict, false)

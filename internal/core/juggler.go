@@ -589,9 +589,7 @@ func (j *Juggler) receive(p *packet.Packet) {
 		if packet.SeqLess(p.Seq, e.seqNext) {
 			j.Stats.Retransmissions++
 			if j.tel != nil && !p.SkipStamps {
-				j.tel.Event(telemetry.Event{Layer: telemetry.LayerCore, Kind: telemetry.KindRetransmit,
-					Flow: p.Flow, Seq: p.Seq, N: int64(p.PayloadLen), Note: "inferred"})
-				j.decide(e, &telemetry.Decision{Op: telemetry.OpPass, Cause: "retransmission",
+				j.record(e, &telemetry.Record{Op: telemetry.OpPass, Cause: "retransmission",
 					Seq: p.Seq, EndSeq: p.EndSeq(), N: int64(p.PayloadLen), Note: "inferred, flushed unbuffered"})
 			}
 			j.emit(j.segPool.FromPacket(p))
@@ -606,7 +604,7 @@ func (j *Juggler) receive(p *packet.Packet) {
 			j.enlist(&j.active, e)
 			e.phase = PhaseActiveMerge
 			if j.tel != nil && !p.SkipStamps {
-				j.decide(e, &telemetry.Decision{Op: telemetry.OpPhase, Cause: telemetry.CausePhaseNewData,
+				j.record(e, &telemetry.Record{Op: telemetry.OpPhase, Cause: telemetry.CausePhaseNewData,
 					Seq: p.Seq, EndSeq: p.Seq, Note: "post-merge>active-merge"})
 			}
 		}
@@ -634,9 +632,7 @@ func (j *Juggler) exitLossRecovery(e *flowEntry, skip bool) {
 	}
 	j.enlist(l, e)
 	if j.tel != nil && !skip {
-		j.tel.Event(telemetry.Event{Layer: telemetry.LayerCore, Kind: telemetry.KindPhase,
-			Flow: e.key, Seq: e.seqNext, Note: "loss-recovery-exit"})
-		j.decide(e, &telemetry.Decision{Op: telemetry.OpPhase, Cause: "hole-filled",
+		j.record(e, &telemetry.Record{Op: telemetry.OpPhase, Cause: "hole-filled",
 			Seq: e.seqNext, EndSeq: e.seqNext, Note: note})
 	}
 }
@@ -701,7 +697,7 @@ func (j *Juggler) bufferAndCheck(e *flowEntry, p *packet.Packet) {
 	}
 	if !fastPath {
 		if j.tel != nil && !p.SkipStamps {
-			j.tel.Event(telemetry.Event{Layer: telemetry.LayerCore, Kind: telemetry.KindBuffer,
+			j.tel.Record(&telemetry.Record{Layer: telemetry.LayerCore, Op: telemetry.OpBuffer,
 				Flow: p.Flow, Seq: p.Seq, N: int64(p.PayloadLen), Note: e.phase.String()})
 		}
 		// Only genuine out-of-order queue surgery costs more than the
@@ -711,7 +707,7 @@ func (j *Juggler) bufferAndCheck(e *flowEntry, p *packet.Packet) {
 	if res == reasm.InsDuplicate {
 		j.Stats.Duplicates++
 		if j.tel != nil && !p.SkipStamps {
-			j.decide(e, &telemetry.Decision{Op: telemetry.OpPass, Cause: "duplicate",
+			j.record(e, &telemetry.Record{Op: telemetry.OpPass, Cause: "duplicate",
 				Seq: p.Seq, EndSeq: p.EndSeq(), N: int64(p.PayloadLen), Note: "range already buffered"})
 		}
 		j.emit(j.segPool.FromPacket(p)) // hand duplicates to TCP for D-SACK etc.
@@ -748,13 +744,13 @@ const (
 	CauseIdleTrim  = "idle-trim"
 )
 
-// decide records one forensic decision through the telemetry sink,
-// filling in the flow's seq/hole/queue state at this instant. Callers test
-// j.tel != nil (plus the packet's stamp-sampling verdict) before building
-// the Decision literal, so the uninstrumented path never assembles the
-// ~100-byte argument; it is passed by pointer, so no further copy happens
-// until the audit-ring write.
-func (j *Juggler) decide(e *flowEntry, d *telemetry.Decision) {
+// record writes one decision through the telemetry sink, filling in the
+// flow's seq/hole/queue state at this instant. Callers test j.tel != nil
+// (plus the packet's stamp-sampling verdict) before building the Record
+// literal, so the uninstrumented path never assembles the ~100-byte
+// argument; it is passed by pointer, so no further copy happens until the
+// ring writes.
+func (j *Juggler) record(e *flowEntry, d *telemetry.Record) {
 	d.Layer = telemetry.LayerCore
 	d.Flow = e.key
 	d.SeqNext = e.seqNext
@@ -764,7 +760,7 @@ func (j *Juggler) decide(e *flowEntry, d *telemetry.Decision) {
 	}
 	d.QPkts = int64(e.sl.Pkts())
 	d.QBytes = int64(e.sl.Bytes())
-	j.tel.Decide(d)
+	j.tel.Record(d)
 }
 
 // eventFlush flushes "closed" in-sequence head segments: a head segment is
@@ -802,17 +798,13 @@ func (j *Juggler) eventFlush(e *flowEntry) *packet.Segment {
 // position afterwards.
 func (j *Juggler) flushHead(e *flowEntry, reason *int64, cause string) {
 	seg := e.sl.PopHead()
-	segSeq, segEnd, segPkts, skip := seg.Seq, seg.EndSeq(), seg.Pkts, seg.SkipStamps
+	skip := seg.SkipStamps
 	j.buffered -= seg.Bytes
 	j.bufferedPkts -= seg.Pkts
 	*reason++
-	j.emitMerged(seg)
-	e.seqNext = segEnd
+	e.seqNext = seg.EndSeq()
 	e.holdStart = j.sim.Now()
-	if j.tel != nil && !skip {
-		j.decide(e, &telemetry.Decision{Op: telemetry.OpFlush, Cause: cause,
-			Seq: segSeq, EndSeq: segEnd, N: int64(segPkts)})
-	}
+	j.emitMerged(e, seg, cause)
 	j.afterFlush(e, skip)
 }
 
@@ -826,7 +818,7 @@ func (j *Juggler) afterFlush(e *flowEntry, skip bool) {
 		// First flush ends build-up (§4.2.2 -> §4.2.3).
 		e.phase = PhaseActiveMerge
 		if record {
-			j.decide(e, &telemetry.Decision{Op: telemetry.OpPhase, Cause: "first-flush",
+			j.record(e, &telemetry.Record{Op: telemetry.OpPhase, Cause: "first-flush",
 				Seq: e.seqNext, EndSeq: e.seqNext, Note: "build-up>active-merge"})
 		}
 		fallthrough
@@ -837,7 +829,7 @@ func (j *Juggler) afterFlush(e *flowEntry, skip bool) {
 			j.enlist(&j.inactive, e)
 			e.phase = PhasePostMerge
 			if record {
-				j.decide(e, &telemetry.Decision{Op: telemetry.OpPhase, Cause: telemetry.CausePhaseDrained,
+				j.record(e, &telemetry.Record{Op: telemetry.OpPhase, Cause: telemetry.CausePhaseDrained,
 					Seq: e.seqNext, EndSeq: e.seqNext, Note: "active-merge>post-merge"})
 			}
 		}
@@ -848,15 +840,18 @@ func (j *Juggler) afterFlush(e *flowEntry, skip bool) {
 	}
 }
 
-// emitMerged forwards a flushed segment with batching statistics.
-func (j *Juggler) emitMerged(seg *packet.Segment) {
+// emitMerged records the flush of seg from e with its Table-2 cause and
+// forwards the segment with batching statistics. The record is written
+// before the segment goes up, so it precedes everything the delivery
+// records downstream; the caller has already advanced e's flow state.
+func (j *Juggler) emitMerged(e *flowEntry, seg *packet.Segment, cause string) {
 	if seg.Pkts > 1 {
 		j.c.MergedPkts += int64(seg.Pkts)
 	}
 	j.hFlushPkts.Observe(int64(seg.Pkts))
 	if j.tel != nil && !seg.SkipStamps {
-		j.tel.Event(telemetry.Event{Layer: telemetry.LayerCore, Kind: telemetry.KindFlush,
-			Flow: seg.Flow, Seq: seg.Seq, N: int64(seg.Pkts)})
+		j.record(e, &telemetry.Record{Op: telemetry.OpFlush, Cause: cause,
+			Seq: seg.Seq, EndSeq: seg.EndSeq(), N: int64(seg.Pkts)})
 	}
 	j.emit(seg)
 }

@@ -715,12 +715,12 @@ func TestTraceHooks(t *testing.T) {
 	h.recv(dataPkt(2))           // hole opens
 	h.recv(dataPkt(4))           // second out-of-order segment: queue surgery
 	h.run(60 * time.Microsecond) // ofo timeout -> loss recovery
-	kinds := map[telemetry.Kind]bool{}
-	for _, e := range k.Recorder.Events() {
-		kinds[e.Kind] = true
+	ops := map[telemetry.Op]bool{}
+	for _, e := range k.Recorder.Records() {
+		ops[e.Op] = true
 	}
-	for _, want := range []telemetry.Kind{telemetry.KindFlush, telemetry.KindBuffer, telemetry.KindTimeout} {
-		if !kinds[want] {
+	for _, want := range []telemetry.Op{telemetry.OpFlush, telemetry.OpBuffer, telemetry.OpTimeout} {
+		if !ops[want] {
 			t.Fatalf("missing %v event; have %s", want, k.Recorder.Summary())
 		}
 	}

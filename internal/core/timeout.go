@@ -126,7 +126,7 @@ func (j *Juggler) expireFlow(e *flowEntry, now sim.Time) {
 	// Row 5: in-sequence data held longer than inseq_timeout.
 	if head.Seq == e.seqNext && now.Sub(e.holdStart) >= j.cfg.InseqTimeout {
 		if j.tel != nil {
-			j.decide(e, &telemetry.Decision{Op: telemetry.OpTimeout, Cause: CauseInseq,
+			j.record(e, &telemetry.Record{Op: telemetry.OpTimeout, Cause: CauseInseq,
 				Seq: head.Seq, EndSeq: head.EndSeq(), N: int64(now.Sub(e.holdStart)),
 				Note: "held ns in N"})
 		}
@@ -153,9 +153,7 @@ func (j *Juggler) expireFlow(e *flowEntry, now sim.Time) {
 func (j *Juggler) ofoExpire(e *flowEntry) {
 	j.Stats.OfoTimeouts++
 	if j.tel != nil {
-		j.tel.Event(telemetry.Event{Layer: telemetry.LayerCore, Kind: telemetry.KindTimeout,
-			Flow: e.key, Seq: e.seqNext, N: int64(e.sl.Pkts()), Note: "ofo"})
-		j.decide(e, &telemetry.Decision{Op: telemetry.OpTimeout, Cause: CauseOfo,
+		j.record(e, &telemetry.Record{Op: telemetry.OpTimeout, Cause: CauseOfo,
 			Seq: e.seqNext, EndSeq: e.seqNext,
 			N: int64(j.sim.Now().Sub(e.holdStart)), Note: "held ns in N, queue drains"})
 	}
@@ -177,9 +175,7 @@ func (j *Juggler) ofoExpire(e *flowEntry) {
 		e.phase = PhaseLossRecovery
 		j.Stats.LossRecoveryEntered++
 		if j.tel != nil {
-			j.tel.Event(telemetry.Event{Layer: telemetry.LayerCore, Kind: telemetry.KindPhase,
-				Flow: e.key, Seq: e.seqNext, Note: "loss-recovery-enter"})
-			j.decide(e, &telemetry.Decision{Op: telemetry.OpPhase, Cause: CauseOfo,
+			j.record(e, &telemetry.Record{Op: telemetry.OpPhase, Cause: CauseOfo,
 				Seq: firstMissing, EndSeq: firstMissing, Note: note})
 		}
 	case PhasePostMerge:
@@ -199,15 +195,10 @@ func (j *Juggler) drain(e *flowEntry, counter *int64, cause string, advance bool
 		if counter != nil {
 			*counter++
 		}
-		segSeq, segEnd, segPkts, skip := seg.Seq, seg.EndSeq(), seg.Pkts, seg.SkipStamps
-		j.emitMerged(seg)
 		if advance {
-			e.seqNext = packet.SeqMax(e.seqNext, segEnd)
+			e.seqNext = packet.SeqMax(e.seqNext, seg.EndSeq())
 		}
-		if j.tel != nil && !skip {
-			j.decide(e, &telemetry.Decision{Op: telemetry.OpFlush, Cause: cause,
-				Seq: segSeq, EndSeq: segEnd, N: int64(segPkts)})
-		}
+		j.emitMerged(e, seg, cause)
 	}
 	e.sl.RecycleDrained(drained)
 }

@@ -109,7 +109,7 @@ func NewDropInjector(s *sim.Sim, prob float64, dst Sink) *DropInjector {
 func (di *DropInjector) Deliver(p *packet.Packet) {
 	if di.Prob > 0 && di.sim.Rand().Float64() < di.Prob {
 		di.Dropped++
-		di.tel.Event(telemetry.Event{Layer: telemetry.LayerFabric, Kind: telemetry.KindDrop,
+		di.tel.Record(&telemetry.Record{Layer: telemetry.LayerFabric, Op: telemetry.OpDrop,
 			Flow: p.Flow, Seq: p.Seq, N: int64(p.PayloadLen), Note: "injected"})
 		return
 	}

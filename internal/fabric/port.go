@@ -126,7 +126,7 @@ func (pt *Port) Send(p *packet.Packet) {
 	if pt.down {
 		pt.DroppedDown++
 		pt.sendDrops++
-		pt.tel.Event(telemetry.Event{Layer: telemetry.LayerFabric, Kind: telemetry.KindDrop,
+		pt.tel.Record(&telemetry.Record{Layer: telemetry.LayerFabric, Op: telemetry.OpDrop,
 			Track: pt.track, Flow: p.Flow, Seq: p.Seq, N: int64(p.WireLen()), Note: "link-down"})
 		return
 	}
@@ -135,12 +135,12 @@ func (pt *Port) Send(p *packet.Packet) {
 	}
 	if !pt.queue.Enqueue(p) {
 		pt.sendDrops++
-		pt.tel.Event(telemetry.Event{Layer: telemetry.LayerFabric, Kind: telemetry.KindDrop,
+		pt.tel.Record(&telemetry.Record{Layer: telemetry.LayerFabric, Op: telemetry.OpDrop,
 			Track: pt.track, Flow: p.Flow, Seq: p.Seq, N: int64(p.WireLen()), Note: "queue-full"})
 		return
 	}
 	if pt.queueEvents {
-		pt.tel.Event(telemetry.Event{Layer: telemetry.LayerFabric, Kind: telemetry.KindEnqueue,
+		pt.tel.Record(&telemetry.Record{Layer: telemetry.LayerFabric, Op: telemetry.OpEnqueue,
 			Track: pt.track, Flow: p.Flow, Seq: p.Seq, N: int64(pt.queue.Bytes())})
 	}
 	if !pt.busy {

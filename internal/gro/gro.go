@@ -205,8 +205,8 @@ func (g *Vanilla) start(p *packet.Packet) {
 }
 
 // flushFlow delivers the flow's in-progress merge, counting it in *n and
-// recording the flush reason (note must be a constant string).
-func (g *Vanilla) flushFlow(ft packet.FiveTuple, note string, n *int64) {
+// recording the flush cause (a constant string).
+func (g *Vanilla) flushFlow(ft packet.FiveTuple, cause string, n *int64) {
 	seg := g.merges[ft]
 	if seg == nil {
 		return
@@ -214,10 +214,8 @@ func (g *Vanilla) flushFlow(ft packet.FiveTuple, note string, n *int64) {
 	delete(g.merges, ft)
 	*n++
 	if g.tel != nil {
-		g.tel.Event(telemetry.Event{Layer: telemetry.LayerGRO, Kind: telemetry.KindFlush,
-			Flow: ft, Seq: seg.Seq, N: int64(seg.Pkts), Note: note})
-		g.tel.Decide(&telemetry.Decision{Layer: telemetry.LayerGRO, Op: telemetry.OpFlush,
-			Cause: note, Flow: ft, Seq: seg.Seq, EndSeq: seg.EndSeq(), N: int64(seg.Pkts)})
+		g.tel.Record(&telemetry.Record{Layer: telemetry.LayerGRO, Op: telemetry.OpFlush,
+			Cause: cause, Flow: ft, Seq: seg.Seq, EndSeq: seg.EndSeq(), N: int64(seg.Pkts)})
 	}
 	g.emit(seg)
 }

@@ -75,7 +75,7 @@ func (tx *TX) SendTSO(tmpl packet.Packet, seq uint32, payloadLen int) {
 	}
 	tx.nextTSOID++
 	tx.TSOBursts++
-	tx.tel.Event(telemetry.Event{Layer: telemetry.LayerNIC, Kind: telemetry.KindSend,
+	tx.tel.Record(&telemetry.Record{Layer: telemetry.LayerNIC, Op: telemetry.OpSend,
 		Track: tx.track, Flow: tmpl.Flow, Seq: seq, N: int64(payloadLen), Note: "tso"})
 	id := tx.nextTSOID
 	endFlags := tmpl.Flags
@@ -341,7 +341,7 @@ func (q *rxQueue) wake(cause string) {
 	if q.polling || q.paused {
 		return
 	}
-	q.rx.tel.Event(telemetry.Event{Layer: telemetry.LayerNIC, Kind: telemetry.KindCoalesce,
+	q.rx.tel.Record(&telemetry.Record{Layer: telemetry.LayerNIC, Op: telemetry.OpCoalesce,
 		Track: q.track, N: int64(q.pending()), Note: cause})
 	q.polling = true
 	q.episodeStart = q.rx.sim.Now()
@@ -382,7 +382,7 @@ func (q *rxQueue) poll() {
 	q.head += len(batch)
 	q.Polls++
 	q.hBatch.Observe(int64(len(batch)))
-	q.rx.tel.Event(telemetry.Event{Layer: telemetry.LayerNIC, Kind: telemetry.KindPoll,
+	q.rx.tel.Record(&telemetry.Record{Layer: telemetry.LayerNIC, Op: telemetry.OpPoll,
 		Track: q.track, N: int64(len(batch))})
 
 	// Hop stamps for forensics: the poll drain and the offload handoff

@@ -70,9 +70,10 @@ func TestRunDeterministic(t *testing.T) {
 }
 
 // TestRecordedRunReplays records a quick fig6 experiment the way
-// juggler-trace -record does, appends an event of a kind this build does
-// not know, and replays the file: every event survives with its kind, the
-// unknown one included.
+// juggler-trace -record does, appends a line for every op this build
+// knows, a line in the format written before records carried a cause,
+// and a line of an op this build does not know, then replays the file:
+// every record survives with its op and cause, the unknown one included.
 func TestRecordedRunReplays(t *testing.T) {
 	var rec *telemetry.Recorder
 	o := experiments.Options{Seed: 1, Quick: true}
@@ -84,28 +85,52 @@ func TestRecordedRunReplays(t *testing.T) {
 	if err := rec.WriteEvents(&buf); err != nil {
 		t.Fatal(err)
 	}
+	records := rec.Records()
+	recorded := len(records)
+	for o := telemetry.Op(0); int(o) < telemetry.NumOps; o++ {
+		fmt.Fprintf(&buf, "ev 1ms core %s 10.0.0.1:1>10.0.0.2:2/6 0 1 cause=c%d note %d\n", o, o, o)
+	}
+	buf.WriteString("ev 1ms core retransmit 10.0.0.1:1>10.0.0.2:2/6 0 1460 inferred\n")
 	buf.WriteString("ev 1ms core future-kind 10.0.0.1:1>10.0.0.2:2/6 0 1 from a newer build\n")
 	tr, err := Parse(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	want := map[string]int{"future-kind": 1}
-	for _, e := range rec.Events() {
-		want[e.Kind.String()]++
+	want := map[string]int{"future-kind": 1, "retransmit": 1}
+	for _, e := range records {
+		want[e.Op.String()]++
+	}
+	for o := telemetry.Op(0); int(o) < telemetry.NumOps; o++ {
+		want[o.String()]++
 	}
 	got := map[string]int{}
-	for _, e := range tr.Events {
-		got[e.Kind]++
+	for i, e := range tr.Events {
+		got[e.Op]++
+		if i < recorded {
+			if r := records[i]; e.Cause != r.Cause || e.Note != r.Note || !e.Known {
+				t.Fatalf("record %d replayed as %+v, recorded %+v", i, e, r)
+			}
+		}
 	}
 	if fmt.Sprint(got) != fmt.Sprint(want) || len(want) < 3 {
-		t.Fatalf("replayed kind tallies %v, want %v", got, want)
+		t.Fatalf("replayed op tallies %v, want %v", got, want)
 	}
-	if len(tr.UnknownKinds) != 1 || tr.UnknownKinds["future-kind"] != 1 {
-		t.Fatalf("unknown kinds = %v, want future-kind=1", tr.UnknownKinds)
+	extra := tr.Events[recorded:]
+	for o := telemetry.Op(0); int(o) < telemetry.NumOps; o++ {
+		e := extra[o]
+		if !e.Known || e.Op != o.String() || e.Cause != fmt.Sprintf("c%d", o) || e.Note != fmt.Sprintf("note %d", o) {
+			t.Fatalf("op %v did not round-trip: %+v", o, e)
+		}
+	}
+	if old := extra[telemetry.NumOps]; !old.Known || old.Cause != "" || old.Note != "inferred" {
+		t.Fatalf("cause-less line misparsed: %+v", old)
+	}
+	if len(tr.UnknownOps) != 1 || tr.UnknownOps["future-kind"] != 1 {
+		t.Fatalf("unknown ops = %v, want future-kind=1", tr.UnknownOps)
 	}
 	if last := tr.Events[len(tr.Events)-1]; last.Known || last.Note != "from a newer build" {
-		t.Fatalf("unknown event not preserved verbatim: %+v", last)
+		t.Fatalf("unknown record not preserved verbatim: %+v", last)
 	}
 	// An events-only run has no packets; the driver still runs cleanly.
 	if _, _, sink := Run(tr, Config{Seed: 1, Core: core.DefaultConfig()}); sink.Forensics.Delivered() != 0 {

@@ -11,16 +11,17 @@
 // combination of P (PSH), F (FIN), A (pure ACK, len ignored). Blank lines
 // and lines starting with '#' are skipped.
 //
-// A recorded run (juggler-trace -record) may interleave telemetry event
+// A recorded run (juggler-trace -record) may interleave telemetry record
 // lines:
 //
-//	ev <time> <layer> <kind> <flow> <seq> <n> [note]
+//	ev <time> <layer> <op> <flow> <seq> <n> [cause=<cause>] [note]
 //
-// Event kinds are decoded forward-compatibly: a kind name this build does
-// not know is preserved verbatim (Event.Known=false) and tallied in
-// Trace.UnknownKinds instead of being silently dropped, so a newer
+// Ops are decoded forward-compatibly: an op name this build does not know
+// is preserved verbatim (Event.Known=false) and tallied in
+// Trace.UnknownOps instead of being silently dropped, so a newer
 // recorder's output still replays — with its forensics surfaced — on an
-// older toolchain.
+// older toolchain. The cause token is optional: lines written before it
+// existed parse with an empty Event.Cause.
 package replay
 
 import (
@@ -42,17 +43,18 @@ type TimedPacket struct {
 	Pkt packet.Packet
 }
 
-// Event is one telemetry event line from a recorded run. Layer and Kind
-// are kept as strings so kinds minted by newer builds survive the round
+// Event is one telemetry record line from a recorded run. Layer and Op
+// are kept as strings so ops minted by newer builds survive the round
 // trip; Known reports whether this build's telemetry package recognizes
-// the kind.
+// the op.
 type Event struct {
 	At    time.Duration
 	Layer string
-	Kind  string
+	Op    string
 	Flow  string
 	Seq   uint32
 	N     int64
+	Cause string
 	Note  string
 	Known bool
 }
@@ -65,8 +67,8 @@ type Trace struct {
 
 	// Events are the recorded run's telemetry events in file order.
 	Events []Event
-	// UnknownKinds tallies event kinds this build does not know.
-	UnknownKinds map[string]int64
+	// UnknownOps tallies record ops this build does not know.
+	UnknownOps map[string]int64
 
 	ids   map[string]packet.FiveTuple
 	names map[packet.FiveTuple]string
@@ -150,10 +152,10 @@ func Parse(r io.Reader) (*Trace, error) {
 }
 
 // parseEvent decodes one "ev" line (see the package comment). Unknown
-// kinds are preserved, not rejected.
+// ops are preserved, not rejected.
 func (t *Trace) parseEvent(fields []string, lineNo int) error {
 	if len(fields) < 7 {
-		return fmt.Errorf("line %d: want ev <time> <layer> <kind> <flow> <seq> <n> [note]", lineNo)
+		return fmt.Errorf("line %d: want ev <time> <layer> <op> <flow> <seq> <n> [cause=<cause>] [note]", lineNo)
 	}
 	at, err := time.ParseDuration(fields[1])
 	if err != nil {
@@ -167,14 +169,21 @@ func (t *Trace) parseEvent(fields []string, lineNo int) error {
 	if err != nil {
 		return fmt.Errorf("line %d: bad event n %q", lineNo, fields[6])
 	}
-	e := Event{At: at, Layer: fields[2], Kind: fields[3], Flow: fields[4],
-		Seq: uint32(seq), N: n, Note: strings.Join(fields[7:], " ")}
-	_, e.Known = telemetry.KindByName(e.Kind)
-	if !e.Known {
-		if t.UnknownKinds == nil {
-			t.UnknownKinds = map[string]int64{}
+	rest := fields[7:]
+	var cause string
+	if len(rest) > 0 {
+		if c, ok := strings.CutPrefix(rest[0], "cause="); ok {
+			cause, rest = c, rest[1:]
 		}
-		t.UnknownKinds[e.Kind]++
+	}
+	e := Event{At: at, Layer: fields[2], Op: fields[3], Flow: fields[4],
+		Seq: uint32(seq), N: n, Cause: cause, Note: strings.Join(rest, " ")}
+	_, e.Known = telemetry.OpByName(e.Op)
+	if !e.Known {
+		if t.UnknownOps == nil {
+			t.UnknownOps = map[string]int64{}
+		}
+		t.UnknownOps[e.Op]++
 	}
 	t.Events = append(t.Events, e)
 	return nil

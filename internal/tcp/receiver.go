@@ -80,7 +80,7 @@ func (r *Receiver) OnSegment(seg *packet.Segment) {
 	}
 	if ooo && !progressed {
 		r.Stats.OOOSegments++
-		r.tel.Event(telemetry.Event{Layer: telemetry.LayerTCP, Kind: telemetry.KindOOO,
+		r.tel.Record(&telemetry.Record{Layer: telemetry.LayerTCP, Op: telemetry.OpOOO,
 			Flow: r.flow, Seq: seg.Seq, N: int64(seg.Bytes)})
 		seg.OOO = true
 	}
@@ -200,7 +200,7 @@ func (r *Receiver) ack(ce bool) {
 		p.SACKEnd = r.ooo[0].Seq + uint32(r.ooo[0].Len)
 		// ACKs carrying SACK evidence are the loss signals the sender's
 		// recovery heuristics run on — worth a timeline event each.
-		r.tel.Event(telemetry.Event{Layer: telemetry.LayerTCP, Kind: telemetry.KindAck,
+		r.tel.Record(&telemetry.Record{Layer: telemetry.LayerTCP, Op: telemetry.OpAck,
 			Flow: r.flow, Seq: r.rcvNxt, N: int64(p.SACKEnd - p.SACKStart), Note: "sack"})
 	}
 	r.sendAck(p)

@@ -307,7 +307,7 @@ func (s *Sender) sendBurst(seq uint32, n int, psh, retrans bool) {
 	s.Stats.TSOBursts++
 	if retrans {
 		s.Stats.RetransPackets += int64((n + units.MSS - 1) / units.MSS)
-		s.tel.Event(telemetry.Event{Layer: telemetry.LayerTCP, Kind: telemetry.KindRetransmit,
+		s.tel.Record(&telemetry.Record{Layer: telemetry.LayerTCP, Op: telemetry.OpRetransmit,
 			Flow: s.flow, Seq: seq, N: int64(n)})
 	}
 	s.out.SendTSO(tmpl, seq, n)
@@ -344,7 +344,7 @@ func (s *Sender) OnAck(seg *packet.Segment) {
 				s.inRecov = false
 				s.cwnd = s.ssthresh
 				s.clampCwnd()
-				s.tel.Event(telemetry.Event{Layer: telemetry.LayerTCP, Kind: telemetry.KindCwnd,
+				s.tel.Record(&telemetry.Record{Layer: telemetry.LayerTCP, Op: telemetry.OpCwnd,
 					Flow: s.flow, Seq: ack, N: int64(s.cwnd), Note: "recovery-exit"})
 			} else {
 				// Partial ACK (NewReno): retransmit the next hole.
@@ -409,7 +409,7 @@ func (s *Sender) OnAck(seg *packet.Segment) {
 			s.ssthresh = s.halfFlight()
 			s.cwnd = s.ssthresh + dupAckThresh*units.MSS
 			s.clampCwnd()
-			s.tel.Event(telemetry.Event{Layer: telemetry.LayerTCP, Kind: telemetry.KindCwnd,
+			s.tel.Record(&telemetry.Record{Layer: telemetry.LayerTCP, Op: telemetry.OpCwnd,
 				Flow: s.flow, Seq: s.sndUna, N: int64(s.cwnd), Note: "fast-recovery"})
 			s.retransmitHead()
 		} else if s.inRecov {
@@ -468,7 +468,7 @@ func (s *Sender) onRTO() {
 	s.ssthresh = s.halfFlight()
 	s.cwnd = float64(units.MSS)
 	s.clampCwnd()
-	s.tel.Event(telemetry.Event{Layer: telemetry.LayerTCP, Kind: telemetry.KindTimeout,
+	s.tel.Record(&telemetry.Record{Layer: telemetry.LayerTCP, Op: telemetry.OpTimeout,
 		Flow: s.flow, Seq: s.sndUna, N: int64(s.cwnd), Note: "rto"})
 	s.inRecov = true
 	s.recover = s.sndNxt
@@ -542,7 +542,7 @@ func (s *Sender) dctcpUpdate(acked int, ece bool, ack uint32) {
 			s.cwnd *= 1 - s.dctcpAlpha/2
 			s.ssthresh = s.cwnd
 			s.clampCwnd()
-			s.tel.Event(telemetry.Event{Layer: telemetry.LayerTCP, Kind: telemetry.KindCwnd,
+			s.tel.Record(&telemetry.Record{Layer: telemetry.LayerTCP, Op: telemetry.OpCwnd,
 				Flow: s.flow, Seq: ack, N: int64(s.cwnd), Note: "ecn"})
 		}
 	}

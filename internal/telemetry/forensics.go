@@ -12,73 +12,6 @@ import (
 	"juggler/internal/stats"
 )
 
-// Op classifies a datapath decision recorded in a flow's audit ring.
-type Op uint8
-
-// Decision operations, in rough datapath order.
-const (
-	// OpFlush: a segment left the receive-offload layer. Cause says which
-	// Table-2 condition closed it ("sealed", "full", "boundary",
-	// "inseq_timeout", "ofo_timeout", "evict", "final", ...).
-	OpFlush Op = iota
-	// OpPhase: a Juggler flow phase transition. Note carries "from>to".
-	OpPhase
-	// OpEvict: a flow was evicted from the gro_table.
-	OpEvict
-	// OpTimeout: an inseq/ofo timeout fired (the firing itself; any
-	// resulting flushes are separate OpFlush records).
-	OpTimeout
-	// OpPass: a packet bypassed buffering (retransmission, duplicate,
-	// pass-through control packet).
-	OpPass
-	// OpRetune: the adapt controller changed a tuning knob. Retune
-	// decisions are host-scoped, not flow-scoped: they land in the global
-	// decision ring rather than a per-flow audit ring.
-	OpRetune
-	// NumOps sizes per-op arrays.
-	NumOps = int(OpRetune) + 1
-)
-
-var opNames = [NumOps]string{"flush", "phase", "evict", "timeout", "pass", "retune"}
-
-// String names the op.
-func (o Op) String() string {
-	if int(o) < len(opNames) {
-		return opNames[o]
-	}
-	return "op?"
-}
-
-// Decision is one datapath decision with the evidence that produced it:
-// which condition fired and the flow's seq/hole state at that instant.
-// Cause and Note must be constant (or pre-existing) strings so recording
-// never allocates.
-type Decision struct {
-	At    sim.Time
-	Layer Layer
-	Op    Op
-	// Cause is the condition that fired, a constant string.
-	Cause string
-	Flow  packet.FiveTuple
-	// Seq/EndSeq bound the bytes the decision acted on (EndSeq==Seq for
-	// decisions about a point, e.g. phase transitions).
-	Seq, EndSeq uint32
-	// SeqNext is the flow's in-order flush floor at the instant of the
-	// decision (Juggler's seq_next; 0 when unknown).
-	SeqNext uint32
-	// Hole reports whether the flow's reassembly had a gap at that
-	// instant; HoleSeq is the first missing byte when it did.
-	Hole    bool
-	HoleSeq uint32
-	// QPkts/QBytes are the flow's out-of-order queue occupancy after the
-	// decision took effect.
-	QPkts, QBytes int64
-	// N is an op-specific magnitude (packets flushed, bytes drained, ...).
-	N int64
-	// Note is optional constant detail (phase transitions use "from>to").
-	Note string
-}
-
 // The steady-state phase-transition causes: a healthy paced flow breathes
 // between active-merge (new data in flight) and post-merge (queue
 // drained). Emitters use these so the flap watchdog can tell breathing
@@ -143,7 +76,7 @@ type FlowForensics struct {
 	Flow  packet.FiveTuple
 	Index int // registration order, stable across same-seed runs
 
-	ring ring[Decision]
+	ring ring[Record]
 	// Total counts all decisions ever recorded (the ring keeps the last
 	// ringCap of them); ByOp splits the total per op.
 	Total int64
@@ -162,7 +95,7 @@ type FlowForensics struct {
 }
 
 // Decisions returns the ring's retained decisions, oldest first.
-func (fe *FlowForensics) Decisions() []Decision {
+func (fe *FlowForensics) Decisions() []Record {
 	if fe == nil || fe.Total == 0 {
 		return nil
 	}
@@ -206,7 +139,7 @@ type Forensics struct {
 	// any one flow — today the adapt controller's retunes. Bounded like
 	// the per-flow rings; GlobalTotal keeps the exact count past it. Nil
 	// until the first retune.
-	global      *ring[Decision]
+	global      *ring[Record]
 	GlobalTotal int64
 
 	// Watchdog. akTotal counts anomalies per anomalyKinds entry.
@@ -256,7 +189,7 @@ func (f *Forensics) FlowState(ft packet.FiveTuple) *FlowForensics {
 // GlobalDecisions returns the retained host-scoped decisions (adapt
 // retunes), oldest first. GlobalTotal may be larger when the ring
 // rotated.
-func (f *Forensics) GlobalDecisions() []Decision {
+func (f *Forensics) GlobalDecisions() []Record {
 	if f == nil || f.GlobalTotal == 0 {
 		return nil
 	}
@@ -313,29 +246,10 @@ func (f *Forensics) CauseCount(op Op, cause string) int64 {
 	return 0
 }
 
-// Decide records one datapath decision, stamping the current virtual time
-// into *d; safe on nil. It takes a pointer for the same reason decide
-// does: Decision is ~100 bytes and the hot path records several per
-// flush, so every by-value hop is a duffcopy the caller pays.
-func (k *Sink) Decide(d *Decision) {
-	if k == nil {
-		return
-	}
-	d.At = k.sim.Now()
-	k.Forensics.decide(d)
-}
-
-// decide records one decision. It takes a pointer — a Decision is ~100
-// bytes, and passing it by value through decide/watch would duffcopy it
-// twice more per record on top of the one required ring write.
-func (f *Forensics) decide(d *Decision) {
-	if f == nil {
-		return
-	}
+// decide tallies one decision (a record with a cause) and files it in its
+// flow's audit ring, or in the global ring for a retune.
+func (f *Forensics) decide(d *Record) {
 	op := d.Op
-	if int(op) >= NumOps {
-		op = OpPass
-	}
 	if f.opTotal[op] == 0 {
 		// Registered on the op's first decision: the family's snapshot
 		// position, and its absence from decision-free runs, follow use.
@@ -344,24 +258,16 @@ func (f *Forensics) decide(d *Decision) {
 			"op", opNames[op], &f.opTotal[op])
 	}
 	f.opTotal[op]++
-	if d.Cause != "" {
-		tallied := false
-		for i := range f.causes[op] {
-			if f.causes[op][i].Cause == d.Cause {
-				f.causes[op][i].Count++
-				tallied = true
-				break
-			}
-		}
-		if !tallied {
-			f.causes[op] = append(f.causes[op], CauseCount{Cause: d.Cause, Count: 1})
-		}
+	if i := slices.IndexFunc(f.causes[op], func(c CauseCount) bool { return c.Cause == d.Cause }); i >= 0 {
+		f.causes[op][i].Count++
+	} else {
+		f.causes[op] = append(f.causes[op], CauseCount{Cause: d.Cause, Count: 1})
 	}
 
 	if op == OpRetune {
 		// Host-scoped: no flow, no per-flow ring, no watchdog windows.
 		if f.global == nil {
-			r := newRing[Decision](globalRingCap)
+			r := newRing[Record](globalRingCap)
 			f.global = &r
 		}
 		f.global.push(d)
@@ -382,7 +288,7 @@ func (f *Forensics) decide(d *Decision) {
 }
 
 // watch runs the streaming watchdog detectors on one decision.
-func (f *Forensics) watch(d *Decision, fe *FlowForensics) {
+func (f *Forensics) watch(d *Record, fe *FlowForensics) {
 	switch d.Op {
 	case OpEvict:
 		if d.At.Sub(f.evictWinAt) >= watchdogWindow {
@@ -448,7 +354,7 @@ func (f *Forensics) flowFor(ft packet.FiveTuple) *FlowForensics {
 		return nil
 	}
 	fe := &FlowForensics{Flow: ft, Index: len(f.order),
-		ring: newRing[Decision](ringCap)}
+		ring: newRing[Record](ringCap)}
 	f.flows[ft] = fe
 	f.order = append(f.order, fe)
 	f.lastFlow, f.lastFE = ft, fe
@@ -457,7 +363,7 @@ func (f *Forensics) flowFor(ft packet.FiveTuple) *FlowForensics {
 
 // covers reports whether decision d is about byte seq: either its
 // [Seq,EndSeq) range contains it, or it is a point decision at it.
-func (d *Decision) covers(seq uint32) bool {
+func (d *Record) covers(seq uint32) bool {
 	if d.Seq == seq {
 		return true
 	}

@@ -22,7 +22,7 @@ func forensicsSink() (*sim.Sim, *Sink) {
 func TestDecisionRingRotation(t *testing.T) {
 	s, k := forensicsSink()
 	for i := 0; i < 70; i++ {
-		k.Decide(&Decision{Layer: LayerCore, Op: OpFlush, Cause: "sealed",
+		k.Record(&Record{Layer: LayerCore, Op: OpFlush, Cause: "sealed",
 			Flow: testFlow, Seq: uint32(i * 1460), EndSeq: uint32((i + 1) * 1460)})
 		s.RunFor(time.Microsecond)
 	}
@@ -55,12 +55,12 @@ func TestFlowCapTruncation(t *testing.T) {
 	flow := testFlow
 	for i := 0; i < 1024; i++ {
 		flow.SrcPort = uint16(i)
-		k.Decide(&Decision{Op: OpFlush, Flow: flow})
+		k.Record(&Record{Layer: LayerCore, Op: OpFlush, Cause: "sealed", Flow: flow})
 	}
 	other := testFlow
 	other.SrcPort = 1024
-	k.Decide(&Decision{Op: OpFlush, Flow: other})
-	k.Decide(&Decision{Op: OpFlush, Flow: other})
+	k.Record(&Record{Layer: LayerCore, Op: OpFlush, Cause: "sealed", Flow: other})
+	k.Record(&Record{Layer: LayerCore, Op: OpFlush, Cause: "sealed", Flow: other})
 	f := k.Forensics
 	if f.FlowState(flow) == nil {
 		t.Fatal("the 1024th flow should be tracked")
@@ -83,7 +83,7 @@ func TestWatchdogEvictChurn(t *testing.T) {
 	s, k := forensicsSink()
 	evict := func(n int) {
 		for i := 0; i < n; i++ {
-			k.Decide(&Decision{Op: OpEvict, Cause: "evict", Flow: testFlow})
+			k.Record(&Record{Layer: LayerCore, Op: OpEvict, Cause: "evict", Flow: testFlow})
 		}
 	}
 	evict(63)
@@ -112,7 +112,7 @@ func TestWatchdogEvictChurn(t *testing.T) {
 func TestWatchdogPhaseFlap(t *testing.T) {
 	_, k := forensicsSink()
 	phase := func(cause string) {
-		k.Decide(&Decision{Op: OpPhase, Cause: cause, Flow: testFlow, Note: "a>b"})
+		k.Record(&Record{Layer: LayerCore, Op: OpPhase, Cause: cause, Flow: testFlow, Note: "a>b"})
 	}
 	for i := 0; i < 8; i++ {
 		phase(CausePhaseDrained)
@@ -140,12 +140,12 @@ func TestWatchdogPhaseFlap(t *testing.T) {
 // 256 KiB, once per flow, not on every decision above the limit.
 func TestWatchdogOFOInflation(t *testing.T) {
 	_, k := forensicsSink()
-	k.Decide(&Decision{Op: OpFlush, Flow: testFlow, QBytes: 256<<10 - 1})
+	k.Record(&Record{Layer: LayerCore, Op: OpFlush, Cause: "sealed", Flow: testFlow, QBytes: 256<<10 - 1})
 	if k.Forensics.AnomalyTotal() != 0 {
 		t.Fatal("anomaly below limit")
 	}
-	k.Decide(&Decision{Op: OpFlush, Flow: testFlow, QBytes: 300 << 10})
-	k.Decide(&Decision{Op: OpFlush, Flow: testFlow, QBytes: 400 << 10})
+	k.Record(&Record{Layer: LayerCore, Op: OpFlush, Cause: "sealed", Flow: testFlow, QBytes: 300 << 10})
+	k.Record(&Record{Layer: LayerCore, Op: OpFlush, Cause: "sealed", Flow: testFlow, QBytes: 400 << 10})
 	if got := k.Forensics.AnomalyTotal(); got != 1 {
 		t.Fatalf("anomalies=%d, want 1 (once per flow)", got)
 	}
@@ -237,13 +237,13 @@ func TestSlowestLeaderboard(t *testing.T) {
 // marked, flow-scoped context rides along, untracked flows report ok=false.
 func TestExplain(t *testing.T) {
 	s, k := forensicsSink()
-	k.Decide(&Decision{Layer: LayerCore, Op: OpFlush, Cause: "sealed", Flow: testFlow,
+	k.Record(&Record{Layer: LayerCore, Op: OpFlush, Cause: "sealed", Flow: testFlow,
 		Seq: 0, EndSeq: 2920, SeqNext: 2920, N: 2})
 	s.RunFor(time.Microsecond)
-	k.Decide(&Decision{Layer: LayerCore, Op: OpPhase, Cause: CausePhaseDrained, Flow: testFlow,
+	k.Record(&Record{Layer: LayerCore, Op: OpPhase, Cause: CausePhaseDrained, Flow: testFlow,
 		Note: "active-merge>post-merge"})
 	s.RunFor(time.Microsecond)
-	k.Decide(&Decision{Layer: LayerCore, Op: OpFlush, Cause: "ofo_timeout", Flow: testFlow,
+	k.Record(&Record{Layer: LayerCore, Op: OpFlush, Cause: "ofo_timeout", Flow: testFlow,
 		Seq: 4380, EndSeq: 5840, Hole: true, HoleSeq: 2920, N: 1})
 
 	var buf bytes.Buffer
@@ -314,19 +314,15 @@ func TestSegPoolStampReset(t *testing.T) {
 	}
 }
 
-// TestForensicsZeroAlloc pins the instrumentation cost contract: with no
-// sink the hot-path hooks are one nil check, and with a sink attached the
-// steady state (flows and metric families already registered) records
-// decisions and deliveries without allocating.
+// TestForensicsZeroAlloc pins the delivery-side instrumentation cost
+// contract: with no sink the hooks are one nil check, and with a sink
+// attached the steady state (flows and metric families already
+// registered) attributes deliveries without allocating. The recording
+// side is pinned by TestRecordZeroAlloc and TestDisabledPathZeroAlloc.
 func TestForensicsZeroAlloc(t *testing.T) {
 	var nilSink *Sink
 	seg := stampedSegment(testFlow, 0, [packet.NumHops]int64{100, 110, 130, 160, 165, 265})
-	d := Decision{Layer: LayerCore, Op: OpFlush, Cause: "sealed", Flow: testFlow,
-		Seq: 0, EndSeq: 1460, N: 1}
 
-	if n := testing.AllocsPerRun(200, func() { nilSink.Decide(&d) }); n != 0 {
-		t.Errorf("nil-sink Decide: %v allocs/op, want 0", n)
-	}
 	if n := testing.AllocsPerRun(200, func() { nilSink.ObserveDelivery(seg) }); n != 0 {
 		t.Errorf("nil-sink ObserveDelivery: %v allocs/op, want 0", n)
 	}
@@ -336,11 +332,7 @@ func TestForensicsZeroAlloc(t *testing.T) {
 	}
 
 	_, k := forensicsSink()
-	k.Decide(&d)           // warm: flow ring, counters, cause map
 	k.ObserveDelivery(seg) // warm: attribution families, leaderboard
-	if n := testing.AllocsPerRun(200, func() { k.Decide(&d) }); n != 0 {
-		t.Errorf("steady-state Decide: %v allocs/op, want 0", n)
-	}
 	if n := testing.AllocsPerRun(200, func() { k.ObserveDelivery(seg) }); n != 0 {
 		t.Errorf("steady-state ObserveDelivery: %v allocs/op, want 0", n)
 	}

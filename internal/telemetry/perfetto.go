@@ -13,9 +13,10 @@ import (
 // Mapping: each stack layer becomes a "process" (pid = layer+1) and each
 // registered track a "thread" (tid = track+1) within it, so the Perfetto
 // timeline groups events by layer with one row per NIC queue / port / flow
-// track. Point events are emitted as instants (ph "i"); KindEnqueue and
-// KindCwnd, which sample a level, are additionally natural counter series
-// and are emitted as ph "C" so Perfetto draws them as area charts.
+// track. Point records are emitted as instants (ph "i"), with a "cause"
+// arg when the record is a decision; OpEnqueue and OpCwnd, which sample a
+// level, are natural counter series and are emitted as ph "C" so Perfetto
+// draws them as area charts.
 //
 // The JSON is assembled by hand rather than encoding/json so field order —
 // and therefore the exported bytes — are deterministic.
@@ -26,7 +27,7 @@ func (k *Sink) WriteTrace(w io.Writer) error {
 	bw := &strings.Builder{}
 	bw.WriteString("{\"traceEvents\":[\n")
 
-	events := k.Recorder.Events()
+	events := k.Recorder.Records()
 
 	// Metadata: name every (layer, track) pair that appears, in stable
 	// layer-then-track order.
@@ -63,15 +64,18 @@ func (k *Sink) WriteTrace(w io.Writer) error {
 	for _, e := range events {
 		ts := strconv.FormatFloat(float64(e.At)/1e3, 'f', 3, 64) // ns -> us
 		pid, tid := int(e.Layer)+1, int(e.Track)+1
-		switch e.Kind {
-		case KindEnqueue, KindCwnd:
-			// Counter series: one line per sample, named by kind+track.
+		if e.Op == OpEnqueue || e.Op == OpCwnd {
+			// Counter series: one line per sample, named by op+track.
 			emit(fmt.Sprintf(`{"ph":"C","pid":%d,"tid":%d,"ts":%s,"name":"%s:%s","args":{"bytes":%d}}`,
-				pid, tid, ts, e.Kind, k.TrackName(e.Track), e.N))
-		default:
-			emit(fmt.Sprintf(`{"ph":"i","s":"t","pid":%d,"tid":%d,"ts":%s,"name":%q,"args":{"flow":%q,"seq":%d,"n":%d,"note":%q}}`,
-				pid, tid, ts, e.Kind.String(), e.Flow.String(), e.Seq, e.N, e.Note))
+				pid, tid, ts, e.Op, k.TrackName(e.Track), e.N))
+			continue
 		}
+		cause := ""
+		if e.Cause != "" {
+			cause = fmt.Sprintf(`,"cause":%q`, e.Cause)
+		}
+		emit(fmt.Sprintf(`{"ph":"i","s":"t","pid":%d,"tid":%d,"ts":%s,"name":%q,"args":{"flow":%q,"seq":%d,"n":%d,"note":%q%s}}`,
+			pid, tid, ts, e.Op.String(), e.Flow.String(), e.Seq, e.N, e.Note, cause))
 	}
 
 	bw.WriteString("\n],\"displayTimeUnit\":\"ns\"}\n")

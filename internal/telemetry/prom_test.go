@@ -197,17 +197,17 @@ func TestPromConformance(t *testing.T) {
 func TestPromForensicsGolden(t *testing.T) {
 	s := sim.New(1)
 	k := New(s, Options{})
-	step := func(d Decision) {
-		k.Decide(&d)
+	step := func(d Record) {
+		k.Record(&d)
 		s.RunFor(1000)
 	}
-	step(Decision{Layer: LayerCore, Op: OpFlush, Cause: "sealed", Flow: testFlow,
+	step(Record{Layer: LayerCore, Op: OpFlush, Cause: "sealed", Flow: testFlow,
 		Seq: 0, EndSeq: 2920, SeqNext: 2920, N: 2})
-	step(Decision{Layer: LayerCore, Op: OpPhase, Cause: CausePhaseDrained, Flow: testFlow,
+	step(Record{Layer: LayerCore, Op: OpPhase, Cause: CausePhaseDrained, Flow: testFlow,
 		Note: "active-merge>post-merge"})
-	step(Decision{Layer: LayerCore, Op: OpFlush, Cause: "ofo_timeout", Flow: testFlow,
+	step(Record{Layer: LayerCore, Op: OpFlush, Cause: "ofo_timeout", Flow: testFlow,
 		Seq: 4380, EndSeq: 5840, Hole: true, HoleSeq: 2920, QPkts: 180, QBytes: 256 << 10, N: 1})
-	step(Decision{Layer: LayerCore, Op: OpEvict, Cause: "evict", Flow: testFlow, N: 1})
+	step(Record{Layer: LayerCore, Op: OpEvict, Cause: "evict", Flow: testFlow, N: 1})
 	k.ObserveDelivery(stampedSegment(testFlow, 0, [packet.NumHops]int64{100, 110, 130, 160, 165, 265}))
 	k.ObserveDelivery(stampedSegment(testFlow, 1460, [packet.NumHops]int64{200, 215, 240, 280, 290, 1290}))
 

@@ -7,48 +7,48 @@ import (
 )
 
 // Recorder is the bounded flight recorder: a ring of the most recent
-// events, plus per-layer offered counts so coverage checks (how many layers
-// actually emitted?) survive ring rotation.
+// records, plus per-layer and per-op offered counts so coverage checks
+// (how many layers actually recorded?) survive ring rotation.
 type Recorder struct {
-	events ring[Event]
+	records ring[Record]
 
-	// Total counts events offered, including those rotated out.
+	// Total counts records offered, including those rotated out.
 	Total int64
 
-	// ByLayer counts offered events per layer, unaffected by capacity.
+	// ByLayer counts offered records per layer, unaffected by capacity.
 	ByLayer [numLayers]int64
-	// ByKind counts offered events per kind, unaffected by capacity.
-	ByKind [numKinds]int64
+	// ByOp counts offered records per op, unaffected by capacity.
+	ByOp [NumOps]int64
 }
 
 func newRecorder(cap int) *Recorder {
-	return &Recorder{events: newRing[Event](cap)}
+	return &Recorder{records: newRing[Record](cap)}
 }
 
-func (r *Recorder) add(e Event) {
+func (r *Recorder) add(rec *Record) {
 	r.Total++
-	r.ByLayer[e.Layer]++
-	r.ByKind[e.Kind]++
-	r.events.push(&e)
+	r.ByLayer[rec.Layer]++
+	r.ByOp[rec.Op]++
+	r.records.push(rec)
 }
 
-// Len returns the number of retained events.
+// Len returns the number of retained records.
 func (r *Recorder) Len() int {
 	if r == nil {
 		return 0
 	}
-	return r.events.len()
+	return r.records.len()
 }
 
-// Events returns retained events oldest first.
-func (r *Recorder) Events() []Event {
+// Records returns retained records oldest first.
+func (r *Recorder) Records() []Record {
 	if r == nil {
 		return nil
 	}
-	return r.events.items()
+	return r.records.items()
 }
 
-// Layers returns how many distinct layers have offered at least one event.
+// Layers returns how many distinct layers have offered at least one record.
 func (r *Recorder) Layers() int {
 	if r == nil {
 		return 0
@@ -62,23 +62,26 @@ func (r *Recorder) Layers() int {
 	return n
 }
 
-// Dump writes a readable timeline of the retained events.
+// Dump writes a readable timeline of the retained records.
 func (r *Recorder) Dump(w io.Writer) {
-	for _, e := range r.Events() {
-		fmt.Fprintf(w, "%12v  %-6s %-10s  %v seq=%d n=%d %s\n",
-			e.At, e.Layer, e.Kind, e.Flow, e.Seq, e.N, e.Note)
+	for _, e := range r.Records() {
+		fmt.Fprintf(w, "%12v  %-6s %-10s  %v seq=%d n=%d", e.At, e.Layer, e.Op, e.Flow, e.Seq, e.N)
+		if e.Cause != "" {
+			fmt.Fprintf(w, " cause=%s", e.Cause)
+		}
+		fmt.Fprintf(w, " %s\n", e.Note)
 	}
 }
 
-// WriteEvents exports the retained events as "ev" lines of the recorded-
+// WriteEvents exports the retained records as "ev" lines of the recorded-
 // run text format consumed by internal/replay:
 //
-//	ev <time> <layer> <kind> <flow> <seq> <n> [note]
+//	ev <time> <layer> <op> <flow> <seq> <n> [cause=<cause>] [note]
 //
-// Kinds and layers are written as their String() names, so parsers built
-// before a kind existed can still carry it through (forward-compatible
-// decoding). Output is oldest-first and byte-identical across same-seed
-// runs.
+// Ops and layers are written as their String() names, so parsers built
+// before an op existed can still carry it through (forward-compatible
+// decoding); a parser that predates the cause token reads it as note
+// text. Output is oldest-first and byte-identical across same-seed runs.
 func (r *Recorder) WriteEvents(w io.Writer) error {
 	if r == nil {
 		return nil
@@ -87,10 +90,15 @@ func (r *Recorder) WriteEvents(w io.Writer) error {
 		r.Len(), r.Total); err != nil {
 		return err
 	}
-	for _, e := range r.Events() {
-		if _, err := fmt.Fprintf(w, "ev %v %s %s %v %d %d", e.At.Sub(0), e.Layer, e.Kind,
+	for _, e := range r.Records() {
+		if _, err := fmt.Fprintf(w, "ev %v %s %s %v %d %d", e.At.Sub(0), e.Layer, e.Op,
 			e.Flow, e.Seq, e.N); err != nil {
 			return err
+		}
+		if e.Cause != "" {
+			if _, err := fmt.Fprintf(w, " cause=%s", e.Cause); err != nil {
+				return err
+			}
 		}
 		if e.Note != "" {
 			if _, err := fmt.Fprintf(w, " %s", e.Note); err != nil {
@@ -104,19 +112,17 @@ func (r *Recorder) WriteEvents(w io.Writer) error {
 	return nil
 }
 
-// Summary aggregates retained events by kind, in kind order ("flush=12
-// buffer=3 ..."), matching the format of the old trace.Ring summary.
+// Summary aggregates retained records by op, in op order ("flush=12
+// buffer=3 ...").
 func (r *Recorder) Summary() string {
-	var counts [numKinds]int
-	if r != nil {
-		for _, e := range r.Events() {
-			counts[e.Kind]++
-		}
+	var counts [NumOps]int
+	for _, e := range r.Records() {
+		counts[e.Op]++
 	}
 	var parts []string
-	for k := Kind(0); k < numKinds; k++ {
-		if c := counts[k]; c > 0 {
-			parts = append(parts, fmt.Sprintf("%s=%d", k, c))
+	for o := Op(0); int(o) < NumOps; o++ {
+		if c := counts[o]; c > 0 {
+			parts = append(parts, fmt.Sprintf("%s=%d", o, c))
 		}
 	}
 	if len(parts) == 0 {

@@ -1,7 +1,7 @@
 // Package telemetry is the cross-layer observability subsystem: a metrics
 // registry (counters, gauges, and histograms — stats.QuantileSketch
-// sketches exported at log2 edges), a bounded flight recorder of typed
-// events stamped with simulation virtual time, and a wire-level packet
+// sketches exported at log2 edges), a bounded flight recorder of the one
+// Record type stamped with simulation virtual time, and a wire-level packet
 // capture — all exportable as a Prometheus-style text snapshot, a
 // Chrome/Perfetto trace-event JSON, and a pcapng file.
 //
@@ -26,7 +26,7 @@ import (
 	"juggler/internal/sim"
 )
 
-// Layer identifies which layer of the stack emitted an event.
+// Layer identifies which layer of the stack emitted a record.
 type Layer uint8
 
 // The instrumented layers, bottom up.
@@ -59,117 +59,118 @@ func (l Layer) String() string {
 	return "?"
 }
 
-// Kind classifies an event. The first seven kinds subsume the old
-// internal/trace ring (flush/buffer/phase/evict/timeout/drop/retransmit);
-// the rest extend coverage to the NIC, TCP and fabric layers.
-type Kind uint8
+// Op classifies a record: what happened, in rough datapath order.
+type Op uint8
 
-// Event kinds emitted by the stack's telemetry hooks.
+// The record ops. Flush, phase, evict, timeout, pass and retune records
+// that carry a Cause are datapath decisions and also enter the forensics
+// audit rings; every other op is a plain occurrence.
 const (
-	// KindFlush is a receive-offload flush (segment delivered upward).
-	KindFlush Kind = iota
-	// KindBuffer is a packet entering an out-of-order queue.
-	KindBuffer
-	// KindPhase is a Juggler flow phase transition.
-	KindPhase
-	// KindEvict is a flow eviction.
-	KindEvict
-	// KindTimeout is a timeout expiry (inseq/ofo/RTO).
-	KindTimeout
-	// KindDrop is a packet or segment dropped (queue, backlog, injector).
-	KindDrop
-	// KindRetransmit is a sender retransmission.
-	KindRetransmit
-	// KindCoalesce is a NIC interrupt firing (note: "timer" or "frames").
-	KindCoalesce
-	// KindPoll is one NAPI poll batch (N = packets drained).
-	KindPoll
-	// KindSend is a TSO burst leaving the sender NIC (N = payload bytes).
-	KindSend
-	// KindAck is a TCP acknowledgment carrying loss signal (SACK/dup).
-	KindAck
-	// KindOOO is a segment reaching TCP out of cumulative order.
-	KindOOO
-	// KindCwnd is a congestion-window change (N = new cwnd in bytes).
-	KindCwnd
-	// KindEnqueue is a fabric enqueue occupancy sample (N = queued bytes).
-	KindEnqueue
-	// KindRetune is an adapt-controller knob change (N = new value in ns,
-	// note names the knob).
-	KindRetune
-	numKinds
+	// OpFlush is a receive-offload flush (segment delivered upward). Cause
+	// says which Table-2 condition closed it ("sealed", "full",
+	// "boundary", "inseq_timeout", "ofo_timeout", "evict", "final", ...).
+	OpFlush Op = iota
+	// OpBuffer is a packet entering an out-of-order queue.
+	OpBuffer
+	// OpPhase is a Juggler flow phase transition. Note carries "from>to".
+	OpPhase
+	// OpEvict is a flow eviction from the gro_table.
+	OpEvict
+	// OpTimeout is a timeout expiry (inseq/ofo/RTO): the firing itself;
+	// any resulting flushes are separate OpFlush records.
+	OpTimeout
+	// OpPass is a packet that bypassed buffering (retransmission,
+	// duplicate, pass-through control packet).
+	OpPass
+	// OpDrop is a packet or segment dropped (queue, backlog, injector).
+	OpDrop
+	// OpRetransmit is a sender retransmission.
+	OpRetransmit
+	// OpCoalesce is a NIC interrupt firing (note: "timer" or "frames").
+	OpCoalesce
+	// OpPoll is one NAPI poll batch (N = packets drained).
+	OpPoll
+	// OpSend is a TSO burst leaving the sender NIC (N = payload bytes).
+	OpSend
+	// OpAck is a TCP acknowledgment carrying loss signal (SACK/dup).
+	OpAck
+	// OpOOO is a segment reaching TCP out of cumulative order.
+	OpOOO
+	// OpCwnd is a congestion-window change (N = new cwnd in bytes).
+	OpCwnd
+	// OpEnqueue is a fabric enqueue occupancy sample (N = queued bytes).
+	OpEnqueue
+	// OpRetune is an adapt-controller knob change (N = new value in ns,
+	// note names the knob). Retunes are host-scoped, not flow-scoped:
+	// they land in the global decision ring, not a per-flow audit ring.
+	OpRetune
+	// NumOps sizes per-op arrays.
+	NumOps = int(OpRetune) + 1
 )
 
-// String names the kind (the first seven match the old trace package).
-func (k Kind) String() string {
-	switch k {
-	case KindFlush:
-		return "flush"
-	case KindBuffer:
-		return "buffer"
-	case KindPhase:
-		return "phase"
-	case KindEvict:
-		return "evict"
-	case KindTimeout:
-		return "timeout"
-	case KindDrop:
-		return "drop"
-	case KindRetransmit:
-		return "retransmit"
-	case KindCoalesce:
-		return "coalesce"
-	case KindPoll:
-		return "poll"
-	case KindSend:
-		return "send"
-	case KindAck:
-		return "ack"
-	case KindOOO:
-		return "ooo"
-	case KindCwnd:
-		return "cwnd"
-	case KindEnqueue:
-		return "enqueue"
-	case KindRetune:
-		return "retune"
+var opNames = [NumOps]string{"flush", "buffer", "phase", "evict", "timeout", "pass",
+	"drop", "retransmit", "coalesce", "poll", "send", "ack", "ooo", "cwnd", "enqueue", "retune"}
+
+// String names the op.
+func (o Op) String() string {
+	if int(o) < len(opNames) {
+		return opNames[o]
 	}
 	return "?"
 }
 
-// KindByName maps a kind's String() name back to the Kind. ok is false
-// for names this build does not know — the forward-compatibility contract
-// of the recorded-run format: newer builds may export kinds older parsers
+// OpByName maps an op's String() name back to the Op. ok is false for
+// names this build does not know — the forward-compatibility contract of
+// the recorded-run format: newer builds may export ops older parsers
 // preserve as strings instead of dropping.
-func KindByName(name string) (Kind, bool) {
-	for k := Kind(0); k < numKinds; k++ {
-		if k.String() == name {
-			return k, true
+func OpByName(name string) (Op, bool) {
+	for o := Op(0); int(o) < NumOps; o++ {
+		if opNames[o] == name {
+			return o, true
 		}
 	}
 	return 0, false
 }
 
-// Event is one recorded occurrence. Note must be a constant (or otherwise
-// pre-existing) string so recording never allocates.
-type Event struct {
+// Record is the one telemetry record: an occurrence stamped with virtual
+// time, and — when it carries a Cause — a datapath decision with the flow
+// state that produced it. Cause and Note must be constant (or otherwise
+// pre-existing) strings so recording never allocates.
+type Record struct {
 	At    sim.Time
 	Layer Layer
-	Kind  Kind
-	// Track groups events onto a named timeline (one per NIC queue, port,
+	Op    Op
+	// Hole reports whether the flow's reassembly had a gap at the instant
+	// of a decision; HoleSeq is the first missing byte when it did.
+	Hole bool
+	// Track groups records onto a named timeline (one per NIC queue, port,
 	// ...); 0 is the per-layer default track.
 	Track int32
+	// Cause is the condition that fired, a constant string; empty for
+	// occurrences that are not decisions.
+	Cause string
 	Flow  packet.FiveTuple
-	Seq   uint32
-	N     int64
-	Note  string
+	// Seq/EndSeq bound the bytes a decision acted on (EndSeq==Seq for
+	// decisions about a point, e.g. phase transitions).
+	Seq, EndSeq uint32
+	// SeqNext is the flow's in-order flush floor at the instant of the
+	// decision (Juggler's seq_next; 0 when unknown).
+	SeqNext uint32
+	HoleSeq uint32
+	// QPkts/QBytes are the flow's out-of-order queue occupancy after the
+	// decision took effect.
+	QPkts, QBytes int64
+	// N is an op-specific magnitude (packets flushed, bytes, ns held, ...).
+	N int64
+	// Note is optional constant detail (phase transitions use "from>to").
+	Note string
 }
 
 // Options tunes a Sink. The zero value takes defaults.
 type Options struct {
-	// EventCap bounds the flight recorder (default 65536 events).
+	// EventCap bounds the flight recorder (default 65536 records).
 	EventCap int
-	// FabricQueues additionally records a KindEnqueue occupancy event per
+	// FabricQueues additionally records an OpEnqueue occupancy record per
 	// fabric enqueue — detailed queue timelines at the price of ring churn.
 	FabricQueues bool
 }
@@ -227,7 +228,7 @@ func FromSim(s *sim.Sim) *Sink {
 	return k
 }
 
-// FabricQueueEvents reports whether per-enqueue occupancy events are on.
+// FabricQueueEvents reports whether per-enqueue occupancy records are on.
 func (k *Sink) FabricQueueEvents() bool { return k != nil && k.opts.FabricQueues }
 
 // Reg returns the metric registry (nil when the sink is nil, which makes
@@ -239,16 +240,28 @@ func (k *Sink) Reg() *Registry {
 	return k.Metrics
 }
 
-// Event records e, stamping the current virtual time; safe on nil.
-func (k *Sink) Event(e Event) {
-	if k == nil {
-		return
+// Record stamps the current virtual time into *r and stores it; safe on
+// nil. Every record enters the flight recorder. A record with a Cause is
+// a decision and also enters the forensics state: its flow's audit ring,
+// or the global ring for a retune. Records are passed by pointer because
+// a Record is ~100 bytes and the hot path writes several per flush. The
+// nil test sits in this inlinable wrapper so that, with telemetry off, the
+// caller's Record literal is never built.
+func (k *Sink) Record(r *Record) {
+	if k != nil {
+		k.record(r)
 	}
-	e.At = k.sim.Now()
-	k.Recorder.add(e)
 }
 
-// Track registers (or looks up) a named event track and returns its id.
+func (k *Sink) record(r *Record) {
+	r.At = k.sim.Now()
+	k.Recorder.add(r)
+	if r.Cause != "" {
+		k.Forensics.decide(r)
+	}
+}
+
+// Track registers (or looks up) a named record track and returns its id.
 // Returns 0 (the default track) on a nil sink.
 func (k *Sink) Track(name string) int32 {
 	if k == nil {

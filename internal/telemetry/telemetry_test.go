@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"testing"
+	"unsafe"
 
 	"juggler/internal/golden"
 	"juggler/internal/packet"
@@ -33,8 +34,8 @@ func TestDisabledPathZeroAlloc(t *testing.T) {
 		name string
 		fn   func()
 	}{
-		{"Sink.Event", func() {
-			k.Event(Event{Layer: LayerCore, Kind: KindFlush, Flow: testFlow, Seq: 1, N: 3, Note: "x"})
+		{"Sink.Record", func() {
+			k.Record(&Record{Layer: LayerCore, Op: OpFlush, Cause: "sealed", Flow: testFlow, Seq: 1, N: 3})
 		}},
 		{"Sink.CapturePacket", func() { k.CapturePacket(-1, true, p) }},
 		{"Sink.Track", func() { k.Track("rxq0") }},
@@ -50,15 +51,38 @@ func TestDisabledPathZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestEnabledEventZeroAlloc verifies recording into a pre-sized ring does
-// not allocate either (constant-string notes, by-value events).
-func TestEnabledEventZeroAlloc(t *testing.T) {
-	s := sim.New(1)
-	k := New(s, Options{EventCap: 64})
-	if n := testing.AllocsPerRun(200, func() {
-		k.Event(Event{Layer: LayerNIC, Kind: KindPoll, Track: 0, N: 12, Note: "batch"})
-	}); n != 0 {
-		t.Errorf("enabled Event: %v allocs/op, want 0", n)
+// TestRecordZeroAlloc pins the steady-state cost of Sink.Record on each
+// route a record can take — flight recorder only, recorder plus the
+// flow's audit ring, recorder plus the global retune ring — once the
+// flow and its metric families exist: recording must not allocate.
+func TestRecordZeroAlloc(t *testing.T) {
+	k := New(sim.New(1), Options{EventCap: 64})
+	for _, tc := range []struct {
+		name string
+		r    Record
+	}{
+		{"recorder", Record{Layer: LayerNIC, Op: OpPoll, N: 12, Note: "batch"}},
+		{"recorder+flow-ring", Record{Layer: LayerCore, Op: OpFlush, Cause: "sealed", Flow: testFlow,
+			Seq: 0, EndSeq: 1460, N: 1}},
+		{"recorder+global-ring", Record{Layer: LayerHost, Op: OpRetune, Cause: "raise", N: 1000, Note: "ofo"}},
+	} {
+		r := tc.r
+		k.Record(&r) // warm: flow ring, global ring, counters, cause tally
+		if n := testing.AllocsPerRun(200, func() { k.Record(&r) }); n != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", tc.name, n)
+		}
+	}
+	if k.Forensics.OpTotal(OpPoll) != 0 || k.Forensics.FlowState(testFlow).Total == 0 || k.Forensics.GlobalTotal == 0 {
+		t.Fatal("records did not take their routes")
+	}
+}
+
+// TestRecordSize pins the flight-recorder slot at 104 bytes: Hole and
+// Track sit in the word after Layer and Op, and the recorder's memory
+// (DESIGN decision 18) is priced at this size.
+func TestRecordSize(t *testing.T) {
+	if n := unsafe.Sizeof(Record{}); n != 104 {
+		t.Fatalf("Record is %d bytes, want 104", n)
 	}
 }
 
@@ -170,9 +194,9 @@ func TestRecorderRing(t *testing.T) {
 	s := sim.New(1)
 	k := New(s, Options{EventCap: 4})
 	for i := 0; i < 10; i++ {
-		k.Event(Event{Layer: LayerCore, Kind: KindFlush, Seq: uint32(i)})
+		k.Record(&Record{Layer: LayerCore, Op: OpFlush, Seq: uint32(i)})
 	}
-	ev := k.Recorder.Events()
+	ev := k.Recorder.Records()
 	if len(ev) != 4 {
 		t.Fatalf("retained %d events, want 4", len(ev))
 	}
@@ -204,16 +228,16 @@ func fixtureSink() *Sink {
 	h.Observe(3)
 	h.Observe(17)
 
-	step := func(e Event) {
-		k.Event(e)
-		s.RunFor(1000) // 1us between events
+	step := func(r Record) {
+		k.Record(&r)
+		s.RunFor(1000) // 1us between records
 	}
-	step(Event{Layer: LayerNIC, Kind: KindCoalesce, Track: rxq, N: 2, Note: "timer"})
-	step(Event{Layer: LayerNIC, Kind: KindPoll, Track: rxq, N: 2})
-	step(Event{Layer: LayerGRO, Kind: KindFlush, Flow: testFlow, Seq: 1460, N: 2, Note: "sealed"})
-	step(Event{Layer: LayerCore, Kind: KindBuffer, Flow: testFlow, Seq: 4380, N: 1460, Note: "buildup"})
-	step(Event{Layer: LayerTCP, Kind: KindCwnd, Flow: testFlow, Seq: 2920, N: 14600, Note: "fast-recovery"})
-	step(Event{Layer: LayerFabric, Kind: KindEnqueue, Flow: testFlow, Seq: 5840, N: 4380})
+	step(Record{Layer: LayerNIC, Op: OpCoalesce, Track: rxq, N: 2, Note: "timer"})
+	step(Record{Layer: LayerNIC, Op: OpPoll, Track: rxq, N: 2})
+	step(Record{Layer: LayerGRO, Op: OpFlush, Flow: testFlow, Seq: 1460, N: 2, Note: "sealed"})
+	step(Record{Layer: LayerCore, Op: OpBuffer, Flow: testFlow, Seq: 4380, N: 1460, Note: "buildup"})
+	step(Record{Layer: LayerTCP, Op: OpCwnd, Flow: testFlow, Seq: 2920, N: 14600, Note: "fast-recovery"})
+	step(Record{Layer: LayerFabric, Op: OpEnqueue, Flow: testFlow, Seq: 5840, N: 4380})
 
 	p1 := &packet.Packet{Flow: testFlow, Seq: 1, PayloadLen: 1460, Flags: packet.FlagACK | packet.FlagPSH}
 	k.CapturePacket(iface, true, p1)
@@ -346,22 +370,25 @@ func TestNilSinkExports(t *testing.T) {
 	}
 }
 
-// BenchmarkDisabledEvent measures the disabled-telemetry cost on the hot
+// BenchmarkRecordDisabled measures the disabled-telemetry cost on the hot
 // path (should be ~1ns: one nil check).
-func BenchmarkDisabledEvent(b *testing.B) {
+func BenchmarkRecordDisabled(b *testing.B) {
 	var k *Sink
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		k.Event(Event{Layer: LayerCore, Kind: KindFlush, Seq: uint32(i)})
+		k.Record(&Record{Layer: LayerCore, Op: OpFlush, Cause: "sealed", Flow: testFlow, Seq: uint32(i)})
 	}
 }
 
-// BenchmarkEnabledEvent measures the recording cost with telemetry on.
-func BenchmarkEnabledEvent(b *testing.B) {
+// BenchmarkRecordEnabled measures the recording cost with telemetry on,
+// for an audited decision: the two-ring route (flight recorder plus the
+// flow's audit ring).
+func BenchmarkRecordEnabled(b *testing.B) {
 	s := sim.New(1)
 	k := New(s, Options{EventCap: 1 << 12})
 	b.ReportAllocs()
+	b.ResetTimer() // New's rings are setup, not recording
 	for i := 0; i < b.N; i++ {
-		k.Event(Event{Layer: LayerCore, Kind: KindFlush, Seq: uint32(i)})
+		k.Record(&Record{Layer: LayerCore, Op: OpFlush, Cause: "sealed", Flow: testFlow, Seq: uint32(i)})
 	}
 }

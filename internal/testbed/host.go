@@ -285,7 +285,7 @@ func (h *Host) onSegment(seg *packet.Segment) {
 	h.offloadSegs++
 	if h.CT != nil {
 		if v := h.CT.Inspect(seg); h.CT.ShouldDrop(v) {
-			h.tel.Event(telemetry.Event{Layer: telemetry.LayerHost, Kind: telemetry.KindDrop,
+			h.tel.Record(&telemetry.Record{Layer: telemetry.LayerHost, Op: telemetry.OpDrop,
 				Flow: seg.Flow, Seq: seg.Seq, N: int64(seg.Bytes), Note: "conntrack"})
 			h.segPool.Put(seg)
 			return
@@ -300,7 +300,7 @@ func (h *Host) onSegment(seg *packet.Segment) {
 	}
 	if !h.CPU.App.SubmitArg(cost, h.dispatchFn, seg) {
 		h.DroppedSegs++ // socket backlog overflow
-		h.tel.Event(telemetry.Event{Layer: telemetry.LayerHost, Kind: telemetry.KindDrop,
+		h.tel.Record(&telemetry.Record{Layer: telemetry.LayerHost, Op: telemetry.OpDrop,
 			Flow: seg.Flow, Seq: seg.Seq, N: int64(seg.Bytes), Note: "app-backlog"})
 		h.segPool.Put(seg)
 	}
