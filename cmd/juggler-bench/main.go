@@ -42,7 +42,7 @@ func main() {
 	quick := flag.Bool("quick", false, "shrink sweeps and durations (~10x faster)")
 	list := flag.Bool("list", false, "list available experiments and exit")
 	csvDir := flag.String("csv", "", "also write each experiment's table as <dir>/<id>.csv")
-	cf := cliflags.Register(flag.CommandLine, cliflags.Tuned)
+	cf := cliflags.Register(flag.CommandLine)
 	pf := prof.Register(flag.CommandLine)
 	flag.Parse()
 	if err := pf.Start(); err != nil {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"juggler/internal/cliflags"
 	"juggler/internal/experiments"
 	"juggler/internal/golden"
+	"juggler/internal/telemetry"
 	"juggler/internal/testbed"
 )
 
@@ -42,7 +44,14 @@ func TestScenariosWidthIndependent(t *testing.T) {
 	var reports [2]bytes.Buffer
 	for i, j := range []int{1, 8} {
 		cf := &cliflags.Flags{Seed: 1, J: j, StampSample: 1}
-		diags, _ := diagnoseScenarios(experiments.ChaosScenarios(), testbed.OffloadJuggler, cf, true, 1)
+		runs, err := diagnoseScenarios(experiments.ChaosScenarios(), testbed.OffloadJuggler, cf, true, 1, telemetry.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		diags := make([]*telemetry.Diagnosis, len(runs))
+		for k, r := range runs {
+			diags[k] = r.diag
+		}
 		if err := writeJSON(&reports[i], diags); err != nil {
 			t.Fatal(err)
 		}
@@ -70,9 +79,67 @@ func TestFleetReportGolden(t *testing.T) {
 func TestReplayAdaptReachesDiagnosis(t *testing.T) {
 	path := reorderedTrace(t)
 	for _, adapt := range []bool{false, true} {
-		_, d := diagnoseReplay(path, &cliflags.Flags{Seed: 1, StampSample: 1, Adapt: adapt})
-		if retuned := d.RetuneTotal > 0 && len(d.Retunes) > 0; retuned != adapt {
-			t.Fatalf("-adapt=%v replay: %d retunes in the diagnosis", adapt, d.RetuneTotal)
+		r, err := diagnoseReplay(io.Discard, path, &cliflags.Flags{Seed: 1, StampSample: 1, Adapt: adapt}, telemetry.Options{})
+		if err != nil {
+			t.Fatal(err)
 		}
+		if retuned := r.diag.RetuneTotal > 0 && len(r.diag.Retunes) > 0; retuned != adapt {
+			t.Fatalf("-adapt=%v replay: %d retunes in the diagnosis", adapt, r.diag.RetuneTotal)
+		}
+	}
+}
+
+// TestVanillaReorderFails: vanilla GRO under the reorder scenario breaks
+// the in-order invariant, so the run fails and the diagnosis, printed
+// after the chaos report, says so.
+func TestVanillaReorderFails(t *testing.T) {
+	var out bytes.Buffer
+	err := run([]string{"-quick", "-scenario", "reorder", "-stack", "vanilla"}, &out, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "1 of 1 scenarios violated invariants") {
+		t.Fatalf("vanilla reorder: err = %v, want a violated-invariants failure", err)
+	}
+	report := strings.Index(out.String(), "  VIOLATION ")
+	verdict := strings.Index(out.String(), "verdict: invariant-violated")
+	if report < 0 || verdict < report {
+		t.Fatalf("want the chaos report's violations, then an invariant-violated verdict:\n%s", out.String())
+	}
+}
+
+// TestReplayPrintsLog: -replay prints the arrive/DELIVER log and Juggler's
+// counter block ahead of the diagnosis.
+func TestReplayPrintsLog(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"-replay", filepath.Join("..", "..", "testdata", "fig6.trace")}, &out, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"  arrive  ", "  DELIVER ", "\nflows tracked     1 ", "\nflush reasons     event=",
+		"\ntelemetry: ", "\n== juggler-doctor: scenario replay:"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("replay output lacks %q:\n%s", want, out.String())
+		}
+	}
+}
+
+// TestOneRunFlagsNeedOneRun: -explain and every export need exactly one
+// run, so -scenario all and -fleet reject them before running anything.
+func TestOneRunFlagsNeedOneRun(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "out")
+	for _, flag := range [][]string{
+		{"-explain", "flow=0 seq=1"}, {"-trace", path}, {"-pcap", path}, {"-metrics", path}, {"-record", path},
+	} {
+		for _, mode := range [][]string{{"-scenario", "all"}, {"-scenario", "reorder,storm"}, {"-fleet"}} {
+			args := append(append([]string{}, mode...), flag...)
+			var out bytes.Buffer
+			err := run(args, &out, io.Discard)
+			if err == nil || !strings.Contains(err.Error(), "need exactly one run") {
+				t.Errorf("%v: err = %v, want a one-run rejection", args, err)
+			}
+			if out.Len() > 0 {
+				t.Errorf("%v printed output before rejecting:\n%s", args, out.String())
+			}
+		}
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("a rejected run wrote %s", path)
 	}
 }

@@ -78,7 +78,7 @@ func run() error {
 	flows := flag.Int("flows", 1, "number of concurrent bulk flows")
 	dur := flag.Duration("dur", 200*time.Millisecond, "measurement duration (after 50ms warm-up)")
 	traceN := flag.Int("trace", 0, "dump the last N Juggler events after each point (0 = off)")
-	cf := cliflags.Register(flag.CommandLine, cliflags.Tuned)
+	cf := cliflags.Register(flag.CommandLine)
 	pf := prof.Register(flag.CommandLine)
 	flag.Parse()
 	if err := pf.Start(); err != nil {

@@ -3,9 +3,8 @@
 // each shared flag has one name, one type, one default and one help
 // string by construction.
 //
-// Every CLI gets -seed, -j, -shards, -adapt and -stamp-sample (Base).
-// CLIs that set Juggler's starting timeouts also get -inseq and -ofo
-// (Tuned).
+// The shared flags are -seed, -j, -shards, -adapt, -stamp-sample, -inseq
+// and -ofo.
 package cliflags
 
 import (
@@ -18,16 +17,6 @@ import (
 	"juggler/internal/sweep"
 )
 
-// Group selects which shared flags a CLI registers.
-type Group int
-
-const (
-	// Base is -seed, -j, -shards, -adapt and -stamp-sample.
-	Base Group = iota
-	// Tuned is Base plus -inseq and -ofo.
-	Tuned
-)
-
 // Flags holds the parsed shared flags.
 type Flags struct {
 	Seed        int64
@@ -38,19 +27,17 @@ type Flags struct {
 	StampSample int
 }
 
-// Register defines group g's flags on fs. The returned Flags are filled
+// Register defines the shared flags on fs. The returned Flags are filled
 // in when fs is parsed.
-func Register(fs *flag.FlagSet, g Group) *Flags {
+func Register(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
 	fs.Int64Var(&f.Seed, "seed", 1, "simulation seed (identical seeds reproduce byte-identical output)")
 	fs.IntVar(&f.J, "j", 1, "worker goroutines for independent runs (0 = one per core); output is identical at any width")
 	fs.IntVar(&f.Shards, "shards", 1, "intra-sim lanes for the sharded receive datapath; output is identical at any count (closed-loop runs stay serial), and -j is re-budgeted so total goroutines stay at the -j request")
 	fs.BoolVar(&f.Adapt, "adapt", false, "attach the self-tuning controller to every Juggler receiver (timeouts become starting points)")
 	fs.IntVar(&f.StampSample, "stamp-sample", 1, "hop-stamp 1-in-N sampling rate (1 = every packet, exact)")
-	if g == Tuned {
-		fs.DurationVar(&f.Inseq, "inseq", 0, "starting inseq_timeout (0 = the run's own default)")
-		fs.DurationVar(&f.Ofo, "ofo", 0, "starting ofo_timeout (0 = the run's own default)")
-	}
+	fs.DurationVar(&f.Inseq, "inseq", 0, "starting inseq_timeout (0 = the run's own default)")
+	fs.DurationVar(&f.Ofo, "ofo", 0, "starting ofo_timeout (0 = the run's own default)")
 	return f
 }
 

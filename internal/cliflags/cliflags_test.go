@@ -8,37 +8,29 @@ import (
 	"time"
 )
 
-// TestGroups pins each group's flag set: name, type and default. A CLI
-// gets the shared knobs only through Register, so this table is the whole
+// TestFlagSet pins the shared flag set: name, type and default. A CLI
+// gets the shared knobs only through Register, so this list is the whole
 // parity contract between the CLIs.
-func TestGroups(t *testing.T) {
-	base := "adapt=bool:false j=int:1 seed=int64:1 shards=int:1 stamp-sample=int:1"
-	for _, tc := range []struct {
-		group Group
-		want  string
-	}{
-		{Base, base},
-		{Tuned, "adapt=bool:false inseq=time.Duration:0s j=int:1 ofo=time.Duration:0s seed=int64:1 shards=int:1 stamp-sample=int:1"},
-	} {
-		fs := flag.NewFlagSet("t", flag.ContinueOnError)
-		Register(fs, tc.group)
-		var got []string
-		fs.VisitAll(func(f *flag.Flag) { // in name order
-			typ := fmt.Sprintf("%T", f.Value)
-			if g, ok := f.Value.(flag.Getter); ok {
-				typ = fmt.Sprintf("%T", g.Get())
-			}
-			got = append(got, f.Name+"="+typ+":"+f.DefValue)
-		})
-		if g := strings.Join(got, " "); g != tc.want {
-			t.Errorf("group %d flags:\n got %s\nwant %s", tc.group, g, tc.want)
+func TestFlagSet(t *testing.T) {
+	const want = "adapt=bool:false inseq=time.Duration:0s j=int:1 ofo=time.Duration:0s seed=int64:1 shards=int:1 stamp-sample=int:1"
+	fs := flag.NewFlagSet("t", flag.ContinueOnError)
+	Register(fs)
+	var got []string
+	fs.VisitAll(func(f *flag.Flag) { // in name order
+		typ := fmt.Sprintf("%T", f.Value)
+		if g, ok := f.Value.(flag.Getter); ok {
+			typ = fmt.Sprintf("%T", g.Get())
 		}
+		got = append(got, f.Name+"="+typ+":"+f.DefValue)
+	})
+	if g := strings.Join(got, " "); g != want {
+		t.Errorf("flags:\n got %s\nwant %s", g, want)
 	}
 }
 
 func TestParseFillsFlagsAndOptions(t *testing.T) {
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
-	f := Register(fs, Tuned)
+	f := Register(fs)
 	err := fs.Parse([]string{"-seed", "7", "-j", "8", "-shards", "4",
 		"-adapt", "-inseq", "20us", "-ofo", "80us", "-stamp-sample", "16"})
 	if err != nil {

@@ -33,9 +33,10 @@ type Options struct {
 	// AttachTelemetry, when non-nil, is called on the simulation(s) the
 	// experiment creates, before any topology is built — the hook installs
 	// a telemetry.Sink so components pick it up at construction
-	// (juggler-trace plugs in here). Sweeping experiments run it on exactly
-	// one designated traced point — the last one — so exports reflect the
-	// last point whether the sweep ran serially or on -j workers.
+	// (juggler-doctor -experiment plugs in here). Sweeping experiments run
+	// it on exactly one designated traced point — the last one — so
+	// exports reflect the last point whether the sweep ran serially or on
+	// -j workers.
 	AttachTelemetry func(s *sim.Sim)
 
 	// Workers is the sweep fan-out width (the CLIs' -j flag): sweeping

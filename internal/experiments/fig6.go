@@ -16,9 +16,9 @@ import (
 // event-driven flushes, timeout flushes, and the retransmission/duplicate
 // pass-throughs that keep loss recovery fast — against a vanilla-GRO
 // baseline running side by side in the same simulation. This is the
-// experiment juggler-trace runs by default: one parameter point exercises
-// every instrumented layer (fabric drops, NIC coalescing, vanilla GRO,
-// Juggler core, TCP recovery, host backlog).
+// experiment to trace with juggler-doctor -experiment: one parameter
+// point exercises every instrumented layer (fabric drops, NIC coalescing,
+// vanilla GRO, Juggler core, TCP recovery, host backlog).
 func fig6(o Options) *Table {
 	t := &Table{
 		ID:      "fig6",

@@ -65,9 +65,8 @@ type Port struct {
 	Probe *OccupancyProbe
 
 	// tel is the run's telemetry sink; nil disables recording.
-	tel         *telemetry.Sink
-	track       int32
-	queueEvents bool
+	tel   *telemetry.Sink
+	track int32
 }
 
 // NewPort creates a port transmitting at rate with propagation delay prop
@@ -85,7 +84,6 @@ func NewPort(s *sim.Sim, name string, rate units.BitRate, prop time.Duration, q 
 	if k := telemetry.FromSim(s); k != nil {
 		pt.tel = k
 		pt.track = k.Track(name)
-		pt.queueEvents = k.FabricQueueEvents()
 		k.Reg().CounterOf("fabric_tx_packets_total",
 			"Packets transmitted by fabric ports.", "port", name, &pt.TxPkts)
 		k.Reg().CounterOf("fabric_drops_total",
@@ -138,10 +136,6 @@ func (pt *Port) Send(p *packet.Packet) {
 		pt.tel.Record(&telemetry.Record{Layer: telemetry.LayerFabric, Op: telemetry.OpDrop,
 			Track: pt.track, Flow: p.Flow, Seq: p.Seq, N: int64(p.WireLen()), Note: "queue-full"})
 		return
-	}
-	if pt.queueEvents {
-		pt.tel.Record(&telemetry.Record{Layer: telemetry.LayerFabric, Op: telemetry.OpEnqueue,
-			Track: pt.track, Flow: p.Flow, Seq: p.Seq, N: int64(pt.queue.Bytes())})
 	}
 	if !pt.busy {
 		pt.kick()

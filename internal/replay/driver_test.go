@@ -70,7 +70,7 @@ func TestRunDeterministic(t *testing.T) {
 }
 
 // TestRecordedRunReplays records a quick fig6 experiment the way
-// juggler-trace -record does, appends a line for every op this build
+// juggler-doctor -record does, appends a line for every op this build
 // knows, a line in the format written before records carried a cause,
 // and a line of an op this build does not know, then replays the file:
 // every record survives with its op and cause, the unknown one included.

@@ -1,6 +1,5 @@
 // Package replay parses the textual packet-trace format and replays it
-// through a standalone Juggler (Run) for the juggler-trace and
-// juggler-doctor -replay modes.
+// through a standalone Juggler (Run) for juggler-doctor -replay.
 //
 // Format: one packet per line,
 //
@@ -11,7 +10,7 @@
 // combination of P (PSH), F (FIN), A (pure ACK, len ignored). Blank lines
 // and lines starting with '#' are skipped.
 //
-// A recorded run (juggler-trace -record) may interleave telemetry record
+// A recorded run (juggler-doctor -record) may interleave telemetry record
 // lines:
 //
 //	ev <time> <layer> <op> <flow> <seq> <n> [cause=<cause>] [note]

@@ -14,9 +14,9 @@ import (
 // registered track a "thread" (tid = track+1) within it, so the Perfetto
 // timeline groups events by layer with one row per NIC queue / port / flow
 // track. Point records are emitted as instants (ph "i"), with a "cause"
-// arg when the record is a decision; OpEnqueue and OpCwnd, which sample a
-// level, are natural counter series and are emitted as ph "C" so Perfetto
-// draws them as area charts.
+// arg when the record is a decision; OpCwnd, which samples a level, is a
+// natural counter series and is emitted as ph "C" so Perfetto draws it as
+// an area chart.
 //
 // The JSON is assembled by hand rather than encoding/json so field order —
 // and therefore the exported bytes — are deterministic.
@@ -64,7 +64,7 @@ func (k *Sink) WriteTrace(w io.Writer) error {
 	for _, e := range events {
 		ts := strconv.FormatFloat(float64(e.At)/1e3, 'f', 3, 64) // ns -> us
 		pid, tid := int(e.Layer)+1, int(e.Track)+1
-		if e.Op == OpEnqueue || e.Op == OpCwnd {
+		if e.Op == OpCwnd {
 			// Counter series: one line per sample, named by op+track.
 			emit(fmt.Sprintf(`{"ph":"C","pid":%d,"tid":%d,"ts":%s,"name":"%s:%s","args":{"bytes":%d}}`,
 				pid, tid, ts, e.Op, k.TrackName(e.Track), e.N))

@@ -98,8 +98,6 @@ const (
 	OpOOO
 	// OpCwnd is a congestion-window change (N = new cwnd in bytes).
 	OpCwnd
-	// OpEnqueue is a fabric enqueue occupancy sample (N = queued bytes).
-	OpEnqueue
 	// OpRetune is an adapt-controller knob change (N = new value in ns,
 	// note names the knob). Retunes are host-scoped, not flow-scoped:
 	// they land in the global decision ring, not a per-flow audit ring.
@@ -109,7 +107,7 @@ const (
 )
 
 var opNames = [NumOps]string{"flush", "buffer", "phase", "evict", "timeout", "pass",
-	"drop", "retransmit", "coalesce", "poll", "send", "ack", "ooo", "cwnd", "enqueue", "retune"}
+	"drop", "retransmit", "coalesce", "poll", "send", "ack", "ooo", "cwnd", "retune"}
 
 // String names the op.
 func (o Op) String() string {
@@ -170,9 +168,6 @@ type Record struct {
 type Options struct {
 	// EventCap bounds the flight recorder (default 65536 records).
 	EventCap int
-	// FabricQueues additionally records an OpEnqueue occupancy record per
-	// fabric enqueue — detailed queue timelines at the price of ring churn.
-	FabricQueues bool
 }
 
 // packetCap bounds the packet capture.
@@ -181,8 +176,7 @@ const packetCap = 1 << 16
 // Sink is one run's telemetry pipeline: metrics + flight recorder +
 // packet capture. A nil *Sink is valid everywhere and records nothing.
 type Sink struct {
-	sim  *sim.Sim
-	opts Options
+	sim *sim.Sim
 
 	// Metrics is the run's metric registry.
 	Metrics *Registry
@@ -205,7 +199,6 @@ func New(s *sim.Sim, o Options) *Sink {
 	}
 	k := &Sink{
 		sim:      s,
-		opts:     o,
 		Metrics:  newRegistry(),
 		Recorder: newRecorder(o.EventCap),
 		Capture:  newCapture(packetCap),
@@ -227,9 +220,6 @@ func FromSim(s *sim.Sim) *Sink {
 	k, _ := s.Telemetry.(*Sink)
 	return k
 }
-
-// FabricQueueEvents reports whether per-enqueue occupancy records are on.
-func (k *Sink) FabricQueueEvents() bool { return k != nil && k.opts.FabricQueues }
 
 // Reg returns the metric registry (nil when the sink is nil, which makes
 // every registration a no-op).

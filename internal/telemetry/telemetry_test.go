@@ -237,7 +237,7 @@ func fixtureSink() *Sink {
 	step(Record{Layer: LayerGRO, Op: OpFlush, Flow: testFlow, Seq: 1460, N: 2, Note: "sealed"})
 	step(Record{Layer: LayerCore, Op: OpBuffer, Flow: testFlow, Seq: 4380, N: 1460, Note: "buildup"})
 	step(Record{Layer: LayerTCP, Op: OpCwnd, Flow: testFlow, Seq: 2920, N: 14600, Note: "fast-recovery"})
-	step(Record{Layer: LayerFabric, Op: OpEnqueue, Flow: testFlow, Seq: 5840, N: 4380})
+	step(Record{Layer: LayerFabric, Op: OpDrop, Flow: testFlow, Seq: 5840, N: 1500, Note: "queue-full"})
 
 	p1 := &packet.Packet{Flow: testFlow, Seq: 1, PayloadLen: 1460, Flags: packet.FlagACK | packet.FlagPSH}
 	k.CapturePacket(iface, true, p1)

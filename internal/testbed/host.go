@@ -90,6 +90,10 @@ func newOffload(s *sim.Sim, kind OffloadKind, jcfg core.Config, pool *packet.Seg
 	panic(fmt.Sprintf("testbed: unknown offload kind %d", kind))
 }
 
+// appBacklogLimit bounds the app core's queued work; segments beyond it
+// are dropped (socket backlog overflow).
+const appBacklogLimit = 3 * time.Millisecond
+
 // HostConfig configures one end host.
 type HostConfig struct {
 	// LinkRate is the NIC speed (10G / 40G in the paper).
@@ -109,9 +113,6 @@ type HostConfig struct {
 	Adapt bool
 	// Costs is the CPU cost table (DefaultCosts when zero).
 	Costs cpumodel.Costs
-	// AppBacklogLimit bounds the app core's queued work; segments beyond
-	// it are dropped (socket backlog overflow). Default 3ms.
-	AppBacklogLimit time.Duration
 	// Conntrack, when non-nil, interposes a netfilter connection tracker
 	// on the post-offload segment stream (S3.1); in strict mode INVALID
 	// segments are dropped before TCP.
@@ -124,12 +125,11 @@ type HostConfig struct {
 // DefaultHostConfig returns a 40G host running the given offload.
 func DefaultHostConfig(kind OffloadKind) HostConfig {
 	return HostConfig{
-		LinkRate:        units.Rate40G,
-		RX:              nic.DefaultRXConfig(),
-		Offload:         kind,
-		Juggler:         core.DefaultConfig(),
-		Costs:           cpumodel.DefaultCosts(),
-		AppBacklogLimit: 3 * time.Millisecond,
+		LinkRate: units.Rate40G,
+		RX:       nic.DefaultRXConfig(),
+		Offload:  kind,
+		Juggler:  core.DefaultConfig(),
+		Costs:    cpumodel.DefaultCosts(),
 	}
 }
 
@@ -204,9 +204,6 @@ func NewHost(s *sim.Sim, name string, cfg HostConfig) *Host {
 	if cfg.Costs == (cpumodel.Costs{}) {
 		cfg.Costs = cpumodel.DefaultCosts()
 	}
-	if cfg.AppBacklogLimit <= 0 {
-		cfg.AppBacklogLimit = 3 * time.Millisecond
-	}
 	if cfg.RX.Queues <= 0 {
 		cfg.RX = nic.DefaultRXConfig()
 	}
@@ -221,7 +218,7 @@ func NewHost(s *sim.Sim, name string, cfg HostConfig) *Host {
 		segPool:   packet.SegPoolFromSim(s),
 	}
 	h.dispatchFn = func(seg any) { h.dispatch(seg.(*packet.Segment)) }
-	h.CPU.App.QueueLimit = cfg.AppBacklogLimit
+	h.CPU.App.QueueLimit = appBacklogLimit
 	if cfg.Conntrack != nil {
 		h.CT = netfilter.New(*cfg.Conntrack)
 	}
