@@ -7,35 +7,38 @@
 //
 // With no experiment arguments, every registered experiment runs in a
 // deterministic order. -quick shrinks sweeps and durations roughly 10x for
-// a fast smoke pass. -j N runs each experiment's parameter sweep on N
-// worker goroutines (0 = one per core); tables are byte-identical to the
-// serial (-j 1) run at any width.
+// a fast smoke pass. -j N is the goroutine budget (0 = one per core): each
+// experiment's parameter sweep runs on N workers, and shardedrx spreads
+// its RX queues over N lanes; tables are byte-identical to the serial
+// (-j 1) run at any width. -adapt, -inseq and -ofo reach only the chaos,
+// fleet and shardedrx experiments (-inseq/-ofo also adaptive); the others
+// ignore them.
 package main
 
 import (
+	"encoding/csv"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"time"
 
-	"juggler"
 	"juggler/internal/cliflags"
+	"juggler/internal/experiments"
 	"juggler/internal/prof"
-	"juggler/internal/sweep"
 )
 
-// writeCSV stores one experiment's table under dir.
-func writeCSV(dir string, rep *juggler.Report) error {
+// writeCSV stores one experiment's table under dir, header row first.
+func writeCSV(dir string, t *experiments.Table) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	f, err := os.Create(filepath.Join(dir, rep.ID+".csv"))
+	f, err := os.Create(filepath.Join(dir, t.ID+".csv"))
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	return rep.WriteCSV(f)
+	return csv.NewWriter(f).WriteAll(append([][]string{t.Columns}, t.Rows...))
 }
 
 func main() {
@@ -52,15 +55,15 @@ func main() {
 	defer pf.Stop()
 
 	if *list {
-		for _, id := range juggler.Experiments() {
-			fmt.Printf("  %-16s %s\n", id, juggler.DescribeExperiment(id))
+		for _, id := range experiments.IDs() {
+			fmt.Printf("  %-16s %s\n", id, experiments.Describe(id))
 		}
 		return
 	}
 
 	ids := flag.Args()
 	if len(ids) == 0 {
-		ids = juggler.Experiments()
+		ids = experiments.IDs()
 	}
 	mode := "full"
 	if *quick {
@@ -68,13 +71,11 @@ func main() {
 	}
 	fmt.Printf("juggler-bench: %d experiment(s), %s mode, seed %d\n\n", len(ids), mode, cf.Seed)
 
+	o := cf.Options()
+	o.Quick = *quick
 	for _, id := range ids {
 		start := time.Now()
-		rep := juggler.RunExperimentCfg(id, juggler.RunConfig{
-			Seed: cf.Seed, Quick: *quick, Workers: sweep.Workers(cf.J),
-			Shards: cf.Shards, Adapt: cf.Adapt, Inseq: cf.Inseq, Ofo: cf.Ofo,
-			StampSample: cf.StampSample,
-		})
+		rep := experiments.Run(id, o)
 		if rep == nil {
 			fmt.Fprintf(os.Stderr, "juggler-bench: unknown experiment %q (try -list)\n", id)
 			os.Exit(2)

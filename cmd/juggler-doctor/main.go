@@ -353,8 +353,9 @@ func runFleet(stdout, stderr io.Writer, cf *cliflags.Flags, quick bool, jsonOut 
 func diagnoseScenarios(names []string, kind testbed.OffloadKind, cf *cliflags.Flags, quick bool,
 	intensity float64, topts telemetry.Options) ([]diagnosed, error) {
 	runs := make([]diagnosed, len(names))
-	errs := sweep.Map(cf.Workers(), len(names), func(i int) error {
-		o := cf.Options()
+	base := cf.Options()
+	errs := sweep.Map(base.Workers, len(names), func(i int) error {
+		o := base
 		o.Quick, o.Workers = quick, 1
 		o.AttachTelemetry = func(s *sim.Sim) { runs[i].sink = telemetry.New(s, topts) }
 		rep, err := experiments.RunChaosScenario(names[i], kind, o, intensity)

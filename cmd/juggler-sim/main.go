@@ -126,7 +126,7 @@ func run() error {
 		out  bytes.Buffer
 		dead bool
 	}
-	results := sweep.Map(cf.Workers(), len(taus), func(i int) *result {
+	results := sweep.Map(sweep.Workers(cf.J), len(taus), func(i int) *result {
 		r := &result{}
 		r.dead = !runPoint(&r.out, cfg, taus[i])
 		return r

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"juggler/internal/experiments"
-	"juggler/internal/sweep"
 )
 
 // Report is one experiment's regenerated table: the same rows/series the
@@ -55,25 +54,21 @@ type RunConfig struct {
 	Seed int64
 	// Quick shrinks sweeps and durations ~10x for smoke runs.
 	Quick bool
-	// Workers is the sweep fan-out width: parameter points of a sweeping
-	// experiment run on this many goroutines (0 or 1 = serial). The report
-	// is byte-identical to the serial run at any width.
+	// Workers is the run's goroutine budget: parameter points of a
+	// sweeping experiment run on this many goroutines, and shardedrx, a
+	// single point, spreads its 8 RX queues over this many lanes (0 or 1
+	// = serial). The report is byte-identical to the serial run at any
+	// width.
 	Workers int
-	// Shards is the intra-sim lane count: the sharded receive datapath
-	// (the shardedrx experiment) spreads its logical RX queues over this
-	// many real goroutines under a conservative virtual-time barrier
-	// (0 or 1 = serial, the byte-exact reference). Reports are
-	// byte-identical at any lane count. When Shards > 1 the sweep width
-	// is re-budgeted so total goroutines stay at the Workers request
-	// (sweep.EffectiveWorkers) — `-j 8 -shards 4` runs 2 sweep workers
-	// of 4 lanes each, not 32 goroutines.
-	Shards int
-	// Adapt attaches the internal/adapt controller to every receiver:
+	// Adapt attaches the internal/adapt controller to the receiver:
 	// timeouts become starting points that self-tune against the live
-	// reordering estimate.
+	// reordering estimate. Only chaos, fleet and shardedrx read it;
+	// adaptive runs both settings by design, and every other experiment
+	// ignores it.
 	Adapt bool
-	// Inseq/Ofo override the experiment's starting inseq/ofo timeouts
-	// (0 keeps each experiment's own provisioning).
+	// Inseq/Ofo override the starting inseq/ofo timeouts in the
+	// experiments that read Adapt, and in adaptive (0 keeps each
+	// experiment's own provisioning).
 	Inseq time.Duration
 	Ofo   time.Duration
 	// StampSample is the 1-in-N hop-stamp sampling rate: the sender NIC
@@ -95,17 +90,9 @@ func RunExperimentCfg(id string, cfg RunConfig) *Report {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	w := cfg.Workers
-	if cfg.Shards > 1 && w > 1 {
-		// Shared goroutine budget: the Workers request is the total, so
-		// the sweep width shrinks to leave room for each point's lanes.
-		// (0/1 stays serial: its meaning is "no sweep fan-out", not a
-		// budget to divide.)
-		w = sweep.EffectiveWorkers(w, cfg.Shards)
-	}
 	t := experiments.Run(id, experiments.Options{
-		Seed: cfg.Seed, Quick: cfg.Quick, Workers: w,
-		Shards: cfg.Shards, Adapt: cfg.Adapt, Inseq: cfg.Inseq, Ofo: cfg.Ofo,
+		Seed: cfg.Seed, Quick: cfg.Quick, Workers: cfg.Workers,
+		Adapt: cfg.Adapt, Inseq: cfg.Inseq, Ofo: cfg.Ofo,
 		StampSample: cfg.StampSample,
 	})
 	if t == nil {

@@ -3,8 +3,12 @@
 // each shared flag has one name, one type, one default and one help
 // string by construction.
 //
-// The shared flags are -seed, -j, -shards, -adapt, -stamp-sample, -inseq
-// and -ofo.
+// The shared flags are -seed, -j, -adapt, -stamp-sample, -inseq and -ofo.
+// -seed, -j and -stamp-sample reach every run. -adapt, -inseq and -ofo
+// reach only the runs that build a tunable Juggler receiver: the doctor's
+// scenarios, -fleet and -replay, juggler-sim, and the chaos, fleet and
+// shardedrx experiments (-inseq/-ofo also adaptive). Every other
+// experiment ignores them.
 package cliflags
 
 import (
@@ -21,7 +25,6 @@ import (
 type Flags struct {
 	Seed        int64
 	J           int
-	Shards      int
 	Adapt       bool
 	Inseq, Ofo  time.Duration
 	StampSample int
@@ -32,18 +35,13 @@ type Flags struct {
 func Register(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
 	fs.Int64Var(&f.Seed, "seed", 1, "simulation seed (identical seeds reproduce byte-identical output)")
-	fs.IntVar(&f.J, "j", 1, "worker goroutines for independent runs (0 = one per core); output is identical at any width")
-	fs.IntVar(&f.Shards, "shards", 1, "intra-sim lanes for the sharded receive datapath; output is identical at any count (closed-loop runs stay serial), and -j is re-budgeted so total goroutines stay at the -j request")
-	fs.BoolVar(&f.Adapt, "adapt", false, "attach the self-tuning controller to every Juggler receiver (timeouts become starting points)")
+	fs.IntVar(&f.J, "j", 1, "goroutine budget (0 = one per core): sweep points, scenarios, or shardedrx's RX lanes; output is identical at any width")
+	fs.BoolVar(&f.Adapt, "adapt", false, "attach the self-tuning controller (timeouts become starting points); honoured by the doctor's scenarios, -fleet, -replay, juggler-sim and the chaos, fleet and shardedrx experiments")
 	fs.IntVar(&f.StampSample, "stamp-sample", 1, "hop-stamp 1-in-N sampling rate (1 = every packet, exact)")
-	fs.DurationVar(&f.Inseq, "inseq", 0, "starting inseq_timeout (0 = the run's own default)")
-	fs.DurationVar(&f.Ofo, "ofo", 0, "starting ofo_timeout (0 = the run's own default)")
+	fs.DurationVar(&f.Inseq, "inseq", 0, "starting inseq_timeout (0 = the run's own default); honoured where -adapt is, and by the adaptive experiment")
+	fs.DurationVar(&f.Ofo, "ofo", 0, "starting ofo_timeout (0 = the run's own default); honoured where -adapt is, and by the adaptive experiment")
 	return f
 }
-
-// Workers is the sweep width left once every run's -shards lanes are
-// budgeted out of -j.
-func (f *Flags) Workers() int { return sweep.EffectiveWorkers(f.J, f.Shards) }
 
 // Replay builds the replay-driver configuration the shared flags
 // describe: core's defaults, with -inseq/-ofo when set.
@@ -60,6 +58,6 @@ func (f *Flags) Replay() replay.Config {
 
 // Options builds the experiment options the shared flags describe.
 func (f *Flags) Options() experiments.Options {
-	return experiments.Options{Seed: f.Seed, Workers: f.Workers(), Shards: f.Shards,
+	return experiments.Options{Seed: f.Seed, Workers: sweep.Workers(f.J),
 		Adapt: f.Adapt, Inseq: f.Inseq, Ofo: f.Ofo, StampSample: f.StampSample}
 }

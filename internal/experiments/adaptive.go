@@ -190,33 +190,6 @@ func runAdaptive(o Options, adaptive bool) *adaptiveReport {
 	return rep
 }
 
-// RunAdaptive runs one skew-shift point for tests and the doctor.
-func RunAdaptive(o Options, adaptive bool) *AdaptiveResult {
-	rep := runAdaptive(o, adaptive)
-	return &AdaptiveResult{
-		Stack:      rep.Stack,
-		PreGbps:    rep.PreGbps,
-		ShiftGbps:  rep.ShiftGbps,
-		ConvGbps:   rep.ConvGbps,
-		FlapsConv:  rep.FlapsConv,
-		FlapsShift: rep.FlapsShift,
-		FinalInseq: rep.FinalInseq,
-		FinalOfo:   rep.FinalOfo,
-		Retunes:    rep.Retunes,
-		OOOSegs:    rep.OOOSegs,
-	}
-}
-
-// AdaptiveResult is the exported form of one skew-shift run.
-type AdaptiveResult struct {
-	Stack                        string
-	PreGbps, ShiftGbps, ConvGbps float64
-	FlapsConv, FlapsShift        int
-	FinalInseq, FinalOfo         time.Duration
-	Retunes                      int64
-	OOOSegs                      int64
-}
-
 // adaptiveSweep: the registered experiment — static vs adaptive through
 // the identical skew-shift timeline.
 func adaptiveSweep(o Options) *Table {

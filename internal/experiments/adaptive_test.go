@@ -15,8 +15,8 @@ func TestAdaptiveRecoversFromSkewShift(t *testing.T) {
 		t.Skip("adaptive scenario skipped in -short mode")
 	}
 	o := Options{Seed: 1, Quick: true}
-	st := RunAdaptive(o, false)
-	ad := RunAdaptive(o, true)
+	st := runAdaptive(o, false)
+	ad := runAdaptive(o, true)
 
 	if st.PreGbps < 5 || ad.PreGbps < 5 {
 		t.Fatalf("pre-shift goodput too low to measure: static %.2f, adaptive %.2f Gb/s",
@@ -68,9 +68,7 @@ func TestAdaptiveRecoversFromSkewShift(t *testing.T) {
 
 // TestAdaptiveSweepDeterministic: the registered experiment must emit
 // byte-identical rows regardless of sweep parallelism — each point owns its
-// simulation and results commit by index. It runs 8 sweep workers of one
-// lane each, the width TestAllExperimentsRunQuick's 2-workers-by-4-lanes
-// pass does not reach.
+// simulation and results commit by index.
 func TestAdaptiveSweepDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("adaptive determinism check skipped in -short mode")

@@ -39,34 +39,28 @@ type Options struct {
 	// -j workers.
 	AttachTelemetry func(s *sim.Sim)
 
-	// Workers is the sweep fan-out width (the CLIs' -j flag): sweeping
+	// Workers is the run's goroutine budget (the CLIs' -j flag). Sweeping
 	// experiments run their parameter points on min(Workers, points)
-	// goroutines via sweep.Map. 0 or 1 means serial. Results are committed
-	// by point index, so tables are byte-identical at any width.
+	// goroutines via sweep.Map; shardedrx, a single point, spreads its 8
+	// logical RX queues over max(1, Workers) lanes under the conservative
+	// epoch barrier in internal/sim. 0 or 1 means serial. Results are
+	// committed by point index and merged by queue index, so tables are
+	// byte-identical at any budget.
 	Workers int
 
-	// Shards is the intra-sim lane count (the CLIs' -shards flag): the
-	// sharded receive datapath (shardedrx; testbed.ShardedHost) spreads
-	// its logical RX queues over this many real goroutines under the
-	// conservative epoch barrier in internal/sim. 0 or 1 runs every
-	// queue inline — the byte-exact serial reference. Shards is never
-	// output-affecting: closed-loop full-stack experiments (TCP feedback
-	// through a shared egress has zero cross-lane lookahead) ignore it
-	// and stay on the serial engine, and the sharded datapath is
-	// byte-identical at any lane count by construction. The goroutine
-	// budget composes with Workers via sweep.EffectiveWorkers.
-	Shards int
-
-	// Adapt attaches the internal/adapt detector+controller to every
-	// Juggler receiver (the CLIs' -adapt flag): the configured timeouts
-	// become the starting point and the controller retunes them from live
-	// reordering estimates. The zero value preserves byte-identical output
-	// for existing experiments.
+	// Adapt attaches the internal/adapt detector+controller to the
+	// receiver (the CLIs' -adapt flag): the configured timeouts become the
+	// starting point and the controller retunes them from live reordering
+	// estimates. Only chaos (and RunChaosScenario), fleet and shardedrx
+	// read it; the adaptive experiment runs both settings by design, and
+	// every other experiment ignores it. The zero value preserves
+	// byte-identical output.
 	Adapt bool
 
 	// Inseq / Ofo override the receiver's inseq_timeout / ofo_timeout
-	// starting values (the CLIs' -inseq/-ofo flags). Zero keeps each
-	// experiment's own provisioning rule.
+	// starting values (the CLIs' -inseq/-ofo flags) in the experiments
+	// that read Adapt, and in adaptive. The others ignore them. Zero keeps
+	// each experiment's own provisioning rule.
 	Inseq, Ofo time.Duration
 
 	// StampSample is the 1-in-N hop-stamp sampling rate (the CLIs'

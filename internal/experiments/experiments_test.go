@@ -2,33 +2,48 @@ package experiments
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 
 	"juggler/internal/golden"
-	"juggler/internal/sweep"
 )
 
+// TestRegistryComplete checks the registry against EXPERIMENTS.md: every
+// registered ID has a description and is documented there, as `id` in a
+// heading or in an Ablations table row, and every (`id`) heading names a
+// registered experiment.
 func TestRegistryComplete(t *testing.T) {
-	want := []string{"fig1", "fig9", "fig10", "fig12", "fig13", "fig14",
-		"fig15", "fig16", "fig18", "fig20", "latency", "lossofo", "chaos",
-		"abl-linkedlist", "abl-buildup", "abl-eviction", "abl-conntrack", "abl-worstcase",
-		"ext-flowlet", "ext-websearch", "ext-rss", "ext-sctp", "adaptive"}
-	ids := IDs()
-	for _, w := range want {
-		found := false
-		for _, id := range ids {
-			if id == w {
-				found = true
+	doc, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	headingID := regexp.MustCompile("\\(`([a-z0-9-]+)`\\)")
+	rowID := regexp.MustCompile("^\\| `([a-z0-9-]+)` \\|")
+	documented := map[string]bool{}
+	section := ""
+	for _, line := range strings.Split(string(doc), "\n") {
+		if strings.HasPrefix(line, "#") {
+			section = line
+			for _, m := range headingID.FindAllStringSubmatch(line, -1) {
+				documented[m[1]] = true
+				if Describe(m[1]) == "" {
+					t.Errorf("EXPERIMENTS.md heading %q names unregistered experiment %q", line, m[1])
+				}
 			}
+		} else if m := rowID.FindStringSubmatch(line); m != nil && section == "### Ablations" {
+			documented[m[1]] = true
 		}
-		if !found {
-			t.Errorf("experiment %q not registered", w)
+	}
+	for _, id := range IDs() {
+		if Describe(id) == "" {
+			t.Errorf("experiment %q lacks a description", id)
 		}
-		if Describe(w) == "" {
-			t.Errorf("experiment %q lacks a description", w)
+		if !documented[id] {
+			t.Errorf("experiment %q has no heading or Ablations row in EXPERIMENTS.md", id)
 		}
 	}
 	if Run("bogus", DefaultOptions()) != nil {
@@ -92,10 +107,10 @@ func findRow(t *testing.T, tb *Table, prefix ...string) []string {
 }
 
 // TestAllExperimentsRunQuick executes every registered experiment in quick
-// mode twice — serially, then as `-j 8 -shards 4` budgets it (2 sweep
-// workers of 4 lanes each) — and requires byte-identical rendered tables:
-// the width-independence contract of internal/sweep and the sharded
-// datapath, checked for every ID. It then sanity-checks the headline
+// mode twice — serially, then at `-j 8` (8 sweep workers, and 8 lanes for
+// shardedrx) — and requires byte-identical rendered tables: the
+// width-independence contract of internal/sweep and the sharded datapath,
+// checked for every ID. It then sanity-checks the headline
 // relationships the paper reports on the serial tables, and pins every
 // serial table's bytes to testdata/tables_golden.json. Skipped under
 // -short.
@@ -105,7 +120,7 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 	}
 	serial := Options{Seed: 1, Quick: true}
 	wide := serial
-	wide.Workers, wide.Shards = sweep.EffectiveWorkers(8, 4), 4
+	wide.Workers = 8
 	tables := map[string]*Table{}
 	prints := map[string]golden.Digest{}
 	for _, id := range IDs() {
@@ -122,7 +137,7 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 		tb.Fprint(&s)
 		Run(id, wide).Fprint(&w)
 		if !bytes.Equal(s.Bytes(), w.Bytes()) {
-			t.Errorf("%s differs between -j 1 -shards 1 and -j 8 -shards 4:\n--- serial ---\n%s--- wide ---\n%s", id, s.Bytes(), w.Bytes())
+			t.Errorf("%s differs between -j 1 and -j 8:\n--- serial ---\n%s--- wide ---\n%s", id, s.Bytes(), w.Bytes())
 		}
 		tables[id] = tb
 		prints[id] = golden.Fingerprint(s.Bytes())

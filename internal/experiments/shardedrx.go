@@ -20,17 +20,19 @@ import (
 // queue and drain through its own timeouts while the flow's future
 // packets build up fresh state on the new one.
 //
-// The table is keyed by logical queue, never by execution lane: the
-// queue count is fixed at 8 whatever -shards says, so the rows — and the
-// conservation and leak figures in the notes — are byte-identical at any
-// -shards and any -j. That identity is the experiment's whole point; the
-// wall-clock side of sharding is the sim.shard_speedup_2 line of the
-// repository benchmark's traced pass (go run -C bench . -trace 1).
+// The run is one point, so it spends the whole -j budget (Options.Workers)
+// on execution lanes, capped at the 8 queues. The table is keyed by
+// logical queue, never by lane: the queue count is fixed at 8 whatever
+// -j says, so the rows — and the conservation and leak figures in the
+// notes — are byte-identical at any -j. That identity is the
+// experiment's whole point; the wall-clock side of sharding is the
+// sim.shard_speedup_2 line of the repository benchmark's traced pass
+// (go run -C bench . -trace 1).
 
 // shardedRXParams sizes the workload.
 type shardedRXParams struct {
 	flows, rounds int
-	shards        int
+	lanes         int
 }
 
 // shardedRXResult carries one run's merged deterministic outcome.
@@ -68,7 +70,7 @@ func runShardedRX(o Options, p shardedRXParams) shardedRXResult {
 	cfg := testbed.ShardedHostConfig{
 		RX: nic.ShardedRXConfig{
 			Queues:    queues,
-			Shards:    p.shards,
+			Shards:    p.lanes,
 			PollEvery: 10 * time.Microsecond,
 		},
 		Offload: testbed.OffloadJuggler,
@@ -146,14 +148,6 @@ func runShardedRX(o Options, p shardedRXParams) shardedRXResult {
 	return res
 }
 
-// Shards resolves the experiment's lane count from Options.
-func shardedRXShards(o Options) int {
-	if o.Shards > 0 {
-		return o.Shards
-	}
-	return 1
-}
-
 func shardedRX(o Options) *Table {
 	t := &Table{
 		ID:    "shardedrx",
@@ -161,7 +155,7 @@ func shardedRX(o Options) *Table {
 		Columns: []string{"queue", "pkts", "segs", "flush_event", "flush_inseq", "flush_ofo",
 			"ofo_timeouts", "ooo_work_per_pkt", "delivered_MB"},
 	}
-	p := shardedRXParams{flows: 100000, rounds: 16, shards: shardedRXShards(o)}
+	p := shardedRXParams{flows: 100000, rounds: 16, lanes: max(1, o.Workers)}
 	if o.Quick {
 		p.flows, p.rounds = 5000, 8
 	}
@@ -194,6 +188,8 @@ func shardedRX(o Options) *Table {
 		fF(float64(tot.bytes)/(1<<20)))
 	t.Note("mid-run RSS rehash moved %d of %d flows to a new queue — the worst-case handoff (FNV's low bits are linear in the salt, so a salt change remaps every flow, same as the serial RX): stranded holes drained on the old queue via its own timeouts, byte conservation held (%d bytes), 0 segments leaked across all lane pools",
 		res.handoffs, p.flows, res.sent)
+	// The note's wording, the removed -shards flag included, is pinned by
+	// testdata/tables_golden.json.
 	t.Note("rows are keyed by logical queue (fixed at 8) and merged in queue order, so this table is byte-identical at any -shards and any -j; wall-clock scaling is sim.shard_speedup_2 in the repository benchmark (bench/, -trace 1)")
 	return t
 }

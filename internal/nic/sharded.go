@@ -8,7 +8,7 @@
 // function — and maps queues onto the lanes of a sim.ShardGroup
 // (queue index mod lane count). Because the queue count is configuration
 // and the lane count is not, per-queue execution is identical at any
-// `-shards N`: each queue sees the same arrivals at the same virtual
+// lane count: each queue sees the same arrivals at the same virtual
 // instants, runs its offload and poll cadence on its own lane clock, and
 // its timers fire at the same deadlines regardless of which other queues
 // share the lane. Queue-indexed results merged in queue order are

@@ -36,31 +36,6 @@ func Workers(n int) int {
 	return n
 }
 
-// EffectiveWorkers composes the sweep fan-out with intra-sim sharding
-// under one shared goroutine budget: when each parameter point itself
-// runs `shards` lanes (a sim.ShardGroup), the -j request is treated as
-// the TOTAL goroutine budget and the sweep width shrinks to j/shards
-// (floor, minimum 1) so `-j 8 -shards 4` runs 2 concurrent points of 4
-// lanes each — 8 goroutines, never 32. A "use all cores" request
-// (j <= 0) is resolved by Workers before budgeting. shards <= 1 leaves
-// the request untouched, preserving exact -j semantics for unsharded
-// runs.
-//
-// The division is deliberately conservative: oversubscription does not
-// change any output (both axes are byte-identical at any width), it
-// only thrashes the scheduler, so the budget errs toward fewer, fully
-// parallel points.
-func EffectiveWorkers(j, shards int) int {
-	w := Workers(j)
-	if shards > 1 {
-		w /= shards
-	}
-	if w < 1 {
-		return 1
-	}
-	return w
-}
-
 // Map runs fn(i) for every i in [0, n) on min(workers, n) goroutines and
 // returns the results indexed by i. workers <= 1 (or n <= 1) degrades to a
 // plain serial loop on the calling goroutine — no goroutines, no
@@ -124,13 +99,4 @@ func Map[T any](workers, n int, fn func(i int) T) []T {
 		panic(panicked)
 	}
 	return out
-}
-
-// Each is Map for side-effect-only points (fn fills its own row storage,
-// typically a per-index buffer).
-func Each(workers, n int, fn func(i int)) {
-	Map(workers, n, func(i int) struct{} {
-		fn(i)
-		return struct{}{}
-	})
 }

@@ -106,14 +106,3 @@ func TestWorkers(t *testing.T) {
 		t.Fatalf("Workers(-2) = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
 	}
 }
-
-// TestEach: the side-effect variant visits every index.
-func TestEach(t *testing.T) {
-	var seen [40]atomic.Bool
-	Each(8, 40, func(i int) { seen[i].Store(true) })
-	for i := range seen {
-		if !seen[i].Load() {
-			t.Fatalf("index %d not visited", i)
-		}
-	}
-}

@@ -10,8 +10,8 @@
 // lane -> host -> ToR -> fleet — in a fixed structural order (queue
 // index, then host registration order). Merging is associative and
 // order-deterministic, so the fleet report is byte-identical at any
-// `-j` sweep width and any `-shards` lane count: the execution schedule
-// never touches the merge order.
+// `-j` budget, whether it runs sweep points or lanes: the execution
+// schedule never touches the merge order.
 //
 // Two sketches cover the report's needs:
 //

@@ -129,7 +129,7 @@ func TestFleetReportShardInvariant(t *testing.T) {
 	for _, shards := range []int{2, 4} {
 		got := runShardedFleet(t, shards)
 		if !bytes.Equal(ref, got) {
-			t.Fatalf("report differs between -shards 1 and -shards %d:\n%s\n---\n%s",
+			t.Fatalf("report differs between 1 and %d lanes:\n%s\n---\n%s",
 				shards, ref, got)
 		}
 	}

@@ -91,8 +91,7 @@ type ToRRollup struct {
 
 // Report is the deterministic cluster health report. All quantities are
 // integers (nanoseconds, bytes, counts): encoding/json renders them
-// byte-stably, so same-seed runs produce identical files at any -j and
-// -shards.
+// byte-stably, so same-seed runs produce identical files at any -j.
 type Report struct {
 	Schema      string `json:"schema"`
 	DurationNs  int64  `json:"duration_ns"`
