@@ -174,7 +174,7 @@ func ablEviction(o Options) *Table {
 }
 
 func init() {
-	register("abl-linkedlist", "linked-list vs frags merge CPU (§3.1)", ablLinkedList)
-	register("abl-buildup", "build-up seq_next learning (Remark 1)", ablBuildUp)
-	register("abl-eviction", "eviction policy & table size (§4.3)", ablEviction)
+	register("abl-linkedlist", entry{run: ablLinkedList, desc: "linked-list vs frags merge CPU (§3.1)", shape: linkedListShape})
+	register("abl-buildup", entry{run: ablBuildUp, desc: "build-up seq_next learning (Remark 1)"})
+	register("abl-eviction", entry{run: ablEviction, desc: "eviction policy & table size (§4.3)", shape: evictionShape})
 }

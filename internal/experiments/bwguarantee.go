@@ -172,6 +172,6 @@ func fig18(o Options) *Table {
 }
 
 func init() {
-	register("fig1", "bandwidth-guarantee time series", fig1)
-	register("fig18", "achieved vs guaranteed bandwidth sweep", fig18)
+	register("fig1", entry{run: fig1, desc: "bandwidth-guarantee time series", shape: fig1Shape})
+	register("fig18", entry{run: fig18, desc: "achieved vs guaranteed bandwidth sweep", shape: fig18Shape})
 }

@@ -415,5 +415,5 @@ func chaosSweep(o Options) *Table {
 }
 
 func init() {
-	register("chaos", "fault-injection sweep with end-to-end invariant checking", chaosSweep)
+	register("chaos", entry{run: chaosSweep, desc: "fault-injection sweep with end-to-end invariant checking", shape: chaosShape})
 }

@@ -75,5 +75,5 @@ func conntrackRun(o Options, kind testbed.OffloadKind, tau time.Duration) (invFr
 }
 
 func init() {
-	register("abl-conntrack", "conntrack INVALID events behind GRO vs Juggler (§3.1)", ablConntrack)
+	register("abl-conntrack", entry{run: ablConntrack, desc: "conntrack INVALID events behind GRO vs Juggler (§3.1)", shape: conntrackShape})
 }

@@ -159,7 +159,7 @@ func latencyOverhead(o Options) *Table {
 }
 
 func init() {
-	register("fig9", "CPU overhead, single flow", fig9)
-	register("fig10", "CPU overhead, 256 flows", fig10)
-	register("latency", "150B RPC latency overhead (§5.1.2)", latencyOverhead)
+	register("fig9", entry{run: fig9, desc: "CPU overhead, single flow", shape: cpuShape})
+	register("fig10", entry{run: fig10, desc: "CPU overhead, 256 flows", shape: cpuShape})
+	register("latency", entry{run: latencyOverhead, desc: "150B RPC latency overhead (§5.1.2)", shape: latencyShape})
 }

@@ -11,9 +11,12 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -153,6 +156,36 @@ func (t *Table) Note(format string, args ...any) {
 	t.Notes = append(t.Notes, fmt.Sprintf(format, args...))
 }
 
+// errLookup marks a Values error, or a claim's: the table lacks the cells
+// the claim reads, so the claim cannot be judged.
+var errLookup = errors.New("lookup")
+
+// Values returns column col of every row whose leading cells equal
+// prefix, parsed as numbers (a trailing "%" or "x" is dropped). An unknown
+// column, a prefix no row has, or a cell that is not a number is an error
+// wrapping errLookup.
+func (t *Table) Values(col string, prefix ...string) ([]float64, error) {
+	c := slices.Index(t.Columns, col)
+	if c < 0 {
+		return nil, fmt.Errorf("%w: %s has no column %q", errLookup, t.ID, col)
+	}
+	var out []float64
+	for _, row := range t.Rows {
+		if len(prefix) > len(row) || !slices.Equal(row[:len(prefix)], prefix) {
+			continue
+		}
+		v, err := strconv.ParseFloat(strings.TrimRight(row[c], "%x"), 64)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %s's %s of row %v is not a number", errLookup, t.ID, col, row)
+		}
+		out = append(out, v)
+	}
+	if out == nil {
+		return nil, fmt.Errorf("%w: %s has no row %v", errLookup, t.ID, prefix)
+	}
+	return out, nil
+}
+
 // Fprint renders the table with aligned columns.
 func (t *Table) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "== %s: %s ==\n", t.ID, t.Title)
@@ -192,21 +225,41 @@ func (t *Table) Fprint(w io.Writer) {
 // Runner is an experiment entry point.
 type Runner func(Options) *Table
 
-// registry maps experiment IDs to runners, with a parallel description.
-var registry = map[string]struct {
-	run  Runner
-	desc string
-}{}
+// Claim is one shape the paper states about an experiment's table.
+type Claim struct {
+	// Name labels the claim within its experiment.
+	Name string
+	// Source is where the claim comes from: a paper section, or
+	// "invariant checker" for this reproduction's own correctness claims.
+	Source string
+	// Check returns nil when the table shows the claim.
+	Check func(*Table) error
+	// Known maps each seed on which Check fails today to the number of the
+	// deviation (EXPERIMENTS.md, "Global deviations") the failure names.
+	Known map[int64]int
+}
+
+// Shape is the list of claims an experiment's table must show.
+type Shape []Claim
+
+// entry is one registered experiment: its runner, its one-line
+// description, and the paper's shape its table must show (nil when the
+// experiment has no checked claim yet).
+type entry struct {
+	run   Runner
+	desc  string
+	shape Shape
+}
+
+// registry maps experiment IDs to their entries.
+var registry = map[string]entry{}
 
 // register is called from each experiment file's init.
-func register(id, desc string, run Runner) {
+func register(id string, e entry) {
 	if _, dup := registry[id]; dup {
 		panic("experiments: duplicate id " + id)
 	}
-	registry[id] = struct {
-		run  Runner
-		desc string
-	}{run, desc}
+	registry[id] = e
 }
 
 // IDs returns the registered experiment IDs in sorted order.

@@ -89,5 +89,5 @@ func fig16Run(o Options, nicRate units.BitRate) (mean, p99, max, lossP99, lossPe
 }
 
 func init() {
-	register("fig16", "active-list histogram under realistic Clos reordering", fig16)
+	register("fig16", entry{run: fig16, desc: "active-list histogram under realistic Clos reordering", shape: fig16Shape})
 }

@@ -165,5 +165,5 @@ func fig20Run(o Options, loadPct int, policy string) (res fig20Result) {
 }
 
 func init() {
-	register("fig20", "RPC tail latency under ECMP / per-TSO / per-packet LB", fig20)
+	register("fig20", entry{run: fig20, desc: "RPC tail latency under ECMP / per-TSO / per-packet LB", shape: fig20Shape})
 }

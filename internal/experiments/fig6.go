@@ -95,5 +95,5 @@ func fig6(o Options) *Table {
 }
 
 func init() {
-	register("fig6", "Juggler decision mix under reordering (telemetry showcase)", fig6)
+	register("fig6", entry{run: fig6, desc: "Juggler decision mix under reordering (telemetry showcase)", shape: fig6Shape})
 }

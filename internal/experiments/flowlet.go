@@ -32,5 +32,5 @@ func extFlowlet(o Options) *Table {
 }
 
 func init() {
-	register("ext-flowlet", "flowlet LB extension at 75% load", extFlowlet)
+	register("ext-flowlet", entry{run: extFlowlet, desc: "flowlet LB extension at 75% load"})
 }

@@ -181,5 +181,5 @@ func flowScale(o Options) *Table {
 }
 
 func init() {
-	register("flowscale", "flow-scale datapath at 1k/10k/100k concurrent reordered flows", flowScale)
+	register("flowscale", entry{run: flowScale, desc: "flow-scale datapath at 1k/10k/100k concurrent reordered flows"})
 }

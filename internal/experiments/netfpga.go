@@ -329,9 +329,9 @@ func lossOfo(o Options) *Table {
 }
 
 func init() {
-	register("fig12", "batching extent & CPU vs inseq_timeout", fig12)
-	register("fig13", "throughput vs ofo_timeout under reordering", fig13)
-	register("fig14", "RPC p99 vs ofo_timeout with drops", fig14)
-	register("fig15", "active flows vs concurrent flows", fig15)
-	register("lossofo", "throughput vs ofo_timeout at 0.1% loss (§5.2.1)", lossOfo)
+	register("fig12", entry{run: fig12, desc: "batching extent & CPU vs inseq_timeout", shape: fig12Shape})
+	register("fig13", entry{run: fig13, desc: "throughput vs ofo_timeout under reordering", shape: fig13Shape})
+	register("fig14", entry{run: fig14, desc: "RPC p99 vs ofo_timeout with drops", shape: fig14Shape})
+	register("fig15", entry{run: fig15, desc: "active flows vs concurrent flows", shape: fig15Shape})
+	register("lossofo", entry{run: lossOfo, desc: "throughput vs ofo_timeout at 0.1% loss (§5.2.1)", shape: lossOfoShape})
 }

@@ -103,5 +103,5 @@ func sctpRun(o Options, kind testbed.OffloadKind, tau time.Duration) (goodput, o
 }
 
 func init() {
-	register("ext-sctp", "SCTP-style message transport through Juggler", extSCTP)
+	register("ext-sctp", entry{run: extSCTP, desc: "SCTP-style message transport through Juggler"})
 }

@@ -195,5 +195,5 @@ func shardedRX(o Options) *Table {
 }
 
 func init() {
-	register("shardedrx", "flow-scale workload on the sharded (multi-goroutine) receive datapath with RSS rehash handoff", shardedRX)
+	register("shardedrx", entry{run: shardedRX, desc: "flow-scale workload on the sharded (multi-goroutine) receive datapath with RSS rehash handoff"})
 }

@@ -97,5 +97,5 @@ func webSearchRun(o Options, policy string) (shortLat, longLat *stats.Sampler, c
 const shortFlowCutoff = 100 * 1024
 
 func init() {
-	register("ext-websearch", "heavy-tailed web-search mix across LB policies", extWebSearch)
+	register("ext-websearch", entry{run: extWebSearch, desc: "heavy-tailed web-search mix across LB policies"})
 }

@@ -87,5 +87,5 @@ func ablWorstCase(o Options) *Table {
 }
 
 func init() {
-	register("abl-worstcase", "§3.3 adversarial new-flow flood state bound", ablWorstCase)
+	register("abl-worstcase", entry{run: ablWorstCase, desc: "§3.3 adversarial new-flow flood state bound", shape: worstCaseShape})
 }

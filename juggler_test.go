@@ -178,15 +178,3 @@ func TestStackAndPolicyStrings(t *testing.T) {
 		t.Fatalf("rate string = %q", Rate40G.String())
 	}
 }
-
-func TestReportWriteCSV(t *testing.T) {
-	rep := &Report{ID: "x", Columns: []string{"a", "b"}, Rows: [][]string{{"1", "2"}, {"3", "4"}}}
-	var sb strings.Builder
-	if err := rep.WriteCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	want := "a,b\n1,2\n3,4\n"
-	if sb.String() != want {
-		t.Fatalf("csv = %q, want %q", sb.String(), want)
-	}
-}
