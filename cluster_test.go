@@ -16,19 +16,6 @@ func TestClusterDefaults(t *testing.T) {
 	}
 }
 
-func TestClusterFlowletPolicy(t *testing.T) {
-	c := NewCluster(ClusterConfig{LB: Flowlet, Stack: StackJuggler, Seed: 5})
-	a, b := c.AddHost(0), c.AddHost(1)
-	f := c.ConnectBulk(a, b, FlowOptions{})
-	c.Run(20 * time.Millisecond)
-	if f.Delivered() == 0 {
-		t.Fatal("flowlet cluster should pass traffic")
-	}
-	if f.OOOFraction() > 0.05 {
-		t.Fatalf("flowlets should cause little reordering, got %.2f", f.OOOFraction())
-	}
-}
-
 func TestClusterBackgroundTraffic(t *testing.T) {
 	c := NewCluster(ClusterConfig{LB: PerPacket, Stack: StackJuggler, Seed: 5})
 	a, b := c.AddHost(0), c.AddHost(1)

@@ -175,6 +175,6 @@ func ablEviction(o Options) *Table {
 
 func init() {
 	register("abl-linkedlist", entry{run: ablLinkedList, desc: "linked-list vs frags merge CPU (§3.1)", shape: linkedListShape})
-	register("abl-buildup", entry{run: ablBuildUp, desc: "build-up seq_next learning (Remark 1)"})
+	register("abl-buildup", entry{run: ablBuildUp, desc: "build-up seq_next learning (Remark 1)", shape: buildUpShape})
 	register("abl-eviction", entry{run: ablEviction, desc: "eviction policy & table size (§4.3)", shape: evictionShape})
 }

@@ -216,5 +216,5 @@ func adaptiveSweep(o Options) *Table {
 }
 
 func init() {
-	register("adaptive", entry{run: adaptiveSweep, desc: "mid-run fabric skew shift: adaptive controller vs static timeouts"})
+	register("adaptive", entry{run: adaptiveSweep, desc: "mid-run fabric skew shift: adaptive controller vs static timeouts", shape: adaptiveShape})
 }

@@ -229,8 +229,9 @@ type Runner func(Options) *Table
 type Claim struct {
 	// Name labels the claim within its experiment.
 	Name string
-	// Source is where the claim comes from: a paper section, or
-	// "invariant checker" for this reproduction's own correctness claims.
+	// Source is where the claim comes from: a paper section, or, for an
+	// experiment that is not a paper figure, the component it checks
+	// ("invariant checker", "adapt controller", "fleet watchdog").
 	Source string
 	// Check returns nil when the table shows the claim.
 	Check func(*Table) error
@@ -243,8 +244,7 @@ type Claim struct {
 type Shape []Claim
 
 // entry is one registered experiment: its runner, its one-line
-// description, and the paper's shape its table must show (nil when the
-// experiment has no checked claim yet).
+// description, and the shape its table must show.
 type entry struct {
 	run   Runner
 	desc  string

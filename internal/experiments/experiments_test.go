@@ -16,9 +16,9 @@ import (
 )
 
 // TestRegistryComplete checks the registry against EXPERIMENTS.md: every
-// registered ID has a description and is documented there, as `id` in a
-// heading or in an Ablations table row, and every (`id`) heading names a
-// registered experiment. A shaped ID's section or row carries a
+// registered ID has a description and a Shape and is documented there, as
+// `id` in a heading or in an Ablations table row, and every (`id`) heading
+// names a registered experiment. Each ID's section or row carries a
 // "**Shape: …**" verdict that is exactly "match" when none of its claims
 // is a known failure, and otherwise names each known failure's deviation.
 func TestRegistryComplete(t *testing.T) {
@@ -62,9 +62,10 @@ func TestRegistryComplete(t *testing.T) {
 		}
 		m := verdict.FindStringSubmatchIndex(text[id])
 		switch {
-		case registry[id].shape == nil:
+		case len(registry[id].shape) == 0:
+			t.Errorf("experiment %q has no Shape", id)
 		case m == nil:
-			t.Errorf("EXPERIMENTS.md gives shaped experiment %q no **Shape:** verdict", id)
+			t.Errorf("EXPERIMENTS.md gives experiment %q no **Shape:** verdict", id)
 		case (text[id][m[2]:m[3]] == "match") != (len(devs) == 0):
 			t.Errorf("EXPERIMENTS.md: %q's verdict is %q, but its known failures name deviations %v", id, text[id][m[2]:m[3]], devs)
 		default:
@@ -127,9 +128,9 @@ func TestTableValues(t *testing.T) {
 // and seed.
 var quickRuns = map[int64]map[string]*Table{}
 
-// quick returns the -quick tables of a seed: on seed 1 every ID, rendered
-// serially (TestAllExperimentsRunQuick's reference tables); on any other
-// seed only the shaped IDs, on runtime.NumCPU() workers.
+// quick returns every ID's -quick table of a seed: rendered serially on
+// seed 1 (TestAllExperimentsRunQuick's reference tables), on
+// runtime.NumCPU() workers on any other seed.
 func quick(seed int64) map[string]*Table {
 	if tables, ok := quickRuns[seed]; ok {
 		return tables
@@ -140,9 +141,7 @@ func quick(seed int64) map[string]*Table {
 	}
 	tables := map[string]*Table{}
 	for _, id := range IDs() {
-		if seed == 1 || registry[id].shape != nil {
-			tables[id] = Run(id, o)
-		}
+		tables[id] = Run(id, o)
 	}
 	quickRuns[seed] = tables
 	return tables

@@ -121,5 +121,5 @@ func CollectFleetReport(o Options, impaired bool) *fleet.Report {
 }
 
 func init() {
-	register("fleet", entry{run: fleetExperiment, desc: "cluster-wide fleet health report under chaos impairments"})
+	register("fleet", entry{run: fleetExperiment, desc: "cluster-wide fleet health report under chaos impairments", shape: fleetShape})
 }

@@ -2,30 +2,15 @@ package experiments
 
 import (
 	"bytes"
-	"reflect"
 	"testing"
 
 	"juggler/internal/telemetry/fleet"
 )
 
-// TestFleetSweepDeterministic: the fleet table must be byte-identical
-// at any -j width — each scenario point owns its simulation and rows
-// commit by index. It runs 8 sweep workers of one lane each, the width
-// TestAllExperimentsRunQuick's 2-workers-by-4-lanes pass does not reach.
-func TestFleetSweepDeterministic(t *testing.T) {
-	o := Options{Seed: 1, Quick: true}
-	o.Workers = 1
-	t1 := fleetExperiment(o)
-	o.Workers = 8
-	t8 := fleetExperiment(o)
-	if !reflect.DeepEqual(t1.Rows, t8.Rows) {
-		t.Fatalf("rows differ across -j widths:\n-j1: %v\n-j8: %v", t1.Rows, t8.Rows)
-	}
-}
-
-// TestFleetReportFlagsImpairedHost: the impaired receiver must rank
-// worst, the clean run must stay healthy, and both reports must
-// conform to the fleet schema.
+// TestFleetReportFlagsImpairedHost: both reports must conform to the
+// fleet schema, and the impaired receiver must rank worst with a higher
+// score than the clean run's worst host. The fleet-health verdicts are
+// fleetShape's claims.
 func TestFleetReportFlagsImpairedHost(t *testing.T) {
 	o := Options{Seed: 1, Quick: true, Workers: 1}
 	clean := CollectFleetReport(o, false)
@@ -60,15 +45,5 @@ func TestFleetReportFlagsImpairedHost(t *testing.T) {
 	if impaired.Hosts[0].Score <= clean.Hosts[0].Score {
 		t.Fatalf("impairment did not raise the worst score: clean %d, impaired %d",
 			clean.Hosts[0].Score, impaired.Hosts[0].Score)
-	}
-	if impaired.FleetHealth != "degraded" {
-		t.Fatalf("impaired fleet health = %q, want degraded", impaired.FleetHealth)
-	}
-	// The clean baseline must be healthy — the bulk cwnd cap keeps the
-	// fabric queues from swamping the SLO, so the impairment is the only
-	// thing that can degrade a host.
-	if clean.FleetHealth != "healthy" {
-		t.Fatalf("clean fleet health = %q, want healthy (burn windows: %d)",
-			clean.FleetHealth, clean.Fleet.SLOBurnWindows)
 	}
 }

@@ -81,5 +81,5 @@ func rssRun(o Options, queues int) (tput, rxMax, activeP99, ooo float64) {
 }
 
 func init() {
-	register("ext-rss", entry{run: extRSS, desc: "RSS scaling with per-queue Juggler instances"})
+	register("ext-rss", entry{run: extRSS, desc: "RSS scaling with per-queue Juggler instances", shape: rssShape})
 }

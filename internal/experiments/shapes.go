@@ -3,14 +3,17 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
 	"juggler/internal/units"
 )
 
-// The paper's claims, one Shape per checked experiment. Each claim's
-// Source names the section its band comes from; where the paper gives
+// The paper's claims, one Shape per registered experiment. Each claim's
+// Source names the section its band comes from (or, for an experiment that
+// is not a paper figure, the component whose behaviour it checks); where
+// the paper gives
 // arithmetic (line rate, the 64 KB batch time, τ − τ0, the fair share) the
 // band is computed from it, not read off today's tables. A claim that the
 // model fails on a seed is listed in Known with the deviation it names, and
@@ -508,4 +511,236 @@ var evictionShape = Shape{
 		}
 		return nil
 	}},
+}
+
+// buildUpShape (Remark 1): learning seq_next during the build-up phase
+// sends fewer segments up the stack, ~6 % fewer in the paper's basic
+// experiment (read as 3–9 %, half the figure either side).
+var buildUpShape = Shape{
+	buildUpClaim("learning-saves-segments", nil, 0, 100),
+	buildUpClaim("saves-about-6pct", map[int64]int{2: 6}, 3, 9),
+}
+
+// buildUpClaim checks that learning on sends lo–hi % fewer segments per MB
+// than learning off.
+func buildUpClaim(name string, known map[int64]int, lo, hi float64) Claim {
+	return Claim{Name: name, Source: "Remark 1", Known: known, Check: func(t *Table) error {
+		on, err1 := t.Values("segments_per_MB", "on")
+		off, err2 := t.Values("segments_per_MB", "off (ablation)")
+		if err := errors.Join(err1, err2); err != nil {
+			return err
+		}
+		if saved := (1 - on[0]/off[0]) * 100; saved <= lo || saved > hi {
+			return fmt.Errorf("learning saves %.2f%% of segments (%.2f vs %.2f per MB); want above %.0f%% and at most %.0f%%",
+				saved, on[0], off[0], lo, hi)
+		}
+		return nil
+	}}
+}
+
+// rssShape (§5.2.2): Juggler runs per receive queue, so spreading the 32
+// flows over more RSS queues divides the per-queue active list and the
+// RX-core peak by the queue count (within 10 %, abl-worstcase's
+// tolerance), keeps throughput within 2 % of one queue, and still hides
+// all reordering from TCP.
+var rssShape = Shape{
+	rssClaim("active-list-divides", "active_p99_per_queue", true, 0.1),
+	rssClaim("rx-core-divides", "rx_core_max%", true, 0.1),
+	rssClaim("throughput-holds", "tput_Gbps", false, 0.02),
+	{Name: "no-ooo", Source: "§5.2.2", Check: func(t *Table) error {
+		ooo, err := t.Values("ooo_frac")
+		if err == nil && slices.Max(ooo) != 0 {
+			err = fmt.Errorf("OOO fractions %v; want 0 at every queue count", ooo)
+		}
+		return err
+	}},
+}
+
+// rssClaim checks that column col, times the queue count when perQueue,
+// stays within tol of its one-queue value at every queue count.
+func rssClaim(name, col string, perQueue bool, tol float64) Claim {
+	return Claim{Name: name, Source: "§5.2.2", Check: func(t *Table) error {
+		queues, err1 := t.Values("rx_queues")
+		v, err2 := t.Values(col)
+		if err := errors.Join(err1, err2); err != nil {
+			return err
+		}
+		scaled := func(i int) float64 {
+			if perQueue {
+				return v[i] * queues[i]
+			}
+			return v[i]
+		}
+		ref := scaled(0)
+		for i := range v {
+			if math.Abs(scaled(i)-ref) > tol*ref {
+				what := col
+				if perQueue {
+					what += " × queues"
+				}
+				return fmt.Errorf("%s %v at %v queues; want %s within %.0f%% of %.2f", col, v, queues, what, tol*100, ref)
+			}
+		}
+		return nil
+	}}
+}
+
+// sctpShape (§4): the unchanged Juggler layer hides 500 µs of reordering
+// from a message transport — no OOO records, no spurious retransmissions,
+// at least 0.9 × its in-order batching — while vanilla GRO passes half the
+// records up out of order (the delay switch delays each packet with
+// probability ½) and its batching falls below a tenth of in-order.
+var sctpShape = Shape{
+	{Name: "juggler-hides-reordering", Source: "§4", Check: func(t *Table) error {
+		ooo, err1 := t.Values("ooo_frac", "juggler", "500")
+		rtx, err2 := t.Values("spurious_retrans", "juggler", "500")
+		if err := errors.Join(err1, err2); err != nil {
+			return err
+		}
+		if ooo[0] != 0 || rtx[0] != 0 {
+			return fmt.Errorf("juggler at 500µs: OOO fraction %.2f, %.0f spurious retransmissions; want 0 and 0", ooo[0], rtx[0])
+		}
+		return nil
+	}},
+	sctpBatchingClaim("juggler-keeps-batching", "juggler", true, 0.9),
+	{Name: "vanilla-half-ooo", Source: "§4", Check: func(t *Table) error {
+		ooo, err := t.Values("ooo_frac", "vanilla", "500")
+		if err == nil && math.Abs(ooo[0]-0.5) > 0.1 {
+			err = fmt.Errorf("vanilla at 500µs: OOO fraction %.2f; want 0.5 ± 0.1", ooo[0])
+		}
+		return err
+	}},
+	sctpBatchingClaim("vanilla-batching-collapses", "vanilla", false, 0.1),
+}
+
+// sctpBatchingClaim checks that stack's batching at 500 µs of reordering
+// is at least (or, unless atLeast, at most) bound × its in-order batching.
+func sctpBatchingClaim(name, stack string, atLeast bool, bound float64) Claim {
+	return Claim{Name: name, Source: "§4", Check: func(t *Table) error {
+		in, err1 := t.Values("batching_MTUs", stack, "0")
+		re, err2 := t.Values("batching_MTUs", stack, "500")
+		if err := errors.Join(err1, err2); err != nil {
+			return err
+		}
+		r := re[0] / in[0]
+		ok, want := r >= bound, "≥"
+		if !atLeast {
+			ok, want = r <= bound, "≤"
+		}
+		if !ok {
+			return fmt.Errorf("%s batches %.2f MTUs at 500µs, %.2f in order (%.3f×); want %s %g×", stack, re[0], in[0], r, want, bound)
+		}
+		return nil
+	}}
+}
+
+// shardedRXShape (§5.2.2): RSS spreads flows evenly over the receive
+// queues. Each flow picks one of the queues independently, so a queue's
+// share of the -quick run's flows, and of the bytes they deliver, is
+// binomial: within 3σ = 3·√((queues − 1)/flows) of TOTAL/queues.
+var shardedRXShape = Shape{
+	{Name: "even-rss-spread", Source: "§5.2.2", Check: func(t *Table) error {
+		total, err := t.Values("delivered_MB", "TOTAL")
+		if err != nil {
+			return err
+		}
+		fair := total[0] / shardedRXQueues
+		band := 3 * math.Sqrt((shardedRXQueues-1)/float64(shardedRXQuickFlows))
+		for q := range shardedRXQueues {
+			v, err := t.Values("delivered_MB", fmt.Sprint(q))
+			if err != nil {
+				return err
+			}
+			if math.Abs(v[0]-fair) > band*fair {
+				return fmt.Errorf("queue %d delivers %.2f MB; want the %.2f MB fair share ± %.1f%%", q, v[0], fair, band*100)
+			}
+		}
+		return nil
+	}},
+}
+
+// adaptiveShape (the adapt controller, not the paper): both stacks carry
+// ≥ 5G before the skew shift. After it the static stack keeps at most half
+// its goodput and its provisioned ofo_timeout, and never retunes. The
+// adaptive stack recovers at least half, ≥ 3× the static stack's, with no
+// phase flap once converged, by retuning ofo_timeout past the new skew
+// bound and below the controller's 2 ms ceiling; it leaks fewer
+// out-of-order segments to TCP.
+var adaptiveShape = Shape{
+	adaptiveClaim("measurable-before-shift", "pre_Gbps", func(st, ad float64) bool { return st >= 5 && ad >= 5 }, "both ≥ 5"),
+	{Name: "static-degrades", Source: "adapt controller", Check: func(t *Table) error {
+		pre, err1 := t.Values("pre_Gbps", "static")
+		conv, err2 := t.Values("conv_Gbps", "static")
+		if err := errors.Join(err1, err2); err != nil {
+			return err
+		}
+		if conv[0] > 0.5*pre[0] {
+			return fmt.Errorf("static keeps %.2fG of %.2fG after the shift; want ≤ half", conv[0], pre[0])
+		}
+		return nil
+	}},
+	adaptiveClaim("adaptive-recovers", "recovery", func(_, ad float64) bool { return ad >= 50 }, "adaptive ≥ 50%"),
+	adaptiveClaim("adaptive-beats-static", "conv_Gbps", func(st, ad float64) bool { return ad >= 3*st }, "adaptive ≥ 3× static"),
+	adaptiveClaim("no-flaps-when-converged", "flaps_conv", func(_, ad float64) bool { return ad == 0 }, "adaptive 0"),
+	adaptiveClaim("only-adaptive-retunes", "retunes", func(st, ad float64) bool { return st == 0 && ad > 0 }, "static 0, adaptive > 0"),
+	adaptiveClaim("ofo-covers-new-skew", "final_ofo_us", func(st, ad float64) bool {
+		return st == float64(adaptStaticOfo.Microseconds()) &&
+			ad > float64(adaptTau2.Microseconds()) && ad < float64((2*time.Millisecond).Microseconds())
+	}, fmt.Sprintf("static %d, adaptive in (%d, 2000)", adaptStaticOfo.Microseconds(), adaptTau2.Microseconds())),
+	adaptiveClaim("fewer-ooo-segments", "ooo_segs", func(st, ad float64) bool { return ad < st }, "adaptive < static"),
+}
+
+// adaptiveClaim checks ok on column col of the static and adaptive rows;
+// want describes ok in the failure message.
+func adaptiveClaim(name, col string, ok func(static, adaptive float64) bool, want string) Claim {
+	return Claim{Name: name, Source: "adapt controller", Check: func(t *Table) error {
+		st, err1 := t.Values(col, "static")
+		ad, err2 := t.Values(col, "adaptive")
+		if err := errors.Join(err1, err2); err != nil {
+			return err
+		}
+		if !ok(st[0], ad[0]) {
+			return fmt.Errorf("%s: static %g, adaptive %g; want %s", col, st[0], ad[0], want)
+		}
+		return nil
+	}}
+}
+
+// fleetShape (the fleet watchdog, not the paper): the clean cluster is
+// healthy and burns no SLO window (the bulk cwnd cap keeps the fabric
+// queues from burning it, so only the impairment can degrade a host); with
+// one impaired receiver the fleet is degraded, and its worst host's p99
+// exceeds the clean run's.
+var fleetShape = Shape{
+	{Name: "clean-healthy", Source: "fleet watchdog", Check: func(t *Table) error {
+		burn, err := fleetValue(t, "burn_windows", "clean", "healthy")
+		if err == nil && burn != 0 {
+			err = fmt.Errorf("the clean fleet burns %.0f SLO windows; want 0", burn)
+		}
+		return err
+	}},
+	{Name: "impaired-degraded", Source: "fleet watchdog", Check: func(t *Table) error {
+		imp, err1 := fleetValue(t, "worst_p99_us", "impaired", "degraded")
+		clean, err2 := t.Values("worst_p99_us", "clean")
+		if err := errors.Join(err1, err2); err != nil {
+			return err
+		}
+		if imp <= clean[0] {
+			return fmt.Errorf("worst host p99 %.0fµs impaired, %.0fµs clean; want it higher impaired", imp, clean[0])
+		}
+		return nil
+	}},
+}
+
+// fleetValue reads column col of a scenario's row, and fails unless the
+// row's health is health.
+func fleetValue(t *Table, col, scenario, health string) (float64, error) {
+	if _, err := t.Values(col, scenario); err != nil {
+		return 0, err
+	}
+	v, err := t.Values(col, scenario, health)
+	if err != nil {
+		return 0, fmt.Errorf("the %s fleet is not %s", scenario, health)
+	}
+	return v[0], nil
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math/rand"
 	"time"
 
 	"juggler/internal/core"
@@ -28,6 +29,61 @@ import (
 // experiment's whole point; the wall-clock side of sharding is the
 // sim.shard_speedup_2 line of the repository benchmark's traced pass
 // (go run -C bench . -trace 1).
+
+// flowScaleTuple is flow f's five-tuple in the flow-scale workload.
+func flowScaleTuple(f int) packet.FiveTuple {
+	return packet.FiveTuple{
+		SrcIP: uint32(f/65000) + 1, DstIP: 9,
+		SrcPort: uint16(f % 65000), DstPort: 5001, Proto: packet.ProtoTCP,
+	}
+}
+
+// flowScaleFates is the flow-scale workload's per-flow fate schedule: a
+// fixed round schedule, one MSS packet per flow and round, with every flow
+// reordering.
+type flowScaleFates struct {
+	rounds  int
+	lateDue []int // round+1 a deferred packet arrives (0: none)
+	lateSeq []uint32
+}
+
+func newFlowScaleFates(flows, rounds int) *flowScaleFates {
+	return &flowScaleFates{rounds: rounds,
+		lateDue: make([]int, flows), lateSeq: make([]uint32, flows)}
+}
+
+// round draws round r's fates from rng, flow by flow, and calls send for
+// every packet that arrives in the round: first a packet deferred to it,
+// then the round's own packet unless that is dropped (~2%: a permanent
+// hole, cleared only by ofo expiry) or deferred two rounds (~25%: a hole
+// filled before ofo_timeout). The last two rounds drop and defer nothing;
+// last marks the final round's packets.
+func (fs *flowScaleFates) round(rng *rand.Rand, r int, send func(f int, seq uint32, last bool)) {
+	for f := range fs.lateDue {
+		if fs.lateDue[f] == r+1 {
+			fs.lateDue[f] = 0
+			send(f, fs.lateSeq[f], false)
+		}
+		d := rng.Intn(100)
+		switch {
+		case d < 2 && r < fs.rounds-2:
+			// Dropped.
+		case d < 27 && r < fs.rounds-2:
+			fs.lateDue[f] = r + 2 + 1
+			fs.lateSeq[f] = uint32(r)
+		default:
+			send(f, uint32(r), r == fs.rounds-1)
+		}
+	}
+}
+
+const (
+	// shardedRXQueues is the logical RX queue count, fixed whatever -j says.
+	shardedRXQueues = 8
+	// shardedRXQuickFlows is the flow count at -quick; the shardedrx
+	// shape's fair-share band is computed from it.
+	shardedRXQuickFlows = 5000
+)
 
 // shardedRXParams sizes the workload.
 type shardedRXParams struct {
@@ -56,10 +112,7 @@ type shardedRXQueueRow struct {
 // arrival and draws every random fate serially (the identical sequence
 // at any lane count); only the per-queue receive work runs on the lanes.
 func runShardedRX(o Options, p shardedRXParams) shardedRXResult {
-	const (
-		interval = 20 * time.Microsecond // one round per epoch
-		queues   = 8
-	)
+	const interval = 20 * time.Microsecond // one round per epoch
 
 	// The coordinator sim exists for the deterministic RNG (and the
 	// telemetry attach hook, so traced runs stay valid); it executes no
@@ -69,7 +122,7 @@ func runShardedRX(o Options, p shardedRXParams) shardedRXResult {
 
 	cfg := testbed.ShardedHostConfig{
 		RX: nic.ShardedRXConfig{
-			Queues:    queues,
+			Queues:    shardedRXQueues,
 			Shards:    p.lanes,
 			PollEvery: 10 * time.Microsecond,
 		},
@@ -80,7 +133,7 @@ func runShardedRX(o Options, p shardedRXParams) shardedRXResult {
 			// Per-queue tables: twice the fair share absorbs RSS skew
 			// without mass eviction (evictions that do happen are part
 			// of the deterministic output).
-			MaxFlows: 2*p.flows/queues + 64,
+			MaxFlows: 2*p.flows/shardedRXQueues + 64,
 		},
 	}
 	o.tune(&cfg.Juggler)
@@ -157,7 +210,7 @@ func shardedRX(o Options) *Table {
 	}
 	p := shardedRXParams{flows: 100000, rounds: 16, lanes: max(1, o.Workers)}
 	if o.Quick {
-		p.flows, p.rounds = 5000, 8
+		p.flows, p.rounds = shardedRXQuickFlows, 8
 	}
 	res := runShardedRX(o, p)
 	if res.delivered != res.sent {
@@ -195,5 +248,5 @@ func shardedRX(o Options) *Table {
 }
 
 func init() {
-	register("shardedrx", entry{run: shardedRX, desc: "flow-scale workload on the sharded (multi-goroutine) receive datapath with RSS rehash handoff"})
+	register("shardedrx", entry{run: shardedRX, desc: "flow-scale workload on the sharded (multi-goroutine) receive datapath with RSS rehash handoff", shape: shardedRXShape})
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // Picker chooses among n equivalent uplinks for a packet. Implementations
-// live in internal/lb: ECMP (flow hash), per-packet, per-TSO, flowlet.
+// live in internal/lb: ECMP (flow hash), per-packet, per-TSO.
 type Picker interface {
 	Pick(p *packet.Packet, n int) int
 }

@@ -1,7 +1,6 @@
 // Package lb implements the load-balancing policies compared in §5.3.2 of
-// the paper (Figure 20): per-flow ECMP, per-packet spraying, per-TSO
-// (Presto-style flowcell) balancing, and flowlet switching (CONGA-style) as
-// an extension baseline.
+// the paper (Figure 20): per-flow ECMP, per-packet spraying and per-TSO
+// (Presto-style flowcell) balancing.
 //
 // All policies implement fabric.Picker: given a packet and the number of
 // equivalent uplinks, return the chosen index. Policies must be
@@ -10,7 +9,6 @@ package lb
 
 import (
 	"math/rand"
-	"time"
 
 	"juggler/internal/packet"
 	"juggler/internal/sim"
@@ -75,70 +73,16 @@ func (pt *PerTSO) Pick(p *packet.Packet, n int) int {
 	return int((uint64(h) ^ z) % uint64(n))
 }
 
-// Flowlet switches paths only when a flow pauses for at least Gap — the
-// CONGA-style compromise that avoids reordering without new end-host
-// support. Included as an extension baseline.
-type Flowlet struct {
-	// Gap is the inactivity threshold that opens a new flowlet.
-	Gap time.Duration
-
-	sim   *sim.Sim
-	state map[packet.FiveTuple]*flowletState
-	// MaxFlows caps the state table; least-recently-used entries beyond it
-	// are dropped opportunistically.
-	MaxFlows int
-}
-
-type flowletState struct {
-	lastSeen sim.Time
-	path     int
-}
-
-// NewFlowlet creates a flowlet picker with the given inactivity gap.
-func NewFlowlet(s *sim.Sim, gap time.Duration) *Flowlet {
-	return &Flowlet{Gap: gap, sim: s, state: map[packet.FiveTuple]*flowletState{}, MaxFlows: 4096}
-}
-
-// Pick implements fabric.Picker.
-func (fl *Flowlet) Pick(p *packet.Packet, n int) int {
-	now := fl.sim.Now()
-	st, ok := fl.state[p.Flow]
-	if !ok {
-		if len(fl.state) >= fl.MaxFlows {
-			fl.evictStale(now)
-		}
-		st = &flowletState{path: fl.sim.Rand().Intn(n)}
-		fl.state[p.Flow] = st
-	} else if now.Sub(st.lastSeen) >= fl.Gap {
-		st.path = fl.sim.Rand().Intn(n)
-	}
-	st.lastSeen = now
-	if st.path >= n {
-		st.path = st.path % n
-	}
-	return st.path
-}
-
-func (fl *Flowlet) evictStale(now sim.Time) {
-	for k, st := range fl.state {
-		if now.Sub(st.lastSeen) > 10*fl.Gap {
-			delete(fl.state, k)
-		}
-	}
-}
-
 // Policy names selectable from CLIs and experiment tables.
 const (
 	PolicyECMP      = "ecmp"
 	PolicyPerPacket = "perpacket"
 	PolicyPerTSO    = "pertso"
-	PolicyFlowlet   = "flowlet"
 )
 
 // New constructs a picker by policy name — the one name → picker map
 // behind every Clos the tree builds. Per-packet spraying is uniform
-// random (round-robin spraying is for tests); flowlets open after a
-// 100us gap. Unknown names return nil.
+// random (round-robin spraying is for tests). Unknown names return nil.
 func New(s *sim.Sim, name string) interface {
 	Pick(p *packet.Packet, n int) int
 } {
@@ -149,8 +93,6 @@ func New(s *sim.Sim, name string) interface {
 		return NewPerPacket(s, true)
 	case PolicyPerTSO:
 		return &PerTSO{}
-	case PolicyFlowlet:
-		return NewFlowlet(s, 100*time.Microsecond)
 	}
 	return nil
 }

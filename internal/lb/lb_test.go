@@ -3,7 +3,6 @@ package lb
 import (
 	"testing"
 	"testing/quick"
-	"time"
 
 	"juggler/internal/packet"
 	"juggler/internal/sim"
@@ -92,40 +91,9 @@ func TestPerTSODecorrelatesBursts(t *testing.T) {
 	}
 }
 
-func TestFlowletSwitchesOnGap(t *testing.T) {
-	s := sim.New(3)
-	fl := NewFlowlet(s, 100*time.Microsecond)
-	p := &packet.Packet{Flow: flow(1)}
-
-	first := fl.Pick(p, 8)
-	// Within the gap the path must not change.
-	s.Schedule(50*time.Microsecond, func() {
-		if fl.Pick(p, 8) != first {
-			t.Error("path changed within flowlet gap")
-		}
-	})
-	s.Run()
-
-	// After a long pause the picker may re-choose; run many flows to see
-	// at least one switch (random choice could repeat for one flow).
-	switched := false
-	for i := 0; i < 50; i++ {
-		pi := &packet.Packet{Flow: flow(100 + i)}
-		a := fl.Pick(pi, 8)
-		s2 := s.Now().Add(time.Millisecond)
-		s.RunUntil(s2)
-		if fl.Pick(pi, 8) != a {
-			switched = true
-		}
-	}
-	if !switched {
-		t.Fatal("no flow ever switched path after gap")
-	}
-}
-
 func TestNewByName(t *testing.T) {
 	s := sim.New(1)
-	for _, name := range []string{PolicyECMP, PolicyPerPacket, PolicyPerTSO, PolicyFlowlet} {
+	for _, name := range []string{PolicyECMP, PolicyPerPacket, PolicyPerTSO} {
 		if New(s, name) == nil {
 			t.Fatalf("New(%q) = nil", name)
 		}
@@ -153,7 +121,6 @@ func TestPropertyPickInRange(t *testing.T) {
 		NewPerPacket(s, false),
 		NewPerPacket(s, true),
 		&PerTSO{},
-		NewFlowlet(s, time.Microsecond),
 	}
 	f := func(srcPort uint16, tso uint64, nRaw uint8) bool {
 		n := int(nRaw)%16 + 1

@@ -1,29 +1,13 @@
 package workload
 
-import (
-	"math"
-	"math/rand"
-	"sort"
-)
+import "math/rand"
 
 // SizeDist samples message sizes in bytes. Implementations must be
 // deterministic given the supplied RNG.
 type SizeDist interface {
 	// Sample draws one size (>= 1).
 	Sample(rng *rand.Rand) int
-	// Mean returns the distribution mean, used to convert byte loads into
-	// arrival rates.
-	Mean() float64
 }
-
-// Fixed always returns the same size (the paper's 1MB / 150B / 10KB RPCs).
-type Fixed int
-
-// Sample implements SizeDist.
-func (f Fixed) Sample(*rand.Rand) int { return int(f) }
-
-// Mean implements SizeDist.
-func (f Fixed) Mean() float64 { return float64(f) }
 
 // Uniform draws uniformly from [Lo, Hi].
 type Uniform struct {
@@ -36,104 +20,4 @@ func (u Uniform) Sample(rng *rand.Rand) int {
 		return u.Lo
 	}
 	return u.Lo + rng.Intn(u.Hi-u.Lo+1)
-}
-
-// Mean implements SizeDist.
-func (u Uniform) Mean() float64 { return float64(u.Lo+u.Hi) / 2 }
-
-// BoundedPareto is a heavy-tailed distribution truncated to [Lo, Hi] —
-// the standard stand-in for datacenter flow sizes ("most flows are short,
-// most bytes are in long flows").
-type BoundedPareto struct {
-	Lo, Hi int
-	// Alpha is the tail index (1.2 is a common datacenter fit).
-	Alpha float64
-}
-
-// Sample implements SizeDist (inverse-CDF of the bounded Pareto).
-func (p BoundedPareto) Sample(rng *rand.Rand) int {
-	l, h, a := float64(p.Lo), float64(p.Hi), p.Alpha
-	if a <= 0 || h <= l {
-		return p.Lo
-	}
-	u := rng.Float64()
-	la, ha := math.Pow(l, a), math.Pow(h, a)
-	x := math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/a)
-	if x < l {
-		x = l
-	}
-	if x > h {
-		x = h
-	}
-	return int(x)
-}
-
-// Mean implements SizeDist (closed form for alpha != 1).
-func (p BoundedPareto) Mean() float64 {
-	l, h, a := float64(p.Lo), float64(p.Hi), p.Alpha
-	if a <= 0 || h <= l {
-		return l
-	}
-	if a == 1 {
-		return l * h / (h - l) * math.Log(h/l)
-	}
-	la, ha := math.Pow(l, a), math.Pow(h, a)
-	return la / (1 - la/ha) * a / (a - 1) * (1/math.Pow(l, a-1) - 1/math.Pow(h, a-1))
-}
-
-// Empirical samples from a CDF given as (size, cumulative probability)
-// knots with linear interpolation between them — the form in which papers
-// publish measured workloads (web search, data mining, ...).
-type Empirical struct {
-	// Sizes and CDF are parallel, strictly increasing; CDF ends at 1.0.
-	Sizes []int
-	CDF   []float64
-}
-
-// WebSearchWorkload is the DCTCP paper's web-search flow-size distribution
-// (approximate knots), a common benchmark mix.
-func WebSearchWorkload() Empirical {
-	return Empirical{
-		Sizes: []int{6 * 1024, 13 * 1024, 19 * 1024, 33 * 1024, 53 * 1024,
-			133 * 1024, 667 * 1024, 1467 * 1024, 3333 * 1024, 10000 * 1024, 30000 * 1024},
-		CDF: []float64{0.15, 0.2, 0.3, 0.4, 0.53, 0.6, 0.7, 0.8, 0.9, 0.97, 1.0},
-	}
-}
-
-// Sample implements SizeDist.
-func (e Empirical) Sample(rng *rand.Rand) int {
-	if len(e.Sizes) == 0 {
-		return 1
-	}
-	u := rng.Float64()
-	i := sort.SearchFloat64s(e.CDF, u)
-	if i >= len(e.Sizes) {
-		return e.Sizes[len(e.Sizes)-1]
-	}
-	// Linear interpolation within the knot interval.
-	loP, loS := 0.0, 0
-	if i > 0 {
-		loP, loS = e.CDF[i-1], e.Sizes[i-1]
-	}
-	hiP, hiS := e.CDF[i], e.Sizes[i]
-	if hiP <= loP {
-		return hiS
-	}
-	frac := (u - loP) / (hiP - loP)
-	return loS + int(frac*float64(hiS-loS))
-}
-
-// Mean implements SizeDist (trapezoidal over the knots).
-func (e Empirical) Mean() float64 {
-	if len(e.Sizes) == 0 {
-		return 1
-	}
-	mean := 0.0
-	loP, loS := 0.0, 0.0
-	for i := range e.Sizes {
-		hiP, hiS := e.CDF[i], float64(e.Sizes[i])
-		mean += (hiP - loP) * (loS + hiS) / 2
-		loP, loS = hiP, hiS
-	}
-	return mean
 }

@@ -35,15 +35,10 @@ type RPCStream struct {
 	// OnLatency, when non-nil, observes each completed RPC's latency
 	// (the fleet FCT sketch hooks in here; fires before OnComplete).
 	OnLatency func(d time.Duration)
-	// Classify, when non-nil, selects the sampler per RPC size (e.g. to
-	// separate short- and long-flow latency in a mixed workload);
-	// otherwise Latency records everything.
-	Classify func(size int) *stats.Sampler
 }
 
 type pendingRPC struct {
 	endOff  int64
-	size    int
 	startAt sim.Time
 }
 
@@ -66,7 +61,6 @@ func (r *RPCStream) Send(size int) {
 	r.snd.Write(size, true)
 	r.pending = append(r.pending, pendingRPC{
 		endOff:  r.snd.StreamEnd(),
-		size:    size,
 		startAt: r.sim.Now(),
 	})
 }
@@ -77,12 +71,8 @@ func (r *RPCStream) Outstanding() int { return len(r.pending) }
 func (r *RPCStream) onDeliver(cum int64) {
 	n := 0
 	for n < len(r.pending) && r.pending[n].endOff <= cum {
-		sampler := r.Latency
-		if r.Classify != nil {
-			sampler = r.Classify(r.pending[n].size)
-		}
 		d := r.sim.Now().Sub(r.pending[n].startAt)
-		sampler.AddDuration(d)
+		r.Latency.AddDuration(d)
 		if r.OnLatency != nil {
 			r.OnLatency(d)
 		}

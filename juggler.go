@@ -143,8 +143,6 @@ const (
 	PerPacket
 	// PerTSO pins each 64KB TSO burst to a path (Presto-like flowcells).
 	PerTSO
-	// Flowlet switches paths only across burst gaps (CONGA-like).
-	Flowlet
 )
 
 // String names the policy.
@@ -156,8 +154,6 @@ func (p LoadBalancing) String() string {
 		return "perpacket"
 	case PerTSO:
 		return "pertso"
-	case Flowlet:
-		return "flowlet"
 	}
 	return "?"
 }

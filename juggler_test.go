@@ -165,7 +165,7 @@ func TestStackAndPolicyStrings(t *testing.T) {
 	// NewCluster builds its uplink picker with lb.New(s, cfg.LB.String()).
 	for p, want := range map[LoadBalancing]string{
 		ECMP: lb.PolicyECMP, PerPacket: lb.PolicyPerPacket,
-		PerTSO: lb.PolicyPerTSO, Flowlet: lb.PolicyFlowlet,
+		PerTSO: lb.PolicyPerTSO,
 	} {
 		if p.String() != want {
 			t.Fatalf("policy %d named %q, want %q", p, p.String(), want)
