@@ -1,27 +1,10 @@
 package juggler
 
-import (
-	"io"
-
-	"juggler/internal/experiments"
-)
+import "juggler/internal/experiments"
 
 // Report is one experiment's regenerated table: the same rows/series the
-// paper plots for that figure.
-type Report struct {
-	ID      string
-	Title   string
-	Columns []string
-	Rows    [][]string
-	Notes   []string
-}
-
-// Fprint renders the report as an aligned text table.
-func (r *Report) Fprint(w io.Writer) {
-	t := experiments.Table{ID: r.ID, Title: r.Title, Columns: r.Columns,
-		Rows: r.Rows, Notes: r.Notes}
-	t.Fprint(w)
-}
+// paper plots for that figure. Fprint renders it as an aligned text table.
+type Report = experiments.Table
 
 // Experiments lists the available experiment IDs (fig1, fig9, fig10,
 // fig12..fig16, fig18, fig20, latency, lossofo, abl-*).
@@ -35,10 +18,5 @@ func DescribeExperiment(id string) string { return experiments.Describe(id) }
 // reports); quick shrinks sweeps and durations ~10x for smoke runs. It
 // returns nil for unknown IDs.
 func RunExperiment(id string, seed int64, quick bool) *Report {
-	t := experiments.Run(id, experiments.Options{Seed: seed, Quick: quick})
-	if t == nil {
-		return nil
-	}
-	return &Report{ID: t.ID, Title: t.Title, Columns: t.Columns,
-		Rows: t.Rows, Notes: t.Notes}
+	return experiments.Run(id, experiments.Options{Seed: seed, Quick: quick})
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -15,13 +16,12 @@ import (
 // that make every seed program straddle the 2^32 wrap.
 var fuzzBases = []uint32{1, 1<<32 - 4*units.MSS, 1<<32 - 1}
 
-// FuzzJugglerReceive drives a Juggler instance with an arbitrary packet
-// program: each input byte triple encodes (flow, seq-slot, op), and slots
-// count from a fuzzer-chosen base sequence number. The invariants checked
-// are the ones the design promises no matter the input: bookkeeping
-// consistency, bounded state, and byte conservation. The seed corpus runs
-// every program from base 1 and from two bases that straddle the 2^32
-// wrap.
+// FuzzJugglerReceive checks the sequence-offset relation on arbitrary
+// packet programs (receiveProgram): a program run from base and from
+// base + 2^31 must deliver the same records, sequence numbers taken
+// relative to the base. The seed corpus runs every program from base 1 and
+// from two bases that straddle the 2^32 wrap, so one run of each of those
+// pairs crosses the wrap and its partner does not.
 func FuzzJugglerReceive(f *testing.F) {
 	for _, base := range fuzzBases {
 		f.Add(base, []byte{0, 1, 0, 0, 0, 1, 1, 5, 2})
@@ -29,48 +29,66 @@ func FuzzJugglerReceive(f *testing.F) {
 		f.Add(base, []byte{0, 0, 0, 0, 0, 0}) // duplicates
 	}
 	f.Fuzz(func(t *testing.T, base uint32, program []byte) {
-		s := sim.New(1)
-		cfg := Config{
-			InseqTimeout: 15 * time.Microsecond,
-			OfoTimeout:   50 * time.Microsecond,
-			MaxFlows:     4,
-		}
-		delivered := 0
-		j := New(s, cfg, func(seg *packet.Segment) { delivered += seg.Bytes })
-		sent := 0
-		for i := 0; i+2 < len(program); i += 3 {
-			fl, slot, op := program[i], program[i+1], program[i+2]
-			p := &packet.Packet{
-				Flow: packet.FiveTuple{
-					SrcIP: uint32(fl%5) + 1, DstIP: 2,
-					SrcPort: uint16(fl % 5), DstPort: 80, Proto: packet.ProtoTCP,
-				},
-				Seq:        base + uint32(slot%32)*units.MSS,
-				PayloadLen: units.MSS,
-				Flags:      packet.FlagACK,
-			}
-			switch op % 4 {
-			case 1:
-				p.Flags |= packet.FlagPSH
-			case 2:
-				p.OptSig = uint32(op)
-			case 3:
-				s.RunFor(time.Duration(op) * time.Microsecond)
-			}
-			j.Receive(p)
-			sent += p.PayloadLen
-			j.checkInvariants()
-			if j.BufferedBytes() > cfg.MaxFlows*units.TSOMaxBytes {
-				t.Fatalf("buffered %d bytes beyond the MaxFlows*64KB bound", j.BufferedBytes())
-			}
-		}
-		s.RunFor(time.Millisecond)
-		j.checkInvariants()
-		j.Flush()
-		if delivered != sent {
-			t.Fatalf("delivered %d of %d bytes", delivered, sent)
+		recs, shifted := receiveProgram(t, base, program), receiveProgram(t, base+1<<31, program)
+		if !slices.Equal(recs, shifted) {
+			t.Fatalf("bases %#x and %#x deliver differently:\n%+v\n%+v", base, base+1<<31, recs, shifted)
 		}
 	})
+}
+
+// receiveProgram drives a Juggler instance with a packet program: each
+// input byte triple encodes (flow, seq-slot, op), and slots count from
+// base. It checks the invariants the design promises no matter the input
+// (bookkeeping consistency, bounded state, byte conservation) and returns
+// the delivery records, sequence numbers relative to base.
+func receiveProgram(t *testing.T, base uint32, program []byte) []segRecord {
+	s := sim.New(1)
+	cfg := Config{
+		InseqTimeout: 15 * time.Microsecond,
+		OfoTimeout:   50 * time.Microsecond,
+		MaxFlows:     4,
+	}
+	var recs []segRecord
+	delivered := 0
+	j := New(s, cfg, func(seg *packet.Segment) {
+		delivered += seg.Bytes
+		recs = append(recs, segRecord{at: s.Now(), flow: seg.Flow.SrcPort, seq: seg.Seq - base,
+			bytes: seg.Bytes, pkts: seg.Pkts, flags: seg.Flags})
+	})
+	sent := 0
+	for i := 0; i+2 < len(program); i += 3 {
+		fl, slot, op := program[i], program[i+1], program[i+2]
+		p := &packet.Packet{
+			Flow: packet.FiveTuple{
+				SrcIP: uint32(fl%5) + 1, DstIP: 2,
+				SrcPort: uint16(fl % 5), DstPort: 80, Proto: packet.ProtoTCP,
+			},
+			Seq:        base + uint32(slot%32)*units.MSS,
+			PayloadLen: units.MSS,
+			Flags:      packet.FlagACK,
+		}
+		switch op % 4 {
+		case 1:
+			p.Flags |= packet.FlagPSH
+		case 2:
+			p.OptSig = uint32(op)
+		case 3:
+			s.RunFor(time.Duration(op) * time.Microsecond)
+		}
+		j.Receive(p)
+		sent += p.PayloadLen
+		j.checkInvariants()
+		if j.BufferedBytes() > cfg.MaxFlows*units.TSOMaxBytes {
+			t.Fatalf("base %#x: buffered %d bytes beyond the MaxFlows*64KB bound", base, j.BufferedBytes())
+		}
+	}
+	s.RunFor(time.Millisecond)
+	j.checkInvariants()
+	j.Flush()
+	if delivered != sent {
+		t.Fatalf("base %#x: delivered %d of %d bytes", base, delivered, sent)
+	}
+	return recs
 }
 
 // FuzzChaosSegments drives Juggler with duplicated, overlapping, and

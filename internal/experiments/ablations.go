@@ -4,81 +4,98 @@ import (
 	"time"
 
 	"juggler/internal/core"
-	"juggler/internal/sweep"
 	"juggler/internal/tcp"
 	"juggler/internal/testbed"
 	"juggler/internal/units"
 )
 
-// ablLinkedList compares merge representations on in-order line-rate
-// traffic (§3.1): linked-list batching avoids reordering-induced segment
-// explosion but costs ~50% more CPU than frags[] merging due to cache
-// misses on traversal.
-func ablLinkedList(o Options) *Table {
-	t := &Table{
-		ID:      "abl-linkedlist",
-		Title:   "Merge representation CPU cost, in-order 10G line rate (§3.1)",
-		Columns: []string{"offload", "rx_core%", "app_core%", "total%", "tput_Gbps", "vs_vanilla"},
-	}
-	kinds := []testbed.OffloadKind{
-		testbed.OffloadVanilla, testbed.OffloadLinkedList,
-		testbed.OffloadJuggler, testbed.OffloadNone,
-	}
-	// The vs_vanilla column divides by the vanilla row's total, so rows are
-	// assembled after the whole sweep returns.
-	results := sweep.Map(o.Workers, len(kinds), func(i int) bulkResult {
-		po := o.point(i, len(kinds))
-		jcfg := core.DefaultConfig()
-		jcfg.InseqTimeout = 52 * time.Microsecond
-		return runNetFPGABulk(po, netfpgaRun{jcfg: jcfg, kind: kinds[i]},
-			40*time.Millisecond, 120*time.Millisecond)
+func init() {
+	// Merge representations on in-order line-rate traffic (§3.1):
+	// linked-list batching avoids reordering-induced segment explosion but
+	// costs ~50% more CPU than frags[] merging due to cache misses on
+	// traversal. The vs_vanilla column divides by the vanilla row's total,
+	// so the rows are assembled after the whole sweep returns.
+	register("abl-linkedlist", entry{
+		desc:    "linked-list vs frags merge CPU (§3.1)",
+		title:   "Merge representation CPU cost, in-order 10G line rate (§3.1)",
+		columns: []string{"offload", "rx_core%", "app_core%", "total%", "tput_Gbps", "vs_vanilla"},
+		notes:   []string{"paper: linked-list batching costs ~50% more CPU than frags merging on in-order traffic; offload disabled is far worse still"},
+		shape:   linkedListShape,
+		fill: combine(fixed(testbed.OffloadVanilla, testbed.OffloadLinkedList, testbed.OffloadJuggler, testbed.OffloadNone),
+			func(o Options, kind testbed.OffloadKind) bulkResult {
+				return runNetFPGABulk(o, netfpgaRun{jcfg: jugglerAt(units.Rate10G, core.DefaultConfig().OfoTimeout), kind: kind},
+					40*time.Millisecond, 120*time.Millisecond)
+			},
+			func(t *Table, kinds []testbed.OffloadKind, results []bulkResult) {
+				base := results[0].rxUtil + results[0].appUtil
+				for i, res := range results {
+					total := res.rxUtil + res.appUtil
+					rel := "1.00x"
+					if base > 0 {
+						rel = fF(total/base) + "x"
+					}
+					t.Add(kinds[i].String(), fPct(res.rxUtil), fPct(res.appUtil), fPct(total),
+						fGbps(float64(res.throughput)), rel)
+				}
+			}),
 	})
-	base := results[0].rxUtil + results[0].appUtil
-	for i, res := range results {
-		total := res.rxUtil + res.appUtil
-		rel := "1.00x"
-		if base > 0 {
-			rel = fF(total/base) + "x"
-		}
-		t.Add(kinds[i].String(), fPct(res.rxUtil), fPct(res.appUtil), fPct(total),
-			fGbps(float64(res.throughput)), rel)
-	}
-	t.Note("paper: linked-list batching costs ~50%% more CPU than frags merging on in-order traffic; offload disabled is far worse still")
-	return t
-}
 
-// ablBuildUp measures Remark 1: letting seq_next move backwards during the
-// build-up phase avoids flushing the rest of a re-entering flow's burst out
-// of order, reducing the segments sent up the stack (~6% in the paper's
-// basic experiment). Flows must churn through eviction for re-entry to
-// matter, so the table is kept small.
-func ablBuildUp(o Options) *Table {
-	t := &Table{
-		ID:      "abl-buildup",
-		Title:   "Build-up phase seq_next learning (Remark 1, §4.2.2)",
-		Columns: []string{"buildup_learning", "segments_per_MB", "ooo_frac", "tput_Gbps"},
-	}
-	modes := []bool{false, true}
-	results := sweep.Map(o.Workers, len(modes), func(i int) manyFlowsResult {
-		jcfg := core.DefaultConfig()
-		jcfg.InseqTimeout = 52 * time.Microsecond
-		jcfg.OfoTimeout = 700 * time.Microsecond
-		jcfg.MaxFlows = 8 // small table forces eviction churn
-		jcfg.DisableBuildUpLearning = modes[i]
-		return runManyFlows(o.point(i, len(modes)), jcfg, 32, 500*time.Microsecond)
+	// Remark 1: letting seq_next move backwards during the build-up phase
+	// avoids flushing the rest of a re-entering flow's burst out of order,
+	// reducing the segments sent up the stack (~6% in the paper's basic
+	// experiment). Flows must churn through eviction for re-entry to
+	// matter, so the table is kept small.
+	register("abl-buildup", entry{
+		desc:    "build-up seq_next learning (Remark 1)",
+		title:   "Build-up phase seq_next learning (Remark 1, §4.2.2)",
+		columns: []string{"buildup_learning", "segments_per_MB", "ooo_frac", "tput_Gbps"},
+		shape:   buildUpShape,
+		fill: combine(fixed(false, true), func(o Options, disable bool) manyFlowsResult {
+			jcfg := jugglerAt(units.Rate10G, 700*time.Microsecond)
+			jcfg.MaxFlows = 8 // small table forces eviction churn
+			jcfg.DisableBuildUpLearning = disable
+			return runManyFlows(o, jcfg, 32, 500*time.Microsecond)
+		}, func(t *Table, disabled []bool, results []manyFlowsResult) {
+			for i, res := range results {
+				label := "on"
+				if disabled[i] {
+					label = "off (ablation)"
+				}
+				t.Add(label, fF(res.segsPerMB), fF(res.oooFrac), fGbps(res.tput))
+			}
+			if results[1].segsPerMB > 0 {
+				t.Note("learning on sends %.1f%% fewer segments up the stack (paper: ~6%%)",
+					(1-results[0].segsPerMB/results[1].segsPerMB)*100)
+			}
+		}),
 	})
-	for i, res := range results {
-		label := "on"
-		if modes[i] {
-			label = "off (ablation)"
-		}
-		t.Add(label, fF(res.segsPerMB), fF(res.oooFrac), fGbps(res.tput))
-	}
-	if results[1].segsPerMB > 0 {
-		t.Note("learning on sends %.1f%% fewer segments up the stack (paper: ~6%%)",
-			(1-results[0].segsPerMB/results[1].segsPerMB)*100)
-	}
-	return t
+
+	// The paper's phase-aware eviction (inactive flows first,
+	// loss-recovery flows spared) against naive FIFO eviction, across
+	// gro_table sizes (§4.3 and §5.2.2: 8 entries suffice for per-packet
+	// load balancing, 64 for 1ms of reordering).
+	register("abl-eviction", entry{
+		desc:    "eviction policy & table size (§4.3)",
+		title:   "Eviction policy and gro_table size (§4.3)",
+		columns: []string{"policy", "max_flows", "tput_Gbps", "ooo_frac", "ofo_timeouts", "evictions"},
+		notes:   []string{"paper: evicting flows with holes (active/loss-recovery) is counter-productive — they stall on re-entry until ofo_timeout; phase-aware eviction keeps small tables viable"},
+		shape:   evictionShape,
+		fill: rows(func(o Options) []pair[core.EvictionPolicy, int] {
+			return grid([]core.EvictionPolicy{core.EvictInactiveFirst, core.EvictFIFO},
+				quickOr(o, []int{4, 8, 16, 64}, []int{4, 64}))
+		}, func(o Options, p pair[core.EvictionPolicy, int]) []string {
+			name := "inactive-first"
+			if p.a == core.EvictFIFO {
+				name = "fifo (ablation)"
+			}
+			jcfg := jugglerAt(units.Rate10G, 700*time.Microsecond)
+			jcfg.MaxFlows = p.b
+			jcfg.Eviction = p.a
+			res := runManyFlows(o, jcfg, 32, 500*time.Microsecond)
+			return []string{name, fI(int64(p.b)), fGbps(res.tput), fF(res.oooFrac),
+				fI(res.ofoTO), fI(res.evictions)}
+		}),
+	})
 }
 
 // manyFlowsResult summarizes a multi-flow NetFPGA run.
@@ -125,56 +142,4 @@ func runManyFlows(o Options, jcfg core.Config, n int, tau time.Duration) manyFlo
 		res.segsPerMB = float64(rx.segs) / mb
 	}
 	return res
-}
-
-// ablEviction compares the paper's phase-aware eviction (inactive flows
-// first, loss-recovery flows spared) against naive FIFO eviction, across
-// gro_table sizes (§4.3 and §5.2.2: 8 entries suffice for per-packet load
-// balancing, 64 for 1ms of reordering).
-func ablEviction(o Options) *Table {
-	t := &Table{
-		ID:    "abl-eviction",
-		Title: "Eviction policy and gro_table size (§4.3)",
-		Columns: []string{"policy", "max_flows", "tput_Gbps", "ooo_frac",
-			"ofo_timeouts", "evictions"},
-	}
-	sizes := []int{4, 8, 16, 64}
-	if o.Quick {
-		sizes = []int{4, 64}
-	}
-	type point struct {
-		policy core.EvictionPolicy
-		size   int
-	}
-	var pts []point
-	for _, policy := range []core.EvictionPolicy{core.EvictInactiveFirst, core.EvictFIFO} {
-		for _, size := range sizes {
-			pts = append(pts, point{policy, size})
-		}
-	}
-	for _, row := range sweep.Map(o.Workers, len(pts), func(i int) []string {
-		p := pts[i]
-		name := "inactive-first"
-		if p.policy == core.EvictFIFO {
-			name = "fifo (ablation)"
-		}
-		jcfg := core.DefaultConfig()
-		jcfg.InseqTimeout = 52 * time.Microsecond
-		jcfg.OfoTimeout = 700 * time.Microsecond
-		jcfg.MaxFlows = p.size
-		jcfg.Eviction = p.policy
-		res := runManyFlows(o.point(i, len(pts)), jcfg, 32, 500*time.Microsecond)
-		return []string{name, fI(int64(p.size)), fGbps(res.tput), fF(res.oooFrac),
-			fI(res.ofoTO), fI(res.evictions)}
-	}) {
-		t.Add(row...)
-	}
-	t.Note("paper: evicting flows with holes (active/loss-recovery) is counter-productive — they stall on re-entry until ofo_timeout; phase-aware eviction keeps small tables viable")
-	return t
-}
-
-func init() {
-	register("abl-linkedlist", entry{run: ablLinkedList, desc: "linked-list vs frags merge CPU (§3.1)", shape: linkedListShape})
-	register("abl-buildup", entry{run: ablBuildUp, desc: "build-up seq_next learning (Remark 1)", shape: buildUpShape})
-	register("abl-eviction", entry{run: ablEviction, desc: "eviction policy & table size (§4.3)", shape: evictionShape})
 }

@@ -7,7 +7,6 @@ import (
 	"juggler/internal/chaos"
 	"juggler/internal/fabric"
 	"juggler/internal/sim"
-	"juggler/internal/sweep"
 	"juggler/internal/tcp"
 	"juggler/internal/telemetry"
 	"juggler/internal/testbed"
@@ -36,21 +35,12 @@ const (
 
 	// adaptStaticOfo provisions both stacks for tau1 per the §5.2.1 rule
 	// (max skew plus queueing margin) — deliberately under tau2.
-	adaptStaticOfo   = 250 * time.Microsecond
-	adaptStaticInseq = 52 * time.Microsecond // max-batch time at 10G
+	adaptStaticOfo = 250 * time.Microsecond
 
 	// adaptWarmup is how long after the reorder ramp the pre-shift window
 	// opens (flows established, detector EWMAs settled).
 	adaptWarmup = 2 * time.Millisecond
 )
-
-// adaptWindow is one measurement window's length.
-func adaptWindow(o Options) time.Duration {
-	if o.Quick {
-		return 5 * time.Millisecond
-	}
-	return 10 * time.Millisecond
-}
 
 // adaptiveReport is one stack's run through the skew-shift timeline.
 type adaptiveReport struct {
@@ -63,12 +53,10 @@ type adaptiveReport struct {
 	// the watchdog from the forensics PR acting as the control-loop
 	// oracle: a well-tuned loop must not oscillate once converged.
 	FlapsConv int
-	// FlapsShift counts them from the shift to the end of the run.
-	FlapsShift int
 
-	// Final applied timeouts (the controller's live values, or the static
-	// configuration).
-	FinalInseq, FinalOfo time.Duration
+	// FinalOfo is the final applied ofo_timeout (the controller's live
+	// value, or the static configuration).
+	FinalOfo time.Duration
 	// Retunes is the number of knob changes the controller applied (0 for
 	// the static stack).
 	Retunes int64
@@ -83,9 +71,8 @@ func runAdaptive(o Options, adaptive bool) *adaptiveReport {
 	const (
 		rate  = units.Rate10G
 		flows = 4
-		prop  = 200 * time.Nanosecond
 	)
-	window := adaptWindow(o)
+	window := quickOr(o, 10*time.Millisecond, 5*time.Millisecond)
 	preStart := chaosRampAt + adaptWarmup
 	shiftAt := preStart + window
 	// Four windows between the shift and the converged measurement: the
@@ -105,28 +92,16 @@ func runAdaptive(o Options, adaptive bool) *adaptiveReport {
 	}
 
 	rcvCfg := testbed.DefaultHostConfig(testbed.OffloadJuggler)
-	rcvCfg.LinkRate = rate
-	rcvCfg.Juggler.InseqTimeout = adaptStaticInseq
-	rcvCfg.Juggler.OfoTimeout = adaptStaticOfo
+	rcvCfg.Juggler = jugglerAt(rate, adaptStaticOfo)
 	o.tune(&rcvCfg.Juggler)
 	rcvCfg.Adapt = adaptive
 
-	sndCfg := testbed.DefaultHostConfig(testbed.OffloadVanilla)
-	sndCfg.LinkRate = rate
-
-	rcv := testbed.NewHost(s, "receiver", rcvCfg)
-	snd := testbed.NewHost(s, "sender", sndCfg)
-	snd.IP = 0x0a000001
-	rcv.IP = 0x0a000002
-
 	// Forward path: sender egress → reorderer → receiver port → NIC.
-	toReceiver := fabric.NewPort(s, "adapt->rcv", rate, prop, fabric.NewDropTail(0), rcv.Sink())
-	r := chaos.NewReorderer(s, 0, adaptTau1, toReceiver)
-	snd.ConnectEgress(r, prop)
-
-	// Reverse path (ACKs): clean.
-	toSender := fabric.NewPort(s, "rcv->snd", rate, prop, fabric.NewDropTail(0), snd.Sink())
-	rcv.ConnectEgress(toSender, 0)
+	var r *chaos.Reorderer
+	snd, rcv := newHostPair(s, rate, rcvCfg, "adapt->rcv", func(_ *testbed.Host, toReceiver *fabric.Port) fabric.Sink {
+		r = chaos.NewReorderer(s, 0, adaptTau1, toReceiver)
+		return r
+	})
 
 	sc := chaos.NewScenario("skew-shift")
 	sc.At(chaosRampAt, fmt.Sprintf("reorder prob -> 0.25, max extra %v", adaptTau1),
@@ -169,52 +144,38 @@ func runAdaptive(o Options, adaptive bool) *adaptiveReport {
 		rep.Stack = "adaptive"
 	}
 	for _, a := range sink.Forensics.Anomalies() {
-		if a.Kind != telemetry.AnomalyPhaseFlap {
-			continue
-		}
-		if a.At >= sim.Time(shiftAt) {
-			rep.FlapsShift++
-		}
-		if a.At >= sim.Time(convStart) {
+		if a.Kind == telemetry.AnomalyPhaseFlap && a.At >= sim.Time(convStart) {
 			rep.FlapsConv++
 		}
 	}
 	if rcv.Adapt != nil {
-		rep.FinalInseq, rep.FinalOfo = rcv.Adapt.Timeouts()
+		_, rep.FinalOfo = rcv.Adapt.Timeouts()
 		rep.Retunes = rcv.Adapt.Stats.Retunes
 	} else if len(rcv.Jugglers) > 0 {
-		c := rcv.Jugglers[0].Config()
-		rep.FinalInseq, rep.FinalOfo = c.InseqTimeout, c.OfoTimeout
+		rep.FinalOfo = rcv.Jugglers[0].Config().OfoTimeout
 	}
 	rep.OOOSegs = rxTotalsOf(rcvs...).ooo
 	return rep
 }
 
-// adaptiveSweep: the registered experiment — static vs adaptive through
-// the identical skew-shift timeline.
-func adaptiveSweep(o Options) *Table {
-	t := &Table{
-		ID:      "adaptive",
-		Title:   "Mid-run fabric skew shift: self-tuning vs static timeouts",
-		Columns: []string{"stack", "pre_Gbps", "shift_Gbps", "conv_Gbps", "recovery", "ooo_segs", "flaps_conv", "final_ofo_us", "retunes"},
-	}
-	pts := []bool{false, true}
-	for _, rep := range sweep.Map(o.Workers, len(pts), func(i int) *adaptiveReport {
-		return runAdaptive(o.point(i, len(pts)), pts[i])
-	}) {
-		recovery := 0.0
-		if rep.PreGbps > 0 {
-			recovery = rep.ConvGbps / rep.PreGbps
-		}
-		t.Add(rep.Stack, fF(rep.PreGbps), fF(rep.ShiftGbps), fF(rep.ConvGbps),
-			fPct(recovery), fI(rep.OOOSegs), fI(int64(rep.FlapsConv)),
-			fDurUs(rep.FinalOfo), fI(rep.Retunes))
-	}
-	t.Note("skew shift at one window past warm-up: reorder delay bound %v -> %v with ofo_timeout provisioned %v; the adaptive row must recover goodput and hold it without phase flaps, the static row leaks reordering to TCP",
-		adaptTau1, adaptTau2, adaptStaticOfo)
-	return t
-}
-
 func init() {
-	register("adaptive", entry{run: adaptiveSweep, desc: "mid-run fabric skew shift: adaptive controller vs static timeouts", shape: adaptiveShape})
+	// Static vs adaptive through the identical skew-shift timeline.
+	register("adaptive", entry{
+		desc:    "mid-run fabric skew shift: adaptive controller vs static timeouts",
+		title:   "Mid-run fabric skew shift: self-tuning vs static timeouts",
+		columns: []string{"stack", "pre_Gbps", "shift_Gbps", "conv_Gbps", "recovery", "ooo_segs", "flaps_conv", "final_ofo_us", "retunes"},
+		notes: []string{fmt.Sprintf("skew shift at one window past warm-up: reorder delay bound %v -> %v with ofo_timeout provisioned %v; the adaptive row must recover goodput and hold it without phase flaps, the static row leaks reordering to TCP",
+			adaptTau1, adaptTau2, adaptStaticOfo)},
+		shape: adaptiveShape,
+		fill: rows(fixed(false, true), func(o Options, adaptive bool) []string {
+			rep := runAdaptive(o, adaptive)
+			recovery := 0.0
+			if rep.PreGbps > 0 {
+				recovery = rep.ConvGbps / rep.PreGbps
+			}
+			return []string{rep.Stack, fF(rep.PreGbps), fF(rep.ShiftGbps), fF(rep.ConvGbps),
+				fPct(recovery), fI(rep.OOOSegs), fI(int64(rep.FlapsConv)),
+				fDurUs(rep.FinalOfo), fI(rep.Retunes)}
+		}),
+	})
 }

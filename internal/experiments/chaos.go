@@ -3,13 +3,13 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"juggler/internal/chaos"
 	"juggler/internal/fabric"
 	"juggler/internal/packet"
 	"juggler/internal/sim"
-	"juggler/internal/sweep"
 	"juggler/internal/tcp"
 	"juggler/internal/testbed"
 	"juggler/internal/units"
@@ -178,13 +178,19 @@ func ChaosScenarios() []string {
 	return out
 }
 
+// chaosSpec returns the catalog scenario called name, or nil.
+func chaosSpec(name string) *chaosScenario {
+	if i := slices.IndexFunc(chaosCatalog, func(sc chaosScenario) bool { return sc.name == name }); i >= 0 {
+		return &chaosCatalog[i]
+	}
+	return nil
+}
+
 // ChaosScenarioDesc returns a scenario's one-line description ("" if
 // unknown).
 func ChaosScenarioDesc(name string) string {
-	for _, sc := range chaosCatalog {
-		if sc.name == name {
-			return sc.desc
-		}
+	if sc := chaosSpec(name); sc != nil {
+		return sc.desc
 	}
 	return ""
 }
@@ -235,13 +241,7 @@ func (r *ChaosReport) Fprint(w io.Writer) {
 // RunChaosScenario runs one catalog scenario against the given offload
 // stack. intensity scales the fault level (1.0 = catalog default).
 func RunChaosScenario(name string, kind testbed.OffloadKind, o Options, intensity float64) (*ChaosReport, error) {
-	var spec *chaosScenario
-	for i := range chaosCatalog {
-		if chaosCatalog[i].name == name {
-			spec = &chaosCatalog[i]
-			break
-		}
-	}
+	spec := chaosSpec(name)
 	if spec == nil {
 		return nil, fmt.Errorf("unknown chaos scenario %q (have %v)", name, ChaosScenarios())
 	}
@@ -256,14 +256,10 @@ func runChaos(spec chaosScenario, kind testbed.OffloadKind, o Options, intensity
 	const (
 		rate     = units.Rate10G
 		flows    = 4
-		prop     = 200 * time.Nanosecond
 		drain    = 50 * time.Millisecond
 		deadline = 2 * time.Second // sim time bound on the transfer phase
 	)
-	perFlow := 2 * units.MB
-	if o.Quick {
-		perFlow = 512 * units.KB
-	}
+	perFlow := quickOr(o, 2*units.MB, 512*units.KB)
 
 	s := o.newSim()
 
@@ -272,36 +268,24 @@ func runChaos(spec chaosScenario, kind testbed.OffloadKind, o Options, intensity
 	// operating rule — so ordering is recoverable when the scenario
 	// promises it.
 	rcvCfg := testbed.DefaultHostConfig(kind)
-	rcvCfg.LinkRate = rate
 	if spec.queues > 1 {
 		rcvCfg.RX.Queues = spec.queues
 	}
-	rcvCfg.Juggler.InseqTimeout = 52 * time.Microsecond // max-batch time at 10G
-	rcvCfg.Juggler.OfoTimeout = spec.maxExtra + 300*time.Microsecond
+	rcvCfg.Juggler = jugglerAt(rate, spec.maxExtra+300*time.Microsecond)
 	o.tune(&rcvCfg.Juggler)
 	rcvCfg.Adapt = o.Adapt
-
-	sndCfg := testbed.DefaultHostConfig(testbed.OffloadVanilla)
-	sndCfg.LinkRate = rate
-
-	rcv := testbed.NewHost(s, "receiver", rcvCfg)
-	snd := testbed.NewHost(s, "sender", sndCfg)
-	snd.IP = 0x0a000001
-	rcv.IP = 0x0a000002
 
 	ck := chaos.NewChecker(s, chaos.Config{StrictOrder: spec.strict})
 	sc := chaos.NewScenario(spec.name)
 
 	// Forward path: sender egress → checker TX tap (ground truth before any
 	// fault) → impairment chain → receiver port → receiver NIC.
-	toReceiver := fabric.NewPort(s, "chaos->rcv", rate, prop, fabric.NewDropTail(0), rcv.Sink())
-	ctx := &chaosCtx{s: s, sc: sc, intensity: intensity, toReceiver: toReceiver, rcv: rcv}
-	chain, imps := spec.build(ctx)
-	snd.ConnectEgress(ck.TapTX(chain), prop)
-
-	// Reverse path (ACKs): clean — the scenarios fault the data direction.
-	toSender := fabric.NewPort(s, "rcv->snd", rate, prop, fabric.NewDropTail(0), snd.Sink())
-	rcv.ConnectEgress(toSender, 0)
+	var imps []chaos.Impairment
+	snd, rcv := newHostPair(s, rate, rcvCfg, "chaos->rcv", func(rcv *testbed.Host, toReceiver *fabric.Port) fabric.Sink {
+		var chain fabric.Sink
+		chain, imps = spec.build(&chaosCtx{s: s, sc: sc, intensity: intensity, toReceiver: toReceiver, rcv: rcv})
+		return ck.TapTX(chain)
+	})
 
 	// Observation points: every delivered segment, and the gro_table after
 	// every state-mutating offload entry point.
@@ -373,47 +357,58 @@ func runChaos(spec chaosScenario, kind testbed.OffloadKind, o Options, intensity
 	return rep
 }
 
-// chaosSweep: the registered experiment — every scenario against Juggler
-// (expected clean) plus the vanilla-GRO reordering row demonstrating the
-// checker has teeth (order violations are the paper's motivating failure).
-func chaosSweep(o Options) *Table {
-	t := &Table{
-		ID:      "chaos",
-		Title:   "Fault-injection sweep: invariant violations by scenario and stack",
-		Columns: []string{"scenario", "stack", "strict", "done", "delivered_MB", "violations", "verdict"},
-	}
-	row := func(rep *ChaosReport) {
-		verdict := "ok"
-		if rep.Failed() {
-			verdict = "VIOLATED"
-		}
-		t.Add(rep.Scenario, rep.Stack, fmt.Sprintf("%v", rep.Strict),
-			fmt.Sprintf("%d/%d", rep.Completed, rep.Flows),
-			fF(float64(rep.Delivered)/float64(units.MB)),
-			fI(rep.Total), verdict)
-	}
-	type point struct {
-		spec chaosScenario
-		kind testbed.OffloadKind
-	}
-	pts := make([]point, 0, len(chaosCatalog)+1)
-	for _, spec := range chaosCatalog {
-		pts = append(pts, point{spec, testbed.OffloadJuggler})
-	}
-	for i := range chaosCatalog {
-		if chaosCatalog[i].name == "reorder" {
-			pts = append(pts, point{chaosCatalog[i], testbed.OffloadVanilla})
-		}
-	}
-	for _, rep := range sweep.Map(o.Workers, len(pts), func(i int) *ChaosReport {
-		return runChaos(pts[i].spec, pts[i].kind, o.point(i, len(pts)), 1)
-	}) {
-		row(rep)
-	}
-	t.Note("juggler rows must be violation-free; the vanilla+reorder row must trip the order invariant (vanilla GRO makes no in-order promise under reordering — the paper's premise)")
-	return t
+// newHostPair builds the two-host apparatus of chaos and adaptive: a
+// vanilla sender and a receiver (rcvCfg) at rate, a forward path from the
+// sender through the fault chain that fault builds in front of the
+// receiver's port, and a clean reverse path for ACKs (the scenarios fault
+// the data direction).
+func newHostPair(s *sim.Sim, rate units.BitRate, rcvCfg testbed.HostConfig, port string,
+	fault func(rcv *testbed.Host, toReceiver *fabric.Port) fabric.Sink) (snd, rcv *testbed.Host) {
+	const prop = 200 * time.Nanosecond
+	rcvCfg.LinkRate = rate
+	sndCfg := testbed.DefaultHostConfig(testbed.OffloadVanilla)
+	sndCfg.LinkRate = rate
+	rcv = testbed.NewHost(s, "receiver", rcvCfg)
+	snd = testbed.NewHost(s, "sender", sndCfg)
+	snd.IP = 0x0a000001
+	rcv.IP = 0x0a000002
+	toReceiver := fabric.NewPort(s, port, rate, prop, fabric.NewDropTail(0), rcv.Sink())
+	snd.ConnectEgress(fault(rcv, toReceiver), prop)
+	toSender := fabric.NewPort(s, "rcv->snd", rate, prop, fabric.NewDropTail(0), snd.Sink())
+	rcv.ConnectEgress(toSender, 0)
+	return snd, rcv
+}
+
+type chaosPoint struct {
+	spec chaosScenario
+	kind testbed.OffloadKind
 }
 
 func init() {
-	register("chaos", entry{run: chaosSweep, desc: "fault-injection sweep with end-to-end invariant checking", shape: chaosShape})
+	// Every scenario against Juggler (expected clean) plus the vanilla-GRO
+	// reordering row demonstrating the checker has teeth (order violations
+	// are the paper's motivating failure).
+	register("chaos", entry{
+		desc:    "fault-injection sweep with end-to-end invariant checking",
+		title:   "Fault-injection sweep: invariant violations by scenario and stack",
+		columns: []string{"scenario", "stack", "strict", "done", "delivered_MB", "violations", "verdict"},
+		notes:   []string{"juggler rows must be violation-free; the vanilla+reorder row must trip the order invariant (vanilla GRO makes no in-order promise under reordering — the paper's premise)"},
+		shape:   chaosShape,
+		fill: rows(func(Options) []chaosPoint {
+			pts := make([]chaosPoint, 0, len(chaosCatalog)+1)
+			for _, spec := range chaosCatalog {
+				pts = append(pts, chaosPoint{spec, testbed.OffloadJuggler})
+			}
+			return append(pts, chaosPoint{*chaosSpec("reorder"), testbed.OffloadVanilla})
+		}, func(o Options, p chaosPoint) []string {
+			rep := runChaos(p.spec, p.kind, o, 1)
+			verdict := "ok"
+			if rep.Failed() {
+				verdict = "VIOLATED"
+			}
+			return []string{rep.Scenario, rep.Stack, fmt.Sprintf("%v", rep.Strict),
+				fmt.Sprintf("%d/%d", rep.Completed, rep.Flows),
+				fF(float64(rep.Delivered) / float64(units.MB)), fI(rep.Total), verdict}
+		}),
+	})
 }

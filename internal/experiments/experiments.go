@@ -1,8 +1,11 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (§5) on the simulated stack. Each experiment is a function
-// from Options to a Table whose rows mirror the series the paper plots;
-// the registry maps stable experiment IDs (fig1, fig9, ..., ablations) to
-// those functions for the CLI and the benchmark harness.
+// evaluation (§5) on the simulated stack. Each experiment is a declared
+// registry entry: its table's title, columns and notes, the Shape the
+// table must show, and its sweep — the parameter points and what one point
+// renders. Run, the one runner, turns an entry into a Table whose rows
+// mirror the series the paper plots; the registry maps stable experiment
+// IDs (fig1, fig9, ..., ablations) to the entries for the CLI and the
+// benchmark harness.
 //
 // Absolute numbers are not expected to match the paper's hardware testbed;
 // the shapes — who wins, by what rough factor, where crossovers fall — are
@@ -23,7 +26,8 @@ import (
 	"juggler/internal/core"
 	"juggler/internal/packet"
 	"juggler/internal/sim"
-	"juggler/internal/telemetry"
+	"juggler/internal/sweep"
+	"juggler/internal/units"
 )
 
 // Options control experiment scale.
@@ -99,6 +103,21 @@ func (o Options) newSim() *sim.Sim {
 	return s
 }
 
+// batchTime is the time a 64 KB segment takes at rate, in whole µs: the
+// inseq_timeout §5.2.1's rule gives a receiver at that rate (52 µs at 10G,
+// the knee of Fig. 12; 13 µs at 40G).
+func batchTime(rate units.BitRate) time.Duration {
+	return units.TxTimeNoOverhead(units.TSOMaxBytes, rate).Truncate(time.Microsecond)
+}
+
+// jugglerAt is the Juggler config of a receiver at rate: inseq_timeout at
+// the batch time and the given ofo_timeout.
+func jugglerAt(rate units.BitRate, ofo time.Duration) core.Config {
+	c := core.DefaultConfig()
+	c.InseqTimeout, c.OfoTimeout = batchTime(rate), ofo
+	return c
+}
+
 // tune applies the -inseq/-ofo overrides to a receiver's Juggler config.
 func (o Options) tune(c *core.Config) {
 	if o.Inseq > 0 {
@@ -113,24 +132,13 @@ func (o Options) tune(c *core.Config) {
 // identical to o except AttachTelemetry survives only on the designated
 // traced point — the last one. That keeps the single-sink contract
 // ("exports reflect the last point run") and makes the hook safe to call
-// from sweep.Map workers, since exactly one point ever invokes it.
+// from sweep.Map workers, since exactly one point ever invokes it. Only
+// the runner (combine) calls it.
 func (o Options) point(i, n int) Options {
 	if i != n-1 {
 		o.AttachTelemetry = nil
 	}
 	return o
-}
-
-// telemetryNote footnotes a table with the attached sink's flight-recorder
-// summary — which metrics backed the rows, and from how many layers. No-op
-// when the run had no telemetry.
-func telemetryNote(t *Table, s *sim.Sim) {
-	k := telemetry.FromSim(s)
-	if k == nil {
-		return
-	}
-	t.Note("telemetry: %d events from %d layers (%s)",
-		k.Recorder.Total, k.Recorder.Layers(), k.Recorder.Summary())
 }
 
 // Table is one experiment's result, printable as an aligned text table.
@@ -222,9 +230,6 @@ func (t *Table) Fprint(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
-// Runner is an experiment entry point.
-type Runner func(Options) *Table
-
 // Claim is one shape the paper states about an experiment's table.
 type Claim struct {
 	// Name labels the claim within its experiment.
@@ -243,12 +248,16 @@ type Claim struct {
 // Shape is the list of claims an experiment's table must show.
 type Shape []Claim
 
-// entry is one registered experiment: its runner, its one-line
-// description, and the shape its table must show.
+// entry is one registered experiment, declared: its one-line
+// description, its table's title, columns and notes, the shape the table
+// must show, and fill, its sweep, which rows or combine builds.
 type entry struct {
-	run   Runner
-	desc  string
+	desc, title string
+	columns     []string
+	// notes are printed under the rows, ahead of any note fill adds.
+	notes []string
 	shape Shape
+	fill  func(Options, *Table)
 }
 
 // registry maps experiment IDs to their entries.
@@ -275,13 +284,81 @@ func IDs() []string {
 // Describe returns an experiment's one-line description.
 func Describe(id string) string { return registry[id].desc }
 
-// Run executes one experiment by ID; it returns nil for unknown IDs.
+// Run executes one experiment by ID; it returns nil for unknown IDs. It is
+// the one runner: it builds the entry's table and fills it.
 func Run(id string, o Options) *Table {
 	e, ok := registry[id]
 	if !ok {
 		return nil
 	}
-	return e.run(o)
+	t := &Table{ID: id, Title: e.title, Columns: slices.Clone(e.columns), Notes: slices.Clone(e.notes)}
+	e.fill(o, t)
+	return t
+}
+
+// combine declares a sweep whose rows combine its points: points gives the
+// parameter points for o, run renders one point from its Options, and post
+// writes the rows, and any computed note, from every point's result. The
+// points run on min(o.Workers, points) goroutines via sweep.Map, and only
+// the traced point (Options.point) keeps o.AttachTelemetry; results reach
+// post in point order whatever the width.
+func combine[P, R any](points func(Options) []P, run func(Options, P) R,
+	post func(t *Table, ps []P, rs []R)) func(Options, *Table) {
+	return func(o Options, t *Table) {
+		ps := points(o)
+		post(t, ps, sweep.Map(o.Workers, len(ps), func(i int) R {
+			return run(o.point(i, len(ps)), ps[i])
+		}))
+	}
+}
+
+// rows declares a sweep whose every point renders one row, added in point
+// order.
+func rows[P any](points func(Options) []P, row func(Options, P) []string) func(Options, *Table) {
+	return combine(points, row, func(t *Table, _ []P, rs [][]string) {
+		for _, r := range rs {
+			t.Add(r...)
+		}
+	})
+}
+
+// fixed declares points that do not depend on Options.
+func fixed[P any](ps ...P) func(Options) []P {
+	return func(Options) []P { return ps }
+}
+
+// quickOr returns quick in Quick mode and full otherwise.
+func quickOr[T any](o Options, full, quick T) T {
+	if o.Quick {
+		return quick
+	}
+	return full
+}
+
+// pair is one point of a two-axis grid.
+type pair[A, B any] struct {
+	a A
+	b B
+}
+
+// grid returns the cross product of two axes, b varying fastest.
+func grid[A, B any](as []A, bs []B) []pair[A, B] {
+	out := make([]pair[A, B], 0, len(as)*len(bs))
+	for _, a := range as {
+		for _, b := range bs {
+			out = append(out, pair[A, B]{a, b})
+		}
+	}
+	return out
+}
+
+// us lists durations given in microseconds.
+func us(vals ...int) []time.Duration {
+	out := make([]time.Duration, len(vals))
+	for i, v := range vals {
+		out[i] = time.Duration(v) * time.Microsecond
+	}
+	return out
 }
 
 // Formatting helpers shared by the experiment files.

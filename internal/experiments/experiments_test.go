@@ -10,9 +10,11 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"juggler/internal/golden"
+	"juggler/internal/sim"
 )
 
 // TestRegistryComplete checks the registry against EXPERIMENTS.md: every
@@ -124,45 +126,64 @@ func TestTableValues(t *testing.T) {
 	}
 }
 
+// quickRun is every ID's -quick table of one seed, and how many times each
+// ID's run called the AttachTelemetry hook.
+type quickRun struct {
+	tables map[string]*Table
+	traced map[string]int32
+}
+
 // quickRuns memoises quick(): the registry renders once per test process
 // and seed.
-var quickRuns = map[int64]map[string]*Table{}
+var quickRuns = map[int64]quickRun{}
 
-// quick returns every ID's -quick table of a seed: rendered serially on
-// seed 1 (TestAllExperimentsRunQuick's reference tables), on
-// runtime.NumCPU() workers on any other seed.
-func quick(seed int64) map[string]*Table {
-	if tables, ok := quickRuns[seed]; ok {
-		return tables
+// quick renders every ID's -quick table of a seed: serially on seed 1
+// (TestAllExperimentsRunQuick's reference tables), on runtime.NumCPU()
+// workers on any other seed. Each run carries a counting hook.
+func quick(seed int64) quickRun {
+	if r, ok := quickRuns[seed]; ok {
+		return r
 	}
 	o := Options{Seed: seed, Quick: true}
 	if seed != 1 {
 		o.Workers = runtime.NumCPU()
 	}
-	tables := map[string]*Table{}
+	r := quickRun{map[string]*Table{}, map[string]int32{}}
 	for _, id := range IDs() {
-		tables[id] = Run(id, o)
+		r.tables[id], r.traced[id] = runCounted(id, o)
 	}
-	quickRuns[seed] = tables
-	return tables
+	quickRuns[seed] = r
+	return r
+}
+
+// runCounted runs id with an AttachTelemetry hook that installs no sink,
+// so the table is the untraced one, and returns how many times the hook
+// ran. The traced-point contract is exactly once: on the last point of a
+// sweep, at any width.
+func runCounted(id string, o Options) (*Table, int32) {
+	var n atomic.Int32
+	o.AttachTelemetry = func(*sim.Sim) { n.Add(1) }
+	t := Run(id, o)
+	return t, n.Load()
 }
 
 // TestAllExperimentsRunQuick renders every registered experiment in quick
 // mode twice — serially, then at `-j 8` (8 sweep workers, and 8 lanes for
 // shardedrx) — and requires byte-identical rendered tables: the
 // width-independence contract of internal/sweep and the sharded datapath,
-// checked for every ID. It pins every serial table's bytes to
-// testdata/tables_golden.json; TestPaperShapes checks their shapes.
-// Skipped under -short.
+// checked for every ID. Both runs carry a counting AttachTelemetry hook,
+// which each ID must call exactly once (the traced-point contract). It
+// pins every serial table's bytes to testdata/tables_golden.json;
+// TestPaperShapes checks their shapes. Skipped under -short.
 func TestAllExperimentsRunQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quick experiment sweep skipped in -short mode")
 	}
 	wide := Options{Seed: 1, Quick: true, Workers: 8}
-	tables := quick(1)
+	serial := quick(1)
 	prints := map[string]golden.Digest{}
 	for _, id := range IDs() {
-		tb := tables[id]
+		tb := serial.tables[id]
 		if tb == nil || len(tb.Rows) == 0 {
 			t.Fatalf("experiment %s produced no rows", id)
 		}
@@ -171,9 +192,13 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 				t.Fatalf("%s: ragged row %v", id, row)
 			}
 		}
+		wt, wn := runCounted(id, wide)
+		if sn := serial.traced[id]; sn != 1 || wn != 1 {
+			t.Errorf("%s called AttachTelemetry %d times serially and %d times at -j 8; want once each", id, sn, wn)
+		}
 		var s, w bytes.Buffer
 		tb.Fprint(&s)
-		Run(id, wide).Fprint(&w)
+		wt.Fprint(&w)
 		if !bytes.Equal(s.Bytes(), w.Bytes()) {
 			t.Errorf("%s differs between -j 1 and -j 8:\n--- serial ---\n%s--- wide ---\n%s", id, s.Bytes(), w.Bytes())
 		}
@@ -193,7 +218,7 @@ func TestPaperShapes(t *testing.T) {
 		t.Skip("quick experiment sweep skipped in -short mode")
 	}
 	for _, seed := range []int64{1, 2} {
-		tables := quick(seed)
+		tables := quick(seed).tables
 		for _, id := range IDs() {
 			for _, c := range registry[id].shape {
 				t.Run(fmt.Sprintf("%s/%s/seed%d", id, c.Name, seed), func(t *testing.T) {

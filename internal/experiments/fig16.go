@@ -6,44 +6,37 @@ import (
 	"juggler/internal/lb"
 	"juggler/internal/sim"
 	"juggler/internal/stats"
-	"juggler/internal/sweep"
 	"juggler/internal/tcp"
 	"juggler/internal/testbed"
 	"juggler/internal/units"
 )
 
-// fig16: the realistic-reordering counterpart of fig15 — statistics of the
-// active-list length on the Clos with 256 flows into one receive queue at
-// 20 Gb/s total, 50% background load, per-packet load balancing; once with
-// a 40G receiver NIC and once with a 10G NIC (where TSO segments spend 3x
-// longer on the wire and losses populate the loss-recovery list).
-func fig16(o Options) *Table {
-	t := &Table{
-		ID:    "fig16",
-		Title: "Active-list length statistics, realistic Clos reordering (256 flows)",
-		Columns: []string{"nic", "active_mean", "active_p99", "active_max",
-			"loss_list_p99", "loss_entries_per_s"},
-	}
-	rates := []units.BitRate{units.Rate40G, units.Rate10G}
-	for _, row := range sweep.Map(o.Workers, len(rates), func(i int) []string {
-		mean, p99, max, lossP99, lossPerSec := fig16Run(o.point(i, len(rates)), rates[i])
-		return []string{rates[i].String(), fF(mean), fI(int64(p99)), fI(int64(max)),
-			fI(int64(lossP99)), fF(lossPerSec)}
-	}) {
-		t.Add(row...)
-	}
-	t.Note("paper 40G: mean < 1, p99 < 5; 10G: p99 < 6 with a near-empty loss-recovery list (~4 entries/s)")
-	return t
+func init() {
+	// The realistic-reordering counterpart of fig15: statistics of the
+	// active-list length on the Clos with 256 flows into one receive queue
+	// at 20 Gb/s total, 50% background load, per-packet load balancing;
+	// once with a 40G receiver NIC and once with a 10G NIC (where TSO
+	// segments spend 3x longer on the wire and losses populate the
+	// loss-recovery list).
+	register("fig16", entry{
+		desc:    "active-list histogram under realistic Clos reordering",
+		title:   "Active-list length statistics, realistic Clos reordering (256 flows)",
+		columns: []string{"nic", "active_mean", "active_p99", "active_max", "loss_list_p99", "loss_entries_per_s"},
+		notes:   []string{"paper 40G: mean < 1, p99 < 5; 10G: p99 < 6 with a near-empty loss-recovery list (~4 entries/s)"},
+		shape:   fig16Shape,
+		fill:    rows(fixed(units.Rate40G, units.Rate10G), fig16Row),
+	})
 }
 
-func fig16Run(o Options, nicRate units.BitRate) (mean, p99, max, lossP99, lossPerSec float64) {
+// fig16Row samples the receive queue's active and loss-recovery lists
+// behind a receiver NIC of nicRate.
+func fig16Row(o Options, nicRate units.BitRate) []string {
 	s := o.newSim()
 	tb := newClos(s, 2*units.MB, lb.PolicyPerPacket)
 
 	rcvCfg := testbed.DefaultHostConfig(testbed.OffloadJuggler)
 	rcvCfg.LinkRate = nicRate
-	rcvCfg.Juggler.InseqTimeout = 13 * time.Microsecond
-	rcvCfg.Juggler.OfoTimeout = 300 * time.Microsecond
+	rcvCfg.Juggler = jugglerAt(units.Rate40G, 300*time.Microsecond)
 	rcvCfg.RX.SteerToQueue0 = true
 	receiver := tb.AddHost(0, rcvCfg)
 
@@ -83,11 +76,7 @@ func fig16Run(o Options, nicRate units.BitRate) (mean, p99, max, lossP99, lossPe
 	s.RunFor(dur)
 	tick.Stop()
 
-	return active.Mean(), active.Quantile(0.99), active.Max(),
-		loss.Quantile(0.99),
-		float64(j.Stats.LossRecoveryEntered-entered0) / dur.Seconds()
-}
-
-func init() {
-	register("fig16", entry{run: fig16, desc: "active-list histogram under realistic Clos reordering", shape: fig16Shape})
+	return []string{nicRate.String(), fF(active.Mean()), fI(int64(active.Quantile(0.99))),
+		fI(int64(active.Max())), fI(int64(loss.Quantile(0.99))),
+		fF(float64(j.Stats.LossRecoveryEntered-entered0) / dur.Seconds())}
 }

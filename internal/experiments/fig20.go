@@ -6,62 +6,36 @@ import (
 	"juggler/internal/fabric"
 	"juggler/internal/lb"
 	"juggler/internal/stats"
-	"juggler/internal/sweep"
 	"juggler/internal/tcp"
 	"juggler/internal/testbed"
 	"juggler/internal/units"
 	"juggler/internal/workload"
 )
 
-// fig20 reproduces the fine-grained load-balancing comparison (§5.3.2,
-// Figures 19/20): 8 servers under ToR A send to 8 clients under ToR B over
-// a 40G two-spine Clos. Four pairs run 1MB all-to-all RPCs, four pairs run
-// 150B all-to-all RPCs (100Mb/s per server), open loop with Poisson
-// arrivals, multiplexed over 8 long-lived sessions per server-client pair.
-// The ToR uplinks use per-flow ECMP, per-TSO (Presto-like), or per-packet
-// load balancing; receivers run Juggler.
-func fig20(o Options) *Table {
-	t := &Table{
-		ID:    "fig20",
-		Title: "RPC tail latency vs load under three LB policies (40G Clos)",
-		Columns: []string{"load_pct", "policy", "large_p99_ms", "large_p50_ms",
-			"small_p99_us", "small_p50_us", "shed_pct", "max_uplink_q_KB"},
-	}
-	loads := []int{25, 50, 75, 90}
-	if o.Quick {
-		loads = []int{50, 90}
-	}
-	policies := []string{lb.PolicyECMP, lb.PolicyPerTSO, lb.PolicyPerPacket}
-	type point struct {
-		load   int
-		policy string
-	}
-	var pts []point
-	for _, load := range loads {
-		for _, policy := range policies {
-			pts = append(pts, point{load, policy})
-		}
-	}
-	for _, row := range sweep.Map(o.Workers, len(pts), func(i int) []string {
-		p := pts[i]
-		r := fig20Run(o.point(i, len(pts)), p.load, p.policy)
-		return []string{fI(int64(p.load)), p.policy, fMs(r.largeP99), fMs(r.largeP50),
-			fUs(r.smallP99), fUs(r.smallP50), fPct(r.shed), fI(int64(r.maxQ / 1024))}
-	}) {
-		t.Add(row...)
-	}
-	t.Note("paper: per-packet gives >=2x better small-RPC p99 than ECMP past 50%% load, and beats per-TSO by 30us at 75%% / 250us at 90%%; buffer buildup at the ToRs follows the same order")
-	return t
+func init() {
+	// The fine-grained load-balancing comparison (§5.3.2, Figures 19/20):
+	// 8 servers under ToR A send to 8 clients under ToR B over a 40G
+	// two-spine Clos. Four pairs run 1MB all-to-all RPCs, four pairs run
+	// 150B all-to-all RPCs (100Mb/s per server), open loop with Poisson
+	// arrivals, multiplexed over 8 long-lived sessions per server-client
+	// pair. The ToR uplinks use per-flow ECMP, per-TSO (Presto-like), or
+	// per-packet load balancing; receivers run Juggler.
+	register("fig20", entry{
+		desc:    "RPC tail latency under ECMP / per-TSO / per-packet LB",
+		title:   "RPC tail latency vs load under three LB policies (40G Clos)",
+		columns: []string{"load_pct", "policy", "large_p99_ms", "large_p50_ms", "small_p99_us", "small_p50_us", "shed_pct", "max_uplink_q_KB"},
+		notes:   []string{"paper: per-packet gives >=2x better small-RPC p99 than ECMP past 50% load, and beats per-TSO by 30us at 75% / 250us at 90%; buffer buildup at the ToRs follows the same order"},
+		shape:   fig20Shape,
+		fill: rows(func(o Options) []pair[int, string] {
+			return grid(quickOr(o, []int{25, 50, 75, 90}, []int{50, 90}),
+				[]string{lb.PolicyECMP, lb.PolicyPerTSO, lb.PolicyPerPacket})
+		}, fig20Row),
+	})
 }
 
-// fig20Result is one policy/load cell.
-type fig20Result struct {
-	largeP99, largeP50, smallP99, smallP50 float64
-	shed                                   float64
-	maxQ                                   int
-}
-
-func fig20Run(o Options, loadPct int, policy string) (res fig20Result) {
+// fig20Row runs the RPC mix at one (load %, uplink policy) point.
+func fig20Row(o Options, p pair[int, string]) []string {
+	loadPct, policy := p.a, p.b
 	s := o.newSim()
 
 	// Deep drop-tail buffers, as in the paper's standard-kernel testbed:
@@ -70,8 +44,7 @@ func fig20Run(o Options, loadPct int, policy string) (res fig20Result) {
 	tb := newClos(s, 4*units.MB, policy)
 
 	hostCfg := testbed.DefaultHostConfig(testbed.OffloadJuggler)
-	hostCfg.Juggler.InseqTimeout = 13 * time.Microsecond
-	hostCfg.Juggler.OfoTimeout = 400 * time.Microsecond
+	hostCfg.Juggler = jugglerAt(units.Rate40G, 400*time.Microsecond)
 	hostCfg.Juggler.MaxFlows = 64
 
 	const pairs = 4 // per class
@@ -91,44 +64,38 @@ func fig20Run(o Options, loadPct int, policy string) (res fig20Result) {
 	largeLat := stats.NewSampler(1 << 14)
 	smallLat := stats.NewSampler(1 << 16)
 
-	// Hosts 0..3: large class, all-to-all; hosts 4..7: small class.
+	// Hosts 0..3: large class, all-to-all; hosts 4..7: small class. The
+	// small class offers 100 Mb/s per server, the large class the rest of
+	// the aggregate load on the 80G bisection.
 	const sessions = 8
-	var gens []*workload.PoissonRPCGen
-
-	// Aggregate offered load on the 80G bisection; small class contributes
-	// 100 Mb/s per server.
-	totalLoad := float64(loadPct) / 100 * 80e9
 	smallPerServer := 100e6
-	largePerServer := (totalLoad - 4*smallPerServer) / 4
-	const largeSize = 1 * units.MB
-	const smallSize = 150
-
-	for i := 0; i < pairs; i++ {
-		var streams []*workload.RPCStream
-		for jdx := 0; jdx < pairs; jdx++ {
-			for k := 0; k < sessions; k++ {
-				snd, rcv := testbed.Connect(servers[i], clients[jdx], scfg)
-				streams = append(streams, workload.NewRPCStream(s, snd, rcv, largeLat))
-			}
-		}
-		rate := largePerServer / 8 / float64(largeSize)
-		g := workload.NewPoissonRPCGen(s, streams, largeSize, rate)
-		// Windowed open loop: a client sheds an arrival rather than
-		// queueing forever behind a collapsed connection, so an unstable
-		// policy shows up as shed load instead of unbounded tails.
-		g.MaxOutstanding = 4
-		gens = append(gens, g)
+	classes := [2]struct {
+		lat       *stats.Sampler
+		size      int
+		perServer float64
+	}{
+		{largeLat, 1 * units.MB, (float64(loadPct)/100*80e9 - 4*smallPerServer) / 4},
+		{smallLat, 150, smallPerServer},
 	}
-	for i := pairs; i < 2*pairs; i++ {
+	var gens []*workload.PoissonRPCGen
+	for i := 0; i < 2*pairs; i++ {
+		c, first := classes[i/pairs], i/pairs*pairs
 		var streams []*workload.RPCStream
-		for jdx := pairs; jdx < 2*pairs; jdx++ {
+		for jdx := first; jdx < first+pairs; jdx++ {
 			for k := 0; k < sessions; k++ {
 				snd, rcv := testbed.Connect(servers[i], clients[jdx], scfg)
-				streams = append(streams, workload.NewRPCStream(s, snd, rcv, smallLat))
+				streams = append(streams, workload.NewRPCStream(s, snd, rcv, c.lat))
 			}
 		}
-		rate := smallPerServer / 8 / float64(smallSize)
-		gens = append(gens, workload.NewPoissonRPCGen(s, streams, smallSize, rate))
+		g := workload.NewPoissonRPCGen(s, streams, c.size, c.perServer/8/float64(c.size))
+		if i < pairs {
+			// Windowed open loop: a large-RPC client sheds an arrival
+			// rather than queueing forever behind a collapsed connection,
+			// so an unstable policy shows up as shed load instead of
+			// unbounded tails.
+			g.MaxOutstanding = 4
+		}
+		gens = append(gens, g)
 	}
 	for _, g := range gens {
 		g.Start()
@@ -151,19 +118,16 @@ func fig20Run(o Options, loadPct int, policy string) (res fig20Result) {
 		gen1 += g.Generated
 		shed1 += g.Shed
 	}
+	maxQ := 0
 	for _, p := range tb.Clos.UplinkPorts(0) {
-		if p.Probe.MaxBytes > res.maxQ {
-			res.maxQ = p.Probe.MaxBytes
+		if p.Probe.MaxBytes > maxQ {
+			maxQ = p.Probe.MaxBytes
 		}
 	}
-	res.largeP99, res.largeP50 = largeLat.P99(), largeLat.Median()
-	res.smallP99, res.smallP50 = smallLat.P99(), smallLat.Median()
+	shed := 0.0
 	if d := gen1 - gen0; d > 0 {
-		res.shed = float64(shed1-shed0) / float64(d)
+		shed = float64(shed1-shed0) / float64(d)
 	}
-	return res
-}
-
-func init() {
-	register("fig20", entry{run: fig20, desc: "RPC tail latency under ECMP / per-TSO / per-packet LB", shape: fig20Shape})
+	return []string{fI(int64(loadPct)), policy, fMs(largeLat.P99()), fMs(largeLat.Median()),
+		fUs(smallLat.P99()), fUs(smallLat.Median()), fPct(shed), fI(int64(maxQ / 1024))}
 }

@@ -6,7 +6,6 @@ import (
 	"juggler/internal/chaos"
 	"juggler/internal/fabric"
 	"juggler/internal/lb"
-	"juggler/internal/sweep"
 	"juggler/internal/tcp"
 	"juggler/internal/telemetry/fleet"
 	"juggler/internal/testbed"
@@ -14,43 +13,35 @@ import (
 	"juggler/internal/workload"
 )
 
-// fleetScenarios are the experiment's two parameter points: the same
-// Clos cluster, once clean and once with one receiver's ingress run
-// through a chaos reorderer + loss pair. The sweep runs them via
-// sweep.Map, so the table is byte-identical at any -j.
-var fleetScenarios = []struct {
+// fleetScenario is one of the fleet experiment's two parameter points:
+// the same Clos cluster, once clean and once with one receiver's ingress
+// run through a chaos reorderer + loss pair.
+type fleetScenario struct {
 	name     string
 	impaired bool
-}{
-	{"clean", false},
-	{"impaired", true},
 }
 
-// fleetExperiment runs the cluster topology under chaos impairments and
-// prints the ranked host-health table the fleet aggregator produces —
-// the end-to-end demo of "merge, don't sample-and-ship": every number
-// in the table is a structural merge of per-lane sketches and counters,
-// so it is identical however the run was scheduled.
-func fleetExperiment(o Options) *Table {
-	t := &Table{
-		ID:    "fleet",
-		Title: "Fleet health report: clean cluster vs one impaired host",
-		Columns: []string{"scenario", "health", "fleet_p99_us", "worst_host",
-			"worst_p99_us", "fct_p99_us", "burn_windows", "stragglers"},
-	}
-	reports := sweep.Map(o.Workers, len(fleetScenarios), func(i int) *fleet.Report {
-		return CollectFleetReport(o.point(i, len(fleetScenarios)), fleetScenarios[i].impaired)
+func init() {
+	// The cluster topology under chaos impairments, as the ranked
+	// host-health table the fleet aggregator produces — the end-to-end
+	// demo of "merge, don't sample-and-ship": every number in the table is
+	// a structural merge of per-lane sketches and counters, so it is
+	// identical however the run was scheduled.
+	register("fleet", entry{
+		desc:    "cluster-wide fleet health report under chaos impairments",
+		title:   "Fleet health report: clean cluster vs one impaired host",
+		columns: []string{"scenario", "health", "fleet_p99_us", "worst_host", "worst_p99_us", "fct_p99_us", "burn_windows", "stragglers"},
+		notes: []string{"rows are fleet-level merges of per-host sojourn sketches; the impaired host's ingress adds up to 250us of random extra delay plus 0.1% loss",
+			"run juggler-doctor -fleet for the full ranked host table behind the impaired row"},
+		shape: fleetShape,
+		fill: rows(fixed(fleetScenario{"clean", false}, fleetScenario{"impaired", true}), func(o Options, sc fleetScenario) []string {
+			r := CollectFleetReport(o, sc.impaired)
+			worst := r.Hosts[0]
+			return []string{sc.name, r.FleetHealth, fI(r.Fleet.SojournP99Ns / 1000), worst.Name,
+				fI(worst.SojournP99Ns / 1000), fI(r.FCTP99Ns / 1000),
+				fI(r.Fleet.SLOBurnWindows), fI(int64(len(r.Stragglers)))}
+		}),
 	})
-	for i, r := range reports {
-		worst := r.Hosts[0]
-		t.Add(fleetScenarios[i].name, r.FleetHealth,
-			fI(r.Fleet.SojournP99Ns/1000), worst.Name,
-			fI(worst.SojournP99Ns/1000), fI(r.FCTP99Ns/1000),
-			fI(r.Fleet.SLOBurnWindows), fI(int64(len(r.Stragglers))))
-	}
-	t.Note("rows are fleet-level merges of per-host sojourn sketches; the impaired host's ingress adds up to 250us of random extra delay plus 0.1%% loss")
-	t.Note("run juggler-doctor -fleet for the full ranked host table behind the impaired row")
-	return t
 }
 
 // CollectFleetReport builds the fleet-experiment cluster — three sender
@@ -118,8 +109,4 @@ func CollectFleetReport(o Options, impaired bool) *fleet.Report {
 	gen.Stop()
 	agg.StopAll()
 	return agg.Report(time.Duration(s.Now()))
-}
-
-func init() {
-	register("fleet", entry{run: fleetExperiment, desc: "cluster-wide fleet health report under chaos impairments", shape: fleetShape})
 }

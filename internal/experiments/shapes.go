@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -25,10 +24,88 @@ var (
 	lineRate10G = float64(units.Rate10G) / 1e9 * units.MSS / (units.MTU + units.WireOverhead)
 	// tau0 is the interrupt-coalescing bound τ0 of the fig13/14 NIC.
 	tau0 = coalesceTimeBound().CoalesceDelay
-	// batchTimeUs is the time a 64 KB segment takes at 10G, in whole µs:
-	// the knee of Fig. 12 (§5.2.1).
-	batchTimeUs = float64(units.TxTimeNoOverhead(units.TSOMaxBytes, units.Rate10G).Microseconds())
+	// batchTimeUs is the 10G batch time in µs: the knee of Fig. 12 (§5.2.1).
+	batchTimeUs = float64(batchTime(units.Rate10G).Microseconds())
+	inf         = math.Inf(1)
 )
+
+// A claim's vocabulary: a cell reference, and two bands on it. A band
+// [lo, hi] is closed; under(x) is the top of a band that excludes x.
+
+// cell references column col of the first row whose leading cells are
+// prefix.
+type cell struct {
+	col    string
+	prefix []string
+}
+
+func ref(col string, prefix ...string) cell { return cell{col, prefix} }
+
+func (c cell) String() string { return fmt.Sprintf("%s of %v", c.col, c.prefix) }
+
+// under returns the largest float64 below x.
+func under(x float64) float64 { return math.Nextafter(x, -inf) }
+
+// reader reads a claim's numbers from a table and keeps the first lookup
+// error, so a claim reads every cell it needs and checks once.
+type reader struct {
+	t   *Table
+	err error
+}
+
+// values reads column col of the rows whose leading cells are prefix
+// (Table.Values); nil after an error.
+func (r *reader) values(col string, prefix ...string) []float64 {
+	if r.err != nil {
+		return nil
+	}
+	v, err := r.t.Values(col, prefix...)
+	r.err = err
+	return v
+}
+
+// at reads the number c references; NaN after an error.
+func (r *reader) at(c cell) float64 {
+	if v := r.values(c.col, c.prefix...); v != nil {
+		return v[0]
+	}
+	return math.NaN()
+}
+
+// within checks that the number at c lies in [lo, hi].
+func within(c cell, lo, hi float64) func(*Table) error {
+	return func(t *Table) error {
+		r := reader{t: t}
+		if v := r.at(c); r.err == nil && (v < lo || v > hi) {
+			return fmt.Errorf("%v is %g; want [%g, %g]", c, v, lo, hi)
+		}
+		return r.err
+	}
+}
+
+// ratio checks that num / den lies in [lo, hi].
+func ratio(num, den cell, lo, hi float64) func(*Table) error {
+	return func(t *Table) error {
+		r := reader{t: t}
+		n, d := r.at(num), r.at(den)
+		if x := n / d; r.err == nil && (x < lo || x > hi) {
+			return fmt.Errorf("%v / %v is %g / %g = %.3g; want [%g, %g]", num, den, n, d, x, lo, hi)
+		}
+		return r.err
+	}
+}
+
+// all checks each of checks in turn and returns the first failure.
+func all(checks ...func(*Table) error) func(*Table) error {
+	return func(t *Table) error {
+		for _, c := range checks {
+			if err := c(t); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
 
 // fig1Shape (§2.1): the target flow gets a 20G guarantee at t = 0. From
 // t = 30 ms the Juggler kernel holds it within 5 %; the vanilla kernel
@@ -40,10 +117,10 @@ var fig1Shape = Shape{
 
 func fig1Claim(name, kernel string, lo, hi float64) Claim {
 	return Claim{Name: name, Source: "§2.1, Fig. 1", Check: func(t *Table) error {
-		ms, err1 := t.Values("time_ms", kernel)
-		gbps, err2 := t.Values("target_flow_Gbps", kernel)
-		if err := errors.Join(err1, err2); err != nil {
-			return err
+		r := reader{t: t}
+		ms, gbps := r.values("time_ms", kernel), r.values("target_flow_Gbps", kernel)
+		if r.err != nil {
+			return r.err
 		}
 		var sum float64
 		var n int
@@ -67,16 +144,12 @@ func fig1Claim(name, kernel string, lo, hi float64) Claim {
 // of the flushes; ofo_timeout flushes grow with τ.
 var fig6Shape = Shape{
 	{Name: "event-flushes-dominate", Source: "§4, Fig. 6", Check: func(t *Table) error {
-		ev, err1 := t.Values("flush_event", "0")
-		in, err2 := t.Values("flush_inseq", "0")
-		ofo, err3 := t.Values("flush_ofo", "0")
-		if err := errors.Join(err1, err2, err3); err != nil {
-			return err
+		r := reader{t: t}
+		ev, in, ofo := r.at(ref("flush_event", "0")), r.at(ref("flush_inseq", "0")), r.at(ref("flush_ofo", "0"))
+		if r.err == nil && 2*ev <= ev+in+ofo {
+			return fmt.Errorf("τ = 0: %.0f event flushes of %.0f; want a majority", ev, ev+in+ofo)
 		}
-		if 2*ev[0] <= ev[0]+in[0]+ofo[0] {
-			return fmt.Errorf("τ = 0: %.0f event flushes of %.0f; want a majority", ev[0], ev[0]+in[0]+ofo[0])
-		}
-		return nil
+		return r.err
 	}},
 	{Name: "ofo-flushes-grow-with-tau", Source: "§4, Fig. 6", Check: func(t *Table) error {
 		ofo, err := t.Values("flush_ofo")
@@ -98,53 +171,15 @@ var fig6Shape = Shape{
 // target: it keeps 65 ± 10 %, one claim per edge of the band, so that the
 // edge it meets stays checked.
 var cpuShape = Shape{
-	{Name: "juggler-holds-target", Source: "§5.1.1", Check: func(t *Table) error {
-		v, err := t.Values("tput_%target", "juggler/reorder (per-packet)")
-		if err == nil && v[0] < 95 {
-			err = fmt.Errorf("juggler/reorder keeps %.1f%% of target; want ≥ 95%%", v[0])
-		}
-		return err
-	}},
-	{Name: "no-in-order-overhead", Source: "§5.1.1", Check: func(t *Table) error {
-		j, err1 := t.Values("app_core%", "juggler/no-reorder (ECMP)")
-		v, err2 := t.Values("app_core%", "vanilla/no-reorder (ECMP)")
-		if err := errors.Join(err1, err2); err != nil {
-			return err
-		}
-		if j[0] > 1.1*v[0] {
-			return fmt.Errorf("in-order app core: juggler %.1f%%, vanilla %.1f%%; want ≤ 1.1×", j[0], v[0])
-		}
-		return nil
-	}},
-	{Name: "vanilla-loses-throughput", Source: "§5.1.1", Check: func(t *Table) error {
-		v, err := t.Values("tput_%target", "vanilla/reorder (per-packet)")
-		if err == nil && v[0] > 75 {
-			err = fmt.Errorf("vanilla/reorder keeps %.1f%% of target; want ≤ 75%%", v[0])
-		}
-		return err
-	}},
-	{Name: "vanilla-keeps-two-thirds", Source: "§5.1.1", Known: map[int64]int{1: 2, 2: 2}, Check: func(t *Table) error {
-		v, err := t.Values("tput_%target", "vanilla/reorder (per-packet)")
-		if err == nil && v[0] < 55 {
-			err = fmt.Errorf("vanilla/reorder keeps %.1f%% of target; want ≥ 55%%", v[0])
-		}
-		return err
-	}},
+	{Name: "juggler-holds-target", Source: "§5.1.1", Check: within(ref("tput_%target", "juggler/reorder (per-packet)"), 95, inf)},
+	{Name: "no-in-order-overhead", Source: "§5.1.1", Check: ratio(ref("app_core%", "juggler/no-reorder (ECMP)"), ref("app_core%", "vanilla/no-reorder (ECMP)"), -inf, 1.1)},
+	{Name: "vanilla-loses-throughput", Source: "§5.1.1", Check: within(ref("tput_%target", "vanilla/reorder (per-packet)"), -inf, 75)},
+	{Name: "vanilla-keeps-two-thirds", Source: "§5.1.1", Known: map[int64]int{1: 2, 2: 2}, Check: within(ref("tput_%target", "vanilla/reorder (per-packet)"), 55, inf)},
 }
 
 // latencyShape (§5.1.2): Juggler adds no latency to in-order RPCs.
 var latencyShape = Shape{
-	{Name: "equal-medians", Source: "§5.1.2", Check: func(t *Table) error {
-		j, err1 := t.Values("median_us", "juggler")
-		v, err2 := t.Values("median_us", "vanilla")
-		if err := errors.Join(err1, err2); err != nil {
-			return err
-		}
-		if j[0] != v[0] {
-			return fmt.Errorf("median %.0fµs behind juggler, %.0fµs behind vanilla", j[0], v[0])
-		}
-		return nil
-	}},
+	{Name: "equal-medians", Source: "§5.1.2", Check: ratio(ref("median_us", "juggler"), ref("median_us", "vanilla"), 1, 1)},
 }
 
 // fig12Shape (§5.2.1, Fig. 12): batching rises from ~25 MTUs at timeout 0
@@ -154,10 +189,10 @@ var latencyShape = Shape{
 var fig12Shape = Shape{
 	{Name: "knee-at-batch-time", Source: "§5.2.1, Fig. 12", Check: func(t *Table) error {
 		for _, tau := range []string{"250", "500", "750"} {
-			inseq, err1 := t.Values("inseq_timeout_us", tau)
-			mtus, err2 := t.Values("batching_MTUs", tau)
-			if err := errors.Join(err1, err2); err != nil {
-				return err
+			r := reader{t: t}
+			inseq, mtus := r.values("inseq_timeout_us", tau), r.values("batching_MTUs", tau)
+			if r.err != nil {
+				return r.err
 			}
 			i := slices.Index(inseq, batchTimeUs)
 			if i < 0 {
@@ -171,13 +206,10 @@ var fig12Shape = Shape{
 		return nil
 	}},
 	{Name: "independent-of-tau", Source: "§5.2.1, Fig. 12", Check: func(t *Table) error {
-		var curves [][]float64
-		for _, tau := range []string{"250", "500", "750"} {
-			mtus, err := t.Values("batching_MTUs", tau)
-			if err != nil {
-				return err
-			}
-			curves = append(curves, mtus)
+		r := reader{t: t}
+		curves := [][]float64{r.values("batching_MTUs", "250"), r.values("batching_MTUs", "500"), r.values("batching_MTUs", "750")}
+		if r.err != nil {
+			return r.err
 		}
 		for i := range curves[0] {
 			lo, hi := curves[0][i], curves[0][i]
@@ -203,10 +235,10 @@ var fig13Shape = Shape{
 func fig13Claim(tauUs int, known map[int64]int) Claim {
 	return Claim{Name: fmt.Sprintf("line-rate-tau%d", tauUs), Source: "§5.2.1, Fig. 13", Known: known,
 		Check: func(t *Table) error {
-			ofo, err1 := t.Values("ofo_timeout_us", fmt.Sprint(tauUs))
-			gbps, err2 := t.Values("tput_Gbps", fmt.Sprint(tauUs))
-			if err := errors.Join(err1, err2); err != nil {
-				return err
+			r := reader{t: t}
+			ofo, gbps := r.values("ofo_timeout_us", fmt.Sprint(tauUs)), r.values("tput_Gbps", fmt.Sprint(tauUs))
+			if r.err != nil {
+				return r.err
 			}
 			edge := float64((time.Duration(tauUs)*time.Microsecond - tau0).Microseconds())
 			i := slices.IndexFunc(ofo, func(v float64) bool { return v >= edge })
@@ -233,10 +265,10 @@ var fig14Shape = Shape{
 func fig14Claim(tauUs int, known map[int64]int) Claim {
 	return Claim{Name: fmt.Sprintf("step-tau%d", tauUs), Source: "§5.2.1, Fig. 14", Known: known,
 		Check: func(t *Table) error {
-			ofo, err1 := t.Values("ofo_timeout_us", fmt.Sprint(tauUs))
-			p99, err2 := t.Values("p99_ms", fmt.Sprint(tauUs))
-			if err := errors.Join(err1, err2); err != nil {
-				return err
+			r := reader{t: t}
+			ofo, p99 := r.values("ofo_timeout_us", fmt.Sprint(tauUs)), r.values("p99_ms", fmt.Sprint(tauUs))
+			if r.err != nil {
+				return r.err
 			}
 			edge := float64((time.Duration(tauUs)*time.Microsecond - tau0).Microseconds())
 			i := slices.IndexFunc(ofo, func(v float64) bool { return v > edge })
@@ -267,10 +299,10 @@ var fig15Shape = Shape{
 		return err
 	}},
 	{Name: "grows-with-tau", Source: "§5.2.2, Fig. 15", Check: func(t *Table) error {
-		lo, err1 := t.Values("active_p99", "250")
-		hi, err2 := t.Values("active_p99", "500")
-		if err := errors.Join(err1, err2); err != nil {
-			return err
+		r := reader{t: t}
+		lo, hi := r.values("active_p99", "250"), r.values("active_p99", "500")
+		if r.err != nil {
+			return r.err
 		}
 		for i := range lo {
 			if hi[i] <= lo[i] {
@@ -288,10 +320,10 @@ var fig15Shape = Shape{
 func fig15Claim(name string, known map[int64]int, lowAt, highAt float64) Claim {
 	return Claim{Name: name, Source: "§5.2.2, Fig. 15", Known: known, Check: func(t *Table) error {
 		for _, tau := range []string{"250", "500"} {
-			flows, err1 := t.Values("flows", tau)
-			p99, err2 := t.Values("active_p99", tau)
-			if err := errors.Join(err1, err2); err != nil {
-				return err
+			r := reader{t: t}
+			flows, p99 := r.values("flows", tau), r.values("active_p99", tau)
+			if r.err != nil {
+				return r.err
 			}
 			i, j := slices.Index(flows, lowAt), slices.Index(flows, highAt)
 			if i < 0 || j < 0 {
@@ -310,10 +342,10 @@ func fig15Claim(name string, known map[int64]int, lowAt, highAt float64) Claim {
 // list averages under one flow, with p99 under 5.
 var fig16Shape = Shape{
 	{Name: "short-active-list", Source: "§5.2.2, Fig. 16", Check: func(t *Table) error {
-		mean, err1 := t.Values("active_mean")
-		p99, err2 := t.Values("active_p99")
-		if err := errors.Join(err1, err2); err != nil {
-			return err
+		r := reader{t: t}
+		mean, p99 := r.values("active_mean"), r.values("active_p99")
+		if r.err != nil {
+			return r.err
 		}
 		if slices.Max(mean) >= 1 || slices.Max(p99) >= 5 {
 			return fmt.Errorf("active mean %v, p99 %v; want < 1 and < 5", mean, p99)
@@ -326,100 +358,32 @@ var fig16Shape = Shape{
 // and never falls below the fair share of 8 flows on 40G; vanilla gets at
 // most 0.6 × a 20G guarantee.
 var fig18Shape = Shape{
-	{Name: "juggler-tracks-guarantee", Source: "§5.3.1, Fig. 18", Check: func(t *Table) error {
-		g, err := t.Values("juggler_Gbps", "20.00")
-		if err == nil && (g[0] < 19 || g[0] > 21) {
-			err = fmt.Errorf("juggler gets %.2fG of a 20G guarantee; want 19–21G", g[0])
-		}
-		return err
-	}},
-	{Name: "fair-share-floor", Source: "§5.3.1, Fig. 18", Check: func(t *Table) error {
-		g, err := t.Values("juggler_Gbps", "5.00")
-		if fair := float64(units.Rate40G) / 1e9 / 8; err == nil && g[0] < fair {
-			err = fmt.Errorf("juggler gets %.2fG of a 5G guarantee; want ≥ the %.0fG fair share", g[0], fair)
-		}
-		return err
-	}},
-	{Name: "vanilla-far-below", Source: "§5.3.1, Fig. 18", Check: func(t *Table) error {
-		g, err := t.Values("vanilla_Gbps", "20.00")
-		if err == nil && g[0] > 12 {
-			err = fmt.Errorf("vanilla gets %.2fG of a 20G guarantee; want ≤ 12G", g[0])
-		}
-		return err
-	}},
+	{Name: "juggler-tracks-guarantee", Source: "§5.3.1, Fig. 18", Check: within(ref("juggler_Gbps", "20.00"), 19, 21)},
+	{Name: "fair-share-floor", Source: "§5.3.1, Fig. 18", Check: within(ref("juggler_Gbps", "5.00"), float64(units.Rate40G)/1e9/8, inf)},
+	{Name: "vanilla-far-below", Source: "§5.3.1, Fig. 18", Check: within(ref("vanilla_Gbps", "20.00"), -inf, 12)},
 }
 
 // fig20Shape (§5.3.2, Fig. 20): per-packet spraying at least halves ECMP's
 // small-RPC p99 from 50 % load, and beats per-TSO at 90 %; at 90 % its
 // large-RPC p99 is no worse than ECMP's.
 var fig20Shape = Shape{
-	{Name: "per-packet-halves-ecmp", Source: "§5.3.2, Fig. 20", Check: func(t *Table) error {
-		for _, load := range []string{"50", "90"} {
-			pp, err1 := t.Values("small_p99_us", load, "perpacket")
-			ecmp, err2 := t.Values("small_p99_us", load, "ecmp")
-			if err := errors.Join(err1, err2); err != nil {
-				return err
-			}
-			if pp[0] > 0.5*ecmp[0] {
-				return fmt.Errorf("%s%% load: small-RPC p99 %.0fµs per-packet, %.0fµs ECMP; want ≤ 0.5×", load, pp[0], ecmp[0])
-			}
-		}
-		return nil
-	}},
-	{Name: "per-packet-beats-per-tso", Source: "§5.3.2, Fig. 20", Check: func(t *Table) error {
-		pp, err1 := t.Values("small_p99_us", "90", "perpacket")
-		tso, err2 := t.Values("small_p99_us", "90", "pertso")
-		if err := errors.Join(err1, err2); err != nil {
-			return err
-		}
-		if pp[0] >= tso[0] {
-			return fmt.Errorf("90%% load: small-RPC p99 %.0fµs per-packet, %.0fµs per-TSO", pp[0], tso[0])
-		}
-		return nil
-	}},
-	{Name: "per-packet-large-tail", Source: "§5.3.2, Fig. 20", Check: func(t *Table) error {
-		pp, err1 := t.Values("large_p99_ms", "90", "perpacket")
-		ecmp, err2 := t.Values("large_p99_ms", "90", "ecmp")
-		if err := errors.Join(err1, err2); err != nil {
-			return err
-		}
-		if pp[0] > ecmp[0] {
-			return fmt.Errorf("90%% load: large-RPC p99 %.1fms per-packet, %.1fms ECMP", pp[0], ecmp[0])
-		}
-		return nil
-	}},
+	{Name: "per-packet-halves-ecmp", Source: "§5.3.2, Fig. 20", Check: all(
+		ratio(ref("small_p99_us", "50", "perpacket"), ref("small_p99_us", "50", "ecmp"), -inf, 0.5),
+		ratio(ref("small_p99_us", "90", "perpacket"), ref("small_p99_us", "90", "ecmp"), -inf, 0.5))},
+	{Name: "per-packet-beats-per-tso", Source: "§5.3.2, Fig. 20", Check: ratio(ref("small_p99_us", "90", "perpacket"), ref("small_p99_us", "90", "pertso"), -inf, under(1))},
+	{Name: "per-packet-large-tail", Source: "§5.3.2, Fig. 20", Check: ratio(ref("large_p99_ms", "90", "perpacket"), ref("large_p99_ms", "90", "ecmp"), -inf, 1)},
 }
 
 // lossOfoShape (§5.2.1): at 0.1 % loss, throughput is not lost while
 // ofo_timeout is well under ~100 ms: 5 ms keeps 90 % of 0.5 ms.
 var lossOfoShape = Shape{
-	{Name: "flat-to-5ms", Source: "§5.2.1", Known: map[int64]int{1: 2, 2: 2}, Check: func(t *Table) error {
-		short, err1 := t.Values("tput_Gbps", "0.500")
-		long, err2 := t.Values("tput_Gbps", "5.000")
-		if err := errors.Join(err1, err2); err != nil {
-			return err
-		}
-		if long[0] < 0.9*short[0] {
-			return fmt.Errorf("%.2fG at 5 ms against %.2fG at 0.5 ms; want ≥ 0.9×", long[0], short[0])
-		}
-		return nil
-	}},
+	{Name: "flat-to-5ms", Source: "§5.2.1", Known: map[int64]int{1: 2, 2: 2}, Check: ratio(ref("tput_Gbps", "5.000"), ref("tput_Gbps", "0.500"), 0.9, inf)},
 }
 
 // worstCaseShape (§3.3): holding every packet of an all-new-flow flood for
 // 1 ms needs the paper's bound of tracked flows (within 10 %).
 var worstCaseShape = Shape{
-	{Name: "paper-bound", Source: "§3.3", Check: func(t *Table) error {
-		bound, err1 := t.Values("paper_bound_flows", "1000")
-		p99, err2 := t.Values("active_p99", "1000")
-		if err := errors.Join(err1, err2); err != nil {
-			return err
-		}
-		if p99[0] < 0.9*bound[0] || p99[0] > 1.1*bound[0] {
-			return fmt.Errorf("active p99 %.0f at inseq 1 ms; want the %.0f-flow bound ± 10%%", p99[0], bound[0])
-		}
-		return nil
-	}},
+	{Name: "paper-bound", Source: "§3.3", Check: ratio(ref("active_p99", "1000"), ref("paper_bound_flows", "1000"), 0.9, 1.1)},
 }
 
 // chaosShape (the invariant checker, not the paper): every Juggler scenario
@@ -428,114 +392,45 @@ var worstCaseShape = Shape{
 var chaosShape = Shape{
 	{Name: "juggler-clean", Source: "invariant checker", Check: func(t *Table) error {
 		for _, sc := range ChaosScenarios() {
-			v, err := t.Values("violations", sc, "juggler")
-			if err == nil && v[0] != 0 {
-				err = fmt.Errorf("juggler under %s: %.0f violations", sc, v[0])
-			}
-			if err != nil {
+			if err := within(ref("violations", sc, "juggler"), 0, 0)(t); err != nil {
 				return err
 			}
 		}
 		return nil
 	}},
-	{Name: "checker-has-teeth", Source: "invariant checker", Check: func(t *Table) error {
-		v, err := t.Values("violations", "reorder", "vanilla")
-		if err == nil && v[0] == 0 {
-			err = errors.New("vanilla under reordering trips no invariant")
-		}
-		return err
-	}},
+	{Name: "checker-has-teeth", Source: "invariant checker", Check: within(ref("violations", "reorder", "vanilla"), 1, inf)},
 }
 
 // conntrackShape (§3.1): a stateful tracker behind Juggler sees in-order
 // traffic; behind vanilla GRO, reordering marks segments INVALID.
 var conntrackShape = Shape{
-	{Name: "juggler-clean", Source: "§3.1", Check: func(t *Table) error {
-		f, err := t.Values("invalid_frac", "juggler", "500")
-		if err == nil && f[0] > 0.01 {
-			err = fmt.Errorf("%.2f of segments INVALID behind juggler; want ≤ 0.01", f[0])
-		}
-		return err
-	}},
-	{Name: "vanilla-invalid", Source: "§3.1", Check: func(t *Table) error {
-		f, err := t.Values("invalid_frac", "vanilla", "500")
-		if err == nil && f[0] < 0.05 {
-			err = fmt.Errorf("%.2f of segments INVALID behind vanilla; want ≥ 0.05", f[0])
-		}
-		return err
-	}},
+	{Name: "juggler-clean", Source: "§3.1", Check: within(ref("invalid_frac", "juggler", "500"), -inf, 0.01)},
+	{Name: "vanilla-invalid", Source: "§3.1", Check: within(ref("invalid_frac", "vanilla", "500"), 0.05, inf)},
 }
 
 // linkedListShape (§3.1): linked-list batching costs ~50 % more CPU than
 // frags merging on in-order traffic (band 1.3–1.7×); Juggler costs what
 // vanilla GRO does (within 5 %).
 var linkedListShape = Shape{
-	{Name: "linked-list-costs-half-more", Source: "§3.1", Check: func(t *Table) error {
-		x, err := t.Values("vs_vanilla", "linkedlist")
-		if err == nil && (x[0] < 1.3 || x[0] > 1.7) {
-			err = fmt.Errorf("linked list costs %.2f× vanilla; want 1.3–1.7×", x[0])
-		}
-		return err
-	}},
-	{Name: "juggler-costs-vanilla", Source: "§3.1", Check: func(t *Table) error {
-		x, err := t.Values("vs_vanilla", "juggler")
-		if err == nil && x[0] > 1.05 {
-			err = fmt.Errorf("juggler costs %.2f× vanilla; want ≤ 1.05×", x[0])
-		}
-		return err
-	}},
+	{Name: "linked-list-costs-half-more", Source: "§3.1", Check: within(ref("vs_vanilla", "linkedlist"), 1.3, 1.7)},
+	{Name: "juggler-costs-vanilla", Source: "§3.1", Check: within(ref("vs_vanilla", "juggler"), -inf, 1.05)},
 }
 
 // evictionShape (§4.3): evicting inactive flows first does at least as
 // well as FIFO on a starved table, and a 64-entry table suffices.
 var evictionShape = Shape{
-	{Name: "inactive-first-at-least-fifo", Source: "§4.3", Check: func(t *Table) error {
-		in, err1 := t.Values("tput_Gbps", "inactive-first", "4")
-		fifo, err2 := t.Values("tput_Gbps", "fifo (ablation)", "4")
-		if err := errors.Join(err1, err2); err != nil {
-			return err
-		}
-		if in[0] < fifo[0] {
-			return fmt.Errorf("4 entries: inactive-first %.2fG, FIFO %.2fG", in[0], fifo[0])
-		}
-		return nil
-	}},
-	{Name: "64-entries-suffice", Source: "§4.3", Check: func(t *Table) error {
-		in, err1 := t.Values("ooo_frac", "inactive-first", "64")
-		fifo, err2 := t.Values("ooo_frac", "fifo (ablation)", "64")
-		if err := errors.Join(err1, err2); err != nil {
-			return err
-		}
-		if in[0] != 0 || fifo[0] != 0 {
-			return fmt.Errorf("64 entries: OOO fraction %.2f inactive-first, %.2f FIFO; want 0", in[0], fifo[0])
-		}
-		return nil
-	}},
+	{Name: "inactive-first-at-least-fifo", Source: "§4.3", Check: ratio(ref("tput_Gbps", "inactive-first", "4"), ref("tput_Gbps", "fifo (ablation)", "4"), 1, inf)},
+	{Name: "64-entries-suffice", Source: "§4.3", Check: all(
+		within(ref("ooo_frac", "inactive-first", "64"), 0, 0), within(ref("ooo_frac", "fifo (ablation)", "64"), 0, 0))},
 }
 
 // buildUpShape (Remark 1): learning seq_next during the build-up phase
 // sends fewer segments up the stack, ~6 % fewer in the paper's basic
-// experiment (read as 3–9 %, half the figure either side).
+// experiment (read as 3–9 %, half the figure either side): learning on
+// sends a share of learning off's segments per MB in [0.91, 0.97).
 var buildUpShape = Shape{
-	buildUpClaim("learning-saves-segments", nil, 0, 100),
-	buildUpClaim("saves-about-6pct", map[int64]int{2: 6}, 3, 9),
-}
-
-// buildUpClaim checks that learning on sends lo–hi % fewer segments per MB
-// than learning off.
-func buildUpClaim(name string, known map[int64]int, lo, hi float64) Claim {
-	return Claim{Name: name, Source: "Remark 1", Known: known, Check: func(t *Table) error {
-		on, err1 := t.Values("segments_per_MB", "on")
-		off, err2 := t.Values("segments_per_MB", "off (ablation)")
-		if err := errors.Join(err1, err2); err != nil {
-			return err
-		}
-		if saved := (1 - on[0]/off[0]) * 100; saved <= lo || saved > hi {
-			return fmt.Errorf("learning saves %.2f%% of segments (%.2f vs %.2f per MB); want above %.0f%% and at most %.0f%%",
-				saved, on[0], off[0], lo, hi)
-		}
-		return nil
-	}}
+	{Name: "learning-saves-segments", Source: "Remark 1", Check: ratio(ref("segments_per_MB", "on"), ref("segments_per_MB", "off (ablation)"), -inf, under(1))},
+	{Name: "saves-about-6pct", Source: "Remark 1", Known: map[int64]int{2: 6}, Check: ratio(ref("segments_per_MB", "on"), ref("segments_per_MB", "off (ablation)"), 0.91, under(0.97))},
 }
 
 // rssShape (§5.2.2): Juggler runs per receive queue, so spreading the 32
@@ -560,10 +455,10 @@ var rssShape = Shape{
 // stays within tol of its one-queue value at every queue count.
 func rssClaim(name, col string, perQueue bool, tol float64) Claim {
 	return Claim{Name: name, Source: "§5.2.2", Check: func(t *Table) error {
-		queues, err1 := t.Values("rx_queues")
-		v, err2 := t.Values(col)
-		if err := errors.Join(err1, err2); err != nil {
-			return err
+		r := reader{t: t}
+		queues, v := r.values("rx_queues"), r.values(col)
+		if r.err != nil {
+			return r.err
 		}
 		scaled := func(i int) float64 {
 			if perQueue {
@@ -591,47 +486,11 @@ func rssClaim(name, col string, perQueue bool, tol float64) Claim {
 // records up out of order (the delay switch delays each packet with
 // probability ½) and its batching falls below a tenth of in-order.
 var sctpShape = Shape{
-	{Name: "juggler-hides-reordering", Source: "§4", Check: func(t *Table) error {
-		ooo, err1 := t.Values("ooo_frac", "juggler", "500")
-		rtx, err2 := t.Values("spurious_retrans", "juggler", "500")
-		if err := errors.Join(err1, err2); err != nil {
-			return err
-		}
-		if ooo[0] != 0 || rtx[0] != 0 {
-			return fmt.Errorf("juggler at 500µs: OOO fraction %.2f, %.0f spurious retransmissions; want 0 and 0", ooo[0], rtx[0])
-		}
-		return nil
-	}},
-	sctpBatchingClaim("juggler-keeps-batching", "juggler", true, 0.9),
-	{Name: "vanilla-half-ooo", Source: "§4", Check: func(t *Table) error {
-		ooo, err := t.Values("ooo_frac", "vanilla", "500")
-		if err == nil && math.Abs(ooo[0]-0.5) > 0.1 {
-			err = fmt.Errorf("vanilla at 500µs: OOO fraction %.2f; want 0.5 ± 0.1", ooo[0])
-		}
-		return err
-	}},
-	sctpBatchingClaim("vanilla-batching-collapses", "vanilla", false, 0.1),
-}
-
-// sctpBatchingClaim checks that stack's batching at 500 µs of reordering
-// is at least (or, unless atLeast, at most) bound × its in-order batching.
-func sctpBatchingClaim(name, stack string, atLeast bool, bound float64) Claim {
-	return Claim{Name: name, Source: "§4", Check: func(t *Table) error {
-		in, err1 := t.Values("batching_MTUs", stack, "0")
-		re, err2 := t.Values("batching_MTUs", stack, "500")
-		if err := errors.Join(err1, err2); err != nil {
-			return err
-		}
-		r := re[0] / in[0]
-		ok, want := r >= bound, "≥"
-		if !atLeast {
-			ok, want = r <= bound, "≤"
-		}
-		if !ok {
-			return fmt.Errorf("%s batches %.2f MTUs at 500µs, %.2f in order (%.3f×); want %s %g×", stack, re[0], in[0], r, want, bound)
-		}
-		return nil
-	}}
+	{Name: "juggler-hides-reordering", Source: "§4", Check: all(
+		within(ref("ooo_frac", "juggler", "500"), 0, 0), within(ref("spurious_retrans", "juggler", "500"), 0, 0))},
+	{Name: "juggler-keeps-batching", Source: "§4", Check: ratio(ref("batching_MTUs", "juggler", "500"), ref("batching_MTUs", "juggler", "0"), 0.9, inf)},
+	{Name: "vanilla-half-ooo", Source: "§4", Check: within(ref("ooo_frac", "vanilla", "500"), 0.4, 0.6)},
+	{Name: "vanilla-batching-collapses", Source: "§4", Check: ratio(ref("batching_MTUs", "vanilla", "500"), ref("batching_MTUs", "vanilla", "0"), -inf, 0.1)},
 }
 
 // shardedRXShape (§5.2.2): RSS spreads flows evenly over the receive
@@ -640,22 +499,15 @@ func sctpBatchingClaim(name, stack string, atLeast bool, bound float64) Claim {
 // binomial: within 3σ = 3·√((queues − 1)/flows) of TOTAL/queues.
 var shardedRXShape = Shape{
 	{Name: "even-rss-spread", Source: "§5.2.2", Check: func(t *Table) error {
-		total, err := t.Values("delivered_MB", "TOTAL")
-		if err != nil {
-			return err
-		}
-		fair := total[0] / shardedRXQueues
+		r := reader{t: t}
+		fair := r.at(ref("delivered_MB", "TOTAL")) / shardedRXQueues
 		band := 3 * math.Sqrt((shardedRXQueues-1)/float64(shardedRXQuickFlows))
 		for q := range shardedRXQueues {
-			v, err := t.Values("delivered_MB", fmt.Sprint(q))
-			if err != nil {
-				return err
-			}
-			if math.Abs(v[0]-fair) > band*fair {
-				return fmt.Errorf("queue %d delivers %.2f MB; want the %.2f MB fair share ± %.1f%%", q, v[0], fair, band*100)
+			if v := r.at(ref("delivered_MB", fmt.Sprint(q))); r.err == nil && math.Abs(v-fair) > band*fair {
+				return fmt.Errorf("queue %d delivers %.2f MB; want the %.2f MB fair share ± %.1f%%", q, v, fair, band*100)
 			}
 		}
-		return nil
+		return r.err
 	}},
 }
 
@@ -668,17 +520,7 @@ var shardedRXShape = Shape{
 // out-of-order segments to TCP.
 var adaptiveShape = Shape{
 	adaptiveClaim("measurable-before-shift", "pre_Gbps", func(st, ad float64) bool { return st >= 5 && ad >= 5 }, "both ≥ 5"),
-	{Name: "static-degrades", Source: "adapt controller", Check: func(t *Table) error {
-		pre, err1 := t.Values("pre_Gbps", "static")
-		conv, err2 := t.Values("conv_Gbps", "static")
-		if err := errors.Join(err1, err2); err != nil {
-			return err
-		}
-		if conv[0] > 0.5*pre[0] {
-			return fmt.Errorf("static keeps %.2fG of %.2fG after the shift; want ≤ half", conv[0], pre[0])
-		}
-		return nil
-	}},
+	{Name: "static-degrades", Source: "adapt controller", Check: ratio(ref("conv_Gbps", "static"), ref("pre_Gbps", "static"), -inf, 0.5)},
 	adaptiveClaim("adaptive-recovers", "recovery", func(_, ad float64) bool { return ad >= 50 }, "adaptive ≥ 50%"),
 	adaptiveClaim("adaptive-beats-static", "conv_Gbps", func(st, ad float64) bool { return ad >= 3*st }, "adaptive ≥ 3× static"),
 	adaptiveClaim("no-flaps-when-converged", "flaps_conv", func(_, ad float64) bool { return ad == 0 }, "adaptive 0"),
@@ -694,15 +536,11 @@ var adaptiveShape = Shape{
 // want describes ok in the failure message.
 func adaptiveClaim(name, col string, ok func(static, adaptive float64) bool, want string) Claim {
 	return Claim{Name: name, Source: "adapt controller", Check: func(t *Table) error {
-		st, err1 := t.Values(col, "static")
-		ad, err2 := t.Values(col, "adaptive")
-		if err := errors.Join(err1, err2); err != nil {
-			return err
+		r := reader{t: t}
+		if st, ad := r.at(ref(col, "static")), r.at(ref(col, "adaptive")); r.err == nil && !ok(st, ad) {
+			return fmt.Errorf("%s: static %g, adaptive %g; want %s", col, st, ad, want)
 		}
-		if !ok(st[0], ad[0]) {
-			return fmt.Errorf("%s: static %g, adaptive %g; want %s", col, st[0], ad[0], want)
-		}
-		return nil
+		return r.err
 	}}
 }
 
@@ -720,15 +558,11 @@ var fleetShape = Shape{
 		return err
 	}},
 	{Name: "impaired-degraded", Source: "fleet watchdog", Check: func(t *Table) error {
-		imp, err1 := fleetValue(t, "worst_p99_us", "impaired", "degraded")
-		clean, err2 := t.Values("worst_p99_us", "clean")
-		if err := errors.Join(err1, err2); err != nil {
+		imp, err := fleetValue(t, "worst_p99_us", "impaired", "degraded")
+		if err != nil {
 			return err
 		}
-		if imp <= clean[0] {
-			return fmt.Errorf("worst host p99 %.0fµs impaired, %.0fµs clean; want it higher impaired", imp, clean[0])
-		}
-		return nil
+		return within(ref("worst_p99_us", "clean"), -inf, under(imp))(t)
 	}},
 }
 

@@ -201,52 +201,46 @@ func runShardedRX(o Options, p shardedRXParams) shardedRXResult {
 	return res
 }
 
-func shardedRX(o Options) *Table {
-	t := &Table{
-		ID:    "shardedrx",
-		Title: "sharded receive datapath: flow-scale workload across 8 RSS queues with a mid-run rehash",
-		Columns: []string{"queue", "pkts", "segs", "flush_event", "flush_inseq", "flush_ofo",
-			"ofo_timeouts", "ooo_work_per_pkt", "delivered_MB"},
-	}
-	p := shardedRXParams{flows: 100000, rounds: 16, lanes: max(1, o.Workers)}
-	if o.Quick {
-		p.flows, p.rounds = shardedRXQuickFlows, 8
-	}
-	res := runShardedRX(o, p)
-	if res.delivered != res.sent {
-		panic(fmt.Sprintf("shardedrx: delivered %d of %d bytes", res.delivered, res.sent))
-	}
-	if res.invariantErr != nil {
-		panic("shardedrx: " + res.invariantErr.Error())
-	}
-	if res.segLive != 0 {
-		panic(fmt.Sprintf("shardedrx: %d segments leaked", res.segLive))
-	}
-
-	var tot shardedRXQueueRow
-	for qi, row := range res.perQueue {
-		t.Add(fI(int64(qi)), fI(row.pkts), fI(row.segs), fI(row.stats.FlushEvent),
-			fI(row.stats.FlushInseqTimeout), fI(row.stats.FlushOfoTimeout),
-			fI(row.stats.OfoTimeouts), fF(float64(row.ooo)/float64(row.pkts)),
-			fF(float64(row.bytes)/(1<<20)))
-		tot.pkts += row.pkts
-		tot.segs += row.segs
-		tot.ooo += row.ooo
-		tot.bytes += row.bytes
-		tot.stats.Add(row.stats)
-	}
-	t.Add("TOTAL", fI(tot.pkts), fI(tot.segs), fI(tot.stats.FlushEvent),
-		fI(tot.stats.FlushInseqTimeout), fI(tot.stats.FlushOfoTimeout),
-		fI(tot.stats.OfoTimeouts), fF(float64(tot.ooo)/float64(tot.pkts)),
-		fF(float64(tot.bytes)/(1<<20)))
-	t.Note("mid-run RSS rehash moved %d of %d flows to a new queue — the worst-case handoff (FNV's low bits are linear in the salt, so a salt change remaps every flow, same as the serial RX): stranded holes drained on the old queue via its own timeouts, byte conservation held (%d bytes), 0 segments leaked across all lane pools",
-		res.handoffs, p.flows, res.sent)
-	// The note's wording, the removed -shards flag included, is pinned by
-	// testdata/tables_golden.json.
-	t.Note("rows are keyed by logical queue (fixed at 8) and merged in queue order, so this table is byte-identical at any -shards and any -j; wall-clock scaling is sim.shard_speedup_2 in the repository benchmark (bench/, -trace 1)")
-	return t
-}
-
 func init() {
-	register("shardedrx", entry{run: shardedRX, desc: "flow-scale workload on the sharded (multi-goroutine) receive datapath with RSS rehash handoff", shape: shardedRXShape})
+	// One point, spending the whole -j budget on lanes; post checks
+	// conservation and leaks, and appends the TOTAL row and the notes.
+	register("shardedrx", entry{
+		desc:    "flow-scale workload on the sharded (multi-goroutine) receive datapath with RSS rehash handoff",
+		title:   "sharded receive datapath: flow-scale workload across 8 RSS queues with a mid-run rehash",
+		columns: []string{"queue", "pkts", "segs", "flush_event", "flush_inseq", "flush_ofo", "ofo_timeouts", "ooo_work_per_pkt", "delivered_MB"},
+		shape:   shardedRXShape,
+		fill: combine(func(o Options) []shardedRXParams {
+			return []shardedRXParams{{flows: quickOr(o, 100000, shardedRXQuickFlows), rounds: quickOr(o, 16, 8), lanes: max(1, o.Workers)}}
+		}, runShardedRX, func(t *Table, ps []shardedRXParams, results []shardedRXResult) {
+			p, res := ps[0], results[0]
+			if res.delivered != res.sent {
+				panic(fmt.Sprintf("shardedrx: delivered %d of %d bytes", res.delivered, res.sent))
+			}
+			if res.invariantErr != nil {
+				panic("shardedrx: " + res.invariantErr.Error())
+			}
+			if res.segLive != 0 {
+				panic(fmt.Sprintf("shardedrx: %d segments leaked", res.segLive))
+			}
+			add := func(label string, r shardedRXQueueRow) {
+				t.Add(label, fI(r.pkts), fI(r.segs), fI(r.stats.FlushEvent),
+					fI(r.stats.FlushInseqTimeout), fI(r.stats.FlushOfoTimeout),
+					fI(r.stats.OfoTimeouts), fF(float64(r.ooo)/float64(r.pkts)),
+					fF(float64(r.bytes)/(1<<20)))
+			}
+			var tot shardedRXQueueRow
+			for qi, row := range res.perQueue {
+				add(fI(int64(qi)), row)
+				tot.pkts += row.pkts
+				tot.segs += row.segs
+				tot.ooo += row.ooo
+				tot.bytes += row.bytes
+				tot.stats.Add(row.stats)
+			}
+			add("TOTAL", tot)
+			t.Note("mid-run RSS rehash moved %d of %d flows to a new queue — the worst-case handoff (FNV's low bits are linear in the salt, so a salt change remaps every flow, same as the serial RX): stranded holes drained on the old queue via its own timeouts, byte conservation held (%d bytes), 0 segments leaked across all lane pools",
+				res.handoffs, p.flows, res.sent)
+			t.Note("rows are keyed by logical queue (fixed at 8) and merged in queue order, so this table is byte-identical at any -j; wall-clock scaling is sim.shard_speedup_2 in the repository benchmark (bench/, -trace 1)")
+		}),
+	})
 }
