@@ -66,8 +66,8 @@ func BenchmarkJugglerReordered(b *testing.B) {
 // in-sequence packets, then a displaced pair: the later packet first
 // (opening a one-MSS hole, sealed by PSH), then the hole fill, which
 // merges the standalone segments — recycling the absorbed one — and
-// flushes the sealed result. One packet in four arrives out of place, the
-// same displacement rate the flowscale experiment drives. The per-packet
+// flushes the sealed result. One packet in four arrives out of place, about
+// the share the shardedrx experiment defers (~25%). The per-packet
 // figure must stay flat as concurrency grows three orders of magnitude —
 // the open-addressing lookup, free-list churn and deadline-queue expiry
 // are all O(1) per packet — and the loop must not allocate in steady

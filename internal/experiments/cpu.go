@@ -105,13 +105,11 @@ func init() {
 		desc:    "CPU overhead, 256 flows",
 		title:   "CPU overhead, %d flows at 20Gb/s total (40G Clos, 50%% bg load)",
 		columns: cpuColumns, notes: cpuNotes, shape: cpuShape,
-		fill: combine(func(o Options) []cpuScenario { return cpuPoints(quickOr(o, 256, 64), quickOr(o, 8, 4)) },
-			cpuRow, func(t *Table, scs []cpuScenario, rows [][]string) {
-				t.Title = fmt.Sprintf(t.Title, scs[0].flows)
-				for _, r := range rows {
-					t.Add(r...)
-				}
-			}),
+		fill: func(o Options, t *Table) {
+			flows := quickOr(o, 256, 64)
+			t.Title = fmt.Sprintf(t.Title, flows)
+			rows(fixed(cpuPoints(flows, quickOr(o, 8, 4))...), cpuRow)(o, t)
+		},
 	})
 
 	// §5.1.2: median end-to-end latency of 150 B RPCs with no competing

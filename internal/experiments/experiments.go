@@ -9,8 +9,8 @@
 //
 // Absolute numbers are not expected to match the paper's hardware testbed;
 // the shapes — who wins, by what rough factor, where crossovers fall — are
-// the reproduction targets. EXPERIMENTS.md records paper-vs-measured for
-// every row.
+// the reproduction targets. EXPERIMENTS.md sets each -quick table beside
+// the paper's claims.
 package experiments
 
 import (
@@ -78,16 +78,8 @@ type Options struct {
 	StampSample int
 }
 
-// DefaultOptions is the full-fidelity configuration.
-func DefaultOptions() Options { return Options{Seed: 1} }
-
 // scale returns d, shrunk in Quick mode.
-func (o Options) scale(d time.Duration) time.Duration {
-	if o.Quick {
-		return d / 4
-	}
-	return d
-}
+func (o Options) scale(d time.Duration) time.Duration { return quickOr(o, d, d/4) }
 
 // newSim creates one experiment simulation seeded with o.Seed and applies
 // the per-sim Options to it: the hop-stamp sampler (on every sim, traced

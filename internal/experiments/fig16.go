@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"time"
 
 	"juggler/internal/lb"
@@ -20,17 +21,22 @@ func init() {
 	// loss-recovery list).
 	register("fig16", entry{
 		desc:    "active-list histogram under realistic Clos reordering",
-		title:   "Active-list length statistics, realistic Clos reordering (256 flows)",
+		title:   "Active-list length statistics, realistic Clos reordering (%d flows)",
 		columns: []string{"nic", "active_mean", "active_p99", "active_max", "loss_list_p99", "loss_entries_per_s"},
 		notes:   []string{"paper 40G: mean < 1, p99 < 5; 10G: p99 < 6 with a near-empty loss-recovery list (~4 entries/s)"},
 		shape:   fig16Shape,
-		fill:    rows(fixed(units.Rate40G, units.Rate10G), fig16Row),
+		// The title names the flow count, which -quick halves.
+		fill: func(o Options, t *Table) {
+			flows := quickOr(o, 256, 128)
+			t.Title = fmt.Sprintf(t.Title, flows)
+			rows(fixed(units.Rate40G, units.Rate10G), func(o Options, nic units.BitRate) []string { return fig16Row(o, nic, flows) })(o, t)
+		},
 	})
 }
 
 // fig16Row samples the receive queue's active and loss-recovery lists
-// behind a receiver NIC of nicRate.
-func fig16Row(o Options, nicRate units.BitRate) []string {
+// behind a receiver NIC of nicRate: flows flows, 32 from each sender.
+func fig16Row(o Options, nicRate units.BitRate, flows int) []string {
 	s := o.newSim()
 	tb := newClos(s, 2*units.MB, lb.PolicyPerPacket)
 
@@ -40,10 +46,7 @@ func fig16Row(o Options, nicRate units.BitRate) []string {
 	rcvCfg.RX.SteerToQueue0 = true
 	receiver := tb.AddHost(0, rcvCfg)
 
-	flows, senders := 256, 8
-	if o.Quick {
-		flows, senders = 128, 4
-	}
+	senders := flows / 32
 	// 20G total offered: with the 10G NIC the downlink saturates and
 	// induces losses, as in the paper's Figure 16(b).
 	perFlow := 20 * units.Gbps / units.BitRate(flows)
@@ -63,7 +66,6 @@ func fig16Row(o Options, nicRate units.BitRate) []string {
 
 	var active, loss stats.Sampler
 	j := receiver.Jugglers[0]
-	entered0 := int64(0)
 	tick := sim.NewTicker(s, 100*time.Microsecond, func() {
 		active.Add(float64(j.ActiveLen()))
 		loss.Add(float64(j.LossLen()))
@@ -71,7 +73,7 @@ func fig16Row(o Options, nicRate units.BitRate) []string {
 	warm := o.scale(40 * time.Millisecond)
 	dur := o.scale(160 * time.Millisecond)
 	s.RunFor(warm)
-	entered0 = j.Stats.LossRecoveryEntered
+	entered0 := j.Stats.LossRecoveryEntered
 	tick.Start()
 	s.RunFor(dur)
 	tick.Stop()

@@ -63,8 +63,8 @@ func NewTX(s *sim.Sim, port *fabric.Port) *TX {
 }
 
 // SendTSO emits one super-segment of payloadLen bytes (<= 64 KB) starting
-// at seq on the given flow. The template supplies flags, priority, options
-// signature and path tag; flags that terminate a segment (PSH/FIN) are set
+// at seq on the given flow. The template supplies flags, priority and the
+// options signature; flags that terminate a segment (PSH/FIN) are set
 // only on the last packet. Every packet of the burst shares one TSOID.
 func (tx *TX) SendTSO(tmpl packet.Packet, seq uint32, payloadLen int) {
 	if payloadLen <= 0 {

@@ -111,15 +111,10 @@ type HostConfig struct {
 	// the timeouts from its live estimates. Ignored for non-Juggler
 	// offloads.
 	Adapt bool
-	// Costs is the CPU cost table (DefaultCosts when zero).
-	Costs cpumodel.Costs
 	// Conntrack, when non-nil, interposes a netfilter connection tracker
 	// on the post-offload segment stream (S3.1); in strict mode INVALID
 	// segments are dropped before TCP.
 	Conntrack *netfilter.Config
-	// Sender is the default TCP sender tuning for connections from this
-	// host.
-	Sender tcp.SenderConfig
 }
 
 // DefaultHostConfig returns a 40G host running the given offload.
@@ -129,7 +124,6 @@ func DefaultHostConfig(kind OffloadKind) HostConfig {
 		RX:       nic.DefaultRXConfig(),
 		Offload:  kind,
 		Juggler:  core.DefaultConfig(),
-		Costs:    cpumodel.DefaultCosts(),
 	}
 }
 
@@ -201,17 +195,11 @@ func NewHost(s *sim.Sim, name string, cfg HostConfig) *Host {
 	if cfg.LinkRate <= 0 {
 		panic("testbed: host needs a link rate")
 	}
-	if cfg.Costs == (cpumodel.Costs{}) {
-		cfg.Costs = cpumodel.DefaultCosts()
-	}
-	if cfg.RX.Queues <= 0 {
-		cfg.RX = nic.DefaultRXConfig()
-	}
 	h := &Host{
 		Name:      name,
 		sim:       s,
 		cfg:       cfg,
-		CPU:       cpumodel.New(s, cfg.Costs),
+		CPU:       cpumodel.New(s, cpumodel.DefaultCosts()),
 		receivers: map[packet.FiveTuple]*tcp.Receiver{},
 		senders:   map[packet.FiveTuple]*tcp.Sender{},
 		nextPort:  10000,
@@ -291,7 +279,7 @@ func (h *Host) onSegment(seg *packet.Segment) {
 	var cost time.Duration
 	if seg.Bytes == 0 {
 		// Pure ACK: cheaper receive path (no copy, no wakeup).
-		cost = h.cfg.Costs.AppPerSegment / 4
+		cost = h.CPU.Costs.AppPerSegment / 4
 	} else {
 		cost = h.CPU.AppSegmentCost(seg.Bytes, seg.Pkts, seg.Kind == packet.MergeLinkedList)
 	}
@@ -340,7 +328,7 @@ func (h *Host) route(seg *packet.Segment) {
 
 // sendACK transmits a receiver-generated ACK, charging the app core.
 func (h *Host) sendACK(p *packet.Packet) {
-	h.CPU.App.Charge(h.cfg.Costs.AppPerACKSent)
+	h.CPU.App.Charge(h.CPU.Costs.AppPerACKSent)
 	h.TX.SendRaw(p)
 }
 
