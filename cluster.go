@@ -111,7 +111,7 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 
 // AddHost attaches a host under ToR tor.
 func (c *Cluster) AddHost(tor int) *Node {
-	hostCfg := testbed.DefaultHostConfig(c.cfg.Stack.kind())
+	hostCfg := testbed.DefaultHostConfig(c.cfg.Stack)
 	hostCfg.LinkRate = units.BitRate(c.cfg.LinkRate)
 	hostCfg.Juggler = c.cfg.Tuning.coreConfig()
 	h := c.tb.AddHost(tor, hostCfg)

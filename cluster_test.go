@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"juggler/internal/replay"
 )
 
 func TestClusterDefaults(t *testing.T) {
@@ -87,8 +89,19 @@ func TestTraceThroughAPI(t *testing.T) {
 	if !strings.Contains(sum, "flush=") {
 		t.Fatalf("trace summary %q should report flushes", sum)
 	}
-	if !strings.Contains(sb.String(), "flush") {
-		t.Fatal("trace dump empty")
+	tr, err := replay.Parse(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatalf("trace dump does not parse as a recorded run: %v", err)
+	}
+	flushes := 0
+	for _, e := range tr.Events {
+		if e.Op == "flush" && e.Cause != "" {
+			flushes++
+		}
+	}
+	if len(tr.Packets) != 0 || flushes == 0 {
+		t.Fatalf("trace dump parsed to %d packets and %d flush decisions, want only ev lines with flushes",
+			len(tr.Packets), flushes)
 	}
 }
 

@@ -47,8 +47,9 @@
 // diagnosis.schema.json and exits 1 on mismatch.
 //
 // -explain and the exports need exactly one run: one scenario, an
-// experiment or a replay. -explain queries one flow's audit ring for the
-// decisions covering a sequence number:
+// experiment or a replay. -explain queries the flight recorder for one
+// flow's decisions covering a sequence number (-events sets how many
+// records the recorder keeps):
 //
 //	$ juggler-doctor -scenario storm -explain "flow=0 seq=1460000"
 //
@@ -133,7 +134,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	quick := fs.Bool("quick", false, "shrink transfers, sweeps and durations (~4-10x faster)")
 	jsonOut := fs.String("json", "", "write the JSON diagnosis here ('-' = stdout, suppressing the human report)")
 	check := fs.Bool("check", false, "validate the JSON diagnosis against the embedded schema; exit 1 on mismatch")
-	explainQ := fs.String("explain", "", `audit-ring provenance query, e.g. "flow=0 seq=292000"`)
+	explainQ := fs.String("explain", "", `decision provenance query, e.g. "flow=0 seq=292000"`)
 	traceOut := fs.String("trace", "", "write the run's Perfetto/Chrome trace-event JSON here")
 	pcapOut := fs.String("pcap", "", "write the run's pcapng packet capture here")
 	metricsOut := fs.String("metrics", "", "write the run's Prometheus text-format metrics snapshot here")
@@ -486,7 +487,7 @@ func causeCounts(tally map[string]int64) []telemetry.CauseCount {
 	return cc
 }
 
-// explain parses a "flow=K seq=N" query and prints the audit-ring
+// explain parses a "flow=K seq=N" query and prints the recorded
 // decisions that touched that flow and sequence range.
 func explain(w io.Writer, sink *telemetry.Sink, query string) error {
 	var flowArg string
@@ -533,11 +534,7 @@ func explain(w io.Writer, sink *telemetry.Sink, query string) error {
 	if fe == nil {
 		return fmt.Errorf("no forensic state for flow %q (%d flows tracked; use the index from the per-flow section)", flowArg, len(fx.Flows()))
 	}
-	matches, _ := fx.Explain(w, fe.Flow, uint32(seq))
-	if matches == 0 {
-		fmt.Fprintf(w, "no retained decision covers seq %d — the ring keeps the most recent %d decisions per flow\n",
-			seq, len(fe.Decisions()))
-	}
+	fx.Explain(w, fe.Flow, uint32(seq))
 	return nil
 }
 

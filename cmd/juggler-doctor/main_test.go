@@ -143,3 +143,22 @@ func TestOneRunFlagsNeedOneRun(t *testing.T) {
 		t.Fatalf("a rejected run wrote %s", path)
 	}
 }
+
+// TestExplainMissPrintedOnce: a seq no retained decision covers is
+// reported once, naming the flight recorder's capacity and -events.
+func TestExplainMissPrintedOnce(t *testing.T) {
+	var out bytes.Buffer
+	err := run([]string{"-quick", "-scenario", "reorder", "-explain", "flow=0 seq=4000000000"}, &out, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const miss = "no retained decision covers seq 4000000000"
+	if n := strings.Count(out.String(), miss); n != 1 {
+		t.Fatalf("miss line printed %d times, want 1:\n%s", n, out.String())
+	}
+	i := strings.Index(out.String(), miss)
+	line, _, _ := strings.Cut(out.String()[i:], "\n")
+	if !strings.Contains(line, "65536 records") || !strings.Contains(line, "-events") {
+		t.Fatalf("miss line %q should name the recorder's capacity and -events", line)
+	}
+}

@@ -41,6 +41,7 @@ import (
 	"juggler/internal/cliflags"
 	"juggler/internal/prof"
 	"juggler/internal/sweep"
+	"juggler/internal/testbed"
 )
 
 func main() {
@@ -86,18 +87,9 @@ func run() error {
 	}
 	defer pf.Stop()
 
-	var kind juggler.Stack
-	switch *stack {
-	case "juggler":
-		kind = juggler.StackJuggler
-	case "vanilla":
-		kind = juggler.StackVanilla
-	case "linkedlist":
-		kind = juggler.StackLinkedList
-	case "none":
-		kind = juggler.StackNone
-	default:
-		return fmt.Errorf("unknown stack %q", *stack)
+	kind, err := testbed.ParseOffloadKind(*stack)
+	if err != nil {
+		return err
 	}
 
 	taus, err := parseReorder(*reorder)

@@ -66,7 +66,7 @@ func TestImpairmentsDeterministic(t *testing.T) {
 			return NewDuplicator(s, 0.1, 100*time.Microsecond, dst)
 		},
 		"corrupt": func(s *sim.Sim, dst fabric.Sink) Impairment {
-			return NewCorruptor(s, 0.1, CorruptOptions, dst)
+			return NewCorruptor(s, 0.1, dst)
 		},
 		"reorder": func(s *sim.Sim, dst fabric.Sink) Impairment {
 			return NewReorderer(s, 0.3, 200*time.Microsecond, dst)
@@ -104,20 +104,12 @@ func TestImpairmentsDoSomething(t *testing.T) {
 
 	s = sim.New(1)
 	col = &collector{s: s}
-	cor := NewCorruptor(s, 1, CorruptOptions, col)
+	cor := NewCorruptor(s, 1, col)
 	sendStream(s, cor, 50)
 	for _, p := range col.pkts {
 		if p.OptSig == 0 {
 			t.Fatal("corruptor left an options signature untouched at prob 1")
 		}
-	}
-
-	s = sim.New(1)
-	col = &collector{s: s}
-	drop := NewCorruptor(s, 1, CorruptDrop, col)
-	sendStream(s, drop, 50)
-	if len(col.pkts) != 0 || drop.Stats().Dropped != 50 {
-		t.Errorf("checksum-drop corruption delivered %d packets", len(col.pkts))
 	}
 }
 

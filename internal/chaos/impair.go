@@ -184,22 +184,12 @@ func (d *Duplicator) Deliver(p *packet.Packet) {
 // Stats implements Impairment.
 func (d *Duplicator) Stats() ImpairStats { return d.st }
 
-// CorruptMode selects what Corruptor does to an affected packet.
-type CorruptMode uint8
-
-const (
-	// CorruptDrop models payload corruption caught by the checksum: the
-	// NIC discards the frame, so corruption degenerates to loss (counted
-	// separately).
-	CorruptDrop CorruptMode = iota
-	// CorruptOptions scrambles the TCP options signature while leaving the
-	// byte range intact — a deliverable header mutation that breaks GRO
-	// merge compatibility (Table 2, row 4) without fabricating payload, so
-	// order and conservation invariants must still hold around it.
-	CorruptOptions
-)
-
-// Corruptor corrupts each packet with probability Prob, according to Mode.
+// Corruptor corrupts each packet with probability Prob by scrambling its
+// TCP options signature while leaving the byte range intact — a
+// deliverable header mutation that breaks GRO merge compatibility
+// (Table 2, row 4) without fabricating payload, so order and
+// conservation invariants must still hold around it. (Payload corruption
+// that the checksum catches is a drop: model it with Loss.)
 type Corruptor struct {
 	sim *sim.Sim
 	dst fabric.Sink
@@ -207,15 +197,14 @@ type Corruptor struct {
 	// Prob is the per-packet corruption probability; scenarios may change
 	// it mid-run.
 	Prob float64
-	Mode CorruptMode
 
 	st ImpairStats
 }
 
 // NewCorruptor creates a corruption element feeding dst.
-func NewCorruptor(s *sim.Sim, prob float64, mode CorruptMode, dst fabric.Sink) *Corruptor {
+func NewCorruptor(s *sim.Sim, prob float64, dst fabric.Sink) *Corruptor {
 	checkProb("chaos: corruptor", prob)
-	return &Corruptor{sim: s, dst: dst, Prob: prob, Mode: mode, st: ImpairStats{Name: "corrupt"}}
+	return &Corruptor{sim: s, dst: dst, Prob: prob, st: ImpairStats{Name: "corrupt"}}
 }
 
 // Deliver implements fabric.Sink.
@@ -223,13 +212,7 @@ func (c *Corruptor) Deliver(p *packet.Packet) {
 	c.st.In++
 	if c.Prob > 0 && c.sim.Rand().Float64() < c.Prob {
 		c.st.Corrupted++
-		switch c.Mode {
-		case CorruptDrop:
-			c.st.Dropped++
-			return
-		case CorruptOptions:
-			p.OptSig ^= c.sim.Rand().Uint32() | 1 // |1 guarantees a change
-		}
+		p.OptSig ^= c.sim.Rand().Uint32() | 1 // |1 guarantees a change
 	}
 	c.dst.Deliver(p)
 }

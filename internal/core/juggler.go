@@ -726,7 +726,7 @@ func (j *Juggler) bufferAndCheck(e *flowEntry, p *packet.Packet) {
 	j.arm(j.deadlineForHead(e, j.eventFlush(e)), j.sim.Now())
 }
 
-// Decision causes recorded in the forensics audit ring (constant strings
+// Decision causes recorded with each forensics decision (constant strings
 // so recording never allocates). The flush causes name the Table-2
 // condition that closed the segment.
 const (
@@ -794,7 +794,7 @@ func (j *Juggler) eventFlush(e *flowEntry) *packet.Segment {
 
 // flushHead delivers the head segment and advances flow state; reason
 // points at the statistic to increment; cause names the Table-2 condition
-// for the forensics audit ring. Callers refresh the flow's deadline-queue
+// for the forensics decision record. Callers refresh the flow's deadline-queue
 // position afterwards.
 func (j *Juggler) flushHead(e *flowEntry, reason *int64, cause string) {
 	seg := e.sl.PopHead()

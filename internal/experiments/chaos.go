@@ -96,7 +96,7 @@ var chaosCatalog = []chaosScenario{
 		name: "corrupt", desc: "TCP options signature scramble on 5% of packets (strict order)",
 		strict: true,
 		build: func(ctx *chaosCtx) (fabric.Sink, []chaos.Impairment) {
-			c := chaos.NewCorruptor(ctx.s, 0, chaos.CorruptOptions, ctx.toReceiver)
+			c := chaos.NewCorruptor(ctx.s, 0, ctx.toReceiver)
 			rampProb(ctx, "corrupt prob", func(p float64) { c.Prob = p }, ctx.prob(0.05))
 			return c, []chaos.Impairment{c}
 		},

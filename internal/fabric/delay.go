@@ -47,9 +47,6 @@ func (d *DelayLine) Deliver(p *packet.Packet) {
 type DelaySwitch struct {
 	sim   *sim.Sim
 	lines [2]*DelayLine
-	// Pick overrides the line choice (default: uniform random from the
-	// simulation's RNG).
-	Pick func(p *packet.Packet) int
 
 	// Counts per line, for tests.
 	Routed [2]int64
@@ -66,12 +63,7 @@ func NewDelaySwitch(s *sim.Sim, tau time.Duration, egress Sink) *DelaySwitch {
 
 // Deliver implements Sink.
 func (ds *DelaySwitch) Deliver(p *packet.Packet) {
-	var i int
-	if ds.Pick != nil {
-		i = ds.Pick(p) & 1
-	} else {
-		i = ds.sim.Rand().Intn(2)
-	}
+	i := ds.sim.Rand().Intn(2)
 	ds.Routed[i]++
 	ds.lines[i].Deliver(p)
 }

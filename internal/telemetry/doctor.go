@@ -70,7 +70,7 @@ type SlowReport struct {
 	Spans []SpanNs `json:"spans"`
 }
 
-// DecisionReport is one audit-ring decision in the diagnosis.
+// DecisionReport is one recorded decision in the diagnosis.
 type DecisionReport struct {
 	AtNs    int64  `json:"at_ns"`
 	Layer   string `json:"layer"`
@@ -130,9 +130,9 @@ type Diagnosis struct {
 	Spans       []SpanReport `json:"spans"`
 	Slowest     []SlowReport `json:"slowest,omitempty"`
 	Decisions   []OpReport   `json:"decisions,omitempty"`
-	// Retunes excerpts the host-scoped decision ring: the adapt
-	// controller's knob changes, oldest first (RetuneTotal is exact even
-	// when the ring rotated).
+	// Retunes excerpts the host-scoped decisions the flight recorder
+	// holds: the adapt controller's knob changes, oldest first
+	// (RetuneTotal is exact even when the recorder rotated).
 	RetuneTotal        int64            `json:"retune_total,omitempty"`
 	Retunes            []DecisionReport `json:"retunes,omitempty"`
 	TruncatedFlows     int64            `json:"truncated_decisions"`
@@ -150,7 +150,7 @@ type Diagnosis struct {
 // runs stay readable; FlowsOmitted records the clip.
 const diagnosisFlowCap = 32
 
-// lastDecisionCap bounds the audit-ring excerpt per flow report.
+// lastDecisionCap bounds the recorded-decision excerpt per flow report.
 const lastDecisionCap = 8
 
 // retuneReportCap bounds the host-scoped retune excerpt.
@@ -212,7 +212,7 @@ func (k *Sink) Diagnose(meta DiagnosisMeta) *Diagnosis {
 		d.Decisions = append(d.Decisions, opReport(Op(op), f.opTotal[op], f.causes[op]))
 	}
 
-	d.RetuneTotal = f.GlobalTotal
+	d.RetuneTotal = f.OpTotal(OpRetune)
 	retunes := f.GlobalDecisions()
 	if len(retunes) > retuneReportCap {
 		retunes = retunes[len(retunes)-retuneReportCap:]

@@ -23,12 +23,15 @@ const (
 
 // Forensics bounds and watchdog limits.
 const (
-	// flowCap bounds how many flows get audit rings and per-flow
+	// flowCap bounds how many flows get forensic state and per-flow
 	// attribution; decisions beyond it still count in the global tallies
 	// and TruncatedDecisions.
 	flowCap = 1024
-	// ringCap is the per-flow audit-ring depth in decisions.
-	ringCap = 64
+	// flowDecisionCap bounds FlowForensics.Decisions, and so Explain's
+	// window, to a flow's newest decisions the flight recorder holds.
+	flowDecisionCap = 64
+	// retuneCap bounds GlobalDecisions likewise.
+	retuneCap = 128
 	// topK bounds the slowest-deliveries leaderboard.
 	topK = 8
 	// watchdogWindow is the watchdog's tumbling window in virtual time.
@@ -69,16 +72,16 @@ type Anomaly struct {
 // exact totals past it.
 const anomalyCap = 256
 
-// FlowForensics is one flow's forensic state: its decision audit ring plus
-// per-flow latency attribution. Exported accessors return copies so the
-// doctor and tests cannot corrupt the ring.
+// FlowForensics is one flow's forensic state: exact decision tallies and
+// per-flow latency attribution. Its decision records stay in the flight
+// recorder, the one store of records; Decisions reads them from there.
 type FlowForensics struct {
 	Flow  packet.FiveTuple
 	Index int // registration order, stable across same-seed runs
 
-	ring ring[Record]
-	// Total counts all decisions ever recorded (the ring keeps the last
-	// ringCap of them); ByOp splits the total per op.
+	rec *Recorder
+	// Total counts all decisions ever recorded (the flight recorder may
+	// hold fewer); ByOp splits the total per op.
 	Total int64
 	ByOp  [NumOps]int64
 
@@ -94,16 +97,19 @@ type FlowForensics struct {
 	inflated      bool
 }
 
-// Decisions returns the ring's retained decisions, oldest first.
+// Decisions returns the flow's newest decisions the flight recorder still
+// holds, at most flowDecisionCap of them, oldest first.
 func (fe *FlowForensics) Decisions() []Record {
-	if fe == nil || fe.Total == 0 {
+	if fe == nil {
 		return nil
 	}
-	return fe.ring.items()
+	return fe.rec.last(flowDecisionCap, func(r *Record) bool {
+		return r.Cause != "" && r.Op != OpRetune && r.Flow == fe.Flow
+	})
 }
 
 // Forensics is the per-run forensic state hanging off a Sink: latency
-// attribution, per-flow decision audit rings, and the streaming anomaly
+// attribution, per-flow decision tallies, and the streaming anomaly
 // watchdog. All bounds are fixed up front so steady-state recording does
 // not allocate (new flows are the only growth, and they are capped).
 type Forensics struct {
@@ -132,15 +138,8 @@ type Forensics struct {
 	// string comparison instead of hashing the key on every decision.
 	causes [NumOps][]CauseCount
 	// TruncatedDecisions counts decisions from flows beyond flowCap,
-	// which were tallied globally but kept no audit ring.
+	// which were tallied globally but kept no per-flow state.
 	TruncatedDecisions int64
-
-	// Global (host-scoped) decision ring: decisions that are not about
-	// any one flow — today the adapt controller's retunes. Bounded like
-	// the per-flow rings; GlobalTotal keeps the exact count past it. Nil
-	// until the first retune.
-	global      *ring[Record]
-	GlobalTotal int64
 
 	// Watchdog. akTotal counts anomalies per anomalyKinds entry.
 	anomalies  []Anomaly
@@ -148,11 +147,6 @@ type Forensics struct {
 	evictWinAt sim.Time
 	evictInWin int64
 }
-
-// globalRingCap bounds the host-scoped decision ring. Retunes are rare
-// by construction (hysteresis + bounded steps), so this keeps hours of
-// virtual time.
-const globalRingCap = 128
 
 func newForensics(k *Sink) *Forensics {
 	return &Forensics{
@@ -186,14 +180,14 @@ func (f *Forensics) FlowState(ft packet.FiveTuple) *FlowForensics {
 	return f.flows[ft]
 }
 
-// GlobalDecisions returns the retained host-scoped decisions (adapt
-// retunes), oldest first. GlobalTotal may be larger when the ring
-// rotated.
+// GlobalDecisions returns the host-scoped decisions (adapt retunes) the
+// flight recorder still holds, at most retuneCap of them, oldest first.
+// OpTotal(OpRetune) counts them all.
 func (f *Forensics) GlobalDecisions() []Record {
-	if f == nil || f.GlobalTotal == 0 {
+	if f == nil {
 		return nil
 	}
-	return f.global.items()
+	return f.k.Recorder.last(retuneCap, func(r *Record) bool { return r.Op == OpRetune && r.Cause != "" })
 }
 
 // Anomalies returns the retained watchdog findings (AnomalyTotal may be
@@ -246,13 +240,14 @@ func (f *Forensics) CauseCount(op Op, cause string) int64 {
 	return 0
 }
 
-// decide tallies one decision (a record with a cause) and files it in its
-// flow's audit ring, or in the global ring for a retune.
+// decide tallies one decision (a record with a cause) and runs the
+// watchdog on it; the record itself stays in the flight recorder.
 func (f *Forensics) decide(d *Record) {
 	op := d.Op
 	if f.opTotal[op] == 0 {
 		// Registered on the op's first decision: the family's snapshot
 		// position, and its absence from decision-free runs, follow use.
+		// Exporter goldens pin the help text, which predates the views.
 		f.k.Metrics.CounterOf("forensics_decisions_total",
 			"Datapath decisions recorded in the forensics audit rings.",
 			"op", opNames[op], &f.opTotal[op])
@@ -265,13 +260,7 @@ func (f *Forensics) decide(d *Record) {
 	}
 
 	if op == OpRetune {
-		// Host-scoped: no flow, no per-flow ring, no watchdog windows.
-		if f.global == nil {
-			r := newRing[Record](globalRingCap)
-			f.global = &r
-		}
-		f.global.push(d)
-		f.GlobalTotal++
+		// Host-scoped: no flow, no per-flow tallies, no watchdog windows.
 		return
 	}
 
@@ -279,7 +268,6 @@ func (f *Forensics) decide(d *Record) {
 	if fe == nil {
 		f.TruncatedDecisions++
 	} else {
-		fe.ring.push(d)
 		fe.Total++
 		fe.ByOp[op]++
 	}
@@ -353,8 +341,7 @@ func (f *Forensics) flowFor(ft packet.FiveTuple) *FlowForensics {
 	if len(f.order) >= flowCap {
 		return nil
 	}
-	fe := &FlowForensics{Flow: ft, Index: len(f.order),
-		ring: newRing[Record](ringCap)}
+	fe := &FlowForensics{Flow: ft, Index: len(f.order), rec: f.k.Recorder}
 	f.flows[ft] = fe
 	f.order = append(f.order, fe)
 	f.lastFlow, f.lastFE = ft, fe
@@ -370,20 +357,20 @@ func (d *Record) covers(seq uint32) bool {
 	return packet.SeqLEQ(d.Seq, seq) && packet.SeqLess(seq, d.EndSeq)
 }
 
-// Explain answers a "why" query from the audit ring: it prints every
-// retained decision about byte seq of flow ft — plus the flow-scoped
-// decisions (phase transitions, evictions, timeouts) that set their
-// context — and returns how many seq-specific decisions matched. A return
-// of 0 with ok=true means the flow is tracked but the ring holds no
-// decision covering seq (rotated out or never recorded); ok=false means
-// the flow is untracked.
+// Explain answers a "why" query from the flight recorder: it prints every
+// decision about byte seq of flow ft among the flow's Decisions — plus the
+// flow-scoped decisions (phase transitions, evictions, timeouts) that set
+// their context — and returns how many seq-specific decisions matched. A
+// return of 0 with ok=true means the flow is tracked but no retained
+// decision covers seq (rotated out or never recorded), which it says;
+// ok=false means the flow is untracked.
 func (f *Forensics) Explain(w io.Writer, ft packet.FiveTuple, seq uint32) (matches int, ok bool) {
 	fe := f.FlowState(ft)
 	if fe == nil {
 		return 0, false
 	}
-	fmt.Fprintf(w, "flow %v seq %d — %d decisions recorded (ring keeps last %d):\n",
-		ft, seq, fe.Total, ringCap)
+	fmt.Fprintf(w, "flow %v seq %d — %d decisions recorded (searching the last %d the flight recorder holds):\n",
+		ft, seq, fe.Total, flowDecisionCap)
 	// Host-scoped retunes interleave as context: a timeout change often
 	// explains why a later flush fired (or stopped firing).
 	decs := fe.Decisions()
@@ -430,7 +417,8 @@ func (f *Forensics) Explain(w io.Writer, ft packet.FiveTuple, seq uint32) (match
 		fmt.Fprintln(w)
 	}
 	if matches == 0 {
-		fmt.Fprintf(w, "  no retained decision covers seq %d\n", seq)
+		fmt.Fprintf(w, "  no retained decision covers seq %d — only the flow's last %d decisions are searched, and the flight recorder keeps the last %d records of all flows (-events sets it)\n",
+			seq, flowDecisionCap, len(f.k.Recorder.records.buf))
 	}
 	return matches, true
 }

@@ -54,7 +54,7 @@ func TestSojournTelescoping(t *testing.T) {
 	}
 	// The run must have produced provenance too, not just latency numbers.
 	if len(d.Decisions) == 0 {
-		t.Fatal("no decisions recorded — audit rings not wired into the datapath")
+		t.Fatal("no decisions recorded — decisions not wired into the datapath")
 	}
 }
 

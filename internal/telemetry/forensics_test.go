@@ -2,9 +2,11 @@ package telemetry
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"juggler/internal/packet"
 	"juggler/internal/sim"
@@ -17,8 +19,8 @@ func forensicsSink() (*sim.Sim, *Sink) {
 	return s, k
 }
 
-// TestDecisionRingRotation checks the per-flow audit ring keeps the newest
-// 64 decisions, oldest first, while the totals keep exact count.
+// TestDecisionRingRotation checks a flow's Decisions keep its newest 64
+// decisions, oldest first, while the totals keep exact count.
 func TestDecisionRingRotation(t *testing.T) {
 	s, k := forensicsSink()
 	for i := 0; i < 70; i++ {
@@ -35,10 +37,10 @@ func TestDecisionRingRotation(t *testing.T) {
 	}
 	decs := fe.Decisions()
 	if len(decs) != 64 {
-		t.Fatalf("ring retained %d decisions, want 64", len(decs))
+		t.Fatalf("Decisions returned %d, want 64", len(decs))
 	}
 	if decs[0].Seq != 6*1460 || decs[63].Seq != 69*1460 {
-		t.Fatalf("ring kept seqs %d..%d, want %d..%d", decs[0].Seq, decs[63].Seq, 6*1460, 69*1460)
+		t.Fatalf("Decisions kept seqs %d..%d, want %d..%d", decs[0].Seq, decs[63].Seq, 6*1460, 69*1460)
 	}
 	if got := k.Forensics.OpTotal(OpFlush); got != 70 {
 		t.Fatalf("global OpTotal(flush)=%d, want 70", got)
@@ -48,8 +50,70 @@ func TestDecisionRingRotation(t *testing.T) {
 	}
 }
 
+// TestDecisionsViewTheRecorder: a flow's Decisions and the retunes are
+// views of the flight recorder, so once it rotates they return exactly
+// the decisions it still holds, Explain names its capacity for a
+// rotated-out seq, and the tallies stay exact.
+func TestDecisionsViewTheRecorder(t *testing.T) {
+	s := sim.New(1)
+	k := New(s, Options{EventCap: 16})
+	other := testFlow
+	other.SrcPort++
+	for i := 0; i < 20; i++ {
+		k.Record(&Record{Layer: LayerCore, Op: OpFlush, Cause: "sealed", Flow: testFlow,
+			Seq: uint32(i * 1460), EndSeq: uint32((i + 1) * 1460)})
+		k.Record(&Record{Layer: LayerNIC, Op: OpPoll, Flow: testFlow, N: 1})
+		if i%4 == 0 {
+			k.Record(&Record{Layer: LayerCore, Op: OpFlush, Cause: "sealed", Flow: other})
+		}
+		if i == 5 || i == 18 {
+			k.Record(&Record{Layer: LayerHost, Op: OpRetune, Cause: "raise", N: int64(i), Note: "ofo"})
+		}
+		s.RunFor(time.Microsecond)
+	}
+	var flow, retunes []Record
+	for _, r := range k.Recorder.Records() {
+		switch {
+		case r.Op == OpRetune:
+			retunes = append(retunes, r)
+		case r.Cause != "" && r.Flow == testFlow:
+			flow = append(flow, r)
+		}
+	}
+	f := k.Forensics
+	fe := f.FlowState(testFlow)
+	if got := fe.Decisions(); len(flow) == 0 || !slices.Equal(got, flow) {
+		t.Fatalf("Decisions = %d records, want the recorder's %d for the flow", len(got), len(flow))
+	}
+	if got := f.GlobalDecisions(); len(retunes) != 1 || !slices.Equal(got, retunes) {
+		t.Fatalf("GlobalDecisions = %+v, want the recorder's retunes %+v", got, retunes)
+	}
+	if fe.Total != 20 || fe.ByOp[OpFlush] != 20 || f.OpTotal(OpFlush) != 25 ||
+		f.CauseCount(OpFlush, "sealed") != 25 || f.OpTotal(OpRetune) != 2 {
+		t.Fatalf("tallies Total=%d ByOp[flush]=%d OpTotal(flush)=%d CauseCount=%d OpTotal(retune)=%d, want 20/20/25/25/2",
+			fe.Total, fe.ByOp[OpFlush], f.OpTotal(OpFlush), f.CauseCount(OpFlush, "sealed"), f.OpTotal(OpRetune))
+	}
+	var buf bytes.Buffer
+	if matches, ok := f.Explain(&buf, testFlow, 0); matches != 0 || !ok {
+		t.Fatalf("Explain(rotated-out seq) = %d, %v; want 0, ok", matches, ok)
+	}
+	if !strings.Contains(buf.String(), "no retained decision covers seq 0") ||
+		!strings.Contains(buf.String(), "last 16 records") {
+		t.Fatalf("Explain should name the recorder's 16-record capacity:\n%s", buf.String())
+	}
+}
+
+// TestFlowForensicsSize pins a tracked flow's forensic state at 280
+// bytes: it holds tallies and attribution, and its decision records stay
+// in the flight recorder rather than in a per-flow copy.
+func TestFlowForensicsSize(t *testing.T) {
+	if n := unsafe.Sizeof(FlowForensics{}); n != 280 {
+		t.Fatalf("FlowForensics is %d bytes, want 280", n)
+	}
+}
+
 // TestFlowCapTruncation checks flows beyond the first 1024 still count
-// globally but keep no ring, recorded in TruncatedDecisions.
+// globally but keep no per-flow state, recorded in TruncatedDecisions.
 func TestFlowCapTruncation(t *testing.T) {
 	_, k := forensicsSink()
 	flow := testFlow

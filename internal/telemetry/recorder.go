@@ -3,6 +3,7 @@ package telemetry
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 )
 
@@ -62,15 +63,18 @@ func (r *Recorder) Layers() int {
 	return n
 }
 
-// Dump writes a readable timeline of the retained records.
-func (r *Recorder) Dump(w io.Writer) {
-	for _, e := range r.Records() {
-		fmt.Fprintf(w, "%12v  %-6s %-10s  %v seq=%d n=%d", e.At, e.Layer, e.Op, e.Flow, e.Seq, e.N)
-		if e.Cause != "" {
-			fmt.Fprintf(w, " cause=%s", e.Cause)
+// last returns at most n of the newest retained records that keep
+// accepts, oldest first: the forensics views are filters over the one
+// store.
+func (r *Recorder) last(n int, keep func(*Record) bool) []Record {
+	var out []Record
+	for i := r.Len() - 1; i >= 0 && len(out) < n; i-- {
+		if rec := r.records.at(i); keep(rec) {
+			out = append(out, *rec)
 		}
-		fmt.Fprintf(w, " %s\n", e.Note)
 	}
+	slices.Reverse(out)
+	return out
 }
 
 // WriteEvents exports the retained records as "ev" lines of the recorded-

@@ -1,8 +1,7 @@
 package telemetry
 
 // ring is a bounded buffer that keeps the newest len(buf) values pushed:
-// the flight recorder, the packet capture and the forensics decision rings
-// all retain their tail through it.
+// the flight recorder and the packet capture retain their tail through it.
 type ring[T any] struct {
 	buf  []T
 	next int
@@ -37,4 +36,12 @@ func (r *ring[T]) items() []T {
 		out = append(out, r.buf[r.next:]...)
 	}
 	return append(out, r.buf[:r.next]...)
+}
+
+// at returns the i-th oldest retained value.
+func (r *ring[T]) at(i int) *T {
+	if r.full {
+		i = (r.next + i) % len(r.buf)
+	}
+	return &r.buf[i]
 }

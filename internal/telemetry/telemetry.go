@@ -63,8 +63,8 @@ func (l Layer) String() string {
 type Op uint8
 
 // The record ops. Flush, phase, evict, timeout, pass and retune records
-// that carry a Cause are datapath decisions and also enter the forensics
-// audit rings; every other op is a plain occurrence.
+// that carry a Cause are datapath decisions and also feed the forensics
+// tallies; every other op is a plain occurrence.
 const (
 	// OpFlush is a receive-offload flush (segment delivered upward). Cause
 	// says which Table-2 condition closed it ("sealed", "full",
@@ -100,7 +100,7 @@ const (
 	OpCwnd
 	// OpRetune is an adapt-controller knob change (N = new value in ns,
 	// note names the knob). Retunes are host-scoped, not flow-scoped:
-	// they land in the global decision ring, not a per-flow audit ring.
+	// Forensics.GlobalDecisions reads them, not a flow's Decisions.
 	OpRetune
 	// NumOps sizes per-op arrays.
 	NumOps = int(OpRetune) + 1
@@ -185,7 +185,7 @@ type Sink struct {
 	// Capture is the wire-level packet capture.
 	Capture *Capture
 	// Forensics is the flow-forensics state: per-layer latency
-	// attribution, decision audit rings, anomaly watchdog.
+	// attribution, decision tallies, anomaly watchdog.
 	Forensics *Forensics
 
 	tracks []string
@@ -231,9 +231,9 @@ func (k *Sink) Reg() *Registry {
 }
 
 // Record stamps the current virtual time into *r and stores it; safe on
-// nil. Every record enters the flight recorder. A record with a Cause is
-// a decision and also enters the forensics state: its flow's audit ring,
-// or the global ring for a retune. Records are passed by pointer because
+// nil. Every record is copied once, into the flight recorder, the one
+// store of records. A record with a Cause is a decision and also updates
+// the forensics tallies and watchdog. Records are passed by pointer because
 // a Record is ~100 bytes and the hot path writes several per flush. The
 // nil test sits in this inlinable wrapper so that, with telemetry off, the
 // caller's Record literal is never built.

@@ -53,7 +53,7 @@ func TestDisabledPathZeroAlloc(t *testing.T) {
 
 // TestRecordZeroAlloc pins the steady-state cost of Sink.Record on each
 // route a record can take — flight recorder only, recorder plus the
-// flow's audit ring, recorder plus the global retune ring — once the
+// flow's decision tallies, recorder plus the retune tally — once the
 // flow and its metric families exist: recording must not allocate.
 func TestRecordZeroAlloc(t *testing.T) {
 	k := New(sim.New(1), Options{EventCap: 64})
@@ -62,17 +62,17 @@ func TestRecordZeroAlloc(t *testing.T) {
 		r    Record
 	}{
 		{"recorder", Record{Layer: LayerNIC, Op: OpPoll, N: 12, Note: "batch"}},
-		{"recorder+flow-ring", Record{Layer: LayerCore, Op: OpFlush, Cause: "sealed", Flow: testFlow,
+		{"recorder+flow-decision", Record{Layer: LayerCore, Op: OpFlush, Cause: "sealed", Flow: testFlow,
 			Seq: 0, EndSeq: 1460, N: 1}},
-		{"recorder+global-ring", Record{Layer: LayerHost, Op: OpRetune, Cause: "raise", N: 1000, Note: "ofo"}},
+		{"recorder+retune", Record{Layer: LayerHost, Op: OpRetune, Cause: "raise", N: 1000, Note: "ofo"}},
 	} {
 		r := tc.r
-		k.Record(&r) // warm: flow ring, global ring, counters, cause tally
+		k.Record(&r) // warm: flow state, counters, cause tally
 		if n := testing.AllocsPerRun(200, func() { k.Record(&r) }); n != 0 {
 			t.Errorf("%s: %v allocs/op, want 0", tc.name, n)
 		}
 	}
-	if k.Forensics.OpTotal(OpPoll) != 0 || k.Forensics.FlowState(testFlow).Total == 0 || k.Forensics.GlobalTotal == 0 {
+	if k.Forensics.OpTotal(OpPoll) != 0 || k.Forensics.FlowState(testFlow).Total == 0 || k.Forensics.OpTotal(OpRetune) == 0 {
 		t.Fatal("records did not take their routes")
 	}
 }
@@ -381,8 +381,8 @@ func BenchmarkRecordDisabled(b *testing.B) {
 }
 
 // BenchmarkRecordEnabled measures the recording cost with telemetry on,
-// for an audited decision: the two-ring route (flight recorder plus the
-// flow's audit ring).
+// for an audited decision: one copy into the flight recorder plus the
+// flow's forensics tallies.
 func BenchmarkRecordEnabled(b *testing.B) {
 	s := sim.New(1)
 	k := New(s, Options{EventCap: 1 << 12})

@@ -52,38 +52,21 @@ const (
 func (r Rate) String() string { return units.BitRate(r).String() }
 
 // Stack selects the receive-offload implementation at a host.
-type Stack int
+type Stack = testbed.OffloadKind
 
 // The stacks compared throughout the paper.
 const (
 	// StackVanilla is today's Linux GRO: batching breaks and TCP
 	// misbehaves under reordering.
-	StackVanilla Stack = iota
+	StackVanilla = testbed.OffloadVanilla
 	// StackJuggler is the paper's reordering-resilient GRO.
-	StackJuggler
+	StackJuggler = testbed.OffloadJuggler
 	// StackLinkedList batches out-of-order packets in a linked list
 	// (§3.1 strawman; ~50% more CPU).
-	StackLinkedList
+	StackLinkedList = testbed.OffloadLinkedList
 	// StackNone disables receive offload entirely.
-	StackNone
+	StackNone = testbed.OffloadNone
 )
-
-// String names the stack.
-func (k Stack) String() string { return k.kind().String() }
-
-func (k Stack) kind() testbed.OffloadKind {
-	switch k {
-	case StackVanilla:
-		return testbed.OffloadVanilla
-	case StackJuggler:
-		return testbed.OffloadJuggler
-	case StackLinkedList:
-		return testbed.OffloadLinkedList
-	case StackNone:
-		return testbed.OffloadNone
-	}
-	panic("juggler: unknown stack")
-}
 
 // Tuning holds Juggler's two global knobs plus the flow-table bound (§4.1,
 // §5.2.1).
@@ -108,9 +91,8 @@ type Tuning struct {
 // DefaultTuning returns the paper's recommended tuning for a line rate:
 // inseq_timeout sized to one 64KB batch, ofo_timeout 50us, 64-entry table.
 func DefaultTuning(lineRate Rate) Tuning {
-	inseq := time.Duration(int64(units.TSOMaxBytes*8) * int64(time.Second) / int64(lineRate))
 	return Tuning{
-		InseqTimeout: inseq,
+		InseqTimeout: units.TxTimeNoOverhead(units.TSOMaxBytes, units.BitRate(lineRate)),
 		OfoTimeout:   50 * time.Microsecond,
 		MaxFlows:     64,
 	}

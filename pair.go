@@ -71,7 +71,7 @@ func NewReorderPair(cfg ReorderPairConfig) *ReorderPair {
 	if cfg.Telemetry {
 		telemetry.New(s, telemetry.Options{})
 	}
-	rcvCfg := testbed.DefaultHostConfig(cfg.Receiver.kind())
+	rcvCfg := testbed.DefaultHostConfig(cfg.Receiver)
 	rcvCfg.Juggler = cfg.Tuning.coreConfig()
 	rcvCfg.Adapt = cfg.Tuning.Adapt
 	tb := testbed.NewNetFPGAPair(s, units.BitRate(cfg.Rate), cfg.ReorderDelay,
@@ -206,14 +206,16 @@ func (p *ReorderPair) EnableTrace(n int) {
 	}
 }
 
-// DumpTrace writes the recorded event timeline to w and returns a per-kind
-// summary line.
+// DumpTrace writes the recorded event timeline to w as the "ev" lines of
+// the recorded-run format (juggler-doctor -replay reads them back) and
+// returns a per-kind summary line. The dump is best effort: a write error
+// on w is dropped.
 func (p *ReorderPair) DumpTrace(w io.Writer) string {
 	k := telemetry.FromSim(p.s)
 	if k == nil {
 		return "(no events)"
 	}
-	k.Recorder.Dump(w)
+	_ = k.Recorder.WriteEvents(w)
 	return k.Recorder.Summary()
 }
 
