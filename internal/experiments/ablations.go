@@ -22,20 +22,19 @@ func init() {
 		notes:   []string{"paper: linked-list batching costs ~50% more CPU than frags merging on in-order traffic; offload disabled is far worse still"},
 		shape:   linkedListShape,
 		fill: combine(fixed(testbed.OffloadVanilla, testbed.OffloadLinkedList, testbed.OffloadJuggler, testbed.OffloadNone),
-			func(o Options, kind testbed.OffloadKind) bulkResult {
+			func(o Options, kind testbed.OffloadKind) tally {
 				return runNetFPGABulk(o, netfpgaRun{jcfg: jugglerAt(units.Rate10G, core.DefaultConfig().OfoTimeout), kind: kind},
 					40*time.Millisecond, 120*time.Millisecond)
 			},
-			func(t *Table, kinds []testbed.OffloadKind, results []bulkResult) {
-				base := results[0].rxUtil + results[0].appUtil
-				for i, res := range results {
-					total := res.rxUtil + res.appUtil
+			func(t *Table, kinds []testbed.OffloadKind, results []tally) {
+				base := results[0].RXUtil + results[0].AppUtil
+				for i, r := range results {
+					total := r.RXUtil + r.AppUtil
 					rel := "1.00x"
 					if base > 0 {
 						rel = fF(total/base) + "x"
 					}
-					t.Add(kinds[i].String(), fPct(res.rxUtil), fPct(res.appUtil), fPct(total),
-						fGbps(float64(res.throughput)), rel)
+					t.Add(kinds[i].String(), fPct(r.RXUtil), fPct(r.AppUtil), fPct(total), fGbps(r.tput()), rel)
 				}
 			}),
 	})
@@ -50,22 +49,24 @@ func init() {
 		title:   "Build-up phase seq_next learning (Remark 1, §4.2.2)",
 		columns: []string{"buildup_learning", "segments_per_MB", "ooo_frac", "tput_Gbps"},
 		shape:   buildUpShape,
-		fill: combine(fixed(false, true), func(o Options, disable bool) manyFlowsResult {
+		fill: combine(fixed(false, true), func(o Options, disable bool) tally {
 			jcfg := jugglerAt(units.Rate10G, 700*time.Microsecond)
 			jcfg.MaxFlows = 8 // small table forces eviction churn
 			jcfg.DisableBuildUpLearning = disable
 			return runManyFlows(o, jcfg, 32, 500*time.Microsecond)
-		}, func(t *Table, disabled []bool, results []manyFlowsResult) {
-			for i, res := range results {
+		}, func(t *Table, disabled []bool, results []tally) {
+			var segsPerMB [2]float64
+			for i, r := range results {
+				segsPerMB[i] = frac(r.Segs<<20, r.Bytes)
 				label := "on"
 				if disabled[i] {
 					label = "off (ablation)"
 				}
-				t.Add(label, fF(res.segsPerMB), fF(res.oooFrac), fGbps(res.tput))
+				t.Add(label, fF(segsPerMB[i]), fF(frac(r.OOO, r.Segs)), fGbps(r.tput()))
 			}
-			if results[1].segsPerMB > 0 {
+			if segsPerMB[1] > 0 {
 				t.Note("learning on sends %.1f%% fewer segments up the stack (paper: ~6%%)",
-					(1-results[0].segsPerMB/results[1].segsPerMB)*100)
+					(1-segsPerMB[0]/segsPerMB[1])*100)
 			}
 		}),
 	})
@@ -91,31 +92,23 @@ func init() {
 			jcfg := jugglerAt(units.Rate10G, 700*time.Microsecond)
 			jcfg.MaxFlows = p.b
 			jcfg.Eviction = p.a
-			res := runManyFlows(o, jcfg, 32, 500*time.Microsecond)
-			return []string{name, fI(int64(p.b)), fGbps(res.tput), fF(res.oooFrac),
-				fI(res.ofoTO), fI(res.evictions)}
+			t := runManyFlows(o, jcfg, 32, 500*time.Microsecond)
+			st := t.Juggler
+			return []string{name, fI(int64(p.b)), fGbps(t.tput()), fF(frac(t.OOO, t.Segs)),
+				fI(st.OfoTimeouts), fI(st.EvictionsActive + st.EvictionsInactive + st.EvictionsLoss)}
 		}),
 	})
 }
 
-// manyFlowsResult summarizes a multi-flow NetFPGA run.
-type manyFlowsResult struct {
-	segsPerMB float64
-	oooFrac   float64
-	tput      float64
-	ofoTO     int64
-	evictions int64
-}
-
-// runManyFlows drives n paced flows through the delay switch with a
-// Juggler receiver and returns aggregate statistics.
-func runManyFlows(o Options, jcfg core.Config, n int, tau time.Duration) manyFlowsResult {
+// runManyFlows drives n paced flows through the delay switch into a
+// Juggler receiver and measures them together.
+func runManyFlows(o Options, jcfg core.Config, n int, tau time.Duration) tally {
 	s := o.newSim()
 	rcvCfg := testbed.DefaultHostConfig(testbed.OffloadJuggler)
 	rcvCfg.Juggler = jcfg
 	tb := testbed.NewNetFPGAPair(s, units.Rate10G, tau, 0,
 		testbed.DefaultHostConfig(testbed.OffloadVanilla), rcvCfg)
-	var rcvs []*tcp.Receiver
+	w := &watch{host: tb.Receiver}
 	for i := 0; i < n; i++ {
 		snd, rcv := testbed.Connect(tb.Sender, tb.Receiver, tcp.SenderConfig{
 			PaceRate: units.Rate10G * 9 / 10 / units.BitRate(n),
@@ -123,23 +116,7 @@ func runManyFlows(o Options, jcfg core.Config, n int, tau time.Duration) manyFlo
 		snd.SetInfinite()
 		start := time.Duration(i) * 100 * time.Microsecond
 		s.Schedule(start, snd.MaybeSend)
-		rcvs = append(rcvs, rcv)
+		w.rcvs = append(w.rcvs, rcv)
 	}
-	warm := o.scale(40 * time.Millisecond)
-	dur := o.scale(160 * time.Millisecond)
-	s.RunFor(warm)
-	t0 := rxTotalsOf(rcvs...)
-	s.RunFor(dur)
-	rx := rxTotalsOf(rcvs...).since(t0)
-	j := tb.Receiver.Jugglers[0]
-	res := manyFlowsResult{
-		oooFrac:   rx.oooFrac(),
-		tput:      float64(units.Throughput(rx.bytes, dur)),
-		ofoTO:     j.Stats.OfoTimeouts,
-		evictions: j.Stats.EvictionsActive + j.Stats.EvictionsInactive + j.Stats.EvictionsLoss,
-	}
-	if mb := float64(rx.bytes) / (1 << 20); mb > 0 {
-		res.segsPerMB = float64(rx.segs) / mb
-	}
-	return res
+	return measure(o, s, 40*time.Millisecond, 160*time.Millisecond, w)[0]
 }

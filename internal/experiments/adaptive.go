@@ -122,7 +122,9 @@ func runAdaptive(o Options, adaptive bool) *adaptiveReport {
 		rcvs = append(rcvs, frcv)
 	}
 
-	delivered := func() int64 { return rxTotalsOf(rcvs...).bytes }
+	// Its own timeline: four snapshots, and ooo_segs over the whole run.
+	w := watch{rcvs: rcvs}
+	delivered := func() int64 { return w.read(s).Bytes }
 	var atPre, atShift, atConv, atEnd int64
 	s.Schedule(preStart, func() { atPre = delivered() })
 	s.Schedule(shiftAt, func() { atShift = delivered() })
@@ -154,7 +156,7 @@ func runAdaptive(o Options, adaptive bool) *adaptiveReport {
 	} else if len(rcv.Jugglers) > 0 {
 		rep.FinalOfo = rcv.Jugglers[0].Config().OfoTimeout
 	}
-	rep.OOOSegs = rxTotalsOf(rcvs...).ooo
+	rep.OOOSegs = w.read(s).OOO
 	return rep
 }
 

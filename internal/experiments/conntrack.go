@@ -43,20 +43,7 @@ func conntrackRow(o Options, p pair[testbed.OffloadKind, time.Duration]) []strin
 	snd.SetInfinite()
 	snd.MaybeSend()
 
-	warm := o.scale(40 * time.Millisecond)
-	dur := o.scale(120 * time.Millisecond)
-	s.RunFor(warm)
-	inv0 := tb.Receiver.CT.Stats.Invalid
-	acc0 := tb.Receiver.CT.Stats.Accepted
-	t0 := rxTotalsOf(rcv)
-	s.RunFor(dur)
-
-	inv := tb.Receiver.CT.Stats.Invalid - inv0
-	acc := tb.Receiver.CT.Stats.Accepted - acc0
-	invFrac := 0.0
-	if tot := inv + acc; tot > 0 {
-		invFrac = float64(inv) / float64(tot)
-	}
-	return []string{kind.String(), fDurUs(tau), fF(invFrac), fF(float64(inv) / dur.Seconds()),
-		fGbps(float64(units.Throughput(rxTotalsOf(rcv).since(t0).bytes, dur)))}
+	t := measure(o, s, 40*time.Millisecond, 120*time.Millisecond, &watch{host: tb.Receiver, rcvs: []*tcp.Receiver{rcv}})[0]
+	return []string{kind.String(), fDurUs(tau), fF(frac(t.CT.Invalid, t.CT.Invalid+t.CT.Accepted)),
+		fF(t.perSec(t.CT.Invalid)), fGbps(t.tput())}
 }

@@ -44,7 +44,7 @@ func cpuRow(o Options, sc cpuScenario) []string {
 	receiver := tb.AddHost(0, rcvCfg)
 
 	sndCfg := testbed.DefaultHostConfig(testbed.OffloadVanilla)
-	var receivers []*tcp.Receiver
+	w := &watch{host: receiver}
 	perFlow := units.BitRate(int64(target) / int64(sc.flows))
 	for h := 0; h < sc.senders; h++ {
 		sender := tb.AddHost(1, sndCfg)
@@ -54,7 +54,7 @@ func cpuRow(o Options, sc cpuScenario) []string {
 			})
 			snd.SetInfinite()
 			snd.MaybeSend()
-			receivers = append(receivers, rcv)
+			w.rcvs = append(w.rcvs, rcv)
 		}
 	}
 
@@ -64,17 +64,9 @@ func cpuRow(o Options, sc cpuScenario) []string {
 		tb.AddBackgroundPair(1, 0, 5*units.Gbps)
 	}
 
-	warm := o.scale(40 * time.Millisecond)
-	dur := o.scale(100 * time.Millisecond)
-	s.RunFor(warm)
-	receiver.CPU.ResetWindows()
-	t0 := rxTotalsOf(receivers...)
-	s.RunFor(dur)
-	rx := rxTotalsOf(receivers...).since(t0)
-	return []string{sc.label, fPct(receiver.CPU.RX.Utilization()), fPct(receiver.CPU.App.Utilization()),
-		fPct(float64(units.Throughput(rx.bytes, dur)) / float64(target)),
-		fmt.Sprintf("%.0f", float64(rx.segs)/dur.Seconds()), fF(rx.oooFrac()),
-		fmt.Sprintf("%.0f", float64(rx.acks)/dur.Seconds())}
+	t := measure(o, s, 40*time.Millisecond, 100*time.Millisecond, w)[0]
+	return []string{sc.label, fPct(t.RXUtil), fPct(t.AppUtil), fPct(t.tput() / float64(target)),
+		fmt.Sprintf("%.0f", t.perSec(t.Segs)), fF(frac(t.OOO, t.Segs)), fmt.Sprintf("%.0f", t.perSec(t.Acks))}
 }
 
 // cpuPoints are the four Figure-9/10 scenarios for the given flow and

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"juggler/internal/lb"
-	"juggler/internal/sim"
 	"juggler/internal/stats"
 	"juggler/internal/tcp"
 	"juggler/internal/testbed"
@@ -66,19 +65,10 @@ func fig16Row(o Options, nicRate units.BitRate, flows int) []string {
 
 	var active, loss stats.Sampler
 	j := receiver.Jugglers[0]
-	tick := sim.NewTicker(s, 100*time.Microsecond, func() {
+	t := measure(o, s, 40*time.Millisecond, 160*time.Millisecond, &watch{host: receiver, tick: func() {
 		active.Add(float64(j.ActiveLen()))
 		loss.Add(float64(j.LossLen()))
-	})
-	warm := o.scale(40 * time.Millisecond)
-	dur := o.scale(160 * time.Millisecond)
-	s.RunFor(warm)
-	entered0 := j.Stats.LossRecoveryEntered
-	tick.Start()
-	s.RunFor(dur)
-	tick.Stop()
-
+	}})[0]
 	return []string{nicRate.String(), fF(active.Mean()), fI(int64(active.Quantile(0.99))),
-		fI(int64(active.Max())), fI(int64(loss.Quantile(0.99))),
-		fF(float64(j.Stats.LossRecoveryEntered-entered0) / dur.Seconds())}
+		fI(int64(active.Max())), fI(int64(loss.Quantile(0.99))), fF(t.perSec(t.Juggler.LossRecoveryEntered))}
 }

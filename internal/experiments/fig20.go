@@ -3,7 +3,6 @@ package experiments
 import (
 	"time"
 
-	"juggler/internal/fabric"
 	"juggler/internal/lb"
 	"juggler/internal/stats"
 	"juggler/internal/tcp"
@@ -54,11 +53,6 @@ func fig20Row(o Options, p pair[int, string]) []string {
 		servers = append(servers, tb.AddHost(0, hostCfg))
 		clients = append(clients, tb.AddHost(1, hostCfg))
 	}
-	// Probe uplink occupancy.
-	for _, p := range tb.Clos.UplinkPorts(0) {
-		p.Probe = &fabric.OccupancyProbe{}
-	}
-
 	scfg := tcp.SenderConfig{MaxCwnd: 2 * units.MB}
 
 	largeLat := stats.NewSampler(1 << 14)
@@ -77,7 +71,8 @@ func fig20Row(o Options, p pair[int, string]) []string {
 		{largeLat, 1 * units.MB, (float64(loadPct)/100*80e9 - 4*smallPerServer) / 4},
 		{smallLat, 150, smallPerServer},
 	}
-	var gens []*workload.PoissonRPCGen
+	// The window probes uplink occupancy and discards warm-up latencies.
+	w := &watch{samplers: []*stats.Sampler{largeLat, smallLat}, ports: tb.Clos.UplinkPorts(0)}
 	for i := 0; i < 2*pairs; i++ {
 		c, first := classes[i/pairs], i/pairs*pairs
 		var streams []*workload.RPCStream
@@ -95,39 +90,16 @@ func fig20Row(o Options, p pair[int, string]) []string {
 			// unbounded tails.
 			g.MaxOutstanding = 4
 		}
-		gens = append(gens, g)
+		w.gens = append(w.gens, g)
 	}
-	for _, g := range gens {
+	for _, g := range w.gens {
 		g.Start()
 	}
-	warm := o.scale(60 * time.Millisecond)
-	dur := o.scale(240 * time.Millisecond)
-	s.RunFor(warm)
-	largeLat.Reset() // discard warm-up samples
-	smallLat.Reset()
-
-	var gen0, shed0 int64
-	for _, g := range gens {
-		gen0 += g.Generated
-		shed0 += g.Shed
-	}
-	s.RunFor(dur)
-	var gen1, shed1 int64
-	for _, g := range gens {
-		g.Stop()
-		gen1 += g.Generated
-		shed1 += g.Shed
-	}
+	t := measure(o, s, 60*time.Millisecond, 240*time.Millisecond, w)[0]
 	maxQ := 0
-	for _, p := range tb.Clos.UplinkPorts(0) {
-		if p.Probe.MaxBytes > maxQ {
-			maxQ = p.Probe.MaxBytes
-		}
-	}
-	shed := 0.0
-	if d := gen1 - gen0; d > 0 {
-		shed = float64(shed1-shed0) / float64(d)
+	for _, p := range w.ports {
+		maxQ = max(maxQ, p.Probe.MaxBytes)
 	}
 	return []string{fI(int64(loadPct)), policy, fMs(largeLat.P99()), fMs(largeLat.Median()),
-		fUs(smallLat.P99()), fUs(smallLat.Median()), fPct(shed), fI(int64(maxQ / 1024))}
+		fUs(smallLat.P99()), fUs(smallLat.Median()), fPct(frac(t.Shed, t.Generated)), fI(int64(maxQ / 1024))}
 }

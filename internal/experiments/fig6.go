@@ -3,7 +3,6 @@ package experiments
 import (
 	"time"
 
-	"juggler/internal/core"
 	"juggler/internal/sim"
 	"juggler/internal/tcp"
 	"juggler/internal/telemetry"
@@ -75,18 +74,10 @@ func fig6Point(o Options, tau time.Duration) fig6Result {
 	vsnd.SetInfinite()
 	vsnd.MaybeSend()
 
-	s.RunFor(o.scale(40 * time.Millisecond)) // warm-up: exit slow start
-	base, vbase := rcv.Delivered(), vrcv.Delivered()
-	dur := o.scale(80 * time.Millisecond)
-	s.RunFor(dur)
-
-	var st core.Stats
-	for _, j := range tb.Receiver.Jugglers {
-		st.Add(j.Stats)
-	}
+	t := measure(o, s, 40*time.Millisecond, 80*time.Millisecond, // the warm-up exits slow start
+		&watch{host: tb.Receiver, rcvs: []*tcp.Receiver{rcv}}, &watch{rcvs: []*tcp.Receiver{vrcv}})
+	st := t[0].Juggler
 	return fig6Result{row: []string{fDurUs(tau), fI(st.FlushEvent), fI(st.FlushInseqTimeout),
 		fI(st.FlushOfoTimeout), fI(st.Retransmissions), fI(st.Duplicates),
-		fI(st.LossRecoveryEntered),
-		fGbps(float64(units.Throughput(rcv.Delivered()-base, dur))),
-		fGbps(float64(units.Throughput(vrcv.Delivered()-vbase, dur)))}, s: s}
+		fI(st.LossRecoveryEntered), fGbps(t[0].tput()), fGbps(t[1].tput())}, s: s}
 }

@@ -27,20 +27,9 @@ type netfpgaRun struct {
 	senderCfg tcp.SenderConfig
 }
 
-// results of one bulk-flow run.
-type bulkResult struct {
-	throughput     units.BitRate
-	batchingExtent float64 // MTUs per data segment at the offload layer
-	rxUtil         float64
-	appUtil        float64
-	oooFrac        float64 // OOO segments seen by TCP / total
-	retransmits    int64
-}
-
-// runNetFPGABulk drives one infinite flow for warm+dur (both scaled by
-// o) and measures over the last dur.
-func runNetFPGABulk(o Options, r netfpgaRun, warm, dur time.Duration) bulkResult {
-	warm, dur = o.scale(warm), o.scale(dur)
+// netfpgaBulk builds one infinite flow on the apparatus and returns its
+// sim and what a row watches.
+func netfpgaBulk(o Options, r netfpgaRun) (*sim.Sim, *watch) {
 	s := o.newSim()
 	sndHost := testbed.DefaultHostConfig(testbed.OffloadVanilla)
 	rcvHost := testbed.DefaultHostConfig(r.kind)
@@ -52,27 +41,13 @@ func runNetFPGABulk(o Options, r netfpgaRun, warm, dur time.Duration) bulkResult
 	snd, rcv := testbed.Connect(tb.Sender, tb.Receiver, r.senderCfg)
 	snd.SetInfinite()
 	snd.MaybeSend()
+	return s, &watch{host: tb.Receiver, rcvs: []*tcp.Receiver{rcv}, snds: []*tcp.Sender{snd}}
+}
 
-	s.RunFor(warm)
-	c0 := tb.Receiver.OffloadCounters()
-	t0 := rxTotalsOf(rcv)
-	tb.Receiver.CPU.ResetWindows()
-
-	s.RunFor(dur)
-
-	c1 := tb.Receiver.OffloadCounters()
-	rx := rxTotalsOf(rcv).since(t0)
-	res := bulkResult{
-		throughput:  units.Throughput(rx.bytes, dur),
-		rxUtil:      tb.Receiver.CPU.RX.Utilization(),
-		appUtil:     tb.Receiver.CPU.App.Utilization(),
-		oooFrac:     rx.oooFrac(),
-		retransmits: snd.Stats.RetransPackets,
-	}
-	if segs := c1.Segments - c0.Segments; segs > 0 {
-		res.batchingExtent = float64(c1.Packets-c0.Packets) / float64(segs)
-	}
-	return res
+// runNetFPGABulk measures one bulk flow over dur after warm.
+func runNetFPGABulk(o Options, r netfpgaRun, warm, dur time.Duration) tally {
+	s, w := netfpgaBulk(o, r)
+	return measure(o, s, warm, dur, w)[0]
 }
 
 // netfpgaTaus are the three reordering levels of Figures 12–14.
@@ -104,10 +79,10 @@ func init() {
 			tau, it := p.a, p.b
 			jcfg := jugglerAt(units.Rate10G, tau+300*time.Microsecond) // ample: isolate inseq effect
 			jcfg.InseqTimeout = it
-			res := runNetFPGABulk(o, netfpgaRun{tau: tau, jcfg: jcfg, kind: testbed.OffloadJuggler},
+			t := runNetFPGABulk(o, netfpgaRun{tau: tau, jcfg: jcfg, kind: testbed.OffloadJuggler},
 				40*time.Millisecond, 120*time.Millisecond)
-			return []string{fDurUs(tau), fDurUs(it), fF(res.batchingExtent),
-				fPct(res.rxUtil), fPct(res.appUtil), fGbps(float64(res.throughput))}
+			return []string{fDurUs(tau), fDurUs(it), fF(frac(t.Offload.Packets, t.Offload.Segments)),
+				fPct(t.RXUtil), fPct(t.AppUtil), fGbps(t.tput())}
 		}),
 	})
 
@@ -124,11 +99,10 @@ func init() {
 			return grid(netfpgaTaus, quickOr(o, us(0, 50, 100, 200, 300, 400, 500, 600, 700, 800, 1000), us(0, 100, 400, 800)))
 		}, func(o Options, p durs) []string {
 			tau, ot := p.a, p.b
-			res := runNetFPGABulk(o, netfpgaRun{
+			t := runNetFPGABulk(o, netfpgaRun{
 				tau: tau, jcfg: jugglerAt(units.Rate10G, ot), kind: testbed.OffloadJuggler, coalesce: coalesceTimeBound(),
 			}, 40*time.Millisecond, 120*time.Millisecond)
-			return []string{fDurUs(tau), fDurUs(ot), fGbps(float64(res.throughput)),
-				fF(res.oooFrac), fI(res.retransmits)}
+			return []string{fDurUs(tau), fDurUs(ot), fGbps(t.tput()), fF(frac(t.OOO, t.Segs)), fI(t.Retrans)}
 		}),
 	})
 
@@ -176,12 +150,12 @@ func init() {
 			// sweep isolates Juggler's recovery latency from congestion
 			// control: the paper's CUBIC senders at datacenter RTTs
 			// tolerate 0.1% loss.
-			res := runNetFPGABulk(o, netfpgaRun{
+			t := runNetFPGABulk(o, netfpgaRun{
 				tau: 250 * time.Microsecond, jcfg: jugglerAt(units.Rate10G, ot), kind: testbed.OffloadJuggler,
 				dropProb: 0.001, coalesce: coalesceTimeBound(),
 				senderCfg: tcp.SenderConfig{RTOMin: 5 * time.Millisecond, FixedWindow: true},
 			}, 100*time.Millisecond, 400*time.Millisecond)
-			return []string{fMs(ot.Seconds()), fGbps(float64(res.throughput))}
+			return []string{fMs(ot.Seconds()), fGbps(t.tput())}
 		}),
 	})
 }
@@ -234,15 +208,11 @@ func fig15Row(o Options, p pair[time.Duration, int]) []string {
 		s.Schedule(start, snd.MaybeSend)
 	}
 	var h stats.Sampler
-	tick := sim.NewTicker(s, 100*time.Microsecond, func() {
-		for q := 0; q < 4; q++ {
-			h.Add(float64(tb.Receiver.Jugglers[q].ActiveLen()))
+	measure(o, s, 60*time.Millisecond, 240*time.Millisecond, &watch{tick: func() {
+		for _, j := range tb.Receiver.Jugglers {
+			h.Add(float64(j.ActiveLen()))
 		}
-	})
-	s.RunFor(o.scale(60 * time.Millisecond)) // warm up
-	tick.Start()
-	s.RunFor(o.scale(240 * time.Millisecond))
-	tick.Stop()
+	}})
 	return []string{fDurUs(tau), fI(int64(n)), fI(int64(h.Quantile(0.99))),
 		fF(h.Mean()), fI(int64(h.Max()))}
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"time"
 
-	"juggler/internal/sim"
 	"juggler/internal/stats"
 	"juggler/internal/tcp"
 	"juggler/internal/testbed"
@@ -39,7 +38,12 @@ func rssRow(o Options, queues int) []string {
 		testbed.DefaultHostConfig(testbed.OffloadVanilla), rcvCfg)
 
 	const flows = 32
-	var rcvs []*tcp.Receiver
+	var active stats.Sampler
+	w := &watch{host: tb.Receiver, tick: func() {
+		for _, j := range tb.Receiver.Jugglers {
+			active.Add(float64(j.ActiveLen()))
+		}
+	}}
 	for i := 0; i < flows; i++ {
 		snd, rcv := testbed.Connect(tb.Sender, tb.Receiver, tcp.SenderConfig{
 			PaceRate: units.Rate40G / flows,
@@ -47,30 +51,9 @@ func rssRow(o Options, queues int) []string {
 		snd.SetInfinite()
 		start := time.Duration(i) * 50 * time.Microsecond
 		s.Schedule(start, snd.MaybeSend)
-		rcvs = append(rcvs, rcv)
+		w.rcvs = append(w.rcvs, rcv)
 	}
-
-	var active stats.Sampler
-	tick := sim.NewTicker(s, 100*time.Microsecond, func() {
-		for _, j := range tb.Receiver.Jugglers {
-			active.Add(float64(j.ActiveLen()))
-		}
-	})
-	warm := o.scale(40 * time.Millisecond)
-	dur := o.scale(120 * time.Millisecond)
-	s.RunFor(warm)
-	tb.Receiver.CPU.ResetWindows()
-	t0 := rxTotalsOf(rcvs...)
-	tick.Start()
-	s.RunFor(dur)
-	tick.Stop()
-	rx := rxTotalsOf(rcvs...).since(t0)
-	rxMax := 0.0
-	for _, c := range tb.Receiver.CPU.RXCores() {
-		if u := c.Utilization(); u > rxMax {
-			rxMax = u
-		}
-	}
-	return []string{fI(int64(queues)), fGbps(float64(units.Throughput(rx.bytes, dur))), fPct(rxMax),
-		fI(int64(active.Quantile(0.99))), fF(rx.oooFrac())}
+	t := measure(o, s, 40*time.Millisecond, 120*time.Millisecond, w)[0]
+	return []string{fI(int64(queues)), fGbps(t.tput()), fPct(t.RXMaxUtil),
+		fI(int64(active.Quantile(0.99))), fF(frac(t.OOO, t.Segs))}
 }

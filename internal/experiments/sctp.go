@@ -55,30 +55,14 @@ func sctpRow(o Options, p pair[testbed.OffloadKind, time.Duration]) []string {
 	ds := fabric.NewDelaySwitch(s, tau, toRX)
 	sndPort := fabric.NewPort(s, "snd", units.Rate10G, time.Microsecond, fabric.NewDropTail(0), ds)
 
-	var snd *msgt.Sender
-	snd = msgt.NewSender(s, flow, 1024, sndPort.Send)
+	snd := msgt.NewSender(s, flow, 1024, sndPort.Send)
 	// ACKs return directly with a small propagation delay.
 	rcv = msgt.NewReceiver(s, flow, func(ack uint32) {
 		s.Schedule(20*time.Microsecond, func() { snd.OnAck(ack) })
 	})
 	snd.Start()
 
-	warm := o.scale(20 * time.Millisecond)
-	dur := o.scale(100 * time.Millisecond)
-	s.RunFor(warm)
-	del0 := rcv.Delivered()
-	c0 := rx.Offload(0).Counters()
-	s.RunFor(dur)
-	del1 := rcv.Delivered()
-	c1 := rx.Offload(0).Counters()
-
-	ooo, batching := 0.0, 0.0
-	if rcv.Stats.SegmentsIn > 0 {
-		ooo = float64(rcv.Stats.OOOSegments) / float64(rcv.Stats.SegmentsIn)
-	}
-	if segs := c1.Segments - c0.Segments; segs > 0 {
-		batching = float64(c1.Packets-c0.Packets) / float64(segs)
-	}
-	return []string{kind.String(), fDurUs(tau), fGbps(float64(del1-del0) * msgt.RecordSize * 8 / dur.Seconds()),
-		fF(ooo), fI(snd.Stats.Retransmits), fF(batching)}
+	t := measure(o, s, 20*time.Millisecond, 100*time.Millisecond, &watch{msgRcv: rcv, msgSnd: snd, rx: rx})[0]
+	return []string{kind.String(), fDurUs(tau), fGbps(t.tput()), fF(frac(t.OOO, t.Segs)), fI(t.Retrans),
+		fF(frac(t.Offload.Packets, t.Offload.Segments))}
 }

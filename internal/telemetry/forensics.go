@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 	"time"
 
 	"juggler/internal/packet"
@@ -27,8 +26,8 @@ const (
 	// attribution; decisions beyond it still count in the global tallies
 	// and TruncatedDecisions.
 	flowCap = 1024
-	// flowDecisionCap bounds FlowForensics.Decisions, and so Explain's
-	// window, to a flow's newest decisions the flight recorder holds.
+	// flowDecisionCap bounds FlowForensics.Decisions, the doctor's
+	// excerpts; Explain searches every record the flight recorder holds.
 	flowDecisionCap = 64
 	// retuneCap bounds GlobalDecisions likewise.
 	retuneCap = 128
@@ -247,9 +246,8 @@ func (f *Forensics) decide(d *Record) {
 	if f.opTotal[op] == 0 {
 		// Registered on the op's first decision: the family's snapshot
 		// position, and its absence from decision-free runs, follow use.
-		// Exporter goldens pin the help text, which predates the views.
 		f.k.Metrics.CounterOf("forensics_decisions_total",
-			"Datapath decisions recorded in the forensics audit rings.",
+			"Datapath decisions recorded in the flight recorder.",
 			"op", opNames[op], &f.opTotal[op])
 	}
 	f.opTotal[op]++
@@ -369,15 +367,12 @@ func (f *Forensics) Explain(w io.Writer, ft packet.FiveTuple, seq uint32) (match
 	if fe == nil {
 		return 0, false
 	}
-	fmt.Fprintf(w, "flow %v seq %d — %d decisions recorded (searching the last %d the flight recorder holds):\n",
-		ft, seq, fe.Total, flowDecisionCap)
+	rec := f.k.Recorder
+	fmt.Fprintf(w, "flow %v seq %d — %d decisions recorded (searching all %d records the flight recorder holds):\n",
+		ft, seq, fe.Total, rec.Len())
 	// Host-scoped retunes interleave as context: a timeout change often
 	// explains why a later flush fired (or stopped firing).
-	decs := fe.Decisions()
-	if g := f.GlobalDecisions(); len(g) > 0 {
-		decs = append(decs, g...)
-		sort.SliceStable(decs, func(i, j int) bool { return decs[i].At < decs[j].At })
-	}
+	decs := rec.last(rec.Len(), func(r *Record) bool { return r.Cause != "" && (r.Op == OpRetune || r.Flow == ft) })
 	for _, d := range decs {
 		about := d.Op != OpRetune && d.covers(seq)
 		flowScoped := d.Op == OpPhase || d.Op == OpEvict || d.Op == OpTimeout || d.Op == OpRetune
@@ -417,8 +412,8 @@ func (f *Forensics) Explain(w io.Writer, ft packet.FiveTuple, seq uint32) (match
 		fmt.Fprintln(w)
 	}
 	if matches == 0 {
-		fmt.Fprintf(w, "  no retained decision covers seq %d — only the flow's last %d decisions are searched, and the flight recorder keeps the last %d records of all flows (-events sets it)\n",
-			seq, flowDecisionCap, len(f.k.Recorder.records.buf))
+		fmt.Fprintf(w, "  no retained decision covers seq %d — the flight recorder keeps the last %d records of all flows (-events sets it)\n",
+			seq, len(f.k.Recorder.records.buf))
 	}
 	return matches, true
 }

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -338,6 +339,29 @@ func TestExplain(t *testing.T) {
 	other.SrcPort++
 	if _, ok = k.Forensics.Explain(&buf, other, 0); ok {
 		t.Fatal("untracked flow should report ok=false")
+	}
+}
+
+// TestExplainSearchesAllRetained: a flow with more retained decisions
+// than its Decisions excerpt holds still has its oldest one found, and
+// the header counts every retained record searched.
+func TestExplainSearchesAllRetained(t *testing.T) {
+	s, k := forensicsSink()
+	const n = 3 * flowDecisionCap
+	for i := 0; i < n; i++ {
+		k.Record(&Record{Layer: LayerCore, Op: OpFlush, Cause: "sealed", Flow: testFlow,
+			Seq: uint32(i * 1460), EndSeq: uint32((i + 1) * 1460), N: 1})
+		s.RunFor(time.Microsecond)
+	}
+	if got := len(k.Forensics.FlowState(testFlow).Decisions()); got != flowDecisionCap {
+		t.Fatalf("Decisions holds %d, want its cap %d", got, flowDecisionCap)
+	}
+	var buf bytes.Buffer
+	if matches, ok := k.Forensics.Explain(&buf, testFlow, 1); matches != 1 || !ok {
+		t.Fatalf("Explain(oldest seq) = %d, %v; want 1 match, ok:\n%s", matches, ok, buf.String())
+	}
+	if want := fmt.Sprintf("searching all %d records", n); !strings.Contains(buf.String(), want) {
+		t.Errorf("header should say %q:\n%s", want, buf.String())
 	}
 }
 

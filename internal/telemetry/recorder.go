@@ -120,8 +120,8 @@ func (r *Recorder) WriteEvents(w io.Writer) error {
 // buffer=3 ...").
 func (r *Recorder) Summary() string {
 	var counts [NumOps]int
-	for _, e := range r.Records() {
-		counts[e.Op]++
+	for i := r.Len() - 1; i >= 0; i-- {
+		counts[r.records.at(i).Op]++
 	}
 	var parts []string
 	for o := Op(0); int(o) < NumOps; o++ {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"unsafe"
 
@@ -208,6 +209,36 @@ func TestRecorderRing(t *testing.T) {
 	}
 	if k.Recorder.ByLayer[LayerCore] != 10 || k.Recorder.Layers() != 1 {
 		t.Fatalf("per-layer accounting off: %v", k.Recorder.ByLayer)
+	}
+}
+
+// TestRecorderSummaryCountsInPlace: Summary on a full default recorder
+// counts the records where they lie, allocating little beyond its short
+// result (copying them out would cost 6.8 MB), and names only the
+// retained records, in op order.
+func TestRecorderSummaryCountsInPlace(t *testing.T) {
+	k := New(sim.New(1), Options{})
+	for i := 0; i < 1<<16+100; i++ {
+		op := OpFlush
+		if i%3 == 0 {
+			op = OpBuffer
+		}
+		k.Record(&Record{Layer: LayerCore, Op: op, Seq: uint32(i)})
+	}
+	const n = 4
+	var got string
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range n {
+		got = k.Recorder.Summary()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per >= 4<<10 {
+		t.Errorf("Summary allocated %d bytes per call on a full recorder, want < 4 KiB", per)
+	}
+	// Records 100..65635 are retained; 21845 of them have i%3 == 0.
+	if want := "flush=43691 buffer=21845"; got != want {
+		t.Errorf("Summary = %q, want %q", got, want)
 	}
 }
 
