@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -10,11 +11,62 @@ import (
 	"juggler/internal/units"
 )
 
-// These tests pin the flow-scale datapath's steady-state allocation
-// behaviour to zero: flow churn recycles entries through the free list and
-// hole churn recycles segments through the segment pool, so a Juggler that
-// has reached its working-set size never touches the heap again. CI runs
-// them under the ZeroAlloc pattern next to the sim/packet pool guards.
+// These tests pin the flow-scale datapath's allocation behaviour to zero.
+// Flow state is allocation-free from construction on: New allocates the
+// flow slab, its index and every entry's first queue array, admitting a
+// flow takes a slab entry, and flow churn recycles entries through the
+// free list. Hole churn recycles segments through the segment pool, so
+// once the pool holds a run's working set of segments the receive path
+// never touches the heap. CI runs them under the ZeroAlloc pattern next
+// to the sim/packet pool guards.
+
+// TestFreshFlowsZeroAlloc admits the first packets of MaxFlows distinct
+// flows into a fresh Juggler. Nothing has been warmed but the segment
+// pool, which holds one segment: each packet is sealed, so it flushes at
+// once and its segment comes back before the next flow arrives. This is
+// what an RSS rehash does to a flow-scale host — every flow lands on a
+// queue that has never seen it — and the churn test below cannot see it,
+// because its warm-up cycle admits flows before it measures.
+func TestFreshFlowsZeroAlloc(t *testing.T) {
+	const flows = 4096
+	s := sim.New(1)
+	pool := packet.SegPoolFromSim(s)
+	pool.Put(pool.Get())
+	cfg := Config{
+		InseqTimeout: 15 * time.Microsecond,
+		OfoTimeout:   50 * time.Microsecond,
+		MaxFlows:     flows,
+	}
+	j := New(s, cfg, func(seg *packet.Segment) { pool.Put(seg) })
+	p := &packet.Packet{
+		Flow:       packet.FiveTuple{SrcIP: 1, DstIP: 2, DstPort: 5001, Proto: packet.ProtoTCP},
+		Seq:        1,
+		PayloadLen: units.MSS,
+		Flags:      packet.FlagACK | packet.FlagPSH, // sealed: flushes at once
+	}
+
+	// testing.AllocsPerRun would admit the flows once unmeasured first, so
+	// the count is taken by hand, the same way.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for f := 0; f < flows; f++ {
+		p.Flow.SrcPort = uint16(f)
+		p.FlowHash = p.Flow.Hash(0)
+		j.Receive(p)
+	}
+	runtime.ReadMemStats(&m1)
+	if n := m1.Mallocs - m0.Mallocs; n != 0 {
+		t.Fatalf("admitting %d fresh flows allocates %d objects, want 0", flows, n)
+	}
+	if j.TableLen() != flows || j.Stats.FlushEvent != flows || pool.Live() != 0 {
+		t.Fatalf("table %d flows, %d flushes, %d segments live; want %d, %d, 0",
+			j.TableLen(), j.Stats.FlushEvent, pool.Live(), flows, flows)
+	}
+	if err := j.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // TestZeroAllocFlowChurn cycles many more flows than MaxFlows through the
 // table: every new flow evicts a post-merge one, exercising newFlow,

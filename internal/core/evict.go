@@ -36,20 +36,18 @@ func (j *Juggler) Retune(r Retune) {
 		changed = true
 	}
 	if changed {
-		refile := func(l *flowList) {
-			for e := l.head; e != nil; e = e.next {
+		for _, id := range [...]listID{activeList, lossList} {
+			for e := j.head(id); e != nil; e = j.next(e) {
 				if !e.sl.Empty() {
 					j.dq.Update(e, j.flowDeadline(e))
 				}
 			}
 		}
-		refile(&j.active)
-		refile(&j.loss)
 		j.arm(j.dq.MinDeadline(), j.sim.Now()+1)
 	}
 	if r.MaxIdleFlows > 0 {
-		for j.inactive.n > r.MaxIdleFlows {
-			j.evict(j.inactive.head, CauseIdleTrim)
+		for j.lists[inactiveList].n > r.MaxIdleFlows {
+			j.evict(j.head(inactiveList), CauseIdleTrim)
 		}
 	}
 	if j.Probe != nil {
@@ -57,25 +55,24 @@ func (j *Juggler) Retune(r Retune) {
 	}
 }
 
-// evictOrder is each EvictionPolicy's victim preference over the
-// inactive (0), active (1) and loss-recovery (2) lists; evictOne takes the
-// head (the oldest flow) of the first non-empty one.
-var evictOrder = [...][3]int{
+// evictOrder is each EvictionPolicy's victim preference over the three
+// lists; evictOne takes the head (the oldest flow) of the first non-empty
+// one.
+var evictOrder = [...][3]listID{
 	// The paper's policy (§4.3): post-merge flows first (empty, hole-free
 	// queues), then active flows in FIFO order, loss-recovery flows only
 	// as a last resort.
-	EvictInactiveFirst: {0, 1, 2},
+	EvictInactiveFirst: {inactiveList, activeList, lossList},
 	// The ablation: active first, then loss recovery — deliberately
 	// evicting flows with holes.
-	EvictFIFO: {1, 2, 0},
+	EvictFIFO: {activeList, lossList, inactiveList},
 }
 
 // evictOne frees one table entry according to the eviction policy.
 func (j *Juggler) evictOne() {
-	lists := [...]*flowList{&j.inactive, &j.active, &j.loss}
-	for _, i := range evictOrder[j.cfg.Eviction] {
-		if l := lists[i]; l.head != nil {
-			j.evict(l.head, CauseTableFull)
+	for _, id := range evictOrder[j.cfg.Eviction] {
+		if e := j.head(id); e != nil {
+			j.evict(e, CauseTableFull)
 			return
 		}
 	}
@@ -87,13 +84,13 @@ func (j *Juggler) evictOne() {
 // free list. cause names why for the forensics ring (table-full pressure
 // vs adaptive idle trimming).
 func (j *Juggler) evict(e *flowEntry, cause string) {
-	*e.list.evictions++
+	*j.lists[e.list].evictions++
 	if j.tel != nil {
 		j.record(e, &telemetry.Record{Op: telemetry.OpEvict, Cause: cause,
 			Seq: e.seqNext, EndSeq: e.seqNext, N: int64(e.sl.Pkts()), Note: e.phase.String()})
 	}
 	j.drain(e, &j.Stats.FlushEvict, CauseEvict, false)
-	e.list.remove(e)
+	j.delist(e)
 	j.dq.Remove(e)
 	j.table.delete(e)
 	j.releaseFlow(e)

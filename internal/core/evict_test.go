@@ -76,7 +76,7 @@ func TestEvictionAccounting(t *testing.T) {
 					send(f, 0, 0)
 				}
 			}
-			want := map[string]*flowList{"inactive": &h.j.inactive, "active": &h.j.active, "loss": &h.j.loss}
+			want := map[string]listID{"inactive": inactiveList, "active": activeList, "loss": lossList}
 			for f, l := range tc.lists {
 				if e := h.entry(flowN(f)); e == nil || e.list != want[l] {
 					t.Fatalf("setup: flow %d is not on the %s list", f, l)

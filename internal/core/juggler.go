@@ -18,12 +18,14 @@
 // eviction policy bounding memory (§4.3).
 //
 // The data structures are sized for flow-scale operation (100k+ concurrent
-// flows per instance): the gro_table is an open-addressing hash table over
-// the NIC-computed five-tuple hash, flow entries and segments recycle
+// flows per instance): the gro_table is one slab of MaxFlows flow entries,
+// allocated with the instance and indexed by an open-addressing hash table
+// over the NIC-computed five-tuple hash; entries and segments recycle
 // through free lists, per-instance buffered-byte accounting is incremental,
 // and timeout expiry pops a deadline-ordered queue instead of scanning
-// every flow — all O(1) or O(expired) per operation, allocation-free in
-// steady state.
+// every flow — all O(1) or O(expired) per operation. Flow state never
+// allocates after New, and segments stop allocating once the pool holds
+// the working set.
 package core
 
 import (
@@ -165,16 +167,29 @@ func (s *Stats) Add(o Stats) {
 	s.BuildUpBackward += o.BuildUpBackward
 }
 
-// flowEntry is the per-flow state of §4.1 plus intrusive list linkage, the
-// open-addressing table's cached key hash, and the deadline-queue anchor.
-// Entries recycle through the Juggler's free list; release keeps the
+// flowEntry is the per-flow state of §4.1 plus its slab ref, intrusive
+// list linkage and the deadline-queue anchor. Entries live in the
+// Juggler's slab and recycle through its free list; release keeps the
 // out-of-order queue's backing arrays so steady-state flow churn never
-// allocates.
+// allocates. The one-byte fields sit together after the 4-byte ones so
+// the entry packs into 136 bytes (TestFlowLayoutSize).
 type flowEntry struct {
-	key  packet.FiveTuple
-	hash uint32 // key.Hash(0), cached for probing
-	// sl is the flow's out-of-order queue, embedded: a flow is one
-	// allocation, and its queue is no pointer hop away. It survives
+	key     packet.FiveTuple
+	seqNext uint32
+	lostSeq uint32
+	// ref is the entry's own slab ref, fixed when the entry is first
+	// handed out; prev and next link it into its list (or, while free,
+	// next chains the free list).
+	ref, prev, next flowRef
+	phase           Phase
+	list            listID
+	// batched marks the flow as already on the ReceiveBatch touched list,
+	// so a flow hit by many packets of one poll batch is re-filed in the
+	// deadline queue once. releaseFlow's zeroing clears it with the rest.
+	batched bool
+
+	// sl is the flow's out-of-order queue, embedded: a flow's state is one
+	// slab entry, and its queue is no pointer hop away. It survives
 	// release with its backing arrays, so a recycled entry buffers
 	// without allocating.
 	sl reasm.SegList
@@ -183,21 +198,10 @@ type flowEntry struct {
 	// raw flush timestamp would spuriously expire a freshly reactivated
 	// flow whose last flush was long ago.
 	holdStart sim.Time
-	seqNext   uint32
-	lostSeq   uint32
-	phase     Phase
-
-	prev, next *flowEntry
-	list       *flowList
 	// listSeq is a monotone stamp assigned on every list push. Lists only
 	// append, so iteration order within a list is ascending listSeq — the
 	// FIFO key of the expiry order sortDue imposes on the due set.
 	listSeq uint64
-
-	// batched marks the flow as already on the ReceiveBatch touched list,
-	// so a flow hit by many packets of one poll batch is re-filed in the
-	// deadline queue once. releaseFlow's zeroing clears it with the rest.
-	batched bool
 
 	// dl is the flow's deadline-queue item: the armed deadline and the
 	// arming seq of the flow's one live slot in the Juggler's queue (seq
@@ -208,47 +212,76 @@ type flowEntry struct {
 	dl sim.DeadlineItem
 }
 
-// flowList is an intrusive FIFO doubly-linked list (the active, inactive
-// and loss-recovery lists of Figure 4).
+// listID names the list a flow is on: one of the active, inactive and
+// loss-recovery lists of Figure 4, or none.
+type listID uint8
+
+const (
+	noList listID = iota
+	activeList
+	inactiveList
+	lossList
+)
+
+// flowList is an intrusive FIFO doubly-linked list of slab entries.
 type flowList struct {
-	head, tail *flowEntry
+	head, tail flowRef
 	n          int
 	// evictions is the Stats counter evict bumps for a victim on this list.
 	evictions *int64
 }
 
-func (l *flowList) pushBack(e *flowEntry) {
-	if e.list != nil {
+// head returns the first (oldest) flow on list id, or nil.
+func (j *Juggler) head(id listID) *flowEntry { return j.table.at(j.lists[id].head) }
+
+// next returns the flow after e on its list, or nil.
+func (j *Juggler) next(e *flowEntry) *flowEntry { return j.table.at(e.next) }
+
+// enlist appends e to list id, stamping the push-order sequence the
+// deadline expiry path sorts by. All list pushes go through here.
+func (j *Juggler) enlist(id listID, e *flowEntry) {
+	if e.list != noList {
 		panic("core: flow already on a list")
 	}
-	e.list = l
+	e.listSeq = j.pushSeq
+	j.pushSeq++
+	l := &j.lists[id]
+	e.list = id
 	e.prev = l.tail
-	e.next = nil
-	if l.tail != nil {
-		l.tail.next = e
+	e.next = noFlow
+	if t := j.table.at(l.tail); t != nil {
+		t.next = e.ref
 	} else {
-		l.head = e
+		l.head = e.ref
 	}
-	l.tail = e
+	l.tail = e.ref
 	l.n++
 }
 
-func (l *flowList) remove(e *flowEntry) {
-	if e.list != l {
-		panic("core: flow not on this list")
+// delist unlinks e from the list it is on.
+func (j *Juggler) delist(e *flowEntry) {
+	if e.list == noList {
+		panic("core: flow not on a list")
 	}
-	if e.prev != nil {
-		e.prev.next = e.next
+	l := &j.lists[e.list]
+	if p := j.table.at(e.prev); p != nil {
+		p.next = e.next
 	} else {
 		l.head = e.next
 	}
-	if e.next != nil {
-		e.next.prev = e.prev
+	if n := j.table.at(e.next); n != nil {
+		n.prev = e.prev
 	} else {
 		l.tail = e.prev
 	}
-	e.prev, e.next, e.list = nil, nil, nil
+	e.prev, e.next, e.list = noFlow, noFlow, noList
 	l.n--
+}
+
+// relist moves e to the tail of list id.
+func (j *Juggler) relist(e *flowEntry, id listID) {
+	j.delist(e)
+	j.enlist(id, e)
 }
 
 // Juggler is one instance of the reordering-resilient GRO layer. Each NIC
@@ -259,10 +292,11 @@ type Juggler struct {
 	cfg     Config
 	deliver gro.Deliver
 
-	table    flowTable
-	active   flowList
-	inactive flowList
-	loss     flowList
+	// table holds the flow slab, every entry the instance will ever use,
+	// allocated in New. lists are indexed by listID (noList's slot is
+	// unused).
+	table flowTable
+	lists [lossList + 1]flowList
 	// lastEntry memoizes the most recent table hit: traffic clusters by
 	// flow (several packets per poll batch), so consecutive lookups
 	// usually skip the slot-array probe and go straight to the entry.
@@ -282,14 +316,21 @@ type Juggler struct {
 	// re-file so the batch epilogue restores the deadline invariant with
 	// one pass. The timer arm is NOT deferred — arm only schedules
 	// when the minimum deadline improves, and arming per packet makes the
-	// event sequence independent of how a poll is split into batches.
+	// event sequence independent of how a poll is split into batches. New
+	// gives it touchedCap of room.
 	touched []*flowEntry
 	// one is the one-slot batch Receive hands to ReceiveBatch.
 	one [1]*packet.Packet
 
-	// freeFlows chains released entries (through their next pointers) for
-	// reuse; segPool recycles the segments the out-of-order queues mint.
-	freeFlows *flowEntry
+	// freeFlows chains released entries (through their next links) for
+	// reuse; fresh counts the slab entries ever handed out, so entries
+	// past it are untouched. queueBufs is one pointer per slab entry,
+	// carved at first use into that entry's one-segment initial queue
+	// array, so a new flow buffers its first segment without allocating.
+	// segPool recycles the segments the out-of-order queues mint.
+	freeFlows flowRef
+	fresh     int
+	queueBufs []*packet.Segment
 	segPool   *packet.SegPool
 
 	// buffered/bufferedPkts aggregate the out-of-order queue contents
@@ -315,7 +356,14 @@ type Juggler struct {
 	Probe func()
 }
 
-// New creates a Juggler instance delivering flushed segments to d.
+// touchedCap is the touched list's initial capacity: a NAPI poll drains
+// at most 64 packets, so its batch touches at most 64 flows.
+const touchedCap = 64
+
+// New creates a Juggler instance delivering flushed segments to d. It
+// allocates all of the instance's flow state — MaxFlows slab entries, the
+// index over them and their initial queue arrays — so admitting a flow
+// never allocates.
 func New(s *sim.Sim, cfg Config, d gro.Deliver) *Juggler {
 	if cfg.MaxFlows <= 0 {
 		panic("core: MaxFlows must be positive")
@@ -324,12 +372,14 @@ func New(s *sim.Sim, cfg Config, d gro.Deliver) *Juggler {
 		panic("core: negative timeout")
 	}
 	j := &Juggler{sim: s, cfg: cfg, deliver: d,
-		table:   newFlowTable(cfg.MaxFlows),
-		segPool: packet.SegPoolFromSim(s),
+		table:     newFlowTable(make([]flowEntry, cfg.MaxFlows)),
+		queueBufs: make([]*packet.Segment, cfg.MaxFlows),
+		touched:   make([]*flowEntry, 0, touchedCap),
+		segPool:   packet.SegPoolFromSim(s),
 	}
-	j.active.evictions = &j.Stats.EvictionsActive
-	j.inactive.evictions = &j.Stats.EvictionsInactive
-	j.loss.evictions = &j.Stats.EvictionsLoss
+	j.lists[activeList].evictions = &j.Stats.EvictionsActive
+	j.lists[inactiveList].evictions = &j.Stats.EvictionsInactive
+	j.lists[lossList].evictions = &j.Stats.EvictionsLoss
 	j.dq = sim.NewDeadlineQueue(func(e *flowEntry) *sim.DeadlineItem { return &e.dl })
 	j.timer = sim.NewTimer(s, j.PollComplete)
 	j.Instrument(telemetry.FromSim(s))
@@ -369,13 +419,13 @@ func (j *Juggler) Config() Config { return j.cfg }
 func (j *Juggler) Counters() gro.Counters { return j.c }
 
 // ActiveLen returns the current length of the active list (Figures 15/16).
-func (j *Juggler) ActiveLen() int { return j.active.n }
+func (j *Juggler) ActiveLen() int { return j.lists[activeList].n }
 
 // InactiveLen returns the current length of the inactive list.
-func (j *Juggler) InactiveLen() int { return j.inactive.n }
+func (j *Juggler) InactiveLen() int { return j.lists[inactiveList].n }
 
 // LossLen returns the current length of the loss recovery list.
-func (j *Juggler) LossLen() int { return j.loss.n }
+func (j *Juggler) LossLen() int { return j.lists[lossList].n }
 
 // TableLen returns the number of tracked flows.
 func (j *Juggler) TableLen() int { return j.table.len() }
@@ -388,14 +438,6 @@ func (j *Juggler) BufferedBytes() int { return j.buffered }
 // BufferedPkts returns the total packets currently held across all
 // out-of-order queues. O(1): maintained incrementally.
 func (j *Juggler) BufferedPkts() int { return j.bufferedPkts }
-
-// enlist appends e to l, stamping the push-order sequence the deadline
-// expiry path sorts by. All list pushes go through here.
-func (j *Juggler) enlist(l *flowList, e *flowEntry) {
-	e.listSeq = j.pushSeq
-	j.pushSeq++
-	l.pushBack(e)
-}
 
 // flowHash returns the canonical salt-0 hash for p, reusing the value the
 // NIC RSS stage stamped when present. A stamped hash always equals
@@ -417,18 +459,18 @@ func flowHash(p *packet.Packet) uint32 {
 // Tests and the chaos invariant checker call it after operations; it is
 // not on the hot path.
 func (j *Juggler) CheckInvariants() error {
-	count := func(l *flowList) int {
+	tracked := 0
+	for id := activeList; id <= lossList; id++ {
 		n := 0
-		for e := l.head; e != nil; e = e.next {
+		for e := j.head(id); e != nil; e = j.next(e) {
 			n++
 		}
-		return n
+		if n != j.lists[id].n {
+			return errors.New("core: list length bookkeeping out of sync")
+		}
+		tracked += n
 	}
-	if count(&j.active) != j.active.n || count(&j.inactive) != j.inactive.n ||
-		count(&j.loss) != j.loss.n {
-		return errors.New("core: list length bookkeeping out of sync")
-	}
-	if j.active.n+j.inactive.n+j.loss.n != j.table.len() {
+	if tracked != j.table.len() {
 		return errors.New("core: lists and table disagree")
 	}
 	if j.table.len() > j.cfg.MaxFlows {
@@ -437,18 +479,18 @@ func (j *Juggler) CheckInvariants() error {
 	}
 	bytes, pkts, deadlines := 0, 0, 0
 	minDeadline := sim.Time(0)
-	check := func(l *flowList) error {
+	check := func(id listID) error {
 		var lastSeq uint64
 		first := true
-		for e := l.head; e != nil; e = e.next {
-			var want *flowList
+		for e := j.head(id); e != nil; e = j.next(e) {
+			var want listID
 			switch e.phase {
 			case PhaseBuildUp, PhaseActiveMerge:
-				want = &j.active
+				want = activeList
 			case PhasePostMerge:
-				want = &j.inactive
+				want = inactiveList
 			case PhaseLossRecovery:
-				want = &j.loss
+				want = lossList
 			}
 			if e.list != want {
 				return fmt.Errorf("core: flow %v on the wrong list for phase %v", e.key, e.phase)
@@ -456,10 +498,7 @@ func (j *Juggler) CheckInvariants() error {
 			if e.phase == PhasePostMerge && !e.sl.Empty() {
 				return fmt.Errorf("core: post-merge flow %v holds packets", e.key)
 			}
-			if e.hash != e.key.Hash(0) {
-				return fmt.Errorf("core: flow %v cached hash is stale", e.key)
-			}
-			if j.table.get(e.hash, e.key) != e {
+			if j.table.get(e.key.Hash(0), e.key) != e {
 				return fmt.Errorf("core: flow %v not reachable in the table", e.key)
 			}
 			if !first && e.listSeq <= lastSeq {
@@ -481,8 +520,8 @@ func (j *Juggler) CheckInvariants() error {
 		}
 		return nil
 	}
-	for _, l := range []*flowList{&j.active, &j.inactive, &j.loss} {
-		if err := check(l); err != nil {
+	for id := activeList; id <= lossList; id++ {
+		if err := check(id); err != nil {
 			return err
 		}
 	}
@@ -555,9 +594,9 @@ func (j *Juggler) receive(p *packet.Packet) {
 		return
 	}
 
-	h := flowHash(p)
 	e := j.lastEntry
-	if e == nil || e.hash != h || e.key != p.Flow {
+	if e == nil || e.key != p.Flow {
+		h := flowHash(p)
 		e = j.table.get(h, p.Flow)
 		if e == nil {
 			// Initial phase (§4.2.1): create the entry, enter build-up.
@@ -600,8 +639,7 @@ func (j *Juggler) receive(p *packet.Packet) {
 		}
 		if e.phase == PhasePostMerge {
 			// §4.2.4: reverse transition back to active merging.
-			j.inactive.remove(e)
-			j.enlist(&j.active, e)
+			j.relist(e, activeList)
 			e.phase = PhaseActiveMerge
 			if j.tel != nil && !p.SkipStamps {
 				j.record(e, &telemetry.Record{Op: telemetry.OpPhase, Cause: telemetry.CausePhaseNewData,
@@ -622,45 +660,48 @@ func (j *Juggler) fillsHole(e *flowEntry, p *packet.Packet) bool {
 // skip carries the triggering packet's stamp-sampling verdict: forensic
 // records follow the sampled packets.
 func (j *Juggler) exitLossRecovery(e *flowEntry, skip bool) {
-	j.loss.remove(e)
 	j.Stats.LossRecoveryExited++
-	l, note := &j.inactive, "loss-recovery>post-merge"
+	to, note := inactiveList, "loss-recovery>post-merge"
 	e.phase = PhasePostMerge
 	if !e.sl.Empty() {
-		l, note = &j.active, "loss-recovery>active-merge"
+		to, note = activeList, "loss-recovery>active-merge"
 		e.phase = PhaseActiveMerge
 	}
-	j.enlist(l, e)
+	j.relist(e, to)
 	if j.tel != nil && !skip {
 		j.record(e, &telemetry.Record{Op: telemetry.OpPhase, Cause: "hole-filled",
 			Seq: e.seqNext, EndSeq: e.seqNext, Note: note})
 	}
 }
 
-// newFlow takes a flow entry from the free list (evicting if the table is
-// full, allocating only when the free list is empty), places it on the
-// active list in build-up phase, and records the first packet's sequence
-// number as the initial seq_next estimate.
+// newFlow takes a slab entry (evicting if the table is full), places it
+// on the active list in build-up phase, and records the first packet's
+// sequence number as the initial seq_next estimate. Released entries are
+// reused first; otherwise the next never-used one is handed out, and one
+// is always left: the table holds every handed-out entry that is not
+// free, and it holds fewer than MaxFlows after the eviction.
 func (j *Juggler) newFlow(p *packet.Packet, hash uint32) *flowEntry {
 	if j.table.len() >= j.cfg.MaxFlows {
 		j.evictOne()
 	}
-	e := j.freeFlows
+	e := j.table.at(j.freeFlows)
 	if e != nil {
 		j.freeFlows = e.next
-		e.next = nil
+		e.next = noFlow
 	} else {
-		e = &flowEntry{}
-		e.sl.Init(j.segPool)
+		i := j.fresh
+		j.fresh++
+		e = &j.table.flows[i]
+		e.ref = flowRef(i + 1)
+		e.sl.Init(j.segPool, j.queueBufs[i:i:i+1])
 	}
 	now := j.sim.Now()
 	e.key = p.Flow
-	e.hash = hash
 	e.seqNext = p.Seq
 	e.phase = PhaseBuildUp
 	e.holdStart = now
-	j.table.insert(e)
-	j.enlist(&j.active, e)
+	j.table.insert(e, hash)
+	j.enlist(activeList, e)
 	return e
 }
 
@@ -676,9 +717,8 @@ func (j *Juggler) releaseFlow(e *flowEntry) {
 		j.lastEntry = nil
 	}
 	e.sl.Reset()
-	*e = flowEntry{sl: e.sl}
-	e.next = j.freeFlows
-	j.freeFlows = e
+	*e = flowEntry{sl: e.sl, ref: e.ref, next: j.freeFlows}
+	j.freeFlows = e.ref
 }
 
 // bufferAndCheck inserts the packet into the flow's out-of-order queue and
@@ -825,8 +865,7 @@ func (j *Juggler) afterFlush(e *flowEntry, skip bool) {
 	case PhaseActiveMerge:
 		if e.sl.Empty() {
 			// §4.2.4: queue drained in sequence -> post merge.
-			j.active.remove(e)
-			j.enlist(&j.inactive, e)
+			j.relist(e, inactiveList)
 			e.phase = PhasePostMerge
 			if record {
 				j.record(e, &telemetry.Record{Op: telemetry.OpPhase, Cause: telemetry.CausePhaseDrained,
@@ -866,8 +905,8 @@ func (j *Juggler) emit(seg *packet.Segment) {
 // list order — active, inactive, loss, FIFO within each — never in table
 // order.
 func (j *Juggler) Flush() {
-	for _, l := range [...]*flowList{&j.active, &j.inactive, &j.loss} {
-		for e := l.head; e != nil; e = e.next {
+	for id := activeList; id <= lossList; id++ {
+		for e := j.head(id); e != nil; e = j.next(e) {
 			if !e.sl.Empty() {
 				j.drain(e, nil, CauseFinal, false)
 				j.dq.Remove(e)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"unsafe"
 
 	"juggler/internal/packet"
 )
@@ -13,14 +14,30 @@ func tblKey(i int) packet.FiveTuple {
 	}
 }
 
+// slabTable returns a table over a fresh slab of n entries, each given
+// its ref, as Juggler.newFlow does when it hands an entry out.
+func slabTable(n int) flowTable {
+	tbl := newFlowTable(make([]flowEntry, n))
+	for i := range tbl.flows {
+		tbl.flows[i].ref = flowRef(i + 1)
+	}
+	return tbl
+}
+
+// put indexes slab entry i under key.
+func (t *flowTable) put(i int, key packet.FiveTuple) *flowEntry {
+	e := &t.flows[i]
+	e.key = key
+	t.insert(e, key.Hash(0))
+	return e
+}
+
 func TestFlowTableBasics(t *testing.T) {
-	tbl := newFlowTable(4) // capacity 8: heavy collisions by construction
+	tbl := slabTable(4) // capacity 8: heavy collisions by construction
 	entries := map[packet.FiveTuple]*flowEntry{}
 	for i := 0; i < 4; i++ {
 		key := tblKey(i)
-		e := &flowEntry{key: key, hash: key.Hash(0)}
-		tbl.insert(e)
-		entries[key] = e
+		entries[key] = tbl.put(i, key)
 	}
 	if tbl.len() != 4 {
 		t.Fatalf("len = %d, want 4", tbl.len())
@@ -55,10 +72,10 @@ func TestFlowTableOverLoadPanics(t *testing.T) {
 			t.Fatal("insert beyond the load bound should panic")
 		}
 	}()
-	tbl := newFlowTable(2) // capacity 8, bound 4
+	tbl := slabTable(2)            // capacity 8, bound 4
+	tbl.flows = slabTable(5).flows // more entries than the table was sized for
 	for i := 0; i < 5; i++ {
-		key := tblKey(i)
-		tbl.insert(&flowEntry{key: key, hash: key.Hash(0)})
+		tbl.put(i, tblKey(i))
 	}
 }
 
@@ -72,22 +89,25 @@ func FuzzFlowTable(f *testing.F) {
 	f.Add([]byte{5, 6, 7, 8, 64 + 5, 64 + 8, 5, 8})
 	f.Fuzz(func(t *testing.T, program []byte) {
 		const maxFlows = 8 // capacity 16
-		tbl := newFlowTable(maxFlows)
+		tbl := slabTable(maxFlows)
 		ref := map[packet.FiveTuple]*flowEntry{}
+		var free []int // slab entries not in the table
+		for i := maxFlows - 1; i >= 0; i-- {
+			free = append(free, i)
+		}
 		for _, op := range program {
 			key := tblKey(int(op % 32))
-			hash := key.Hash(0)
 			switch {
 			case op < 64: // insert (if absent and within the occupancy bound)
 				if ref[key] == nil && len(ref) < maxFlows {
-					e := &flowEntry{key: key, hash: hash}
-					tbl.insert(e)
-					ref[key] = e
+					ref[key] = tbl.put(free[len(free)-1], key)
+					free = free[:len(free)-1]
 				}
 			case op < 128: // delete (if present)
 				if e := ref[key]; e != nil {
 					tbl.delete(e)
 					delete(ref, key)
+					free = append(free, int(e.ref-1))
 				}
 			}
 			// Every key in the space must agree with the reference map.
@@ -102,4 +122,17 @@ func FuzzFlowTable(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestFlowLayoutSize pins the flow slab's footprint. New allocates
+// MaxFlows entries and at least twice as many index slots per Juggler,
+// whether or not flows ever arrive, so a field that grows either type
+// costs every instance that much.
+func TestFlowLayoutSize(t *testing.T) {
+	if n := unsafe.Sizeof(flowSlot{}); n != 8 {
+		t.Fatalf("flowSlot is %d bytes, want 8", n)
+	}
+	if n := unsafe.Sizeof(flowEntry{}); n > 136 {
+		t.Fatalf("flowEntry is %d bytes, want <= 136", n)
+	}
 }

@@ -100,7 +100,7 @@ func (j *Juggler) checkTimeouts() {
 // sort costs O(n + shifts), not O(n²).
 func (j *Juggler) sortDue(due []*flowEntry) {
 	rank := func(e *flowEntry) int {
-		if e.list == &j.loss {
+		if e.list == lossList {
 			return 1
 		}
 		return 0
@@ -170,8 +170,7 @@ func (j *Juggler) ofoExpire(e *flowEntry) {
 			note = "build-up>loss-recovery"
 		}
 		e.lostSeq = firstMissing
-		j.active.remove(e)
-		j.enlist(&j.loss, e)
+		j.relist(e, lossList)
 		e.phase = PhaseLossRecovery
 		j.Stats.LossRecoveryEntered++
 		if j.tel != nil {

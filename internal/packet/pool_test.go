@@ -2,6 +2,7 @@ package packet
 
 import (
 	"testing"
+	"unsafe"
 
 	"juggler/internal/sim"
 )
@@ -62,6 +63,45 @@ func TestPacketRecycleZeroAlloc(t *testing.T) {
 		pl.Put(p)
 	}); allocs != 0 {
 		t.Errorf("steady-state Get+Put allocates %v objects/op, want 0", allocs)
+	}
+}
+
+// TestSegPoolPutZeroAlloc returns 10 000 distinct segments to an empty
+// pool: the free list threads through the segments themselves, so a Put
+// never allocates, however many segments the pool ends up holding. Each
+// run starts from an empty pool, so the measured run grows nothing the
+// warm-up run left behind.
+func TestSegPoolPutZeroAlloc(t *testing.T) {
+	segs := make([]*Segment, 10000)
+	for i := range segs {
+		segs[i] = &Segment{}
+	}
+	var pl SegPool
+	allocs := testing.AllocsPerRun(1, func() {
+		pl = SegPool{}
+		for _, s := range segs {
+			pl.Put(s)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("putting %d segments allocates %v objects, want 0", len(segs), allocs)
+	}
+	for i := len(segs) - 1; i >= 0; i-- {
+		if s := pl.Get(); s != segs[i] {
+			t.Fatalf("Get %d returned a segment that was not put last", len(segs)-1-i)
+		}
+	}
+	if pl.Puts != uint64(len(segs)) || pl.Gets != pl.Puts || pl.Reuses != pl.Gets {
+		t.Fatalf("counters Puts=%d Gets=%d Reuses=%d, want %d each", pl.Puts, pl.Gets, pl.Reuses, len(segs))
+	}
+}
+
+// TestSegmentSize pins Segment inside the 176-byte size class: the free
+// list's link rides in the struct's tail, and a field that pushed it into
+// the next class would cost every pooled segment 16 bytes.
+func TestSegmentSize(t *testing.T) {
+	if n := unsafe.Sizeof(Segment{}); n > 176 {
+		t.Fatalf("Segment is %d bytes, want <= 176", n)
 	}
 }
 

@@ -67,6 +67,11 @@ type Segment struct {
 	// skipped by delivery stamping, attribution and the per-flush
 	// forensic records — the segment-level face of 1-in-N sampling.
 	SkipStamps bool
+
+	// next links the segment into its SegPool's free list while it is
+	// recycled; it is nil whenever the segment is in use. It fills the
+	// struct's tail up to the 176-byte size class.
+	next *Segment
 }
 
 // Range is one contiguous payload run inside a linked-list segment.

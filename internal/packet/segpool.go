@@ -18,7 +18,10 @@ import "juggler/internal/sim"
 // A SegPool is not safe for concurrent use; like everything else hanging
 // off a Sim it belongs to exactly one single-threaded simulation.
 type SegPool struct {
-	free []*Segment
+	// free chains the recycled segments through their next links (top of
+	// the stack first), so returning a segment writes two pointers and
+	// never grows a slice.
+	free *Segment
 	// Gets and Reuses count pool traffic for benchmarks: Gets is total
 	// allocations requested, Reuses how many were served from the free list.
 	Gets, Reuses uint64
@@ -31,38 +34,26 @@ type SegPool struct {
 
 // Get returns a zeroed Segment, recycled when possible.
 func (pl *SegPool) Get() *Segment {
-	if pl == nil {
-		return &Segment{}
-	}
-	pl.Gets++
-	n := len(pl.free)
-	if n == 0 {
-		return &Segment{}
-	}
-	s := pl.free[n-1]
-	pl.free[n-1] = nil
-	pl.free = pl.free[:n-1]
-	pl.Reuses++
+	s := pl.get()
 	*s = Segment{}
 	return s
 }
 
 // get returns a recycled or freshly allocated Segment WITHOUT the zeroing
-// Get performs. FromPacket uses it to skip a wholesale clear of a struct
-// it is about to overwrite field by field; any other caller must assign
-// every field itself.
+// Get performs (only the free-list link is cleared). FromPacket uses it to
+// skip a wholesale clear of a struct it is about to overwrite field by
+// field; any other caller must assign every field itself.
 func (pl *SegPool) get() *Segment {
 	if pl == nil {
 		return &Segment{}
 	}
 	pl.Gets++
-	n := len(pl.free)
-	if n == 0 {
+	s := pl.free
+	if s == nil {
 		return &Segment{}
 	}
-	s := pl.free[n-1]
-	pl.free[n-1] = nil
-	pl.free = pl.free[:n-1]
+	pl.free = s.next
+	s.next = nil
 	pl.Reuses++
 	return s
 }
@@ -75,7 +66,8 @@ func (pl *SegPool) Put(s *Segment) {
 		return
 	}
 	pl.Puts++
-	pl.free = append(pl.free, s)
+	s.next = pl.free
+	pl.free = s
 }
 
 // Live returns the number of segments minted but not yet returned. At

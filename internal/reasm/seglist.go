@@ -30,17 +30,23 @@ import (
 // and both copies are delivered; FuzzSegList pins that no byte is lost
 // either way.
 type SegList struct {
-	segs   []*packet.Segment
-	spare  []*packet.Segment // retired backing array awaiting reuse
-	pool   *packet.SegPool
-	nbytes int
-	npkts  int
+	segs  []*packet.Segment
+	spare []*packet.Segment // retired backing array awaiting reuse
+	pool  *packet.SegPool
+	// The totals are int32, which keeps the queue at 64 bytes inside a
+	// flow entry; one queue never holds anywhere near 2 GiB.
+	nbytes int32
+	npkts  int32
 }
 
 // Init binds an empty queue — a zero SegList embedded in a larger struct,
-// say — to pool and returns it.
-func (q *SegList) Init(pool *packet.SegPool) *SegList {
+// say — to pool and returns it. buf, when non-nil, is the queue's first
+// backing array (length 0), typically carved by the caller out of one
+// allocation shared by many queues; with nil, the first insert allocates
+// one.
+func (q *SegList) Init(pool *packet.SegPool, buf []*packet.Segment) *SegList {
 	q.pool = pool
+	q.segs = buf
 	return q
 }
 
@@ -64,8 +70,8 @@ func (q *SegList) PopHead() *packet.Segment {
 	copy(q.segs, q.segs[1:])
 	q.segs[len(q.segs)-1] = nil
 	q.segs = q.segs[:len(q.segs)-1]
-	q.nbytes -= s.Bytes
-	q.npkts -= s.Pkts
+	q.nbytes -= int32(s.Bytes)
+	q.npkts -= int32(s.Pkts)
 	return s
 }
 
@@ -121,7 +127,7 @@ func (q *SegList) Insert(p *packet.Packet) (res InsertResult, fastPath bool) {
 			return InsDuplicate, false
 		}
 	}
-	q.nbytes += p.PayloadLen
+	q.nbytes += int32(p.PayloadLen)
 	q.npkts++
 
 	// Try appending to the predecessor.
@@ -219,7 +225,7 @@ func (q *SegList) Reset() {
 
 // Pkts returns the total packet count queued — O(1), maintained at
 // insert/pop/drain.
-func (q *SegList) Pkts() int { return q.npkts }
+func (q *SegList) Pkts() int { return int(q.npkts) }
 
 // Bytes returns the total payload bytes queued — O(1).
-func (q *SegList) Bytes() int { return q.nbytes }
+func (q *SegList) Bytes() int { return int(q.nbytes) }
