@@ -210,8 +210,8 @@ func (c *Cluster) FleetReport() *fleet.Report {
 	return c.fleet.Report(c.Now())
 }
 
-// WriteFleetReport writes the fleet report as schema-validated,
-// byte-stable JSON. No-op without ClusterConfig.Fleet.
+// WriteFleetReport writes the fleet report as byte-stable JSON that
+// telemetry.CheckJSON round-trips. No-op without ClusterConfig.Fleet.
 func (c *Cluster) WriteFleetReport(w io.Writer) error {
 	r := c.FleetReport()
 	if r == nil {

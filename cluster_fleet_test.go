@@ -2,9 +2,12 @@ package juggler
 
 import (
 	"bytes"
+	"path/filepath"
 	"testing"
 	"time"
 
+	"juggler/internal/golden"
+	"juggler/internal/telemetry"
 	"juggler/internal/telemetry/fleet"
 )
 
@@ -68,16 +71,14 @@ func TestClusterExportsDeterministic(t *testing.T) {
 
 // TestClusterFleetReport checks the cluster wiring end to end: probes
 // sampled on the cadence, deliveries observed, RPC completions in the
-// FCT sketch, schema-valid JSON.
+// FCT sketch, JSON that passes the strict round trip and matches
+// testdata/cluster_fleet_golden.json.
 func TestClusterFleetReport(t *testing.T) {
 	_, _, _, fj := runClusterWithExports(t)
-	violations, err := fleet.Validate(fj)
-	if err != nil {
+	if err := telemetry.CheckJSON(fj, (*fleet.Report).WriteJSON); err != nil {
 		t.Fatal(err)
 	}
-	if len(violations) != 0 {
-		t.Fatalf("fleet report schema violations: %v", violations)
-	}
+	golden.JSON(t, filepath.Join("testdata", "cluster_fleet_golden.json"), golden.Fingerprint(fj))
 
 	c := NewCluster(ClusterConfig{
 		LB: PerPacket, Stack: StackJuggler, Seed: 11,

@@ -38,13 +38,12 @@
 //
 // -fleet runs the fleet experiment's impaired cluster with the fleet
 // telemetry aggregator attached and prints the ranked host-health table;
-// -json/-check then apply to the fleet report and its embedded
-// fleet.schema.json instead of the diagnosis schema.
+// -json/-check then apply to the fleet report instead of the diagnosis.
 //
 // -json writes the machine-readable report ("-" = stdout, suppressing the
 // human report); with several scenarios it holds an array, one object per
-// scenario. -check validates the JSON against the embedded copy of
-// diagnosis.schema.json and exits 1 on mismatch.
+// scenario. -check exits 1 unless the JSON passes telemetry.CheckJSON's
+// strict round trip through its Go type.
 //
 // -explain and the exports need exactly one run: one scenario, an
 // experiment or a replay. -explain queries the flight recorder for one
@@ -65,7 +64,6 @@ package main
 
 import (
 	"bytes"
-	_ "embed"
 	"errors"
 	"flag"
 	"fmt"
@@ -78,7 +76,6 @@ import (
 
 	"juggler/internal/cliflags"
 	"juggler/internal/experiments"
-	"juggler/internal/jsonschema"
 	"juggler/internal/packet"
 	"juggler/internal/prof"
 	"juggler/internal/replay"
@@ -88,9 +85,6 @@ import (
 	"juggler/internal/telemetry/fleet"
 	"juggler/internal/testbed"
 )
-
-//go:embed diagnosis.schema.json
-var schemaJSON []byte
 
 // errUsage marks a bad command line: the flag package has already printed
 // the problem and the usage text.
@@ -133,7 +127,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fleetMode := fs.Bool("fleet", false, "run the fleet experiment's impaired cluster and print the ranked host-health report (-json/-check apply to the fleet report)")
 	quick := fs.Bool("quick", false, "shrink transfers, sweeps and durations (~4-10x faster)")
 	jsonOut := fs.String("json", "", "write the JSON diagnosis here ('-' = stdout, suppressing the human report)")
-	check := fs.Bool("check", false, "validate the JSON diagnosis against the embedded schema; exit 1 on mismatch")
+	check := fs.Bool("check", false, "check that the JSON report decodes strictly into its Go type and re-encodes to the same bytes; exit 1 otherwise")
 	explainQ := fs.String("explain", "", `decision provenance query, e.g. "flow=0 seq=292000"`)
 	traceOut := fs.String("trace", "", "write the run's Perfetto/Chrome trace-event JSON here")
 	pcapOut := fs.String("pcap", "", "write the run's pcapng packet capture here")
@@ -277,29 +271,30 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(notes, "wrote %s to %s\n", e.what, e.path)
 	}
 
+	// One diagnosis renders as an object, several as an array.
 	diags := make([]*telemetry.Diagnosis, len(runs))
 	for i, r := range runs {
 		diags[i] = r.diag
 	}
-	if err := writeReport(stdout, stderr, *jsonOut, *check, func(w io.Writer) error { return writeJSON(w, diags) },
-		func([]byte) ([]string, error) { return checkSchema(diags), nil },
-		"schema", fmt.Sprintf("%d report(s) conform to diagnosis.schema.json", len(diags))); err != nil {
+	if len(diags) > 1 {
+		if err := writeReport(stdout, stderr, *jsonOut, *check, &diags, writeJSON); err != nil {
+			return err
+		}
+	} else if err := writeReport(stdout, stderr, *jsonOut, *check, diags[0], (*telemetry.Diagnosis).WriteJSON); err != nil {
 		return err
 	}
 	return failure
 }
 
-// writeReport renders the JSON report when -json or -check asks for it and
-// writes it to jsonOut ('-' = stdout). With -check it prints validate's
-// problems (prefixed what) to stderr and fails, or prints ok when there
-// are none.
-func writeReport(stdout, stderr io.Writer, jsonOut string, check bool, write func(io.Writer) error,
-	validate func([]byte) ([]string, error), what, ok string) error {
+// writeReport renders v with write when -json or -check asks for it and
+// writes it to jsonOut ('-' = stdout). With -check the bytes must pass
+// telemetry.CheckJSON's strict round trip through the same writer.
+func writeReport[T any](stdout, stderr io.Writer, jsonOut string, check bool, v *T, write func(*T, io.Writer) error) error {
 	if jsonOut == "" && !check {
 		return nil
 	}
 	var buf bytes.Buffer
-	if err := write(&buf); err != nil {
+	if err := write(v, &buf); err != nil {
 		return err
 	}
 	if jsonOut == "-" {
@@ -314,27 +309,19 @@ func writeReport(stdout, stderr io.Writer, jsonOut string, check bool, write fun
 	if !check {
 		return nil
 	}
-	problems, err := validate(buf.Bytes())
-	if err != nil {
-		return err
+	if err := telemetry.CheckJSON(buf.Bytes(), write); err != nil {
+		return fmt.Errorf("-check: %w", err)
 	}
-	for _, p := range problems {
-		fmt.Fprintf(stderr, "juggler-doctor: %s: %s\n", what, p)
-	}
-	if len(problems) > 0 {
-		return fmt.Errorf("%s: %d problem(s)", what, len(problems))
-	}
-	fmt.Fprintln(stderr, "juggler-doctor:", ok)
+	fmt.Fprintf(stderr, "juggler-doctor: -check: the %d-byte JSON report round-trips through its Go type\n", buf.Len())
 	return nil
 }
 
 // runFleet is the -fleet mode: it runs the fleet experiment's impaired
 // cluster point (one receiver's ingress through a chaos reorderer +
 // loss pair) with the fleet telemetry aggregator attached and prints
-// the ranked host-health report. -json writes the schema-validated
-// report JSON ('-' = stdout, suppressing the human table); -check
-// validates it against the embedded fleet.schema.json. Byte-identical
-// for the same seed.
+// the ranked host-health report. -json writes the report JSON ('-' =
+// stdout, suppressing the human table); -check puts it through the strict
+// round trip. Byte-identical for the same seed.
 func runFleet(stdout, stderr io.Writer, cf *cliflags.Flags, quick bool, jsonOut string, check bool) error {
 	o := cf.Options()
 	o.Quick, o.Workers = quick, 1
@@ -343,8 +330,7 @@ func runFleet(stdout, stderr io.Writer, cf *cliflags.Flags, quick bool, jsonOut 
 	if jsonOut != "-" { // otherwise JSON owns stdout
 		r.Fprint(stdout)
 	}
-	return writeReport(stdout, stderr, jsonOut, check, r.WriteJSON, fleet.Validate,
-		"fleet schema", "fleet report conforms to fleet.schema.json")
+	return writeReport(stdout, stderr, jsonOut, check, r, (*fleet.Report).WriteJSON)
 }
 
 // diagnoseScenarios runs each named scenario with a sink attached and
@@ -445,7 +431,7 @@ buffered now      %d bytes
 	fmt.Fprintln(w)
 	layerSummary(w, sink)
 
-	d := sink.Diagnose(telemetry.DiagnosisMeta{Scenario: "replay:" + path, Stack: "juggler", Seed: cf.Seed, Intensity: 0})
+	d := sink.Diagnose(telemetry.DiagnosisMeta{Scenario: "replay:" + path, Stack: "juggler", Seed: cf.Seed, StampSample: cf.StampSample})
 	// Surface the recorded run's own records: all ops tallied, plus a
 	// separate section for ops this build does not know (forward-
 	// compatible decoding in internal/replay).
@@ -538,22 +524,20 @@ func explain(w io.Writer, sink *telemetry.Sink, query string) error {
 	return nil
 }
 
-// writeJSON renders one diagnosis as an object, several as an array —
-// byte-identical for the same seed at any -j width.
-func writeJSON(w io.Writer, diags []*telemetry.Diagnosis) error {
-	if len(diags) == 1 {
-		return diags[0].WriteJSON(w)
-	}
+// writeJSON renders several diagnoses as one JSON array, one
+// Diagnosis.WriteJSON object per element — byte-identical for the same
+// seed at any -j width.
+func writeJSON(diags *[]*telemetry.Diagnosis, w io.Writer) error {
 	if _, err := io.WriteString(w, "[\n"); err != nil {
 		return err
 	}
-	for i, d := range diags {
+	for i, d := range *diags {
 		var buf bytes.Buffer
 		if err := d.WriteJSON(&buf); err != nil {
 			return err
 		}
 		s := strings.TrimRight(buf.String(), "\n")
-		if i < len(diags)-1 {
+		if i < len(*diags)-1 {
 			s += ","
 		}
 		if _, err := io.WriteString(w, s+"\n"); err != nil {
@@ -562,23 +546,4 @@ func writeJSON(w io.Writer, diags []*telemetry.Diagnosis) error {
 	}
 	_, err := io.WriteString(w, "]\n")
 	return err
-}
-
-// checkSchema validates every diagnosis against the embedded schema.
-func checkSchema(diags []*telemetry.Diagnosis) []string {
-	sch, err := jsonschema.Compile(schemaJSON)
-	if err != nil {
-		return []string{err.Error()}
-	}
-	var problems []string
-	for i, d := range diags {
-		var buf bytes.Buffer
-		if err := d.WriteJSON(&buf); err != nil {
-			return []string{err.Error()}
-		}
-		for _, p := range sch.ValidateBytes(buf.Bytes()) {
-			problems = append(problems, fmt.Sprintf("report %d (%s): %s", i, d.Scenario, p))
-		}
-	}
-	return problems
 }

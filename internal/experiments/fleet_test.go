@@ -2,15 +2,20 @@ package experiments
 
 import (
 	"bytes"
+	"path/filepath"
 	"testing"
 
+	"juggler/internal/golden"
+	"juggler/internal/telemetry"
 	"juggler/internal/telemetry/fleet"
 )
 
-// TestFleetReportFlagsImpairedHost: both reports must conform to the
-// fleet schema, and the impaired receiver must rank worst with a higher
+// TestFleetReportFlagsImpairedHost: both reports must pass the strict
+// round trip, and the impaired receiver must rank worst with a higher
 // score than the clean run's worst host. The fleet-health verdicts are
-// fleetShape's claims.
+// fleetShape's claims. The clean report matches
+// testdata/fleet_clean_golden.json (the doctor's fleet golden pins the
+// impaired one).
 func TestFleetReportFlagsImpairedHost(t *testing.T) {
 	o := Options{Seed: 1, Quick: true, Workers: 1}
 	clean := CollectFleetReport(o, false)
@@ -21,12 +26,11 @@ func TestFleetReportFlagsImpairedHost(t *testing.T) {
 		if err := r.WriteJSON(&buf); err != nil {
 			t.Fatal(err)
 		}
-		violations, err := fleet.Validate(buf.Bytes())
-		if err != nil {
-			t.Fatal(err)
+		if err := telemetry.CheckJSON(buf.Bytes(), (*fleet.Report).WriteJSON); err != nil {
+			t.Fatalf("%s report: %v", name, err)
 		}
-		if len(violations) != 0 {
-			t.Fatalf("%s report schema violations: %v", name, violations)
+		if name == "clean" {
+			golden.JSON(t, filepath.Join("testdata", "fleet_clean_golden.json"), golden.Fingerprint(buf.Bytes()))
 		}
 		if len(r.Hosts) != 6 {
 			t.Fatalf("%s report has %d host rows, want 6", name, len(r.Hosts))

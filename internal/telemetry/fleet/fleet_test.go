@@ -3,13 +3,16 @@ package fleet_test
 import (
 	"bytes"
 	"maps"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"juggler/internal/core"
+	"juggler/internal/golden"
 	"juggler/internal/nic"
 	"juggler/internal/packet"
 	"juggler/internal/sim"
+	"juggler/internal/telemetry"
 	"juggler/internal/telemetry/fleet"
 	"juggler/internal/testbed"
 	"juggler/internal/units"
@@ -123,7 +126,8 @@ func runShardedFleet(t *testing.T, shards int) []byte {
 
 // TestFleetReportShardInvariant: the fleet report must be byte-identical
 // at any execution lane count — the merge order is structural (queue
-// index), never the schedule.
+// index), never the schedule. The one-lane report passes the strict
+// round trip and matches testdata/sharded_report_golden.json.
 func TestFleetReportShardInvariant(t *testing.T) {
 	ref := runShardedFleet(t, 1)
 	for _, shards := range []int{2, 4} {
@@ -137,13 +141,10 @@ func TestFleetReportShardInvariant(t *testing.T) {
 	if !bytes.Contains(ref, []byte(`"schema": "juggler-fleet-report/v1"`)) {
 		t.Fatal("missing schema tag")
 	}
-	violations, err := fleet.Validate(ref)
-	if err != nil {
+	if err := telemetry.CheckJSON(ref, (*fleet.Report).WriteJSON); err != nil {
 		t.Fatal(err)
 	}
-	if len(violations) != 0 {
-		t.Fatalf("schema violations: %v", violations)
-	}
+	golden.JSON(t, filepath.Join("testdata", "sharded_report_golden.json"), golden.Fingerprint(ref))
 }
 
 // TestFleetReportContent sanity-checks the merged rollup on the serial

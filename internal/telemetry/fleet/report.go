@@ -1,20 +1,15 @@
 package fleet
 
 import (
-	_ "embed"
 	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
 	"time"
 
-	"juggler/internal/jsonschema"
 	"juggler/internal/packet"
 	"juggler/internal/stats"
 )
-
-//go:embed fleet.schema.json
-var schemaJSON []byte
 
 // reportSchema names the report format; bump on breaking field changes.
 const reportSchema = "juggler-fleet-report/v1"
@@ -277,16 +272,6 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r)
-}
-
-// Validate checks serialized report bytes against the embedded schema;
-// returns schema violations (empty = valid).
-func Validate(data []byte) ([]string, error) {
-	sch, err := jsonschema.Compile(schemaJSON)
-	if err != nil {
-		return nil, err
-	}
-	return sch.ValidateBytes(data), nil
 }
 
 // Fprint renders the ranked host-health table.
